@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure (partial
 artifacts preserved), 4 parse error. Identical configs produce
-byte-identical artifacts regardless of the worker count.
+byte-identical artifacts.
 """
 
 from __future__ import annotations

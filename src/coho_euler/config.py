@@ -55,6 +55,26 @@ def _number(obj, path, errors, positive=False):
     return float(val)
 
 
+def _positive_int(obj, path, errors):
+    if not isinstance(obj, int) or isinstance(obj, bool) or obj < 1:
+        errors.append(f"{path}: expected a positive integer")
+
+
+def _numbers(obj, path, errors, depth=1):
+    """A list of finite numbers, nested ``depth`` lists deep."""
+    if not isinstance(obj, list):
+        errors.append(f"{path}: expected a list")
+        return
+    n_errors = len(errors)
+    for i, item in enumerate(obj):
+        if depth > 1:
+            _numbers(item, f"{path}[{i}]", errors, depth - 1)
+        else:
+            _number(item, f"{path}[{i}]", errors)
+        if len(errors) > n_errors:
+            return  # one message per list is enough
+
+
 @dataclass
 class RunConfig:
     kind: str
@@ -88,8 +108,9 @@ def parse_config_dict(data: dict, source_path: Path | None = None) -> RunConfig:
     if errors:
         raise ConfigError(errors)
 
-    errors += _require_keys(data["problem"], "problem", ("kind",))
-    kind = data.get("problem", {}).get("kind")
+    problem = data["problem"]
+    errors += _require_keys(problem, "problem", ("kind",))
+    kind = problem.get("kind") if isinstance(problem, dict) else None
     if kind not in KINDS:
         errors.append(f"problem.kind: expected one of {KINDS}, got {kind!r}")
         raise ConfigError(errors)
@@ -117,7 +138,7 @@ def parse_config_dict(data: dict, source_path: Path | None = None) -> RunConfig:
         errors.append("isotropy: not allowed (the profile family fixes the fibre)")
 
     algebra = data.get("algebra")
-    if algebra is not None:
+    if "algebra" in data:
         errs = _require_keys(algebra, "algebra", (), ("name", "dim", "structure", "Q"))
         errors += errs
         if not errs:
@@ -130,19 +151,36 @@ def parse_config_dict(data: dict, source_path: Path | None = None) -> RunConfig:
                     errors.append("algebra.dim: not allowed for su2")
                 if "structure" in algebra or "Q" in algebra:
                     errors.append("algebra: give either a name or structure+Q, not both")
+                if "dim" in algebra:
+                    _positive_int(algebra["dim"], "algebra.dim", errors)
             elif not ("structure" in algebra and "Q" in algebra):
                 errors.append("algebra: give either a name or structure+Q")
+            else:
+                _numbers(algebra["structure"], "algebra.structure", errors, depth=3)
+                _numbers(algebra["Q"], "algebra.Q", errors, depth=2)
 
     isotropy = data.get("isotropy")
-    if isotropy is not None:
-        errors += _require_keys(isotropy, "isotropy", ("basis",))
+    if "isotropy" in data:
+        errs = _require_keys(isotropy, "isotropy", ("basis",))
+        errors += errs
+        if not errs:
+            _numbers(isotropy["basis"], "isotropy.basis", errors, depth=2)
 
     metric = data.get("metric")
-    if metric is not None:
-        errors += _require_keys(metric, "metric", ("gram",))
+    if "metric" in data:
+        errs = _require_keys(metric, "metric", ("gram",))
+        errors += errs
+        if not errs:
+            gram = metric["gram"]
+            n_errors = len(errors)
+            _numbers(gram, "metric.gram", errors, depth=2)
+            if len(errors) == n_errors and any(len(row) != len(gram) for row in gram):
+                errors.append("metric.gram: expected a square matrix")
 
     profile = data.get("profile")
-    if profile is not None and isinstance(profile, dict):
+    if "profile" in data and not isinstance(profile, dict):
+        errors.append("profile: expected an object")
+    elif "profile" in data:
         family = profile.get("family")
         if family == "round_s3_t2":
             errors += _require_keys(profile, "profile", ("family",))
@@ -154,6 +192,8 @@ def parse_config_dict(data: dict, source_path: Path | None = None) -> RunConfig:
                 errors.append(f"profile.family: {family} is a circle family")
             if "length" in profile:
                 _number(profile["length"], "profile.length", errors, positive=True)
+            if "fourier" in profile:
+                _numbers(profile["fourier"], "profile.fourier", errors, depth=2)
         elif family == "tabulated":
             errors += _require_keys(
                 profile, "profile", ("family", "length", "kind", "csv"), ("endpoints",)
@@ -163,33 +203,50 @@ def parse_config_dict(data: dict, source_path: Path | None = None) -> RunConfig:
                 errors.append("profile.kind: expected 'interval' or 'circle'")
             if pkind != kind and pkind in (cg.INTERVAL, cg.CIRCLE):
                 errors.append("profile.kind: must match problem.kind")
+            if "length" in profile:
+                _number(profile["length"], "profile.length", errors, positive=True)
+            if "csv" in profile and not isinstance(profile["csv"], str):
+                errors.append("profile.csv: expected a file name")
             if pkind == cg.INTERVAL and "endpoints" not in profile:
                 errors.append("profile.endpoints: required for tabulated interval profiles")
+            if "endpoints" in profile and not isinstance(profile["endpoints"], list):
+                errors.append("profile.endpoints: expected a list")
             if pkind == cg.CIRCLE and "endpoints" in profile:
                 errors.append("profile.endpoints: not allowed on a circle")
         else:
             errors.append(f"profile.family: unknown family {family!r}")
 
-    initial = data.get("initial", {})
-    if kind == "homogeneous":
-        errors += _require_keys(initial, "initial", ("x",))
-    elif kind == "interval":
-        errors += _require_keys(initial, "initial", ("v",))
-    else:
-        errors += _require_keys(initial, "initial", ("c", "v"))
-        if "c" in initial:
-            _number(initial["c"], "initial.c", errors)
+    initial = data["initial"]
+    required = {"homogeneous": ("x",), "interval": ("v",), "circle": ("c", "v")}[kind]
+    errors += _require_keys(initial, "initial", required)
+    if not isinstance(initial, dict):
+        initial = {}
+    if kind == "homogeneous" and "x" in initial:
+        _numbers(initial["x"], "initial.x", errors)
+    if kind == "circle" and "c" in initial:
+        _number(initial["c"], "initial.c", errors)
     vspec = initial.get("v")
     if kind != "homogeneous" and isinstance(vspec, dict):
         vtype = vspec.get("type")
         if vtype == "constant":
-            errors += _require_keys(vspec, "initial.v", ("type", "values"))
+            errs = _require_keys(vspec, "initial.v", ("type", "values"))
+            errors += errs
+            if not errs:
+                _numbers(vspec["values"], "initial.v.values", errors)
         elif vtype in ("polynomial", "fourier"):
-            errors += _require_keys(vspec, "initial.v", ("type", "coefficients"))
+            errs = _require_keys(vspec, "initial.v", ("type", "coefficients"))
+            errors += errs
+            if not errs:
+                _numbers(vspec["coefficients"], "initial.v.coefficients", errors, depth=2)
         elif vtype == "random_fourier":
-            errors += _require_keys(
-                vspec, "initial.v", ("type", "seed", "modes", "amplitude")
-            )
+            errs = _require_keys(vspec, "initial.v", ("type", "seed", "modes", "amplitude"))
+            errors += errs
+            if not errs:
+                vseed = vspec["seed"]
+                if not isinstance(vseed, int) or isinstance(vseed, bool) or vseed < 0:
+                    errors.append("initial.v.seed: expected a non-negative integer")
+                _positive_int(vspec["modes"], "initial.v.modes", errors)
+                _number(vspec["amplitude"], "initial.v.amplitude", errors)
             if kind != "circle":
                 errors.append("initial.v.type: random_fourier is circle-only")
         else:
@@ -201,7 +258,7 @@ def parse_config_dict(data: dict, source_path: Path | None = None) -> RunConfig:
                 "initial.v.type: polynomial initial data is not periodic; "
                 "use fourier coefficients on a circle"
             )
-    elif kind != "homogeneous":
+    elif kind != "homogeneous" and "v" in initial:
         errors.append("initial.v: expected an object")
 
     solver = data.get("solver", {})
@@ -234,8 +291,8 @@ def parse_config_dict(data: dict, source_path: Path | None = None) -> RunConfig:
     )
     if isinstance(output, dict):
         for key in ("snapshot_cadence", "diagnostics_cadence"):
-            if key in output and (not isinstance(output[key], int) or output[key] < 1):
-                errors.append(f"output.{key}: expected a positive integer")
+            if key in output:
+                _positive_int(output[key], f"output.{key}", errors)
 
     seed = data.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
@@ -300,6 +357,8 @@ def build_profile(cfg: RunConfig) -> cg.MetricProfile:
     csv_path = Path(p["csv"])
     if not csv_path.is_absolute() and cfg.source_path is not None:
         csv_path = cfg.source_path.parent / csv_path
+    if not csv_path.is_file():
+        raise ConfigError([f"profile.csv: no such file {csv_path}"])
     r, gram, prime = cg.load_tabulated_csv(csv_path)
     alg = build_algebra(cfg)
     split = reductive_split(alg, cfg.isotropy)
@@ -375,8 +434,6 @@ def build_initial_v(cfg: RunConfig, profile: cg.MetricProfile, grid: np.ndarray)
     rng = np.random.default_rng(int(vinit["seed"]))
     modes = int(vinit["modes"])
     amp = float(vinit["amplitude"])
-    if modes < 1:
-        raise ConfigError(["initial.v.modes: expected a positive integer"])
     rows = []
     for _ in range(d):
         coeffs = [0.0]

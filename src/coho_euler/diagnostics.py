@@ -141,51 +141,7 @@ class GridGeometry:
         resid_proj = np.eye(rho.size) - A @ pinv
         return {"side": side, "slice": sl, "pinv": pinv, "resid": resid_proj, "rho": rho}
 
-    # -- pointwise / integral evaluations ------------------------------------
-
-    def h_samples(self, c: float) -> np.ndarray:
-        return c * self.h0 if self.kind == CIRCLE else np.zeros(self.n)
-
-    def speeds(self, c: float, v: np.ndarray) -> np.ndarray:
-        h = self.h_samples(c)
-        quad = np.einsum("ja,jab,jb->j", v, self.gram, v)
-        return np.sqrt(h * h + quad)
-
-    def vertical_energy_density(self, v: np.ndarray) -> np.ndarray:
-        return np.einsum("ja,jab,jb->j", v, self.gram, v)
-
-    def integrate_r(self, f: np.ndarray) -> float:
-        """Integral over the orbit space; singular endpoints contribute zero."""
-        return float(np.sum(self.weights * f))
-
-    def energy(self, c: float, v: np.ndarray) -> float:
-        h = self.h_samples(c)
-        dens = h * h + self.vertical_energy_density(v)
-        return 0.5 * float(np.sum(self.wvol * dens))
-
-    def component_energies(self, v: np.ndarray) -> np.ndarray:
-        """Candidate invariants: per-slot vertical energies (recorded, not asserted)."""
-        gv = np.einsum("jab,jb->ja", self.gram, v)
-        return 0.5 * np.einsum("j,ja,ja->a", self.wvol, v, gv)
-
-    def c1_parts(self, c: float, v: np.ndarray):
-        speeds = self.speeds(c, v)
-        max_speed = float(np.max(speeds))
-        dv = self.deriv(v)
-        fd_max = float(np.max(np.abs(dv)))
-        if self.kind == CIRCLE:
-            fd_max = max(fd_max, float(np.max(np.abs(c * self.deriv(self.h0)))))
-        Sv = np.einsum("jab,jb->ja", self.S, v)
-        sv_raw = float(np.max(np.abs(Sv)))
-        sv_gram = float(np.sqrt(np.max(np.einsum("ja,jab,jb->j", Sv, self.gram, Sv))))
-        monitor = max_speed + fd_max + sv_gram
-        return monitor, max_speed, fd_max, sv_gram, sv_raw
-
-    def divergence_residual(self, c: float, v: np.ndarray, h_samples=None) -> float:
-        h = self.h_samples(c) if h_samples is None else np.asarray(h_samples, float)
-        res_h = float(np.max(np.abs(self.deriv(h) - self.trace_S * h)))
-        res_v = float(np.max(np.abs(np.einsum("pa,pa->p", self.div_forms, v[self.div_probe_idx]))))
-        return max(res_h, res_v)
+    # -- per-state evaluation ------------------------------------------------
 
     def taylor_fit(self, v: np.ndarray):
         """Per-endpoint (alpha, beta, parity misfit) near singular endpoints."""
@@ -198,12 +154,80 @@ class GridGeometry:
             out.append((coef[0], coef[1], misfit))
         return out
 
+    def row(self, c: float, v: np.ndarray) -> dict:
+        """Every per-state diagnostic of (c, v), as one recorded row.
+
+        Runs record exactly these values and the public per-state functions
+        return them, so the two cannot disagree. Besides the series values
+        the row holds the speed samples and the instantaneous envelope rate,
+        from which the recorder derives its running series.
+        """
+        h = c * self.h0  # h0 is zero on an interval
+        gv = np.einsum("jab,jb->ja", self.gram, v)
+        quad = np.einsum("ja,ja->j", v, gv)
+        speeds = np.sqrt(h * h + quad)
+        max_speed = float(np.max(speeds))
+        fd_max = float(np.max(np.abs(self.deriv(v))))
+        if self.kind == CIRCLE:
+            fd_max = max(fd_max, abs(c) * self.fd_h0_max)
+        Sv = np.einsum("jab,jb->ja", self.S, v)
+        sv_gram = float(np.sqrt(max(np.max(np.einsum("ja,jab,jb->j", Sv, self.gram, Sv)), 0.0)))
+        res_v = float(np.max(np.abs(np.einsum("pa,pa->p", self.div_forms, v[self.div_probe_idx]))))
+        row = {
+            "E": 0.5 * float(np.sum(self.wvol * (h * h + quad))),
+            "c": c,
+            "max_speed": max_speed,
+            "c1_monitor": max_speed + fd_max + sv_gram,
+            "c1_sv_raw": float(np.max(np.abs(Sv))),
+            "div_residual": max(abs(c) * self.fd_div_floor, res_v),
+            "max_vertical": float(np.max(quad)),
+            "component_energy": 0.5 * np.einsum("j,ja,ja->a", self.wvol, v, gv),
+            "speeds": speeds,
+            "envelope_rate": abs(c) * self.envelope_rate_unit,
+        }
+        if self.singular_windows:
+            fits = self.taylor_fit(v)
+            row["alpha"] = [f[0] for f in fits]
+            row["beta"] = [f[1] for f in fits]
+            row["parity_misfit"] = [f[2] for f in fits]
+        return row
+
+
+class _OrbitGeometry:
+    """The scalar counterpart of :class:`GridGeometry` for homogeneous states."""
+
+    def __init__(self, metric: InvariantMetric):
+        self.gram = metric.gram
+        self.div_form = divergence_form(metric)
+
+    def row(self, c: float, v: np.ndarray) -> dict:
+        """The row of :meth:`GridGeometry.row` for a single orbit; c plays no part."""
+        gram = self.gram
+        quad = float(v @ gram @ v)
+        speed = float(np.sqrt(quad))
+        return {
+            "E": 0.5 * quad,
+            "c": 0.0,
+            "max_speed": speed,
+            "c1_monitor": speed,
+            "c1_sv_raw": 0.0,
+            "div_residual": abs(float(self.div_form @ v)),
+            "max_vertical": quad,
+            "component_energy": 0.5 * v * (gram @ v),
+            "speeds": speed,
+            "envelope_rate": 0.0,
+        }
+
 
 # -- public operations -------------------------------------------------------
 
 
-def _geometry_for(state, profile: MetricProfile) -> GridGeometry:
-    return GridGeometry(profile, state.grid)
+def _row(state, geometry):
+    """(row, GridGeometry or None) of one state; ``geometry`` as in :func:`energy`."""
+    if isinstance(geometry, InvariantMetric):
+        return _OrbitGeometry(geometry).row(0.0, state.v), None
+    geom = GridGeometry(geometry, state.grid)
+    return geom.row(float(state.c or 0.0), state.v), geom
 
 
 def energy(state, geometry) -> float:
@@ -212,36 +236,44 @@ def energy(state, geometry) -> float:
     ``geometry`` is a metric profile for grid states, or an invariant metric
     for homogeneous states (relative to unit orbit volume).
     """
-    if isinstance(geometry, InvariantMetric):
-        return 0.5 * float(state.v @ geometry.gram @ state.v)
-    geom = _geometry_for(state, geometry)
-    return geom.energy(state.c or 0.0, state.v)
+    return _row(state, geometry)[0]["E"]
 
 
 def pointwise_speed(state, geometry, j: int | None = None) -> float:
-    if isinstance(geometry, InvariantMetric):
-        return float(np.sqrt(state.v @ geometry.gram @ state.v))
-    geom = _geometry_for(state, geometry)
-    speeds = geom.speeds(state.c or 0.0, state.v)
-    if j is None:
-        return float(np.max(speeds))
+    row, geom = _row(state, geometry)
+    if j is None or geom is None:
+        return row["max_speed"]
     if not 0 <= j < geom.n:
         raise InputError(f"grid index {j} out of range [0, {geom.n})")
-    return float(speeds[j])
+    return float(row["speeds"][j])
 
 
 def c1_monitor(state, geometry) -> float:
-    if isinstance(geometry, InvariantMetric):
-        return float(np.sqrt(state.v @ geometry.gram @ state.v))
-    geom = _geometry_for(state, geometry)
-    return geom.c1_parts(state.c or 0.0, state.v)[0]
+    return _row(state, geometry)[0]["c1_monitor"]
 
 
 def divergence_residual(state, geometry, h_samples=None) -> float:
-    if isinstance(geometry, InvariantMetric):
-        return abs(float(divergence_form(geometry) @ state.v))
-    geom = _geometry_for(state, geometry)
-    return geom.divergence_residual(state.c or 0.0, state.v, h_samples=h_samples)
+    """Largest divergence defect of a state.
+
+    ``h_samples`` replaces the horizontal amplitude c h0 of a grid state by
+    arbitrary samples, whose defect is then evaluated on the stencil.
+    """
+    if h_samples is None or isinstance(geometry, InvariantMetric):
+        return _row(state, geometry)[0]["div_residual"]
+    geom = GridGeometry(geometry, state.grid)
+    h = np.asarray(h_samples, float)
+    res_h = float(np.max(np.abs(geom.deriv(h) - geom.trace_S * h)))
+    # at c = 0 the row's residual is the vertical part alone
+    return max(res_h, geom.row(0.0, state.v)["div_residual"])
+
+
+def _coefficient_growth(alpha: np.ndarray, beta: np.ndarray) -> float:
+    """Largest |coefficient| over its initial value, for the 10x growth rule."""
+    floor = 1e-8 * max(1.0, float(np.max(np.abs(alpha[0]))), float(np.max(np.abs(beta[0]))))
+    return max(
+        float(np.max(np.abs(alpha) / np.maximum(np.abs(alpha[0]), floor))),
+        float(np.max(np.abs(beta) / np.maximum(np.abs(beta[0]), floor))),
+    )
 
 
 def endpoint_taylor_monitor(trajectory, profile: MetricProfile):
@@ -254,7 +286,7 @@ def endpoint_taylor_monitor(trajectory, profile: MetricProfile):
     states = list(trajectory)
     if not states:
         raise InputError("empty trajectory")
-    geom = _geometry_for(states[0], profile)
+    geom = GridGeometry(profile, states[0].grid)
     if not geom.singular_windows:
         raise ConfigError("endpoint Taylor monitor needs a singular endpoint")
     t = np.array([s.t for s in states])
@@ -267,11 +299,7 @@ def endpoint_taylor_monitor(trajectory, profile: MetricProfile):
     alpha = np.array(alpha)
     beta = np.array(beta)
     misfit = np.array(misfit)
-    floor = 1e-8 * max(1.0, float(np.max(np.abs(alpha[0]))), float(np.max(np.abs(beta[0]))))
-    growth = max(
-        float(np.max(np.abs(alpha) / np.maximum(np.abs(alpha[0]), floor))),
-        float(np.max(np.abs(beta) / np.maximum(np.abs(beta[0]), floor))),
-    )
+    growth = _coefficient_growth(alpha, beta)
     return {
         "t": t,
         "alpha": alpha,
@@ -320,82 +348,40 @@ class RunRecorder:
     """Accumulates diagnostics during integration (one row per recorded step)."""
 
     def __init__(self, kind, geom: GridGeometry | None, metric: InvariantMetric | None):
-        self.kind = kind
         self.geom = geom
-        self.metric = metric
         d = geom.d if geom is not None else metric.split.dim_m
         self.report = RunReport(kind=kind, n_coeff=d)
+        row_keys = ["E", "c", "max_speed", "c1_monitor", "c1_sv_raw", "div_residual",
+                    "max_vertical", "component_energy"]
         if geom is not None:
             self.report.n_singular = len(geom.singular_windows)
-        keys = ["t", "E", "c", "max_speed", "c1_monitor", "c1_sv_raw", "div_residual",
-                "p_periodicity", "speed_drift", "max_vertical", "envelope_rate",
-                "component_energy"]
-        if geom is not None and geom.singular_windows:
-            keys += ["alpha", "beta", "parity_misfit"]
-        self.series = {k: [] for k in keys}
+            self._row = geom.row
+            if geom.singular_windows:
+                row_keys += ["alpha", "beta", "parity_misfit"]
+        else:
+            self._row = _OrbitGeometry(metric).row
+        self._row_keys = row_keys
+        self.series = {k: [] for k in ["t", "p_periodicity", "speed_drift", "envelope_rate"]
+                       + row_keys}
         self._speeds0 = None
         self._lambda_max = 0.0
-        if metric is not None:
-            self._div_form = divergence_form(metric)
 
     def record(self, t, c, v, p_residual=0.0):
         s = self.series
+        row = self._row(0.0 if c is None else float(c), v)
         s["t"].append(float(t))
         s["p_periodicity"].append(float(p_residual))
-        if self.kind == "homogeneous":
-            g = self.metric.gram
-            quad = float(v @ g @ v)
-            speed = float(np.sqrt(quad))
-            s["E"].append(0.5 * quad)
-            s["c"].append(0.0)
-            s["max_speed"].append(speed)
-            s["c1_monitor"].append(speed)
-            s["c1_sv_raw"].append(0.0)
-            s["div_residual"].append(abs(float(self._div_form @ v)))
-            s["max_vertical"].append(quad)
-            s["envelope_rate"].append(0.0)
-            s["component_energy"].append(0.5 * v * (g @ v))
-            if self._speeds0 is None:
-                self._speeds0 = speed
-            s["speed_drift"].append(abs(speed - self._speeds0))
-            return
-
-        geom = self.geom
-        cc = 0.0 if c is None else float(c)
-        h = geom.h_samples(cc)
-        gv = np.einsum("jab,jb->ja", geom.gram, v)
-        quad = np.einsum("ja,ja->j", v, gv)
-        speeds = np.sqrt(h * h + quad)
-
-        s["E"].append(0.5 * float(np.sum(geom.wvol * (h * h + quad))))
-        s["c"].append(cc)
-        max_speed = float(np.max(speeds))
-        dv = geom.deriv(v)
-        fd_max = float(np.max(np.abs(dv)))
-        if geom.kind == CIRCLE:
-            fd_max = max(fd_max, abs(cc) * geom.fd_h0_max)
-        Sv = np.einsum("jab,jb->ja", geom.S, v)
-        sv_raw = float(np.max(np.abs(Sv)))
-        sv_gram = float(np.sqrt(max(np.max(np.einsum("ja,jab,jb->j", Sv, geom.gram, Sv)), 0.0)))
-        s["max_speed"].append(max_speed)
-        s["c1_monitor"].append(max_speed + fd_max + sv_gram)
-        s["c1_sv_raw"].append(sv_raw)
-
-        res_v = float(np.max(np.abs(np.einsum("pa,pa->p", geom.div_forms, v[geom.div_probe_idx]))))
-        s["div_residual"].append(max(abs(cc) * geom.fd_div_floor, res_v))
-        s["max_vertical"].append(float(np.max(quad)))
-        lam = abs(cc) * geom.envelope_rate_unit
-        self._lambda_max = max(self._lambda_max, lam)
+        for key in self._row_keys:
+            s[key].append(row[key])
+        self._lambda_max = max(self._lambda_max, row["envelope_rate"])
         s["envelope_rate"].append(self._lambda_max)
-        s["component_energy"].append(0.5 * np.einsum("j,ja,ja->a", geom.wvol, v, gv))
+        speeds = row["speeds"]
         if self._speeds0 is None:
             self._speeds0 = speeds
-        s["speed_drift"].append(float(np.max(np.abs(speeds - self._speeds0))))
-        if geom.singular_windows:
-            fits = geom.taylor_fit(v)
-            s["alpha"].append([f[0] for f in fits])
-            s["beta"].append([f[1] for f in fits])
-            s["parity_misfit"].append([f[2] for f in fits])
+        if self.geom is None:
+            s["speed_drift"].append(abs(speeds - self._speeds0))
+        else:
+            s["speed_drift"].append(float(np.max(np.abs(speeds - self._speeds0))))
 
     def finish(self, failure=None, c_bound=None) -> RunReport:
         self.report.series = self.series
@@ -490,11 +476,7 @@ def conservation_report(report: RunReport) -> dict:
         alpha = np.asarray(s["alpha"])
         beta = np.asarray(s["beta"])
         misfit = np.asarray(s["parity_misfit"])
-        floor = 1e-8 * max(1.0, float(np.max(np.abs(alpha[0]))), float(np.max(np.abs(beta[0]))))
-        growth = max(
-            float(np.max(np.abs(alpha) / np.maximum(np.abs(alpha[0]), floor))),
-            float(np.max(np.abs(beta) / np.maximum(np.abs(beta[0]), floor))),
-        )
+        growth = _coefficient_growth(alpha, beta)
         summary["endpoint_taylor"] = {
             "max_growth": growth,
             "limit": TAYLOR_GROWTH_LIMIT,

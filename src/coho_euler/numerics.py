@@ -1,8 +1,8 @@
 """Quadrature weights and finite-difference stencils shared by the solvers.
 
 Everything here is deterministic: weight vectors are built once, and all
-reductions go through numpy's fixed-order pairwise summation, so results do
-not depend on how work is partitioned across workers.
+reductions go through numpy's fixed-order pairwise summation, so identical
+inputs give bit-identical results.
 """
 
 from __future__ import annotations

@@ -14,14 +14,12 @@ periodicity). Both integrals use the same quadrature weights, so the
 periodicity residual cancels to rounding and any externally injected dc/dt
 offset shows up immediately.
 
-Time stepping is fixed-step classical RK4; identical inputs give
-bit-identical outputs regardless of the worker count.
+Time stepping is fixed-step classical RK4 on a single thread; identical
+inputs give bit-identical outputs.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,14 +38,17 @@ from .numerics import as_float_array, cumulative_integral
 CFL_EPS = 1e-12
 
 
+def _is_positive_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 1
+
+
 @dataclass
 class SolverConfig:
-    """Fixed-step RK4 configuration; the scheme field exists only as a guard."""
+    """Fixed-step RK4 configuration."""
 
     dt: float
     t_end: float
     cfl_guard: float = 0.5
-    scheme: str = "rk4"
     snapshot_cadence: int | None = None
     diagnostics_cadence: int = 1
     dcdt_offset: float = 0.0  # test-only fault injection into the c closure
@@ -59,10 +60,10 @@ class SolverConfig:
             raise InputError("t_end must be a positive real")
         if not (self.cfl_guard > 0):
             raise InputError("cfl_guard must be positive")
-        if self.scheme != "rk4":
-            raise InputError(f"unsupported scheme {self.scheme!r}")
-        if self.diagnostics_cadence < 1:
-            raise InputError("diagnostics_cadence must be >= 1")
+        if self.snapshot_cadence is not None and not _is_positive_int(self.snapshot_cadence):
+            raise InputError("snapshot_cadence must be a positive integer or None")
+        if not _is_positive_int(self.diagnostics_cadence):
+            raise InputError("diagnostics_cadence must be a positive integer")
 
     def n_steps(self) -> int:
         n = int(round(self.t_end / self.dt))
@@ -175,13 +176,9 @@ class _HomogeneousDisc:
     kind = "homogeneous"
 
     def __init__(self, metric: InvariantMetric):
-        self.metric = metric
         gamma = metric.connection_tensor()
         self.d = gamma.shape[0]
         self._g2 = np.ascontiguousarray(gamma.reshape(self.d, self.d * self.d))
-
-    def close(self):
-        pass
 
     def rhs(self, c, x):
         m = (x @ self._g2).reshape(self.d, self.d)
@@ -189,7 +186,7 @@ class _HomogeneousDisc:
 
 
 class _GridDisc:
-    def __init__(self, geom: GridGeometry, workers: int = 1):
+    def __init__(self, geom: GridGeometry):
         self.geom = geom
         split = geom.profile.split
         n, d = geom.n, geom.d
@@ -198,34 +195,11 @@ class _GridDisc:
             self.gamma[j] = InvariantMetric(split, geom.gram[j]).connection_tensor()
         self.has_gamma = bool(np.max(np.abs(self.gamma)) > 0.0)
         self.has_S = bool(np.max(np.abs(geom.S)) > 0.0)
-        self.workers = max(1, int(workers))
-        self._pool = None
-        self._chunks = None
-        if self.workers > 1 and self.has_gamma:
-            bounds = np.linspace(0, n, self.workers + 1).astype(int)
-            self._chunks = [
-                slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a
-            ]
-            self._pool = ThreadPoolExecutor(max_workers=len(self._chunks))
-
-    def close(self):
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
     def _gamma_vv(self, v):
-        # node-local contraction; chunking over nodes cannot change any value
         if not self.has_gamma:
             return np.zeros_like(v)
-        if self._pool is None:
-            return np.einsum("jabc,ja,jb->jc", self.gamma, v, v)
-        out = np.empty_like(v)
-
-        def work(sl):
-            out[sl] = np.einsum("jabc,ja,jb->jc", self.gamma[sl], v[sl], v[sl])
-
-        list(self._pool.map(work, self._chunks))
-        return out
+        return np.einsum("jabc,ja,jb->jc", self.gamma, v, v)
 
 
 class _IntervalDisc(_GridDisc):
@@ -238,8 +212,8 @@ class _IntervalDisc(_GridDisc):
 class _CircleDisc(_GridDisc):
     kind = "circle"
 
-    def __init__(self, geom: GridGeometry, workers: int = 1, dcdt_offset: float = 0.0):
-        super().__init__(geom, workers)
+    def __init__(self, geom: GridGeometry, dcdt_offset: float = 0.0):
+        super().__init__(geom)
         self.dcdt_offset = float(dcdt_offset)
 
     def q_samples(self, v):
@@ -263,6 +237,23 @@ class _CircleDisc(_GridDisc):
         return self.dcdt(v), dv
 
 
+def _make_disc(geometry, grid, dcdt_offset: float = 0.0):
+    """The discretisation of an invariant metric, or of a profile on a grid."""
+    if isinstance(geometry, InvariantMetric):
+        return _HomogeneousDisc(geometry)
+    geom = GridGeometry(geometry, grid)
+    if geom.kind == CIRCLE:
+        return _CircleDisc(geom, dcdt_offset)
+    return _IntervalDisc(geom)
+
+
+def _make_state(disc, t: float, c: float, v: np.ndarray) -> ReducedState:
+    """A snapshot of (c, v) on the disc's grid; c is kept only on a circle."""
+    if disc.kind == "homogeneous":
+        return ReducedState(t, None, v.copy(), None)
+    return ReducedState(t, c if disc.kind == "circle" else 0.0, v.copy(), disc.geom.r)
+
+
 def homogeneous_rhs(metric: InvariantMetric, X) -> np.ndarray:
     """du/dt for the orbit problem; delegates to the Euler-Arnold field."""
     return euler_arnold_rhs(metric, X)
@@ -270,14 +261,12 @@ def homogeneous_rhs(metric: InvariantMetric, X) -> np.ndarray:
 
 def interval_rhs(state: ReducedState, profile: MetricProfile) -> np.ndarray:
     """Node-decoupled dv/dt = -nabla^r_v v on an interval of orbits."""
-    disc = _IntervalDisc(GridGeometry(profile, state.grid))
-    return disc.rhs(0.0, state.v)[1]
+    return _make_disc(profile, state.grid).rhs(0.0, state.v)[1]
 
 
 def circle_rhs(state: ReducedState, profile: MetricProfile, dcdt_offset: float = 0.0):
     """(dc/dt, dv/dt) for the circle problem."""
-    disc = _CircleDisc(GridGeometry(profile, state.grid), dcdt_offset=dcdt_offset)
-    return disc.rhs(float(state.c), state.v)
+    return _make_disc(profile, state.grid, dcdt_offset).rhs(float(state.c), state.v)
 
 
 def _pressure_gradient(geom: GridGeometry, c: float, v: np.ndarray, dcdt: float):
@@ -294,22 +283,28 @@ def _pressure_gradient(geom: GridGeometry, c: float, v: np.ndarray, dcdt: float)
     return pprime, residual
 
 
-def _pressure(geom: GridGeometry, c: float, v: np.ndarray, dcdt: float):
+def _pressure(disc, state: ReducedState, dcdt: float) -> PressureField:
     """Pressure samples (gauge p(r_0) = 0) and the periodicity residual."""
-    pprime, residual = _pressure_gradient(geom, c, v, dcdt)
-    return cumulative_integral(pprime, geom.dr), residual
+    if disc.kind == "homogeneous":
+        return PressureField(np.zeros(1))
+    c = float(state.c) if disc.kind == "circle" else 0.0
+    pprime, residual = _pressure_gradient(disc.geom, c, state.v, dcdt)
+    return PressureField(cumulative_integral(pprime, disc.geom.dr), residual)
 
 
 def pressure_reconstruct(
     state: ReducedState,
-    profile: MetricProfile,
+    geometry,
     dcdt: float = 0.0,
     check: bool = True,
 ) -> PressureField:
-    """Integrate the radial momentum balance to the pressure, gauge p(r_0)=0."""
-    geom = GridGeometry(profile, state.grid)
-    c = 0.0 if state.c is None else float(state.c)
-    p, residual = _pressure(geom, c, state.v, dcdt)
+    """Integrate the radial momentum balance to the pressure, gauge p(r_0)=0.
+
+    ``geometry`` is a metric profile for grid states, or an invariant metric
+    for homogeneous states, whose pressure is the zero field.
+    """
+    field = _pressure(_make_disc(geometry, state.grid), state, dcdt)
+    residual = field.periodicity_residual
     if check and residual > PERIODICITY_TOL:
         raise NumericalFailureError(
             f"pressure periodicity residual {residual:.3e} exceeds {PERIODICITY_TOL:.1e} "
@@ -318,22 +313,17 @@ def pressure_reconstruct(
             t=state.t,
             detail={"residual": residual},
         )
-    return PressureField(p, residual)
+    return field
 
 
 def trajectory_pressures(problem, snapshots) -> list[PressureField]:
     """Pressure fields for a trajectory, sharing one discretisation build."""
     if problem.kind == "homogeneous":
         return [PressureField(np.zeros(1)) for _ in snapshots]
-    geom = GridGeometry(problem.profile, problem.grid)
-    if problem.kind == "circle":
-        disc = _CircleDisc(geom)
-        out = []
-        for s in snapshots:
-            p, residual = _pressure(geom, float(s.c), s.v, disc.dcdt(s.v))
-            out.append(PressureField(p, residual))
-        return out
-    return [PressureField(_pressure(geom, 0.0, s.v, 0.0)[0]) for s in snapshots]
+    disc = _make_disc(problem.profile, problem.grid)
+    if disc.kind == "circle":
+        return [_pressure(disc, s, disc.dcdt(s.v)) for s in snapshots]
+    return [_pressure(disc, s, 0.0) for s in snapshots]
 
 
 # -- time stepping ------------------------------------------------------------
@@ -387,45 +377,20 @@ def _cfl_check(disc, config, c, step, t):
 
 def step_rk4(state: ReducedState, geometry, config: SolverConfig) -> ReducedState:
     """One deterministic RK4 step of the appropriate reduced system."""
-    if isinstance(geometry, InvariantMetric):
-        disc = _HomogeneousDisc(geometry)
-        c, v = 0.0, state.v
-    else:
-        geom = GridGeometry(geometry, state.grid)
-        if geom.kind == CIRCLE:
-            disc = _CircleDisc(geom, dcdt_offset=config.dcdt_offset)
-            c, v = float(state.c), state.v
-        else:
-            disc = _IntervalDisc(geom)
-            c, v = 0.0, state.v
+    disc = _make_disc(geometry, state.grid, config.dcdt_offset)
+    c = float(state.c) if disc.kind == "circle" else 0.0
     _cfl_check(disc, config, c, 0, state.t)
-    c_new, v_new = _rk4(disc, c, v, config.dt, 0, state.t)
-    if isinstance(geometry, InvariantMetric):
-        return ReducedState(state.t + config.dt, None, v_new, None)
-    keep_c = c_new if geom.kind == CIRCLE else 0.0
-    return ReducedState(state.t + config.dt, keep_c, v_new, state.grid)
+    c_new, v_new = _rk4(disc, c, state.v, config.dt, 0, state.t)
+    return _make_state(disc, state.t + config.dt, c_new, v_new)
 
 
-def worker_count() -> int:
-    """Worker cap from COHO_EULER_WORKERS; results never depend on it."""
-    raw = os.environ.get("COHO_EULER_WORKERS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise InputError(f"COHO_EULER_WORKERS must be a positive integer, got {raw!r}") from exc
-    if n < 1:
-        raise InputError(f"COHO_EULER_WORKERS must be a positive integer, got {raw!r}")
-    return n
-
-
-def integrate(problem, config: SolverConfig, workers: int | None = None):
+def integrate(problem, config: SolverConfig):
     """Run the problem to t_end; returns (snapshots, report).
 
     A CFL or non-finite failure ends the run early with the partial
     trajectory preserved and a failure record in the report; it never exits
     silently.
     """
-    workers = worker_count() if workers is None else max(1, int(workers))
     n_steps = config.n_steps()
     dt = config.dt
     snap_every = config.snapshot_cadence
@@ -433,42 +398,22 @@ def integrate(problem, config: SolverConfig, workers: int | None = None):
         snap_every = max(1, int(round(1.0 / dt)))
     diag_every = config.diagnostics_cadence
 
+    state = problem.initial_state()
     if problem.kind == "homogeneous":
-        disc = _HomogeneousDisc(problem.metric)
+        disc = _make_disc(problem.metric, None)
         recorder = RunRecorder("homogeneous", None, problem.metric)
-        geom = None
-        c = 0.0
-        v = problem.x0.copy()
-        grid = None
     else:
-        geom = GridGeometry(problem.profile, problem.grid)
-        if problem.kind == "circle":
-            disc = _CircleDisc(geom, workers=workers, dcdt_offset=config.dcdt_offset)
-            c = float(problem.c0)
-        else:
-            disc = _IntervalDisc(geom, workers=workers)
-            c = 0.0
-        recorder = RunRecorder(problem.kind, geom, None)
-        v = problem.v0.copy()
-        grid = problem.grid
-
-    c_bound = None
-    if problem.kind == "circle":
-        e0 = geom.energy(c, v)
-        c_bound = 2.0 * e0 / geom.int_h02_vol
-
-    def make_state(t, cc, vv):
-        if problem.kind == "homogeneous":
-            return ReducedState(t, None, vv.copy(), None)
-        keep = cc if problem.kind == "circle" else 0.0
-        return ReducedState(t, keep, vv.copy(), grid)
+        disc = _make_disc(problem.profile, state.grid, config.dcdt_offset)
+        recorder = RunRecorder(problem.kind, disc.geom, None)
+    c = 0.0 if state.c is None else state.c
+    v = state.v
 
     def record_with_pressure_watchdog(t, cc, vv):
         # the offending row is recorded before raising: failures leave a
         # diagnostic tail, never a silent exit
         residual = 0.0
-        if problem.kind == "circle":
-            _, residual = _pressure_gradient(geom, cc, vv, disc.dcdt(vv))
+        if disc.kind == "circle":
+            _, residual = _pressure_gradient(disc.geom, cc, vv, disc.dcdt(vv))
         recorder.record(t, cc, vv, residual)
         if residual > PERIODICITY_TOL:
             raise NumericalFailureError(
@@ -484,7 +429,7 @@ def integrate(problem, config: SolverConfig, workers: int | None = None):
     t_now = 0.0
     try:
         record_with_pressure_watchdog(0.0, c, v)
-        snapshots.append(make_state(0.0, c, v))
+        snapshots.append(_make_state(disc, 0.0, c, v))
         for step in range(n_steps):
             _cfl_check(disc, config, c, step, t_now)
             c, v = _rk4(disc, c, v, dt, step, t_now)
@@ -493,15 +438,17 @@ def integrate(problem, config: SolverConfig, workers: int | None = None):
             if (step + 1) % diag_every == 0 or last:
                 record_with_pressure_watchdog(t_now, c, v)
             if (step + 1) % snap_every == 0 or last:
-                snapshots.append(make_state(t_now, c, v))
+                snapshots.append(_make_state(disc, t_now, c, v))
     except NumericalFailureError as exc:
         if exc.t is None:
             exc.t = t_now
         failure = exc.record()
-        snapshots.append(make_state(t_now, c, v))
-    finally:
-        disc.close()
+        snapshots.append(_make_state(disc, t_now, c, v))
 
+    # the energy bound on c^2 comes from the first recorded row
+    c_bound = None
+    if disc.kind == "circle":
+        c_bound = 2.0 * recorder.series["E"][0] / disc.geom.int_h02_vol
     report = recorder.finish(failure=failure, c_bound=c_bound)
     conservation_report(report)
     return snapshots, report

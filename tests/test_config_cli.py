@@ -1,7 +1,4 @@
 import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -11,8 +8,8 @@ from coho_euler.cli import main
 from coho_euler.config import build_problem, parse_config, parse_config_dict
 
 
-def t3_raw(**updates):
-    raw = json.loads(catalog.example_path("t3_circle").read_text())
+def example_raw(name, updates):
+    raw = json.loads(catalog.example_path(name).read_text())
     for key, val in updates.items():
         node = raw
         parts = key.split(".")
@@ -20,6 +17,10 @@ def t3_raw(**updates):
             node = node.setdefault(p, {})
         node[parts[-1]] = val
     return raw
+
+
+def t3_raw(**updates):
+    return example_raw("t3_circle", updates)
 
 
 # -- parsing -------------------------------------------------------------------
@@ -217,22 +218,36 @@ def test_cli_validate_non_spd_tabulated_names_r(tmp_path, capsys):
     assert "at r =" in out
 
 
-def test_cli_worker_env_does_not_change_bytes(tmp_path):
-    cfg_path = catalog.example_path("boundary_interval")
-    raw = json.loads(cfg_path.read_text())
-    raw["solver"]["t_end"] = 0.05
-    raw["profile"]["csv"] = str(cfg_path.parent / "boundary_interval_profile.csv")
-    path = write_cfg(tmp_path, raw)
-    blobs = []
-    for workers in ("1", "2", "8"):
-        out = tmp_path / f"w{workers}"
-        env = dict(os.environ, COHO_EULER_WORKERS=workers)
-        res = subprocess.run(
-            [sys.executable, "-m", "coho_euler.cli", "run", "--config", str(path), "--out", str(out)],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert res.returncode == 0, res.stderr
-        blobs.append((out / "diagnostics.csv").read_bytes())
-    assert blobs[0] == blobs[1] == blobs[2]
+def fourier_v(coefficients):
+    return {"type": "fourier", "coefficients": coefficients}
+
+
+@pytest.mark.parametrize(
+    "name, updates",
+    [
+        ("berger_circle", {"problem": []}),
+        ("berger_circle", {"initial": "x"}),
+        ("berger_circle", {"profile": None}),
+        ("berger_circle", {"profile.fourier": "abc"}),
+        ("berger_circle", {"profile.fourier": [[0.0, "a", 0.0], [0.0], [0.0]]}),
+        ("berger_circle", {"initial.v.amplitude": "big"}),
+        ("berger_circle", {"initial.v.modes": 1.5}),
+        ("berger_circle", {"initial.v.seed": -1}),
+        ("berger_circle", {"initial.v": fourier_v("abc")}),
+        ("berger_circle", {"initial.v": fourier_v([[0.0, 1.0, "a"], [0.0], [0.0]])}),
+        ("berger_circle", {"output": {"snapshot_cadence": True}}),
+        ("berger_circle", {"output": {"diagnostics_cadence": 0}}),
+        ("boundary_interval", {"profile.csv": "missing.csv"}),
+        ("boundary_interval", {"profile.endpoints": 1.5}),
+        ("su2_rigid_body", {"algebra": None}),
+        ("su2_rigid_body", {"algebra": {"name": "abelian", "dim": "x"}}),
+        ("su2_rigid_body", {"isotropy": {"basis": "x"}}),
+        ("su2_rigid_body", {"metric.gram": [[1.0], [2.0, 3.0]]}),
+    ],
+    ids=lambda case: ",".join(f"{k}={v!r}" for k, v in case.items()) if isinstance(case, dict) else case,
+)
+def test_cli_malformed_config_exit_2(tmp_path, capsys, name, updates):
+    path = write_cfg(tmp_path, example_raw(name, updates))
+    assert main(["validate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "validation error: " in err

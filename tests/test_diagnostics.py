@@ -3,6 +3,7 @@ import pytest
 
 from coho_euler import (
     CircleProblem,
+    HomogeneousProblem,
     InputError,
     IntervalProblem,
     InvariantMetric,
@@ -207,22 +208,30 @@ def test_component_energies_recorded(flat_torus):
     assert np.allclose(comp[0], [0.5, 0.125])
 
 
-def test_recorder_rows_match_public_diagnostics():
-    # the fast in-loop recorder and the public one-shot functions must agree
+def test_recorder_rows_match_public_diagnostics(rigid_body_metric, round_s3_t2):
+    # runs and the public one-shot functions share one evaluator: equal bits
     wt = warped_torus(1.0, [[0.0, 0.04, -0.02], [0.1, 0.02, 0.01]])
     n = 64
     grid = circle_grid(wt, n)
     v0 = np.zeros((n, 2))
     v0[:, 0] = 0.2 * np.sin(2 * np.pi * grid)
     v0[:, 1] = 0.1 + 0.05 * np.cos(2 * np.pi * grid)
-    prob = CircleProblem(wt, 0.3, v0)
-    snaps, report = integrate(prob, SolverConfig(dt=2e-3, t_end=0.1, snapshot_cadence=50))
-    final = snaps[-1]
-    assert abs(final.t - report.series["t"][-1]) < 1e-12
-    assert abs(energy(final, wt) - report.series["E"][-1]) < 1e-13
-    assert abs(pointwise_speed(final, wt) - report.series["max_speed"][-1]) < 1e-13
-    assert abs(c1_monitor(final, wt) - report.series["c1_monitor"][-1]) < 1e-12
-    assert abs(divergence_residual(final, wt) - report.series["div_residual"][-1]) < 1e-12
+    v0_interval = np.tile([0.7, -0.4], (64, 1))
+    v0_interval[:, 0] += 0.1 * np.cos(2 * interval_grid(round_s3_t2, 64))
+    cases = [
+        (CircleProblem(wt, 0.3, v0), wt),
+        (IntervalProblem(round_s3_t2, v0_interval), round_s3_t2),
+        (HomogeneousProblem(rigid_body_metric, [0.0, 1.0, 1.0]), rigid_body_metric),
+    ]
+    for prob, geometry in cases:
+        snaps, report = integrate(prob, SolverConfig(dt=2e-3, t_end=0.1, snapshot_cadence=50))
+        final = snaps[-1]
+        s = report.series
+        assert final.t == s["t"][-1]
+        assert energy(final, geometry) == s["E"][-1]
+        assert pointwise_speed(final, geometry) == s["max_speed"][-1]
+        assert c1_monitor(final, geometry) == s["c1_monitor"][-1]
+        assert divergence_residual(final, geometry) == s["div_residual"][-1]
 
 
 def test_discrete_energy_exchange_identity():
