@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     DomainError,
@@ -86,11 +85,12 @@ class MetricProfile:
                 f"(dim m0 = {split.dim_m0}, dim m = {split.dim_m})"
             )
 
-    # subclasses provide these two on the already-reduced coordinate
-    def _gram(self, r: float) -> np.ndarray:
+    # subclasses provide these two on a 1-d array of already-reduced radii,
+    # as (n, d, d) stacks
+    def _gram(self, r: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _gram_prime(self, r: float) -> np.ndarray:
+    def _gram_prime(self, r: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     @property
@@ -104,42 +104,61 @@ class MetricProfile:
     def frame(self) -> Frame:
         return Frame(self.split.dim_m0)
 
-    def reduce(self, r: float) -> float:
-        """Map r into the domain, raising at or beyond singular endpoints."""
+    def reduce(self, r):
+        """Map r (a radius or a 1-d array of radii) into the domain.
+
+        Raises :class:`DomainError` if any radius is not finite, lies outside
+        an interval, or lies at or beyond a singular endpoint.
+        """
+        rs = np.asarray(r, dtype=float)
+        flat = rs.reshape(-1)
         L = self.orbit_space.length
-        if not np.isfinite(r):
-            raise DomainError(f"coordinate {r!r} is not finite")
+        bad = ~np.isfinite(flat)
+        if np.any(bad):
+            raise DomainError(f"coordinate {float(flat[bad][0])!r} is not finite")
         if self.orbit_space.kind == CIRCLE:
-            return float(r) % L
-        left, right = self.orbit_space.endpoint_kinds
-        if r < 0.0 or r > L:
-            raise DomainError(f"coordinate {r} outside the interval [0, {L}]")
-        if left == SINGULAR and r <= 0.0:
-            raise DomainError("coordinate at or beyond the singular endpoint r = 0")
-        if right == SINGULAR and r >= L:
-            raise DomainError(f"coordinate at or beyond the singular endpoint r = {L}")
-        return float(r)
+            rs = rs % L
+        else:
+            left, right = self.orbit_space.endpoint_kinds
+            bad = (flat < 0.0) | (flat > L)
+            if np.any(bad):
+                raise DomainError(f"coordinate {float(flat[bad][0])} outside the interval [0, {L}]")
+            if left == SINGULAR and np.any(flat <= 0.0):
+                raise DomainError("coordinate at or beyond the singular endpoint r = 0")
+            if right == SINGULAR and np.any(flat >= L):
+                raise DomainError(f"coordinate at or beyond the singular endpoint r = {L}")
+        return rs if rs.ndim else float(rs)
 
-    def gram_at(self, r: float) -> np.ndarray:
-        return self._gram(self.reduce(r))
+    def _sample(self, sampler, r):
+        out = sampler(np.atleast_1d(self.reduce(r)))
+        return out if np.ndim(r) else out[0]
 
-    def gram_prime_at(self, r: float) -> np.ndarray:
-        return self._gram_prime(self.reduce(r))
+    # every accessor takes a radius, or a 1-d array of radii for a stack, and
+    # samples through _gram/_gram_prime; a radius is an array of one
+    def gram_at(self, r) -> np.ndarray:
+        return self._sample(self._gram, r)
 
-    def shape_operator_at(self, r: float) -> np.ndarray:
+    def gram_prime_at(self, r) -> np.ndarray:
+        return self._sample(self._gram_prime, r)
+
+    def shape_operator_at(self, r) -> np.ndarray:
         g, gp = self.gram_at(r), self.gram_prime_at(r)
         return -0.5 * np.linalg.solve(g, gp)
 
-    def mean_curvature_at(self, r: float) -> float:
-        return float(np.trace(self.shape_operator_at(r)))
+    def mean_curvature_at(self, r):
+        H = np.trace(self.shape_operator_at(r), axis1=-2, axis2=-1)
+        return H if np.ndim(r) else float(H)
 
-    def volume_at(self, r: float) -> float:
-        det = float(np.linalg.det(self.gram_at(r)))
-        if det <= 0.0:
-            raise InputError(f"orbit metric is not positive definite at r = {r}")
-        return float(np.sqrt(det))
+    def volume_at(self, r):
+        det = np.linalg.det(self.gram_at(r))
+        bad = det.reshape(-1) <= 0.0
+        if np.any(bad):
+            r_bad = np.reshape(r, -1)[bad][0]
+            raise InputError(f"orbit metric is not positive definite at r = {r_bad}")
+        vol = np.sqrt(det)
+        return vol if np.ndim(r) else float(vol)
 
-    def h0_at(self, r: float) -> float:
+    def h0_at(self, r):
         if self.orbit_space.kind != CIRCLE:
             raise UnsupportedConfigurationError(
                 "the divergence-free horizontal profile vanishes identically on "
@@ -147,9 +166,17 @@ class MetricProfile:
             )
         return self.volume_at(0.5 * self.length) / self.volume_at(r)
 
-    def h0_prime_at(self, r: float) -> float:
+    def h0_prime_at(self, r):
         # h0' = H h0 since vol * h0 is constant in r
         return self.mean_curvature_at(r) * self.h0_at(r)
+
+
+def _diagonal_stack(entries) -> np.ndarray:
+    """(n, d, d) diagonal matrices from the d arrays of their diagonal entries."""
+    d, n = len(entries), len(entries[0])
+    out = np.zeros((n, d, d))
+    out[:, np.arange(d), np.arange(d)] = np.column_stack(entries)
+    return out
 
 
 def metric_at(profile: MetricProfile, r: float) -> tuple[np.ndarray, np.ndarray]:
@@ -166,7 +193,7 @@ def mean_curvature(profile: MetricProfile, r: float) -> float:
 
 def h0_profile(profile: MetricProfile, grid) -> np.ndarray:
     """Samples of the divergence-free horizontal amplitude, normalised at L/2."""
-    return np.array([profile.h0_at(r) for r in np.asarray(grid, dtype=float)])
+    return profile.h0_at(np.asarray(grid, dtype=float))
 
 
 def reconstruct_velocity(state_slice, profile: MetricProfile, r: float):
@@ -195,11 +222,11 @@ class RoundS3T2Profile(MetricProfile):
 
     def _gram(self, r):
         c, s = np.cos(r), np.sin(r)
-        return np.diag([c * c, s * s])
+        return _diagonal_stack([c * c, s * s])
 
     def _gram_prime(self, r):
         s2 = np.sin(2.0 * r)
-        return np.diag([-s2, s2])
+        return _diagonal_stack([-s2, s2])
 
 
 class FourierDiagonalProfile(MetricProfile):
@@ -230,24 +257,27 @@ class FourierDiagonalProfile(MetricProfile):
             self.coefficients.append(arr)
 
     def _phases(self, entry, r):
+        """The log-entry and its r-derivative at each radius of r."""
         a0 = entry[0]
         ks = np.arange(1, (entry.size - 1) // 2 + 1)
-        ang = 2.0 * np.pi * ks * r / self.length
+        ang = 2.0 * np.pi * ks * r[:, None] / self.length
         a = entry[1::2]
         b = entry[2::2]
-        phi = a0 + np.sum(a * np.cos(ang)) + np.sum(b * np.sin(ang))
-        dphi = np.sum((2.0 * np.pi * ks / self.length) * (-a * np.sin(ang) + b * np.cos(ang)))
+        phi = a0 + np.sum(a * np.cos(ang), axis=1) + np.sum(b * np.sin(ang), axis=1)
+        dphi = np.sum(
+            (2.0 * np.pi * ks / self.length) * (-a * np.sin(ang) + b * np.cos(ang)), axis=1
+        )
         return phi, dphi
 
     def _gram(self, r):
-        return np.diag([np.exp(self._phases(e, r)[0]) for e in self.coefficients])
+        return _diagonal_stack([np.exp(self._phases(e, r)[0]) for e in self.coefficients])
 
     def _gram_prime(self, r):
         vals = []
         for e in self.coefficients:
             phi, dphi = self._phases(e, r)
             vals.append(np.exp(phi) * dphi)
-        return np.diag(vals)
+        return _diagonal_stack(vals)
 
 
 def warped_torus(length: float, coefficients) -> FourierDiagonalProfile:
@@ -287,6 +317,9 @@ class TabulatedProfile(MetricProfile):
             raise InputError("tabulated gram arrays must have shape (n, d, d)")
         if abs(r[0]) > 1e-12 or abs(r[-1] - orbit_space.length) > 1e-9:
             raise InputError("tabulated samples must cover [0, L] inclusive")
+        # scipy is imported here, not at module scope: analytic profiles never need it
+        from scipy.interpolate import CubicSpline
+
         bc = "periodic" if orbit_space.kind == CIRCLE else "not-a-knot"
         try:
             self._g_spline = CubicSpline(r, g, bc_type=bc, axis=0)
@@ -297,11 +330,11 @@ class TabulatedProfile(MetricProfile):
 
     def _gram(self, r):
         g = self._g_spline(r)
-        return 0.5 * (g + g.T)
+        return 0.5 * (g + g.swapaxes(1, 2))
 
     def _gram_prime(self, r):
         gp = self._gp_spline(r)
-        return 0.5 * (gp + gp.T)
+        return 0.5 * (gp + gp.swapaxes(1, 2))
 
 
 def load_tabulated_csv(path):
@@ -368,16 +401,17 @@ def trace_identity_probes(profile: MetricProfile, n=PROBE_POINTS) -> np.ndarray:
 
 
 def validate_profile(profile: MetricProfile) -> ValidationReport:
-    """Positivity, endpoint collapse, periodicity and parity checks."""
+    """Positivity, endpoint collapse, periodicity and parity checks.
+
+    Each check samples the profile once on its whole probe array.
+    """
     report = ValidationReport()
     L = profile.length
 
     probes = _probe_grid(profile)
-    eigmin, r_worst = np.inf, probes[0]
-    for r in probes:
-        lam = float(np.min(np.linalg.eigvalsh(profile.gram_at(r))))
-        if lam < eigmin:
-            eigmin, r_worst = lam, r
+    lam_min = np.linalg.eigvalsh(profile.gram_at(probes))[:, 0]
+    j = int(np.argmin(lam_min))
+    eigmin, r_worst = lam_min[j], probes[j]
     spd_ok = eigmin > 0.0
     report.add_flag(
         "gram_positive_on_probe_grid",
@@ -393,23 +427,21 @@ def validate_profile(profile: MetricProfile) -> ValidationReport:
     # collapsed orbit the identity involves quantities diverging like 1/r, so
     # the probe band stays clear of singular endpoints; it is the identity
     # being checked there, not the finite difference.
-    worst = 0.0
-    for r in trace_identity_probes(profile):
-        lnv = np.log(profile.volume_at(r + FD_STEP)) - np.log(profile.volume_at(r - FD_STEP))
-        worst = max(worst, abs(profile.mean_curvature_at(r) + lnv / (2 * FD_STEP)))
+    rs = trace_identity_probes(profile)
+    lnv = np.log(profile.volume_at(rs + FD_STEP)) - np.log(profile.volume_at(rs - FD_STEP))
+    worst = np.max(np.abs(profile.mean_curvature_at(rs) + lnv / (2 * FD_STEP)))
     report.add("mean_curvature_trace_identity", worst, 1e-6)
 
     if profile.orbit_space.kind == CIRCLE:
-        g0, gp0 = metric_at(profile, 0.0)
-        gL, gpL = profile._gram(L), profile._gram_prime(L)
-        resid = max(np.max(np.abs(g0 - gL)), np.max(np.abs(gp0 - gpL)))
+        ends = np.array([0.0, L])  # not reduced, which would map L to 0
+        g, gp = profile._gram(ends), profile._gram_prime(ends)
+        resid = max(np.max(np.abs(g[0] - g[1])), np.max(np.abs(gp[0] - gp[1])))
         report.add("periodicity", resid, 1e-10)
     else:
         for side, kind in zip((0.0, L), profile.orbit_space.endpoint_kinds):
             tag = f"r={side:g}"
             eps = L * np.geomspace(1e-2, 1e-8, 13)
-            rs = side + eps if side == 0.0 else side - eps
-            vols = np.array([profile.volume_at(r) for r in rs])
+            vols = profile.volume_at(side + eps if side == 0.0 else side - eps)
             if kind == SINGULAR:
                 collapsing = np.all(np.diff(vols) < 0) and vols[-1] < 1e-6
                 report.add_flag(
@@ -426,10 +458,8 @@ def validate_profile(profile: MetricProfile) -> ValidationReport:
                 )
 
     if isinstance(profile, TabulatedProfile):
-        worst = 0.0
-        dspline = profile._g_spline.derivative()
-        for r in probes:
-            worst = max(worst, float(np.max(np.abs(dspline(r) - profile.gram_prime_at(r)))))
+        dg = profile._g_spline.derivative()(probes)
+        worst = np.max(np.abs(dg - profile.gram_prime_at(probes)))
         report.add("tabulated_derivative_consistency", worst, 1e-6)
     return report
 
@@ -441,7 +471,7 @@ def _parity_check(profile, side, tag) -> ValidationReport:
     eps = 1e-2 * L
     r1 = side + eps if side == 0.0 else side - eps
     r2 = side + eps / 2 if side == 0.0 else side - eps / 2
-    g1, g2 = np.diag(profile.gram_at(r1)), np.diag(profile.gram_at(r2))
+    g1, g2 = np.diagonal(profile.gram_at(np.array([r1, r2])), axis1=1, axis2=2)
     scale = float(np.max(g1))
     worst = 0.0
     found = False

@@ -75,6 +75,17 @@ def _numbers(obj, path, errors, depth=1):
             return  # one message per list is enough
 
 
+def _rectangular(obj, path, errors, depth):
+    """As :func:`_numbers`, with rows of equal length at every depth."""
+    n_errors = len(errors)
+    _numbers(obj, path, errors, depth)
+    if len(errors) == n_errors:
+        try:
+            np.asarray(obj, dtype=float)
+        except ValueError:
+            errors.append(f"{path}: expected a rectangular array (rows of equal length)")
+
+
 @dataclass
 class RunConfig:
     kind: str
@@ -156,8 +167,8 @@ def parse_config_dict(data: dict, source_path: Path | None = None) -> RunConfig:
             elif not ("structure" in algebra and "Q" in algebra):
                 errors.append("algebra: give either a name or structure+Q")
             else:
-                _numbers(algebra["structure"], "algebra.structure", errors, depth=3)
-                _numbers(algebra["Q"], "algebra.Q", errors, depth=2)
+                _rectangular(algebra["structure"], "algebra.structure", errors, depth=3)
+                _rectangular(algebra["Q"], "algebra.Q", errors, depth=2)
 
     isotropy = data.get("isotropy")
     if "isotropy" in data:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh as generalized_eigh
 
 from .coho_geometry import CIRCLE, INTERVAL, SINGULAR, MetricProfile
 from .errors import ConfigError, InputError
@@ -34,6 +33,18 @@ C1_GROWTH_LIMIT = 10.0
 TAYLOR_GROWTH_LIMIT = 10.0
 TAYLOR_WINDOW = 6
 N_DIV_PROBES = 8
+
+
+def _generalized_spectral_radius(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Largest |lambda| of a x = lambda b x for each (symmetric a, SPD b) in the stacks.
+
+    Whitening by the Cholesky factor b = L L^T turns the pencil into the
+    symmetric matrix L^-1 a L^-T with the same eigenvalues.
+    """
+    chol = np.linalg.cholesky(b)
+    half = np.linalg.solve(chol, a)  # L^-1 a
+    whitened = np.linalg.solve(chol, half.swapaxes(1, 2))  # L^-1 a L^-T, as a is symmetric
+    return np.max(np.abs(np.linalg.eigvalsh(whitened)), axis=1)
 
 
 class GridGeometry:
@@ -76,20 +87,11 @@ class GridGeometry:
             self.weights = simpson_weights_closed(m_closed, self.dr)[off : off + self.n]
             self.deriv = Derivative4Interval(self.n, self.dr)
 
-        self.gram = np.empty((self.n, self.d, self.d))
-        self.gram_prime = np.empty_like(self.gram)
-        self.S = np.empty_like(self.gram)
-        self.vol = np.empty(self.n)
-        self.rho = np.empty(self.n)
-        for j, rj in enumerate(r):
-            g = profile.gram_at(rj)
-            gp = profile.gram_prime_at(rj)
-            self.gram[j] = g
-            self.gram_prime[j] = gp
-            self.S[j] = -0.5 * np.linalg.solve(g, gp)
-            self.vol[j] = np.sqrt(np.linalg.det(g))
-            lam = generalized_eigh(-0.5 * gp, g, eigvals_only=True)
-            self.rho[j] = float(np.max(np.abs(lam)))
+        self.gram = profile.gram_at(r)
+        self.gram_prime = profile.gram_prime_at(r)
+        self.S = -0.5 * np.linalg.solve(self.gram, self.gram_prime)
+        self.vol = np.sqrt(np.linalg.det(self.gram))
+        self.rho = _generalized_spectral_radius(-0.5 * self.gram_prime, self.gram)
         self.trace_S = np.trace(self.S, axis1=1, axis2=2)
         self.gramS = np.einsum("jab,jbc->jac", self.gram, self.S)
 

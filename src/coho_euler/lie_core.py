@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import InputError, StructureError
 from .numerics import as_float_array
@@ -267,8 +266,11 @@ def monte_carlo_fixed_check(split: ReductiveSplit, seed: int = 0, samples: int =
     The kernel construction only sees the infinitesimal action; here the
     matrix exponential of 100 random isotropy elements (coefficients in
     [-1, 1]) is applied to every fixed-subspace vector. Valid for a
-    connected isotropy group, the only kind supported.
+    connected isotropy group, the only kind supported. Only ``coho-euler
+    validate`` calls this check, so scipy is imported here, not at module scope.
     """
+    from scipy.linalg import expm
+
     report = ValidationReport()
     if split.dim_h == 0 or split.dim_m0 == 0:
         report.add("monte_carlo_ad_fixedness", 0.0, 1e-8, "no isotropy action to probe")

@@ -295,15 +295,21 @@ def _pressure(disc, state: ReducedState, dcdt: float) -> PressureField:
 def pressure_reconstruct(
     state: ReducedState,
     geometry,
-    dcdt: float = 0.0,
+    dcdt: float | None = None,
     check: bool = True,
 ) -> PressureField:
     """Integrate the radial momentum balance to the pressure, gauge p(r_0)=0.
 
     ``geometry`` is a metric profile for grid states, or an invariant metric
-    for homogeneous states, whose pressure is the zero field.
+    for homogeneous states, whose pressure is the zero field. ``dcdt``
+    defaults to the closure's dc/dt of the state on a circle (as in
+    :func:`trajectory_pressures`) and to 0 elsewhere; a given value is used
+    as is.
     """
-    field = _pressure(_make_disc(geometry, state.grid), state, dcdt)
+    disc = _make_disc(geometry, state.grid)
+    if dcdt is None:
+        dcdt = disc.dcdt(state.v) if disc.kind == "circle" else 0.0
+    field = _pressure(disc, state, dcdt)
     residual = field.periodicity_residual
     if check and residual > PERIODICITY_TOL:
         raise NumericalFailureError(

@@ -6,7 +6,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from coho_euler import InvariantMetric, RoundS3T2Profile, reductive_split, su2, warped_torus
+from coho_euler import InvariantMetric, RoundS3T2Profile, abelian, reductive_split, su2, warped_torus
+from coho_euler.coho_geometry import BOUNDARY, CIRCLE, OrbitSpace, TabulatedProfile
 
 
 @pytest.fixture
@@ -28,3 +29,31 @@ def round_s3_t2():
 def flat_torus():
     # flat 3-torus: two unit fibre circles over a unit base circle
     return warped_torus(1.0, [[0.0], [0.0]])
+
+
+@pytest.fixture
+def coupled_tabulated():
+    """Factory for a tabulated 2x2 profile whose off-diagonal entry varies with r.
+
+    ``make(kind)`` gives it on an interval with boundary endpoints or on a
+    circle; both have length 1.
+    """
+    def make(kind):
+        r = np.linspace(0.0, 1.0, 33)
+        a = 2.0 * np.pi * r
+        gram = np.empty((r.size, 2, 2))
+        prime = np.empty_like(gram)
+        gram[:, 0, 0] = 1.5 + 0.3 * np.cos(a)
+        gram[:, 1, 1] = 2.0 + 0.1 * np.sin(a)
+        gram[:, 0, 1] = gram[:, 1, 0] = 0.2 * np.sin(a)
+        prime[:, 0, 0] = -0.6 * np.pi * np.sin(a)
+        prime[:, 1, 1] = 0.2 * np.pi * np.cos(a)
+        prime[:, 0, 1] = prime[:, 1, 0] = 0.4 * np.pi * np.cos(a)
+        if kind == CIRCLE:
+            gram[-1], prime[-1] = gram[0], prime[0]  # exactly periodic samples
+            space = OrbitSpace(CIRCLE, 1.0)
+        else:
+            space = OrbitSpace(kind, 1.0, (BOUNDARY, BOUNDARY))
+        return TabulatedProfile(reductive_split(abelian(2), []), space, r, gram, prime)
+
+    return make

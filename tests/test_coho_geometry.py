@@ -24,6 +24,7 @@ from coho_euler.coho_geometry import (
     INTERVAL,
     SINGULAR,
     OrbitSpace,
+    RoundS3T2Profile,
     TabulatedProfile,
     load_tabulated_csv,
     trace_identity_probes,
@@ -88,6 +89,45 @@ def test_domain_errors_at_singular_endpoints(round_s3_t2):
     for r in (0.0, -0.1, np.pi / 2, np.pi / 2 + 0.1):
         with pytest.raises(DomainError):
             metric_at(round_s3_t2, r)
+
+
+SAMPLED_PROFILES = ["round_s3_t2", "warped_torus", "berger_circle", INTERVAL, CIRCLE]
+
+
+def sampled_profile(name, coupled_tabulated):
+    if name == "round_s3_t2":
+        return RoundS3T2Profile()
+    if name == "warped_torus":
+        return warped_torus(1.0, [[0.0, 0.1, 0.05], [0.2, -0.1, 0.03]])
+    if name == "berger_circle":
+        return berger_circle(1.0, [[0.0, 0.04, 0.0], [0.26, -0.03, 0.02], [0.47, 0.03, -0.02]])
+    return coupled_tabulated(name)
+
+
+@pytest.mark.parametrize("name", SAMPLED_PROFILES)
+def test_sampler_matches_scalar_accessors_bitwise(name, coupled_tabulated):
+    prof = sampled_profile(name, coupled_tabulated)
+    probes = trace_identity_probes(prof, 97)
+    if prof.orbit_space.kind == CIRCLE:
+        probes = np.concatenate([probes, probes - prof.length, probes + 3 * prof.length])
+    reduced = prof.reduce(probes)
+    for sampler, scalar in ((prof._gram, prof.gram_at), (prof._gram_prime, prof.gram_prime_at)):
+        batched = sampler(reduced)
+        assert batched.shape == (probes.size, prof.dim, prof.dim)
+        assert np.array_equal(batched, np.array([scalar(r) for r in probes]))
+        assert np.array_equal(batched, scalar(probes))
+
+
+def test_sampler_raises_at_or_beyond_singular_endpoints(round_s3_t2, coupled_tabulated):
+    inside = 0.5
+    for bad in (0.0, -0.1, np.pi / 2, np.pi / 2 + 0.1, np.nan):
+        for sampler in (round_s3_t2.gram_at, round_s3_t2.gram_prime_at):
+            with pytest.raises(DomainError):
+                sampler(np.array([inside, bad]))
+    prof = coupled_tabulated(INTERVAL)
+    prof.gram_at(np.array([0.0, 1.0]))  # boundary endpoints are in the domain
+    with pytest.raises(DomainError):
+        prof.gram_at(np.array([0.5, 1.0 + 1e-9]))
 
 
 def test_boundary_endpoints_are_in_domain():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from coho_euler import ConfigError, catalog
+from coho_euler import ConfigError, catalog, su2
 from coho_euler.cli import main
 from coho_euler.config import build_problem, parse_config, parse_config_dict
 
@@ -222,6 +222,10 @@ def fourier_v(coefficients):
     return {"type": "fourier", "coefficients": coefficients}
 
 
+SU2_C = su2().structure.tolist()
+EYE3 = np.eye(3).tolist()
+
+
 @pytest.mark.parametrize(
     "name, updates",
     [
@@ -243,6 +247,8 @@ def fourier_v(coefficients):
         ("su2_rigid_body", {"algebra": {"name": "abelian", "dim": "x"}}),
         ("su2_rigid_body", {"isotropy": {"basis": "x"}}),
         ("su2_rigid_body", {"metric.gram": [[1.0], [2.0, 3.0]]}),
+        ("su2_rigid_body", {"algebra": {"structure": SU2_C, "Q": [[1.0], [0.0, 1.0], [0, 0, 1]]}}),
+        ("su2_rigid_body", {"algebra": {"structure": [SU2_C[0], SU2_C[1], SU2_C[2][:2]], "Q": EYE3}}),
     ],
     ids=lambda case: ",".join(f"{k}={v!r}" for k, v in case.items()) if isinstance(case, dict) else case,
 )
@@ -251,3 +257,12 @@ def test_cli_malformed_config_exit_2(tmp_path, capsys, name, updates):
     assert main(["validate", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "validation error: " in err
+
+
+@pytest.mark.parametrize("field", ["structure", "Q"])
+def test_ragged_algebra_names_field_path(field):
+    algebra = {"structure": SU2_C, "Q": EYE3}
+    algebra[field] = [row[:2] if i == 2 else row for i, row in enumerate(algebra[field])]
+    with pytest.raises(ConfigError) as exc:
+        parse_config_dict(example_raw("su2_rigid_body", {"algebra": algebra}))
+    assert any(m.startswith(f"algebra.{field}: ") for m in exc.value.messages)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from coho_euler import (
     CircleProblem,
@@ -26,6 +27,19 @@ from coho_euler.reduced_euler import circle_grid, interval_grid
 def interval_state(profile, values, n=128):
     grid = interval_grid(profile, n)
     return ReducedState(0.0, 0.0, np.tile(values, (n, 1)), grid)
+
+
+def test_grid_geometry_rho_matches_generalized_eigh(coupled_tabulated):
+    prof = coupled_tabulated("interval")
+    geom = GridGeometry(prof, interval_grid(prof, 64))
+    want = np.array(
+        [
+            np.max(np.abs(eigh(-0.5 * gp, g, eigvals_only=True)))
+            for g, gp in zip(geom.gram, geom.gram_prime)
+        ]
+    )
+    assert np.max(np.abs(geom.gram[:, 0, 1])) > 0.1  # the pencil is not diagonal
+    assert np.max(np.abs(geom.rho - want) / want) <= 1e-13
 
 
 def test_energy_zero_state(flat_torus):

@@ -1,0 +1,66 @@
+"""scipy stays out of runs on analytic profiles.
+
+Each check runs in a fresh interpreter, since this test process may
+already have imported scipy.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from coho_euler import catalog
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+PROBE = """
+import json, sys
+import coho_euler, coho_euler.cli
+loaded = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+after_import = loaded()
+if len(sys.argv) > 1:
+    code = coho_euler.cli.main(["run", "--config", sys.argv[1], "--out", sys.argv[2]])
+    assert code == 0, code
+print(json.dumps({"after_import": after_import, "after_run": loaded()}))
+"""
+
+
+def scipy_modules(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", PROBE, *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def short_config(tmp_path, name, t_end):
+    src = catalog.example_path(name)
+    raw = json.loads(src.read_text())
+    raw["solver"]["t_end"] = t_end
+    if "csv" in raw.get("profile", {}):
+        raw["profile"]["csv"] = str(src.parent / raw["profile"]["csv"])
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+def test_package_import_loads_no_scipy():
+    assert scipy_modules()["after_import"] == []
+
+
+@pytest.mark.parametrize("name", ["su2_rigid_body", "berger_circle"])
+def test_analytic_run_loads_no_scipy(tmp_path, name):
+    mods = scipy_modules(short_config(tmp_path, name, 0.01), tmp_path / "out")
+    assert mods == {"after_import": [], "after_run": []}
+
+
+def test_tabulated_run_loads_scipy_interpolate(tmp_path):
+    # the probe can see an import: tabulated profiles need the spline
+    mods = scipy_modules(short_config(tmp_path, "boundary_interval", 0.01), tmp_path / "out")
+    assert mods["after_import"] == []
+    assert "scipy.interpolate" in mods["after_run"]

@@ -200,6 +200,21 @@ def test_pressure_flags_inconsistent_dcdt(flat_torus):
     assert field.periodicity_residual > 1e-3
 
 
+def test_pressure_default_dcdt_is_the_closure():
+    # shape-operator coupling makes dc/dt nonzero: a default of 0 broke periodicity
+    wt = warped_torus(1.0, [[0.0, 0.1, 0.05], [0.2, -0.1, 0.03]])
+    grid = circle_grid(wt, 64)
+    v = np.column_stack([np.sin(2 * np.pi * grid), 0.5 * np.cos(2 * np.pi * grid)])
+    state = ReducedState(0.0, 0.3, v, grid)
+    field = pressure_reconstruct(state, wt)
+    want = trajectory_pressures(CircleProblem(wt, 0.3, v), [state])[0]
+    assert np.array_equal(field.samples, want.samples)
+    assert field.periodicity_residual == want.periodicity_residual
+    # an explicit value is still used as given
+    with pytest.raises(NumericalFailureError):
+        pressure_reconstruct(state, wt, dcdt=0.0)
+
+
 # -- stepping ------------------------------------------------------------------
 
 
