@@ -27,6 +27,7 @@ from .errors import (
     UnsupportedConfigurationError,
 )
 from .lie_core import ReductiveSplit, abelian, reductive_split, su2
+from .numerics import cubic_spline
 from .reports import ValidationReport
 
 INTERVAL = "interval"
@@ -298,9 +299,12 @@ def berger_circle(length: float, coefficients) -> FourierDiagonalProfile:
 class TabulatedProfile(MetricProfile):
     """Gram matrices and derivatives sampled on a grid, cubic-spline interpolated.
 
-    Derivative samples are supplied by the caller; differentiating user data
-    numerically would silently degrade every conservation diagnostic, so it
-    is never done here.
+    Both tables are interpolated by :func:`numerics.cubic_spline`, a numpy
+    copy of ``scipy.interpolate.CubicSpline`` that equals it bit for bit:
+    not-a-knot on an interval, periodic on a circle, where the first and last
+    samples must agree. Derivative samples are supplied by the caller;
+    differentiating user data numerically would silently degrade every
+    conservation diagnostic, so it is never done here.
     """
 
     family = "tabulated"
@@ -311,21 +315,25 @@ class TabulatedProfile(MetricProfile):
         g = np.asarray(gram_samples, dtype=float)
         gp = np.asarray(gram_prime_samples, dtype=float)
         d = split.dim_m
+        for name, table in (("r", r), ("gram", g), ("gram'", gp)):
+            if not np.all(np.isfinite(table)):
+                raise InputError(f"tabulated samples must be finite: {name} has a non-finite entry")
         if r.ndim != 1 or r.size < 4 or np.any(np.diff(r) <= 0):
             raise InputError("tabulated r samples must be strictly increasing, >= 4")
         if g.shape != (r.size, d, d) or gp.shape != g.shape:
             raise InputError("tabulated gram arrays must have shape (n, d, d)")
         if abs(r[0]) > 1e-12 or abs(r[-1] - orbit_space.length) > 1e-9:
             raise InputError("tabulated samples must cover [0, L] inclusive")
-        # scipy is imported here, not at module scope: analytic profiles never need it
-        from scipy.interpolate import CubicSpline
-
-        bc = "periodic" if orbit_space.kind == CIRCLE else "not-a-knot"
-        try:
-            self._g_spline = CubicSpline(r, g, bc_type=bc, axis=0)
-            self._gp_spline = CubicSpline(r, gp, bc_type=bc, axis=0)
-        except ValueError as exc:
-            raise StructureError(f"tabulated profile is not periodic: {exc}") from exc
+        periodic = orbit_space.kind == CIRCLE
+        if periodic:
+            for name, table in (("gram", g), ("gram'", gp)):
+                if not np.allclose(table[0], table[-1], rtol=1e-15, atol=1e-15):
+                    raise StructureError(
+                        f"tabulated profile is not periodic: the first and last {name} "
+                        "samples differ"
+                    )
+        self._g_spline = cubic_spline(r, g, periodic)
+        self._gp_spline = cubic_spline(r, gp, periodic)
         self.r_samples = r
 
     def _gram(self, r):

@@ -28,6 +28,41 @@ from .reports import ValidationReport
 INVARIANCE_TOL = 1e-10
 
 
+def _check_grams(grams: np.ndarray) -> None:
+    """Raise unless every matrix of the (n, m, m) stack is symmetric positive definite."""
+    if not np.all(np.isfinite(grams)):
+        raise InputError("gram contains non-finite entries")
+    if np.max(np.abs(grams - grams.swapaxes(1, 2))) > 1e-12:
+        raise StructureError("gram matrix is not symmetric")
+    if np.min(np.linalg.eigvalsh(grams)) <= 0.0:
+        raise InputError("gram matrix is not positive definite")
+
+
+def connection_supported(split: ReductiveSplit) -> bool:
+    return split.dim_h == 0 or split.dim_m0 == split.dim_m
+
+
+def connection_tensors(split: ReductiveSplit, grams: np.ndarray) -> np.ndarray:
+    """Gamma[j,a,b,c] for an (n, m, m) stack of Gram matrices, in one pass.
+
+    nabla_{e_a} e_b = sum_c Gamma[j,a,b,c] e_c under the metric grams[j].
+    Every matrix must be symmetric positive definite.
+    """
+    if not connection_supported(split):
+        raise UnsupportedConfigurationError(
+            "invariant-field connection needs trivial isotropy or an isotropy "
+            "acting trivially on the whole complement "
+            f"(dim h = {split.dim_h}, dim m0 = {split.dim_m0}, dim m = {split.dim_m})"
+        )
+    _check_grams(grams)
+    n, m = grams.shape[:2]
+    G1 = np.einsum("abd,jdc->jabc", split.bracket_on_m(), grams)
+    # K[a,b,c] = <[a,b],c> - <[b,c],a> + <[c,a],b>
+    K = G1 - np.einsum("jbca->jabc", G1) + np.einsum("jcab->jabc", G1)
+    rhs = K.reshape(n, m * m, m).swapaxes(1, 2)
+    return 0.5 * np.linalg.solve(grams, rhs).swapaxes(1, 2).reshape(n, m, m, m)
+
+
 @dataclass
 class InvariantMetric:
     """An invariant metric on one orbit: the Gram matrix of the complement basis."""
@@ -39,33 +74,16 @@ class InvariantMetric:
     def __post_init__(self):
         m = self.split.dim_m
         self.gram = as_float_array(self.gram, (m, m), "gram")
-        if np.max(np.abs(self.gram - self.gram.T)) > 1e-12:
-            raise StructureError("gram matrix is not symmetric")
-        if np.min(np.linalg.eigvalsh(self.gram)) <= 0.0:
-            raise InputError("gram matrix is not positive definite")
+        _check_grams(self.gram[None])
 
     def connection_supported(self) -> bool:
-        return self.split.dim_h == 0 or self.split.dim_m0 == self.split.dim_m
+        return connection_supported(self.split)
 
     def connection_tensor(self) -> np.ndarray:
         """Gamma[a,b,c] with nabla_{e_a} e_b = sum_c Gamma[a,b,c] e_c (cached)."""
-        if self._gamma is not None:
-            return self._gamma
-        if not self.connection_supported():
-            raise UnsupportedConfigurationError(
-                "invariant-field connection needs trivial isotropy or an isotropy "
-                "acting trivially on the whole complement "
-                f"(dim h = {self.split.dim_h}, dim m0 = {self.split.dim_m0}, "
-                f"dim m = {self.split.dim_m})"
-            )
-        B = self.split.bracket_on_m()
-        G1 = np.einsum("abd,dc->abc", B, self.gram)
-        # K[a,b,c] = <[a,b],c> - <[b,c],a> + <[c,a],b>
-        K = G1 - np.einsum("bca->abc", G1) + np.einsum("cab->abc", G1)
-        m = self.split.dim_m
-        gamma = 0.5 * np.linalg.solve(self.gram, K.reshape(m * m, m).T).T.reshape(m, m, m)
-        self._gamma = gamma
-        return gamma
+        if self._gamma is None:
+            self._gamma = connection_tensors(self.split, self.gram[None])[0]
+        return self._gamma
 
 
 def check_metric_invariance(metric: InvariantMetric) -> ValidationReport:

@@ -1,4 +1,4 @@
-"""Quadrature weights and finite-difference stencils shared by the solvers.
+"""Quadrature weights, finite-difference stencils and the cubic spline.
 
 Everything here is deterministic: weight vectors are built once, and all
 reductions go through numpy's fixed-order pairwise summation, so identical
@@ -114,6 +114,142 @@ class Derivative4Interval:
         out[-1] = -np.tensordot(_EDGE0, f[-5:][::-1], axes=(0, 0))
         out[-2] = -np.tensordot(_EDGE1, f[-5:][::-1], axes=(0, 0))
         return out * self._inv
+
+
+def _solve_tridiagonal(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a tridiagonal system given in (1, 1) banded form, row by row.
+
+    ``ab[0, 1:]``, ``ab[1]`` and ``ab[2, :-1]`` are the super-, main and
+    sub-diagonals; ``b`` holds one right-hand side per trailing index.
+    Elimination and back substitution follow LAPACK ``dgtsv`` operation for
+    operation, including its swap of rows i and i+1 when |d_i| < |dl_i|, so
+    the result equals ``scipy.linalg.solve_banded((1, 1), ab, b)`` bit for
+    bit. Not-a-knot end rows are not diagonally dominant on non-uniform
+    knots, so the swap does occur.
+    """
+    du = ab[0, 1:].tolist()
+    d = ab[1].tolist()
+    dl = ab[2, :-1].tolist()
+    du2 = [0.0] * len(d)  # second superdiagonal, filled by row swaps
+    x = np.array(b, dtype=float)
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            x[i + 1] = x[i + 1] - fact * x[i]
+        else:
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                du2[i] = du[i + 1]
+                du[i + 1] = -fact * du2[i]
+            du[i] = temp
+            temp = x[i].copy()
+            x[i] = x[i + 1]
+            x[i + 1] = temp - fact * x[i + 1]
+    x[n - 1] = x[n - 1] / d[n - 1]
+    x[n - 2] = (x[n - 2] - du[n - 2] * x[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        x[i] = (x[i] - du[i] * x[i + 1] - du2[i] * x[i + 2]) / d[i]
+    return x
+
+
+class PiecewisePolynomial:
+    """Polynomial pieces c[:, i] on [x_i, x_{i+1}], highest power first.
+
+    Evaluates as ``scipy.interpolate.PPoly`` does, term by term in the same
+    order, so equal coefficients give equal values bit for bit. Periodic
+    pieces map a point into [x_0, x_N) first; otherwise the end pieces
+    extend beyond the knots.
+    """
+
+    def __init__(self, x: np.ndarray, c: np.ndarray, periodic: bool):
+        self.x = x
+        self.c = c
+        self.periodic = periodic
+
+    def __call__(self, r) -> np.ndarray:
+        """Values at a 1-d array of points, stacked along axis 0."""
+        x = self.x
+        r = np.asarray(r, dtype=float)
+        if self.periodic:
+            r = x[0] + (r - x[0]) % (x[-1] - x[0])
+        i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, x.size - 2)
+        s = (r - x[i]).reshape((r.size,) + (1,) * (self.c.ndim - 2))
+        out = 0.0 + self.c[-1][i]  # PPoly's sum starts at 0.0, so -0.0 reads +0.0
+        z = s
+        for row in self.c[-2::-1]:
+            out = out + row[i] * z
+            z = z * s
+        return out
+
+    def derivative(self) -> "PiecewisePolynomial":
+        k = self.c.shape[0] - 1
+        factor = np.arange(k, 0, -1, dtype=float).reshape((k,) + (1,) * (self.c.ndim - 1))
+        return PiecewisePolynomial(self.x, self.c[:-1] * factor, self.periodic)
+
+
+def cubic_spline(x, y, periodic: bool) -> PiecewisePolynomial:
+    """C2 cubic spline through (x, y) along axis 0, not-a-knot or periodic.
+
+    A numpy transcription of ``scipy.interpolate.CubicSpline`` (scipy 1.17,
+    n >= 4 knots) kept operation for operation, so its coefficients, values
+    and derivative values equal scipy's bit for bit. The slopes solve the
+    same tridiagonal system; periodic splines solve the condensed (n-2)
+    system for two right-hand sides and close it with the equation for
+    s[n-2]. The coefficients are built as ``CubicHermiteSpline`` builds them.
+    Periodic samples must already satisfy y[-1] == y[0].
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = x.size
+    dx = np.diff(x)
+    dxr = dx.reshape((n - 1,) + (1,) * (y.ndim - 1))
+    slope = np.diff(y, axis=0) / dxr
+
+    A = np.zeros((3, n))  # banded: super-, main and sub-diagonal rows
+    A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    A[0, 2:] = dx[:-1]
+    A[-1, :-2] = dx[1:]
+    b = np.empty_like(y)
+    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    if periodic:
+        A = A[:, :-1]
+        A[1, 0] = 2 * (dx[-1] + dx[0])
+        A[0, 1] = dx[-1]
+        b = b[:-1]
+        b[0] = 3 * (dxr[0] * slope[-1] + dxr[-1] * slope[0])
+        b[-1] = 3 * (dxr[-1] * slope[-2] + dxr[-2] * slope[-1])
+        Ac = A[:, :-1]
+        s1 = _solve_tridiagonal(Ac, b[:-1])
+        b2 = np.zeros_like(b[:-1])
+        b2[0] = -dx[0]
+        b2[-1] = -dx[-3]
+        s2 = _solve_tridiagonal(Ac, b2)
+        s_m1 = (b[-1] - dx[-2] * s1[0] - dx[-1] * s1[-1]) / (
+            2 * (dx[-1] + dx[-2]) + dx[-2] * s2[0] + dx[-1] * s2[-1]
+        )
+        s = np.empty_like(y)
+        s[:-2] = s1 + s_m1 * s2
+        s[-2] = s_m1
+        s[-1] = s[0]
+    else:
+        A[1, 0] = dx[1]
+        A[0, 1] = x[2] - x[0]
+        d = x[2] - x[0]
+        b[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
+        A[1, -1] = dx[-2]
+        A[-1, -2] = x[-1] - x[-3]
+        d = x[-1] - x[-3]
+        b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
+        s = _solve_tridiagonal(A, b)
+
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    c = np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
+    return PiecewisePolynomial(x, c, periodic)
 
 
 def as_float_array(x, shape=None, name="array") -> np.ndarray:

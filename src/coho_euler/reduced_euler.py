@@ -32,7 +32,7 @@ from .diagnostics import (
     conservation_report,
 )
 from .errors import InputError, NumericalFailureError
-from .homogeneous_geometry import InvariantMetric, euler_arnold_rhs
+from .homogeneous_geometry import InvariantMetric, connection_tensors, euler_arnold_rhs
 from .numerics import as_float_array, cumulative_integral
 
 CFL_EPS = 1e-12
@@ -188,11 +188,7 @@ class _HomogeneousDisc:
 class _GridDisc:
     def __init__(self, geom: GridGeometry):
         self.geom = geom
-        split = geom.profile.split
-        n, d = geom.n, geom.d
-        self.gamma = np.empty((n, d, d, d))
-        for j in range(n):
-            self.gamma[j] = InvariantMetric(split, geom.gram[j]).connection_tensor()
+        self.gamma = connection_tensors(geom.profile.split, geom.gram)
         self.has_gamma = bool(np.max(np.abs(self.gamma)) > 0.0)
         self.has_S = bool(np.max(np.abs(geom.S)) > 0.0)
 

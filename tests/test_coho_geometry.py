@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from coho_euler import (
     DomainError,
@@ -8,6 +9,7 @@ from coho_euler import (
     UnsupportedConfigurationError,
     abelian,
     berger_circle,
+    catalog,
     h0_profile,
     mean_curvature,
     metric_at,
@@ -23,13 +25,16 @@ from coho_euler.coho_geometry import (
     CIRCLE,
     INTERVAL,
     SINGULAR,
+    FD_STEP,
     OrbitSpace,
     RoundS3T2Profile,
     TabulatedProfile,
+    _probe_grid,
     load_tabulated_csv,
     trace_identity_probes,
     write_tabulated_csv,
 )
+from coho_euler.numerics import cubic_spline
 
 from oracles import coordinate_divergence_fd, h0_by_ode
 
@@ -332,6 +337,100 @@ def test_tabulated_periodic_mismatch_rejected():
     prime = np.ones_like(gram)
     with pytest.raises(StructureError):
         TabulatedProfile(split, space, r, gram, prime)
+
+
+def spline_probes(x, seed=0):
+    """Knots, both ends, the 512 validation probes of either kind, and random points."""
+    L = x[-1] - x[0]
+    grid = np.arange(512) / 512
+    rng = np.random.default_rng(seed)
+    return np.concatenate(
+        [x, [x[0], x[-1]], x[0] + L * grid, x[0] + L * (grid + 0.5 / 512),
+         rng.uniform(x[0], x[-1], 256)]
+    )
+
+
+def assert_spline_matches_scipy(x, y, periodic, probes=None):
+    ref = CubicSpline(x, y, bc_type="periodic" if periodic else "not-a-knot", axis=0)
+    ours = cubic_spline(x, y, periodic)
+    probes = spline_probes(x) if probes is None else probes
+    assert np.array_equal(ours.c, ref.c)
+    assert np.array_equal(ours(probes), ref(probes))
+    assert np.array_equal(ours.derivative().c, ref.derivative().c)
+    assert np.array_equal(ours.derivative()(probes), ref.derivative()(probes))
+
+
+def test_spline_matches_scipy_on_bundled_csv():
+    csv = catalog.example_path("boundary_interval").parent / "boundary_interval_profile.csv"
+    r, gram, prime = load_tabulated_csv(csv)
+    space = OrbitSpace(INTERVAL, 1.0, (BOUNDARY, BOUNDARY))
+    prof = TabulatedProfile(reductive_split(su2(), []), space, r, gram, prime)
+    rs = trace_identity_probes(prof)
+    probes = np.concatenate([spline_probes(r), _probe_grid(prof), rs - FD_STEP, rs + FD_STEP])
+    for y in (gram, prime):
+        assert_spline_matches_scipy(r, y, False, probes)
+    ref = CubicSpline(r, gram, axis=0)
+    assert np.array_equal(prof._g_spline(probes), ref(probes))
+    assert np.array_equal(prof._g_spline.derivative()(probes), ref.derivative()(probes))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_spline_matches_scipy_on_non_uniform_knots(seed):
+    rng = np.random.default_rng(seed)
+    n = 33
+    x = np.cumsum(rng.uniform(0.01, 1.0, n))
+    x -= x[0]
+    # dx0 + dx1 < dx2 makes the eliminated second pivot dx0 + dx1 smaller than
+    # the entry dx2 below it, so dgtsv swaps rows 1 and 2
+    x[3:] += x[1] + x[2]
+    assert x[1] - x[0] + x[2] - x[1] < x[3] - x[2]
+    y = rng.normal(size=(n, 3, 3))
+    assert_spline_matches_scipy(x, y, periodic=False)
+    y[-1] = y[0]
+    assert_spline_matches_scipy(x, y, periodic=True)
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_spline_matches_scipy_on_four_samples(periodic):
+    x = np.array([0.0, 0.3, 0.45, 1.0])
+    y = np.random.default_rng(3).normal(size=(4, 2, 2))
+    if periodic:
+        y[-1] = y[0]
+    assert_spline_matches_scipy(x, y, periodic)
+
+
+def test_spline_matches_scipy_on_tabulated_circle(coupled_tabulated):
+    prof = coupled_tabulated(CIRCLE)
+    r = prof.r_samples
+    # periodic splines wrap: points outside [0, L] land on the same values
+    probes = np.concatenate([spline_probes(r), [-0.25, 1.25, 3.0]])
+    for spline in (prof._g_spline, prof._gp_spline):
+        # the constant terms are the samples but the last, which equals the first
+        y = np.concatenate([spline.c[-1], spline.c[-1][:1]])
+        assert_spline_matches_scipy(r, y, True, probes)
+    ends = prof._gram(np.array([0.0, prof.length]))
+    assert np.array_equal(ends[0], ends[1])
+
+
+def test_tabulated_non_finite_samples_rejected():
+    split = reductive_split(abelian(1), [])
+    space = OrbitSpace(INTERVAL, 1.0, (BOUNDARY, BOUNDARY))
+    r = np.linspace(0, 1, 9)
+    gram = (1.0 + r).reshape(-1, 1, 1)
+    prime = np.ones_like(gram)
+
+    def poisoned(a, value):
+        a = a.copy()
+        a[4] = value
+        return a
+
+    for name, args in (
+        ("r", (poisoned(r, np.nan), gram, prime)),
+        ("gram", (r, poisoned(gram, np.inf), prime)),
+        ("gram'", (r, gram, poisoned(prime, -np.inf))),
+    ):
+        with pytest.raises(InputError, match=f"must be finite: {name} has"):
+            TabulatedProfile(split, space, *args)
 
 
 def test_tabulated_derivative_consistency_check():

@@ -266,3 +266,47 @@ def test_ragged_algebra_names_field_path(field):
     with pytest.raises(ConfigError) as exc:
         parse_config_dict(example_raw("su2_rigid_body", {"algebra": algebra}))
     assert any(m.startswith(f"algebra.{field}: ") for m in exc.value.messages)
+
+
+def tabulated_cfg(tmp_path, cell=None, **updates):
+    """The boundary_interval config on a copy of its CSV, one (row, column, text) cell replaced."""
+    csv = catalog.example_path("boundary_interval").parent / "boundary_interval_profile.csv"
+    lines = csv.read_text().splitlines()
+    if cell is not None:
+        row, column, text = cell
+        cells = lines[row].split(",")
+        cells[column] = text
+        lines[row] = ",".join(cells)
+    (tmp_path / "prof.csv").write_text("\n".join(lines) + "\n")
+    raw = example_raw("boundary_interval", {"profile.csv": "prof.csv", **updates})
+    return write_cfg(tmp_path, raw)
+
+
+@pytest.mark.parametrize(
+    "cell, table",
+    [((5, 4, "nan"), "gram"), ((7, 12, "inf"), "gram'"), ((3, 0, "nan"), "r")],
+    ids=["nan-gram", "inf-gram-prime", "nan-r"],
+)
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_cli_non_finite_tabulated_samples_exit_2(tmp_path, capsys, command, cell, table):
+    path = tabulated_cfg(tmp_path, cell)
+    args = [command, "--config", str(path)]
+    if command == "run":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"validation error: tabulated samples must be finite: {table} has a non-finite entry" in err
+    assert "periodic" not in err
+
+
+def test_cli_tabulated_circle_mismatch_is_not_periodic(tmp_path, capsys):
+    # the bundled interval profile read as a circle: its first and last rows differ
+    path = tabulated_cfg(
+        tmp_path, **{"problem.kind": "circle", "profile.kind": "circle", "initial.c": 0.0}
+    )
+    raw = json.loads(path.read_text())
+    del raw["profile"]["endpoints"]
+    path.write_text(json.dumps(raw))
+    assert main(["validate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "validation error: tabulated profile is not periodic: the first and last gram" in err

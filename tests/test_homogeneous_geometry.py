@@ -8,6 +8,7 @@ from coho_euler import (
     UnsupportedConfigurationError,
     abelian,
     bracket,
+    catalog,
     check_metric_invariance,
     direct_sum,
     euler_arnold_rhs,
@@ -16,7 +17,14 @@ from coho_euler import (
     reductive_split,
     su2,
 )
-from coho_euler.homogeneous_geometry import divergence_form, divergence_of_invariant_field
+from coho_euler.config import build_problem
+from coho_euler.diagnostics import GridGeometry
+from coho_euler.homogeneous_geometry import (
+    connection_tensors,
+    divergence_form,
+    divergence_of_invariant_field,
+)
+from coho_euler.reduced_euler import circle_grid, interval_grid
 
 from oracles import koszul_oracle
 
@@ -96,6 +104,45 @@ def test_unsupported_isotropy_refused():
     metric = InvariantMetric(split, np.eye(2))
     with pytest.raises(UnsupportedConfigurationError):
         invariant_connection(metric, [1.0, 0.0], [0.0, 1.0])
+
+
+def koszul_per_node(split, gram):
+    """Gamma on one orbit, one 2-d einsum and solve per Gram matrix."""
+    B = split.bracket_on_m()
+    G1 = np.einsum("abd,dc->abc", B, gram)
+    K = G1 - np.einsum("bca->abc", G1) + np.einsum("cab->abc", G1)
+    m = split.dim_m
+    return 0.5 * np.linalg.solve(gram, K.reshape(m * m, m).T).T.reshape(m, m, m)
+
+
+@pytest.mark.parametrize(
+    "name", ["berger_circle", "t3_circle", "boundary_interval", "s3_t2_interval"]
+)
+def test_stacked_connection_equals_per_node(name):
+    problem = build_problem(catalog.load_example(name))
+    profile, n = problem.profile, len(problem.v0)
+    grid = circle_grid(profile, n) if problem.kind == "circle" else interval_grid(profile, n)
+    grams = GridGeometry(profile, grid).gram
+    stacked = connection_tensors(profile.split, grams)
+    assert stacked.shape == (n,) + (profile.dim,) * 3
+    for j, g in enumerate(grams):
+        assert np.array_equal(stacked[j], InvariantMetric(profile.split, g).connection_tensor())
+        assert np.array_equal(stacked[j], koszul_per_node(profile.split, g))
+
+
+def test_stacked_connection_checks_every_matrix(su2_split):
+    grams = np.stack([np.eye(3)] * 4)
+    bad = grams.copy()
+    bad[2, 0, 1] = 0.5
+    with pytest.raises(StructureError):
+        connection_tensors(su2_split, bad)
+    bad = grams.copy()
+    bad[3, 1, 1] = -1.0
+    with pytest.raises(InputError):
+        connection_tensors(su2_split, bad)
+    split = reductive_split(su2(), [[0.0, 0.0, 1.0]])
+    with pytest.raises(UnsupportedConfigurationError):
+        connection_tensors(split, np.stack([np.eye(2)] * 4))
 
 
 def test_trivially_acting_isotropy_supported():

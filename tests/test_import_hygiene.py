@@ -1,4 +1,4 @@
-"""scipy stays out of runs on analytic profiles.
+"""scipy stays out of the package import and of every `coho-euler run`.
 
 Each check runs in a fresh interpreter, since this test process may
 already have imported scipy.
@@ -53,14 +53,8 @@ def test_package_import_loads_no_scipy():
     assert scipy_modules()["after_import"] == []
 
 
-@pytest.mark.parametrize("name", ["su2_rigid_body", "berger_circle"])
-def test_analytic_run_loads_no_scipy(tmp_path, name):
+@pytest.mark.parametrize("name", catalog.example_names())
+def test_run_loads_no_scipy(tmp_path, name):
+    # analytic and tabulated profiles alike: only `validate` may import scipy
     mods = scipy_modules(short_config(tmp_path, name, 0.01), tmp_path / "out")
     assert mods == {"after_import": [], "after_run": []}
-
-
-def test_tabulated_run_loads_scipy_interpolate(tmp_path):
-    # the probe can see an import: tabulated profiles need the spline
-    mods = scipy_modules(short_config(tmp_path, "boundary_interval", 0.01), tmp_path / "out")
-    assert mods["after_import"] == []
-    assert "scipy.interpolate" in mods["after_run"]

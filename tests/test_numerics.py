@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from coho_euler.errors import InputError
 from coho_euler.numerics import (
     Derivative4Interval,
     Derivative4Periodic,
+    _solve_tridiagonal,
     cumulative_integral,
     simpson_weights_closed,
     simpson_weights_periodic,
@@ -86,3 +88,17 @@ def test_periodic_derivative_applies_along_first_axis():
     d = Derivative4Periodic(n, 1.0 / n)(f)
     assert d.shape == f.shape
     assert np.max(np.abs(d[:, 0] - 2 * np.pi * np.cos(2 * np.pi * x))) < 1e-2
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 33])
+@pytest.mark.parametrize("seed", range(4))
+def test_tridiagonal_solve_matches_lapack_gtsv(n, seed):
+    # unit-normal bands are far from diagonally dominant: most rows take
+    # dgtsv's interchange branch, including the first and the last
+    rng = np.random.default_rng(seed)
+    ab = rng.normal(size=(3, n))
+    ab[1, 0] = 1e-3 * ab[2, 0]
+    ab[1, -2] = 1e-3 * ab[2, -2]
+    for b in (rng.normal(size=n), rng.normal(size=(n, 3, 3))):
+        ref = solve_banded((1, 1), ab, b.reshape(n, -1)).reshape(b.shape)
+        assert np.array_equal(_solve_tridiagonal(ab, b), ref)
