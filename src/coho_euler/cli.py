@@ -13,12 +13,9 @@ import sys
 from pathlib import Path
 
 from . import catalog
-from .config import RunConfig, build_problem, build_solver_config, parse_config
-from .coho_geometry import validate_profile
+from .config import RunConfig, build_problem, build_solver_config, check_config, parse_config
 from .diagnostics import write_diagnostics_csv, write_snapshot_csv
 from .errors import CohoEulerError, ConfigError, NumericalFailureError
-from .homogeneous_geometry import check_metric_invariance
-from .lie_core import check_reductive_split, monte_carlo_fixed_check, validate_structure
 from .reduced_euler import integrate, trajectory_pressures
 
 EXIT_OK = 0
@@ -85,66 +82,16 @@ def run_command(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def validate_command(cfg: RunConfig) -> int:
-    """Run every structural check and print one line per check; no stepping.
+    """Print one line per structural check of ``config.check_config``; no stepping.
 
-    Unlike ``run``, a failed check is reported rather than raised, so all
-    checks are always listed.
+    The checks are ``run``'s, plus the group-level Monte Carlo check and the
+    numeric parity fit of the initial data.
     """
-    from .config import build_initial_v, build_metric_object, build_profile
-    from .diagnostics import GridGeometry, parity_tolerance
-    from .reduced_euler import circle_grid, interval_grid
-
-    lines: list[str] = []
-    ok = True
-
-    profile_usable = True
-    if cfg.kind == "homogeneous":
-        metric = build_metric_object(cfg)
-        reports = (
-            validate_structure(metric.split.algebra),
-            check_reductive_split(metric.split),
-            monte_carlo_fixed_check(metric.split, seed=cfg.seed),
-            check_metric_invariance(metric),
-        )
-    else:
-        profile = build_profile(cfg)
-        profile_report = validate_profile(profile)
-        profile_usable = profile_report["gram_positive_on_probe_grid"].passed
-        reports = (
-            validate_structure(profile.split.algebra),
-            check_reductive_split(profile.split),
-            monte_carlo_fixed_check(profile.split, seed=cfg.seed),
-            profile_report,
-        )
-    for rep in reports:
-        lines += rep.lines()
-        ok &= rep.passed
-
-    if cfg.kind != "homogeneous" and profile_usable:
-        n = int(cfg.solver["N"])
-        grid = interval_grid(profile, n) if cfg.kind == "interval" else circle_grid(profile, n)
-        try:
-            v0 = build_initial_v(cfg, profile, grid)
-        except ConfigError as exc:
-            ok = False
-            lines += [f"FAIL  initial_data: {m}" for m in exc.messages]
-            v0 = None
-        if v0 is not None:
-            geom = GridGeometry(profile, grid)
-            tol = parity_tolerance(geom)
-            for (alpha, beta, misfit), win in zip(geom.taylor_fit(v0), geom.singular_windows):
-                scale = max(1.0, float(abs(v0[win["slice"]]).max()))
-                passed = misfit / scale < tol
-                ok &= passed
-                lines.append(
-                    f"{'PASS' if passed else 'FAIL'}  initial_parity_at_r={win['side']:g}: "
-                    f"residual={misfit / scale:.3e} (tol={tol:.1e})"
-                )
-
-    for line in lines:
+    report, _ = check_config(cfg, deep=True)
+    for line in report.lines():
         print(line)
-    print("validation " + ("passed" if ok else "FAILED"))
-    return EXIT_OK if ok else EXIT_VALIDATION
+    print("validation " + ("passed" if report.passed else "FAILED"))
+    return EXIT_OK if report.passed else EXIT_VALIDATION
 
 
 def examples_command(action: str) -> int:

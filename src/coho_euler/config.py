@@ -1,7 +1,14 @@
-"""Run configuration: strict JSON parsing and problem assembly.
+"""Run configuration: a strict JSON schema per problem kind, and one check pass.
 
-Unknown keys are rejected everywhere; a silently ignored option would
-masquerade as physics. Initial data is entered as coefficients (constants,
+:func:`parse_config_dict` walks the schema of the config's ``problem.kind``,
+a table built from the field specs below, and collects every error with its
+field path. Unknown keys are rejected everywhere; a silently ignored option
+would masquerade as physics. :func:`check_config` then builds the problem
+and runs every structural check into one :class:`ValidationReport`: the
+algebra axioms and the reductive split, metric invariance or the profile
+checks, the initial data, and the step count. ``coho-euler run`` refuses a
+config whose report fails before it writes anything; ``coho-euler validate``
+prints the report. Initial data is entered as coefficients (constants,
 polynomials in r, or Fourier modes) so periodicity and endpoint parity can
 be checked symbolically before any discretisation happens.
 """
@@ -10,80 +17,277 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import coho_geometry as cg
-from .errors import ConfigError
+from .coho_geometry import CIRCLE, INTERVAL
+from .diagnostics import GridGeometry, parity_tolerance
+from .errors import ConfigError, InputError
 from .homogeneous_geometry import InvariantMetric, check_metric_invariance
-from .lie_core import LieAlgebraSpec, abelian, reductive_split, su2, validate_structure
-from .reduced_euler import (
-    CircleProblem,
-    HomogeneousProblem,
-    IntervalProblem,
-    SolverConfig,
-    circle_grid,
-    interval_grid,
-)
+from .lie_core import LieAlgebraSpec, abelian, reductive_split, su2
+from .lie_core import check_reductive_split, monte_carlo_fixed_check, validate_structure
+from .reduced_euler import CircleProblem, HomogeneousProblem, IntervalProblem, SolverConfig
+from .reduced_euler import circle_grid, interval_grid
+from .reports import ValidationReport
 
 KINDS = ("homogeneous", "interval", "circle")
 VKINDS = ("constant", "polynomial", "fourier", "random_fourier")
 
-
-def _require_keys(obj, path, required, optional=()):
-    errors = []
-    if not isinstance(obj, dict):
-        return [f"{path}: expected an object"]
-    for k in obj:
-        if k not in required and k not in optional:
-            errors.append(f"{path}.{k}: unknown key")
-    for k in required:
-        if k not in obj:
-            errors.append(f"{path}.{k}: missing required key")
-    return errors
+# -- field specs: check(value, path, errors) appends "<path>: <what is wrong>" --
 
 
-def _number(obj, path, errors, positive=False):
-    val = obj if isinstance(obj, (int, float)) and not isinstance(obj, bool) else None
-    if val is None or not np.isfinite(val):
-        errors.append(f"{path}: expected a finite number")
-        return 0.0
-    if positive and val <= 0:
-        errors.append(f"{path}: must be positive")
-    return float(val)
+@dataclass(frozen=True)
+class Num:
+    """A finite number, optionally positive."""
 
+    positive: bool = False
 
-def _positive_int(obj, path, errors):
-    if not isinstance(obj, int) or isinstance(obj, bool) or obj < 1:
-        errors.append(f"{path}: expected a positive integer")
-
-
-def _numbers(obj, path, errors, depth=1):
-    """A list of finite numbers, nested ``depth`` lists deep."""
-    if not isinstance(obj, list):
-        errors.append(f"{path}: expected a list")
-        return
-    n_errors = len(errors)
-    for i, item in enumerate(obj):
-        if depth > 1:
-            _numbers(item, f"{path}[{i}]", errors, depth - 1)
-        else:
-            _number(item, f"{path}[{i}]", errors)
-        if len(errors) > n_errors:
-            return  # one message per list is enough
-
-
-def _rectangular(obj, path, errors, depth):
-    """As :func:`_numbers`, with rows of equal length at every depth."""
-    n_errors = len(errors)
-    _numbers(obj, path, errors, depth)
-    if len(errors) == n_errors:
+    def check(self, value, path, errors):
         try:
-            np.asarray(obj, dtype=float)
-        except ValueError:
-            errors.append(f"{path}: expected a rectangular array (rows of equal length)")
+            finite = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):  # not a number, or an int too large for a float
+            finite = False
+        if not finite:
+            errors.append(f"{path}: expected a finite number")
+        elif self.positive and value <= 0:
+            errors.append(f"{path}: must be positive")
+
+
+@dataclass(frozen=True)
+class Int:
+    """An integer, at least ``low`` (and even) if given; ``bound`` words the
+    message for an integer out of range, formatted with the value."""
+
+    low: int | None = None
+    what: str = "an integer"
+    even: bool = False
+    bound: str = ""
+
+    def check(self, value, path, errors):
+        if not isinstance(value, int) or isinstance(value, bool):
+            errors.append(f"{path}: expected {self.what}")
+        elif (self.low is not None and value < self.low) or (self.even and value % 2):
+            bound = self.bound.format(value) if self.bound else f"expected {self.what}"
+            errors.append(f"{path}: {bound}")
+
+
+@dataclass(frozen=True)
+class Str:
+    """A string, one of ``choices`` if given."""
+
+    what: str
+    choices: tuple = ()
+
+    def check(self, value, path, errors):
+        if not isinstance(value, str) or (self.choices and value not in self.choices):
+            errors.append(f"{path}: expected {self.what}")
+
+
+@dataclass(frozen=True)
+class Numbers:
+    """A list of finite numbers nested ``depth`` lists deep, one message per
+    list; ``shape`` adds "rectangular" (rows of equal length at every depth),
+    "square", or "rows" (no empty row)."""
+
+    depth: int = 1
+    shape: str = ""
+
+    def check(self, value, path, errors):
+        if not isinstance(value, list):
+            errors.append(f"{path}: expected a list")
+            return
+        n_errors = len(errors)
+        inner = Numbers(self.depth - 1) if self.depth > 1 else NUMBER
+        for i, item in enumerate(value):
+            inner.check(item, f"{path}[{i}]", errors)
+            if len(errors) > n_errors:
+                return  # one message per list is enough
+        if self.shape == "rectangular":
+            try:
+                np.asarray(value, dtype=float)
+            except ValueError:
+                errors.append(f"{path}: expected a rectangular array (rows of equal length)")
+        elif self.shape == "square" and any(len(row) != len(value) for row in value):
+            errors.append(f"{path}: expected a square matrix")
+        elif self.shape == "rows":
+            empty = [i for i, row in enumerate(value) if not row]
+            errors += [f"{path}[{i}]: expected a non-empty list" for i in empty]
+
+
+@dataclass(frozen=True)
+class Obj:
+    """An object with known keys, each with a spec (None: checked elsewhere).
+
+    ``required`` defaults to every key. ``rule(obj, errors)`` is a
+    cross-field check run after the fields; ``notes`` replace the generic
+    unknown/missing-key message of a key.
+    """
+
+    fields: dict
+    required: tuple | None = None
+    rule: Callable | None = None
+    notes: dict = field(default_factory=dict)
+
+    def check(self, value, path, errors):
+        where = path or "config"
+        if not isinstance(value, dict):
+            errors.append(f"{where}: expected an object")
+            return
+        required = self.fields if self.required is None else self.required
+        unknown = [k for k in value if k not in self.fields]
+        missing = [k for k in required if k not in value]
+        errors += [self.notes.get(k, f"{where}.{k}: unknown key") for k in unknown]
+        errors += [self.notes.get(k, f"{where}.{k}: missing required key") for k in missing]
+        for key, spec in self.fields.items():
+            if key in value and spec is not None:
+                spec.check(value[key], f"{path}.{key}" if path else key, errors)
+        if self.rule is not None:
+            self.rule(value, errors)
+
+
+@dataclass(frozen=True)
+class Union:
+    """An object whose ``tag`` key picks its schema among ``cases``;
+    ``unknown`` words the message for any other tag, formatted with it."""
+
+    tag: str
+    cases: dict
+    unknown: str
+
+    def check(self, value, path, errors):
+        if not isinstance(value, dict):
+            errors.append(f"{path}: expected an object")
+            return
+        tag = value.get(self.tag)
+        case = self.cases.get(tag) if isinstance(tag, str) else None
+        if case is None:
+            errors.append(f"{path}.{self.tag}: {self.unknown.format(tag)}")
+        else:
+            case.check(value, path, errors)
+
+
+# -- the schema of each problem kind -------------------------------------------
+
+NUMBER, POSITIVE, COUNT = Num(), Num(positive=True), Int(1, "a positive integer")
+TOP_REQUIRED = ("problem", "initial", "solver")
+TOP_OPTIONAL = ("algebra", "isotropy", "metric", "profile", "output", "seed", "hooks")
+TOP = Obj(dict.fromkeys(TOP_REQUIRED + TOP_OPTIONAL), TOP_REQUIRED)
+PROBLEM = Obj({"kind": None})
+ISOTROPY = Obj({"basis": Numbers(2)})
+OUTPUT = Obj({"directory": Str("a path"), "snapshot_cadence": COUNT,
+              "diagnostics_cadence": COUNT}, ())
+COMMON = {"output": OUTPUT, "seed": Int(), "hooks": Obj({"dcdt_offset": NUMBER}, ())}
+FOURIER = {"length": POSITIVE, "fourier": Numbers(2)}
+FAMILIES = {"round_s3_t2": {}, "warped_torus": FOURIER, "berger_circle": FOURIER}
+TABULATED = {"family": None, "length": POSITIVE, "kind": None, "csv": Str("a file name"),
+             "endpoints": None}  # kind and endpoints: see _tabulated_rule
+VTYPES = {
+    "constant": {"values": Numbers()},
+    "polynomial": {"coefficients": Numbers(2, "rows")},
+    "fourier": {"coefficients": Numbers(2)},
+    "random_fourier": {"seed": Int(0, "a non-negative integer"), "modes": COUNT,
+                       "amplitude": NUMBER},
+}
+# a family or initial-data type that suits one problem kind: (that kind, the message elsewhere)
+HOME = {
+    "round_s3_t2": (INTERVAL, "profile.family: round_s3_t2 is an interval family"),
+    "warped_torus": (CIRCLE, "profile.family: warped_torus is a circle family"),
+    "berger_circle": (CIRCLE, "profile.family: berger_circle is a circle family"),
+    "polynomial": (INTERVAL, "initial.v.type: polynomial initial data is not periodic; "
+                             "use fourier coefficients on a circle"),
+    "fourier": (CIRCLE, "initial.v.type: fourier initial data is circle-only"),
+    "random_fourier": (CIRCLE, "initial.v.type: random_fourier is circle-only"),
+}
+
+
+def _algebra_rule(alg, errors):
+    if "name" not in alg:
+        if not ("structure" in alg and "Q" in alg):
+            errors.append("algebra: give either a name or structure+Q")
+        return
+    if alg["name"] == "abelian" and "dim" not in alg:
+        errors.append("algebra.dim: required for abelian algebras")
+    if alg["name"] == "su2" and "dim" in alg:
+        errors.append("algebra.dim: not allowed for su2")
+    if "structure" in alg or "Q" in alg:
+        errors.append("algebra: give either a name or structure+Q, not both")
+
+
+ALGEBRA = Obj({"name": Str("'su2' or 'abelian'", ("su2", "abelian")), "dim": COUNT,
+               "structure": Numbers(3, "rectangular"), "Q": Numbers(2, "rectangular")},
+              (), _algebra_rule)
+
+
+def _fibre_rule(data, errors):
+    """Only a tabulated profile takes its fibre from ``algebra``/``isotropy``."""
+    profile = data.get("profile")
+    tabulated = isinstance(profile, dict) and profile.get("family") == "tabulated"
+    if tabulated and "algebra" not in data:
+        errors.append("algebra: required for this problem")
+    for key in () if tabulated else ("algebra", "isotropy"):
+        if key in data:
+            errors.append(f"{key}: not allowed (the profile family fixes the fibre)")
+
+
+def _tabulated_rule(kind):
+    def rule(p, errors):
+        pkind = p.get("kind")
+        if pkind not in (INTERVAL, CIRCLE):
+            errors.append("profile.kind: expected 'interval' or 'circle'")
+        elif pkind != kind:
+            errors.append("profile.kind: must match problem.kind")
+        if pkind == INTERVAL and "endpoints" not in p:
+            errors.append("profile.endpoints: required for tabulated interval profiles")
+        if "endpoints" in p and not isinstance(p["endpoints"], list):
+            errors.append("profile.endpoints: expected a list")
+        if pkind == CIRCLE and "endpoints" in p:
+            errors.append("profile.endpoints: not allowed on a circle")
+
+    return rule
+
+
+def _schema(kind):
+    """The schema of one problem kind, built from the shared specs above."""
+    if kind == "homogeneous":
+        return Obj({"problem": PROBLEM, "algebra": ALGEBRA, "isotropy": ISOTROPY,
+                    "metric": Obj({"gram": Numbers(2, "square")}), "initial": Obj({"x": Numbers()}),
+                    "solver": Obj({"dt": POSITIVE, "t_end": POSITIVE}), **COMMON},
+                   TOP_REQUIRED + ("metric", "algebra"), notes={
+                       "metric": "metric: required for homogeneous problems",
+                       "algebra": "algebra: required for this problem",
+                       "profile": "profile: not allowed for homogeneous problems"})
+
+    def case(tag, fields):  # a union case, refused when its tag suits another kind
+        home, message = HOME.get(tag, (kind, ""))
+        if home == kind:
+            return Obj(fields)
+        return Obj(fields, rule=lambda obj, errors: errors.append(message))
+
+    families = {tag: case(tag, {"family": None, **fields}) for tag, fields in FAMILIES.items()}
+    families["tabulated"] = Obj(TABULATED, ("family", "length", "kind", "csv"),
+                                _tabulated_rule(kind))
+    v = Union("type", {tag: case(tag, {"type": None, **fields}) for tag, fields in VTYPES.items()},
+              f"expected one of {VKINDS}, got {{!r}}")
+    if kind == CIRCLE:
+        n = Int(16, even=True, bound="circle grids need an even N >= 16, got {}")
+    else:
+        n = Int(6, bound="interval grids need N >= 6, got {}")
+    solver = {"dt": POSITIVE, "t_end": POSITIVE, "cfl_guard": POSITIVE, "N": n}
+    return Obj({"problem": PROBLEM, "algebra": ALGEBRA, "isotropy": ISOTROPY,
+                "profile": Union("family", families, "unknown family {!r}"),
+                "initial": Obj({"c": NUMBER, "v": v} if kind == CIRCLE else {"v": v}),
+                "solver": Obj(solver, ("dt", "t_end", "N")),
+                **COMMON}, TOP_REQUIRED + ("profile",), _fibre_rule, notes={
+                    "profile": f"profile: required for {kind} problems",
+                    "metric": f"metric: not allowed for {kind} problems"})
+
+
+SCHEMAS = {kind: _schema(kind) for kind in KINDS}
 
 
 @dataclass
@@ -109,227 +313,34 @@ class RunConfig:
 
 
 def parse_config_dict(data: dict, source_path: Path | None = None) -> RunConfig:
-    """Validate a configuration dictionary; collects field-level errors."""
-    errors = _require_keys(
-        data,
-        "config",
-        ("problem", "initial", "solver"),
-        ("algebra", "isotropy", "metric", "profile", "output", "seed", "hooks"),
-    )
+    """Walk the schema of the config's problem kind; collects field-level errors.
+
+    Top-level key errors stop the walk, and so does a ``problem.kind`` that
+    names no schema.
+    """
+    errors = []
+    TOP.check(data, "", errors)
     if errors:
         raise ConfigError(errors)
-
-    problem = data["problem"]
-    errors += _require_keys(problem, "problem", ("kind",))
-    kind = problem.get("kind") if isinstance(problem, dict) else None
+    kind = data["problem"].get("kind") if isinstance(data["problem"], dict) else None
     if kind not in KINDS:
-        errors.append(f"problem.kind: expected one of {KINDS}, got {kind!r}")
-        raise ConfigError(errors)
-
-    # cross-field presence rules
-    needs_algebra = kind == "homogeneous" or (
-        isinstance(data.get("profile"), dict)
-        and data["profile"].get("family") == "tabulated"
-    )
-    if kind == "homogeneous":
-        if "metric" not in data:
-            errors.append("metric: required for homogeneous problems")
-        if "profile" in data:
-            errors.append("profile: not allowed for homogeneous problems")
-    else:
-        if "profile" not in data:
-            errors.append(f"profile: required for {kind} problems")
-        if "metric" in data:
-            errors.append(f"metric: not allowed for {kind} problems")
-    if needs_algebra and "algebra" not in data:
-        errors.append("algebra: required for this problem")
-    if not needs_algebra and "algebra" in data:
-        errors.append("algebra: not allowed (the profile family fixes the fibre)")
-    if not needs_algebra and "isotropy" in data:
-        errors.append("isotropy: not allowed (the profile family fixes the fibre)")
-
-    algebra = data.get("algebra")
-    if "algebra" in data:
-        errs = _require_keys(algebra, "algebra", (), ("name", "dim", "structure", "Q"))
-        errors += errs
-        if not errs:
-            if "name" in algebra:
-                if algebra["name"] not in ("su2", "abelian"):
-                    errors.append("algebra.name: expected 'su2' or 'abelian'")
-                if algebra["name"] == "abelian" and "dim" not in algebra:
-                    errors.append("algebra.dim: required for abelian algebras")
-                if algebra["name"] == "su2" and "dim" in algebra:
-                    errors.append("algebra.dim: not allowed for su2")
-                if "structure" in algebra or "Q" in algebra:
-                    errors.append("algebra: give either a name or structure+Q, not both")
-                if "dim" in algebra:
-                    _positive_int(algebra["dim"], "algebra.dim", errors)
-            elif not ("structure" in algebra and "Q" in algebra):
-                errors.append("algebra: give either a name or structure+Q")
-            else:
-                _rectangular(algebra["structure"], "algebra.structure", errors, depth=3)
-                _rectangular(algebra["Q"], "algebra.Q", errors, depth=2)
-
-    isotropy = data.get("isotropy")
-    if "isotropy" in data:
-        errs = _require_keys(isotropy, "isotropy", ("basis",))
-        errors += errs
-        if not errs:
-            _numbers(isotropy["basis"], "isotropy.basis", errors, depth=2)
-
-    metric = data.get("metric")
-    if "metric" in data:
-        errs = _require_keys(metric, "metric", ("gram",))
-        errors += errs
-        if not errs:
-            gram = metric["gram"]
-            n_errors = len(errors)
-            _numbers(gram, "metric.gram", errors, depth=2)
-            if len(errors) == n_errors and any(len(row) != len(gram) for row in gram):
-                errors.append("metric.gram: expected a square matrix")
-
-    profile = data.get("profile")
-    if "profile" in data and not isinstance(profile, dict):
-        errors.append("profile: expected an object")
-    elif "profile" in data:
-        family = profile.get("family")
-        if family == "round_s3_t2":
-            errors += _require_keys(profile, "profile", ("family",))
-            if kind != "interval":
-                errors.append("profile.family: round_s3_t2 is an interval family")
-        elif family in ("warped_torus", "berger_circle"):
-            errors += _require_keys(profile, "profile", ("family", "length", "fourier"))
-            if kind != "circle":
-                errors.append(f"profile.family: {family} is a circle family")
-            if "length" in profile:
-                _number(profile["length"], "profile.length", errors, positive=True)
-            if "fourier" in profile:
-                _numbers(profile["fourier"], "profile.fourier", errors, depth=2)
-        elif family == "tabulated":
-            errors += _require_keys(
-                profile, "profile", ("family", "length", "kind", "csv"), ("endpoints",)
-            )
-            pkind = profile.get("kind")
-            if pkind not in (cg.INTERVAL, cg.CIRCLE):
-                errors.append("profile.kind: expected 'interval' or 'circle'")
-            if pkind != kind and pkind in (cg.INTERVAL, cg.CIRCLE):
-                errors.append("profile.kind: must match problem.kind")
-            if "length" in profile:
-                _number(profile["length"], "profile.length", errors, positive=True)
-            if "csv" in profile and not isinstance(profile["csv"], str):
-                errors.append("profile.csv: expected a file name")
-            if pkind == cg.INTERVAL and "endpoints" not in profile:
-                errors.append("profile.endpoints: required for tabulated interval profiles")
-            if "endpoints" in profile and not isinstance(profile["endpoints"], list):
-                errors.append("profile.endpoints: expected a list")
-            if pkind == cg.CIRCLE and "endpoints" in profile:
-                errors.append("profile.endpoints: not allowed on a circle")
-        else:
-            errors.append(f"profile.family: unknown family {family!r}")
-
-    initial = data["initial"]
-    required = {"homogeneous": ("x",), "interval": ("v",), "circle": ("c", "v")}[kind]
-    errors += _require_keys(initial, "initial", required)
-    if not isinstance(initial, dict):
-        initial = {}
-    if kind == "homogeneous" and "x" in initial:
-        _numbers(initial["x"], "initial.x", errors)
-    if kind == "circle" and "c" in initial:
-        _number(initial["c"], "initial.c", errors)
-    vspec = initial.get("v")
-    if kind != "homogeneous" and isinstance(vspec, dict):
-        vtype = vspec.get("type")
-        if vtype == "constant":
-            errs = _require_keys(vspec, "initial.v", ("type", "values"))
-            errors += errs
-            if not errs:
-                _numbers(vspec["values"], "initial.v.values", errors)
-        elif vtype in ("polynomial", "fourier"):
-            errs = _require_keys(vspec, "initial.v", ("type", "coefficients"))
-            errors += errs
-            if not errs:
-                _numbers(vspec["coefficients"], "initial.v.coefficients", errors, depth=2)
-        elif vtype == "random_fourier":
-            errs = _require_keys(vspec, "initial.v", ("type", "seed", "modes", "amplitude"))
-            errors += errs
-            if not errs:
-                vseed = vspec["seed"]
-                if not isinstance(vseed, int) or isinstance(vseed, bool) or vseed < 0:
-                    errors.append("initial.v.seed: expected a non-negative integer")
-                _positive_int(vspec["modes"], "initial.v.modes", errors)
-                _number(vspec["amplitude"], "initial.v.amplitude", errors)
-            if kind != "circle":
-                errors.append("initial.v.type: random_fourier is circle-only")
-        else:
-            errors.append(f"initial.v.type: expected one of {VKINDS}, got {vtype!r}")
-        if vtype == "fourier" and kind != "circle":
-            errors.append("initial.v.type: fourier initial data is circle-only")
-        if vtype == "polynomial" and kind == "circle":
-            errors.append(
-                "initial.v.type: polynomial initial data is not periodic; "
-                "use fourier coefficients on a circle"
-            )
-    elif kind != "homogeneous" and "v" in initial:
-        errors.append("initial.v: expected an object")
-
-    solver = data.get("solver", {})
-    needs_n = kind in ("interval", "circle")
-    errors += _require_keys(
-        solver,
-        "solver",
-        ("dt", "t_end") + (("N",) if needs_n else ()),
-        ("cfl_guard",) if needs_n else (),
-    )
-    if isinstance(solver, dict):
-        if "dt" in solver:
-            _number(solver["dt"], "solver.dt", errors, positive=True)
-        if "t_end" in solver:
-            _number(solver["t_end"], "solver.t_end", errors, positive=True)
-        if "cfl_guard" in solver:
-            _number(solver["cfl_guard"], "solver.cfl_guard", errors, positive=True)
-        if "N" in solver:
-            n = solver["N"]
-            if not isinstance(n, int) or isinstance(n, bool):
-                errors.append("solver.N: expected an integer")
-            elif kind == "circle" and (n < 16 or n % 2):
-                errors.append(f"solver.N: circle grids need an even N >= 16, got {n}")
-            elif kind == "interval" and n < 6:
-                errors.append(f"solver.N: interval grids need N >= 6, got {n}")
-
-    output = data.get("output", {})
-    errors += _require_keys(
-        output, "output", (), ("directory", "snapshot_cadence", "diagnostics_cadence")
-    )
-    if isinstance(output, dict):
-        for key in ("snapshot_cadence", "diagnostics_cadence"):
-            if key in output:
-                _positive_int(output[key], f"output.{key}", errors)
-
-    seed = data.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        errors.append("seed: expected an integer")
-        seed = 0
-
-    hooks = data.get("hooks", {})
-    errors += _require_keys(hooks, "hooks", (), ("dcdt_offset",))
-    dcdt_offset = 0.0
-    if isinstance(hooks, dict) and "dcdt_offset" in hooks:
-        dcdt_offset = _number(hooks["dcdt_offset"], "hooks.dcdt_offset", errors)
-
+        PROBLEM.check(data["problem"], "problem", errors)
+        raise ConfigError(errors + [f"problem.kind: expected one of {KINDS}, got {kind!r}"])
+    SCHEMAS[kind].check(data, "", errors)
     if errors:
         raise ConfigError(errors)
 
     return RunConfig(
         kind=kind,
-        algebra=algebra,
-        isotropy=(isotropy or {}).get("basis", []),
-        metric_gram=(metric or {}).get("gram"),
-        profile=profile,
-        initial=initial,
-        solver=dict(solver),
-        output=dict(output),
-        seed=seed,
-        dcdt_offset=dcdt_offset,
+        algebra=data.get("algebra"),
+        isotropy=data.get("isotropy", {}).get("basis", []),
+        metric_gram=data.get("metric", {}).get("gram"),
+        profile=data.get("profile"),
+        initial=data["initial"],
+        solver=dict(data["solver"]),
+        output=dict(data.get("output", {})),
+        seed=data.get("seed", 0),
+        dcdt_offset=float(data.get("hooks", {}).get("dcdt_offset", 0.0)),
         raw=data,
         source_path=source_path,
     )
@@ -355,7 +366,8 @@ def build_algebra(cfg: RunConfig) -> LieAlgebraSpec:
     )
 
 
-def build_profile(cfg: RunConfig) -> cg.MetricProfile:
+def build_profile(cfg: RunConfig, split=None) -> cg.MetricProfile:
+    """The configured profile; a tabulated one takes its fibre from ``split``."""
     p = cfg.profile
     family = p["family"]
     if family == "round_s3_t2":
@@ -371,12 +383,10 @@ def build_profile(cfg: RunConfig) -> cg.MetricProfile:
     if not csv_path.is_file():
         raise ConfigError([f"profile.csv: no such file {csv_path}"])
     r, gram, prime = cg.load_tabulated_csv(csv_path)
-    alg = build_algebra(cfg)
-    split = reductive_split(alg, cfg.isotropy)
-    if p["kind"] == cg.INTERVAL:
-        space = cg.OrbitSpace(cg.INTERVAL, float(p["length"]), tuple(p["endpoints"]))
+    if p["kind"] == INTERVAL:
+        space = cg.OrbitSpace(INTERVAL, float(p["length"]), tuple(p["endpoints"]))
     else:
-        space = cg.OrbitSpace(cg.CIRCLE, float(p["length"]))
+        space = cg.OrbitSpace(CIRCLE, float(p["length"]))
     return cg.TabulatedProfile(split, space, r, gram, prime)
 
 
@@ -427,10 +437,9 @@ def build_initial_v(cfg: RunConfig, profile: cg.MetricProfile, grid: np.ndarray)
         if len(rows) != d:
             raise ConfigError([f"initial.v.coefficients: expected {d} rows"])
         _check_polynomial_parity(rows, profile)
-        v = np.column_stack(
+        return np.column_stack(
             [np.polynomial.polynomial.polyval(grid, np.asarray(row, float)) for row in rows]
         )
-        return v
     if vtype == "fourier":
         rows = vinit["coefficients"]
         if len(rows) != d:
@@ -454,46 +463,85 @@ def build_initial_v(cfg: RunConfig, profile: cg.MetricProfile, grid: np.ndarray)
     return np.column_stack([_fourier_eval(np.array(row), grid, profile.length) for row in rows])
 
 
-def build_metric_object(cfg: RunConfig) -> InvariantMetric:
-    alg = build_algebra(cfg)
-    split = reductive_split(alg, cfg.isotropy)
-    return InvariantMetric(split, np.asarray(cfg.metric_gram, dtype=float))
+def _initial_parity(report: ValidationReport, profile, grid, v0):
+    """The numeric parity fit of the initial data at each singular endpoint."""
+    geom = GridGeometry(profile, grid)
+    tol = parity_tolerance(geom)
+    for (_, _, misfit), win in zip(geom.taylor_fit(v0), geom.singular_windows):
+        scale = max(1.0, float(abs(v0[win["slice"]]).max()))
+        report.add(f"initial_parity_at_r={win['side']:g}", misfit / scale, tol)
+
+
+def check_config(cfg: RunConfig, deep: bool = False):
+    """Build the problem and run every structural check on it.
+
+    Returns ``(report, problem)``; ``problem`` is None unless every check
+    passed, and ``report.errors()`` then gives the messages ``run`` raises.
+    Checks that stand on others stop where those fail: nothing is built on
+    a failed algebra, and no grid on a profile that is not positive
+    definite. With ``deep`` (``coho-euler validate``) two more checks run:
+    the group-level Monte Carlo check of the fixed subspace, after the split
+    checks, and the numeric parity fit of the initial data.
+    """
+    report = ValidationReport()
+    builtin = cfg.kind != "homogeneous" and cfg.profile["family"] != "tabulated"
+    profile = build_profile(cfg) if builtin else None
+    algebra = profile.split.algebra if builtin else build_algebra(cfg)
+    report.extend(validate_structure(algebra), "algebra: {} failed")
+    if not report.passed:
+        return report, None
+    split = profile.split if builtin else reductive_split(algebra, cfg.isotropy)
+    report.extend(check_reductive_split(split), "algebra: {} failed")
+    if deep:
+        report.extend(monte_carlo_fixed_check(split, seed=cfg.seed))
+
+    if cfg.kind == "homogeneous":
+        metric = InvariantMetric(split, np.asarray(cfg.metric_gram, dtype=float))
+        report.extend(check_metric_invariance(metric),
+                      "metric.gram: not invariant under the isotropy action")
+        initial = np.asarray(cfg.initial["x"], dtype=float)
+        if initial.shape != (split.dim_m,):
+            report.add_error("initial_data", f"initial.x: expected {split.dim_m} entries")
+    else:
+        if profile is None:
+            profile = build_profile(cfg, split)
+        profile_report = cg.validate_profile(profile)
+        report.extend(profile_report, "profile: {} failed")
+        if not profile_report["gram_positive_on_probe_grid"].passed:
+            return report, None
+        n = int(cfg.solver["N"])
+        grid = interval_grid(profile, n) if cfg.kind == INTERVAL else circle_grid(profile, n)
+        try:
+            initial = build_initial_v(cfg, profile, grid)
+        except ConfigError as exc:
+            for message in exc.messages:
+                report.add_error("initial_data", message)
+        else:
+            if deep:
+                _initial_parity(report, profile, grid, initial)
+
+    try:
+        build_solver_config(cfg).n_steps()
+    except InputError as exc:
+        report.add_error("time_steps", str(exc))
+    if not report.passed:
+        return report, None
+    if cfg.kind == "homogeneous":
+        return report, HomogeneousProblem(metric, initial)
+    if cfg.kind == INTERVAL:
+        return report, IntervalProblem(profile, initial)
+    return report, CircleProblem(profile, float(cfg.initial["c"]), initial)
 
 
 def build_problem(cfg: RunConfig):
-    """Turn a validated config into a runnable problem.
+    """Turn a parsed config into a runnable problem.
 
-    Structural validation (algebra axioms, metric invariance, profile
-    checks) happens here; failures raise ConfigError with the failing
-    check names.
+    Raises ConfigError naming every failed check of :func:`check_config`.
     """
-    if cfg.kind == "homogeneous":
-        alg = build_algebra(cfg)
-        rep = validate_structure(alg)
-        if not rep.passed:
-            raise ConfigError([f"algebra: {c.name} failed" for c in rep.failures()])
-        split = reductive_split(alg, cfg.isotropy)
-        metric = InvariantMetric(split, np.asarray(cfg.metric_gram, dtype=float))
-        rep = check_metric_invariance(metric)
-        if not rep.passed:
-            raise ConfigError(["metric.gram: not invariant under the isotropy action"])
-        x0 = np.asarray(cfg.initial["x"], dtype=float)
-        if x0.shape != (split.dim_m,):
-            raise ConfigError([f"initial.x: expected {split.dim_m} entries"])
-        return HomogeneousProblem(metric, x0)
-
-    profile = build_profile(cfg)
-    rep = cg.validate_profile(profile)
-    if not rep.passed:
-        raise ConfigError([f"profile: {c.name} failed" for c in rep.failures()])
-    n = int(cfg.solver["N"])
-    if cfg.kind == "interval":
-        grid = interval_grid(profile, n)
-        v0 = build_initial_v(cfg, profile, grid)
-        return IntervalProblem(profile, v0)
-    grid = circle_grid(profile, n)
-    v0 = build_initial_v(cfg, profile, grid)
-    return CircleProblem(profile, float(cfg.initial["c"]), v0)
+    report, problem = check_config(cfg)
+    if problem is None:
+        raise ConfigError(report.errors())
+    return problem
 
 
 def build_solver_config(cfg: RunConfig) -> SolverConfig:

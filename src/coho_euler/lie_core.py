@@ -172,6 +172,21 @@ def _q_orthonormalize(vectors: np.ndarray, Q: np.ndarray, label: str) -> np.ndar
     return np.array(out) if out else np.zeros((0, Q.shape[0]))
 
 
+def _isotropy_closure_residual(alg: LieAlgebraSpec, h_basis, h_on: np.ndarray) -> float:
+    """Largest Q-norm of the part of a bracket [h_i, h_j] off the isotropy span.
+
+    ``h_on`` is a Q-orthonormal basis of that span; zero means the isotropy
+    closes under the bracket.
+    """
+    worst = 0.0
+    for i in range(len(h_basis)):
+        for j in range(i + 1, len(h_basis)):
+            b = bracket(alg, h_basis[i], h_basis[j])
+            resid = b - h_on.T @ (h_on @ alg.Q @ b)
+            worst = max(worst, float(np.sqrt(max(resid @ alg.Q @ resid, 0.0))))
+    return worst
+
+
 def reductive_split(alg: LieAlgebraSpec, h_basis) -> ReductiveSplit:
     """Split the algebra into isotropy + Q-orthogonal complement + fixed part.
 
@@ -185,12 +200,7 @@ def reductive_split(alg: LieAlgebraSpec, h_basis) -> ReductiveSplit:
     h_on = _q_orthonormalize(h_arr, alg.Q, "isotropy basis")
 
     # isotropy must close under the bracket
-    worst = 0.0
-    for i in range(len(h_rows)):
-        for j in range(i + 1, len(h_rows)):
-            b = bracket(alg, h_arr[i], h_arr[j])
-            resid = b - h_on.T @ (h_on @ alg.Q @ b)
-            worst = max(worst, float(np.sqrt(max(resid @ alg.Q @ resid, 0.0))))
+    worst = _isotropy_closure_residual(alg, h_arr, h_on)
     if worst >= STRUCTURE_TOL:
         raise StructureError(
             f"isotropy basis does not span a subalgebra (off-span residual {worst:.3e})"
@@ -229,17 +239,12 @@ def reductive_split(alg: LieAlgebraSpec, h_basis) -> ReductiveSplit:
 
 
 def check_reductive_split(split: ReductiveSplit) -> ValidationReport:
-    """Residual checks for an existing split (used by the CLI validator)."""
+    """Residual checks for an existing split (part of every config check)."""
     alg = split.algebra
     report = ValidationReport()
 
-    worst = 0.0
-    h_on = _q_orthonormalize(split.h_basis, alg.Q, "isotropy basis") if split.dim_h else None
-    for i in range(split.dim_h):
-        for j in range(i + 1, split.dim_h):
-            b = bracket(alg, split.h_basis[i], split.h_basis[j])
-            resid = b - h_on.T @ (h_on @ alg.Q @ b)
-            worst = max(worst, float(np.sqrt(max(resid @ alg.Q @ resid, 0.0))))
+    h_on = _q_orthonormalize(split.h_basis, alg.Q, "isotropy basis")
+    worst = _isotropy_closure_residual(alg, split.h_basis, h_on)
     report.add("isotropy_closed_under_bracket", worst, STRUCTURE_TOL)
 
     ortho = 0.0

@@ -2,19 +2,28 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One named check; ``error`` is the config error its failure stands for.
+
+    A check on the input's shape has no residual (None): its line is its
+    message.
+    """
+
     name: str
-    residual: float
+    residual: float | None
     tol: float
     passed: bool
     detail: str = ""
+    error: str = ""
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
+        if self.residual is None:
+            return f"{status}  {self.name}: {self.detail}"
         msg = f"{status}  {self.name}: residual={self.residual:.3e} (tol={self.tol:.1e})"
         if self.detail:
             msg += f" [{self.detail}]"
@@ -39,10 +48,14 @@ class ValidationReport:
             CheckResult(name, 0.0 if passed else 1.0, 1.0, bool(passed), detail)
         )
 
-    def extend(self, other: "ValidationReport", prefix: str = ""):
+    def add_error(self, name, message):
+        # A failed check on the input's shape: no residual, only a message.
+        self.checks.append(CheckResult(name, None, 0.0, False, message, message))
+
+    def extend(self, other: "ValidationReport", error: str = ""):
+        """Append ``other``'s checks; ``error`` words their failures, formatted with the name."""
         for c in other.checks:
-            name = f"{prefix}{c.name}" if prefix else c.name
-            self.checks.append(CheckResult(name, c.residual, c.tol, c.passed, c.detail))
+            self.checks.append(replace(c, error=error.format(c.name)) if error else c)
 
     @property
     def passed(self) -> bool:
@@ -59,3 +72,7 @@ class ValidationReport:
 
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.passed]
+
+    def errors(self) -> list[str]:
+        """The config errors behind the failed checks, each once, in order."""
+        return list(dict.fromkeys(c.error or f"{c.name} failed" for c in self.failures()))

@@ -241,6 +241,10 @@ EYE3 = np.eye(3).tolist()
         ("berger_circle", {"initial.v": fourier_v([[0.0, 1.0, "a"], [0.0], [0.0]])}),
         ("berger_circle", {"output": {"snapshot_cadence": True}}),
         ("berger_circle", {"output": {"diagnostics_cadence": 0}}),
+        ("berger_circle", {"output": {"directory": 5}}),
+        ("berger_circle", {"output": {"directory": ["a"]}}),
+        ("s3_t2_interval", {"initial.v": {"type": "polynomial", "coefficients": [[], [1.0]]}}),
+        pytest.param("t3_circle", {"solver.t_end": 10**400}, id="t3_circle-solver.t_end=10**400"),
         ("boundary_interval", {"profile.csv": "missing.csv"}),
         ("boundary_interval", {"profile.endpoints": 1.5}),
         ("su2_rigid_body", {"algebra": None}),
@@ -310,3 +314,30 @@ def test_cli_tabulated_circle_mismatch_is_not_periodic(tmp_path, capsys):
     assert main(["validate", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "validation error: tabulated profile is not periodic: the first and last gram" in err
+
+
+def _not_antisymmetric():
+    structure = su2().structure
+    structure[0, 1, 2] = 2.0
+    return structure.tolist()
+
+
+@pytest.mark.parametrize(
+    "name, updates",
+    [
+        ("boundary_interval", {"algebra": {"structure": _not_antisymmetric(), "Q": EYE3}, "solver.t_end": 0.01}),
+        ("boundary_interval", {"algebra": {"structure": SU2_C, "Q": np.diag([1.0, 2.0, 3.0]).tolist()}, "solver.t_end": 0.01}),
+        ("t3_circle", {"solver.dt": 0.003, "solver.t_end": 0.01}),
+        ("su2_rigid_body", {"initial.x": [1.0], "solver.t_end": 0.01}),
+    ],
+    ids=["structure-not-antisymmetric", "Q-not-ad-invariant", "t_end-not-multiple-of-dt", "short-initial-x"],
+)
+def test_validate_and_run_agree(tmp_path, capsys, name, updates):
+    path = tabulated_cfg(tmp_path, **updates) if name == "boundary_interval" else write_cfg(
+        tmp_path, example_raw(name, updates)
+    )
+    out = tmp_path / "out"
+    assert main(["validate", "--config", str(path)]) == 2
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "validation error: " in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,6 +164,32 @@ def test_split_su2_plus_r_fixed_subspace():
 def test_split_rejects_non_subalgebra():
     with pytest.raises(StructureError):
         reductive_split(su2(), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+
+def _closure_residual_reference(alg, h_basis):
+    """The off-span residual as reductive_split and check_reductive_split each computed it."""
+    h_on = np.linalg.qr(np.asarray(h_basis, dtype=float).T)[0].T  # Q = identity here
+    worst = 0.0
+    for i in range(len(h_basis)):
+        for j in range(i + 1, len(h_basis)):
+            b = bracket(alg, h_basis[i], h_basis[j])
+            resid = b - h_on.T @ (h_on @ alg.Q @ b)
+            worst = max(worst, float(np.sqrt(max(resid @ alg.Q @ resid, 0.0))))
+    return worst
+
+
+def test_isotropy_closure_residual_is_shared():
+    alg = su2()
+    h_basis = np.array([[1.0, 0.0, 0.0], [0.3, 0.6, 0.2]])
+    want = _closure_residual_reference(alg, h_basis)
+    with pytest.raises(StructureError, match=re.escape(f"off-span residual {want:.3e}")):
+        reductive_split(alg, h_basis)
+    split = reductive_split(alg, h_basis[:1])
+    split.h_basis = h_basis  # a split whose isotropy does not close
+    got = check_reductive_split(split)["isotropy_closed_under_bracket"]
+    assert got.residual == pytest.approx(want, rel=1e-14) and not got.passed
+    closed = reductive_split(direct_sum(su2(), su2()), [np.eye(6)[2], np.eye(6)[5]])
+    assert check_reductive_split(closed)["isotropy_closed_under_bracket"].residual == 0.0
 
 
 def test_split_rejects_dependent_isotropy_basis():
