@@ -26,7 +26,7 @@ import numpy as np
 
 from . import coho_geometry as cg
 from .coho_geometry import CIRCLE, INTERVAL
-from .diagnostics import GridGeometry, parity_tolerance
+from .diagnostics import GridGeometry, parity_tolerance, row_width
 from .errors import ConfigError, InputError
 from .homogeneous_geometry import InvariantMetric, check_metric_invariance
 from .lie_core import LieAlgebraSpec, abelian, reductive_split, su2
@@ -61,12 +61,14 @@ class Num:
 @dataclass(frozen=True)
 class Int:
     """An integer, at least ``low`` (and even) if given; ``bound`` words the
-    message for an integer out of range, formatted with the value."""
+    message for an integer out of range, formatted with the value. ``high``
+    caps an integer that sizes an allocation."""
 
     low: int | None = None
     what: str = "an integer"
     even: bool = False
     bound: str = ""
+    high: int | None = None
 
     def check(self, value, path, errors):
         if not isinstance(value, int) or isinstance(value, bool):
@@ -74,6 +76,8 @@ class Int:
         elif (self.low is not None and value < self.low) or (self.even and value % 2):
             bound = self.bound.format(value) if self.bound else f"expected {self.what}"
             errors.append(f"{path}: {bound}")
+        elif self.high is not None and value > self.high:
+            errors.append(f"{path}: must be at most {self.high}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -174,6 +178,10 @@ class Union:
 # -- the schema of each problem kind -------------------------------------------
 
 NUMBER, POSITIVE, COUNT = Num(), Num(positive=True), Int(1, "a positive integer")
+# caps on the integers that size allocations: Gamma holds N * dim**3 floats
+MAX_DIM, MAX_N, MAX_MODES = 16, 4096, 1024
+# the run records its diagnostic rows into float64 arrays allocated up front
+MAX_RECORDED_VALUES = 25_000_000
 TOP_REQUIRED = ("problem", "initial", "solver")
 TOP_OPTIONAL = ("algebra", "isotropy", "metric", "profile", "output", "seed", "hooks")
 TOP = Obj(dict.fromkeys(TOP_REQUIRED + TOP_OPTIONAL), TOP_REQUIRED)
@@ -190,7 +198,8 @@ VTYPES = {
     "constant": {"values": Numbers()},
     "polynomial": {"coefficients": Numbers(2, "rows")},
     "fourier": {"coefficients": Numbers(2)},
-    "random_fourier": {"seed": Int(0, "a non-negative integer"), "modes": COUNT,
+    "random_fourier": {"seed": Int(0, "a non-negative integer"),
+                       "modes": Int(1, "a positive integer", high=MAX_MODES),
                        "amplitude": NUMBER},
 }
 # a family or initial-data type that suits one problem kind: (that kind, the message elsewhere)
@@ -218,7 +227,8 @@ def _algebra_rule(alg, errors):
         errors.append("algebra: give either a name or structure+Q, not both")
 
 
-ALGEBRA = Obj({"name": Str("'su2' or 'abelian'", ("su2", "abelian")), "dim": COUNT,
+ALGEBRA = Obj({"name": Str("'su2' or 'abelian'", ("su2", "abelian")),
+               "dim": Int(1, "a positive integer", high=MAX_DIM),
                "structure": Numbers(3, "rectangular"), "Q": Numbers(2, "rectangular")},
               (), _algebra_rule)
 
@@ -274,9 +284,9 @@ def _schema(kind):
     v = Union("type", {tag: case(tag, {"type": None, **fields}) for tag, fields in VTYPES.items()},
               f"expected one of {VKINDS}, got {{!r}}")
     if kind == CIRCLE:
-        n = Int(16, even=True, bound="circle grids need an even N >= 16, got {}")
+        n = Int(16, even=True, bound="circle grids need an even N >= 16, got {}", high=MAX_N)
     else:
-        n = Int(6, bound="interval grids need N >= 6, got {}")
+        n = Int(6, bound="interval grids need N >= 6, got {}", high=MAX_N)
     solver = {"dt": POSITIVE, "t_end": POSITIVE, "cfl_guard": POSITIVE, "N": n}
     return Obj({"problem": PROBLEM, "algebra": ALGEBRA, "isotropy": ISOTROPY,
                 "profile": Union("family", families, "unknown family {!r}"),
@@ -466,8 +476,11 @@ def build_initial_v(cfg: RunConfig, profile: cg.MetricProfile, grid: np.ndarray)
 def _initial_parity(report: ValidationReport, profile, grid, v0):
     """The numeric parity fit of the initial data at each singular endpoint."""
     geom = GridGeometry(profile, grid)
+    if not geom.singular_windows:
+        return
     tol = parity_tolerance(geom)
-    for (_, _, misfit), win in zip(geom.taylor_fit(v0), geom.singular_windows):
+    misfits = geom.taylor_fits(v0[None])[2][0]
+    for misfit, win in zip(misfits, geom.singular_windows):
         scale = max(1.0, float(abs(v0[win["slice"]]).max()))
         report.add(f"initial_parity_at_r={win['side']:g}", misfit / scale, tol)
 
@@ -502,6 +515,7 @@ def check_config(cfg: RunConfig, deep: bool = False):
         initial = np.asarray(cfg.initial["x"], dtype=float)
         if initial.shape != (split.dim_m,):
             report.add_error("initial_data", f"initial.x: expected {split.dim_m} entries")
+        d, n_singular = split.dim_m, 0
     else:
         if profile is None:
             profile = build_profile(cfg, split)
@@ -519,11 +533,21 @@ def check_config(cfg: RunConfig, deep: bool = False):
         else:
             if deep:
                 _initial_parity(report, profile, grid, initial)
+        d, n_singular = profile.dim, 0
+        if cfg.kind == INTERVAL:
+            n_singular = profile.orbit_space.endpoint_kinds.count(cg.SINGULAR)
 
     try:
-        build_solver_config(cfg).n_steps()
+        rows = build_solver_config(cfg).n_records()
     except InputError as exc:
         report.add_error("time_steps", str(exc))
+    else:
+        width = row_width(d, n_singular)
+        if rows * width > MAX_RECORDED_VALUES:
+            report.add_error("recorded_rows", (
+                f"output.diagnostics_cadence: {rows} recorded rows of {width} values exceed "
+                f"the budget of {MAX_RECORDED_VALUES} values; raise the cadence or shorten "
+                "solver.t_end"))
     if not report.passed:
         return report, None
     if cfg.kind == "homogeneous":

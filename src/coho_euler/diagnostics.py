@@ -9,13 +9,14 @@ claim with pinned tolerances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .coho_geometry import CIRCLE, INTERVAL, SINGULAR, MetricProfile
 from .errors import ConfigError, InputError
-from .homogeneous_geometry import InvariantMetric, divergence_form
+from .homogeneous_geometry import InvariantMetric, connection_tensors, divergence_form
 from .numerics import (
     Derivative4Interval,
     Derivative4Periodic,
@@ -33,6 +34,13 @@ C1_GROWTH_LIMIT = 10.0
 TAYLOR_GROWTH_LIMIT = 10.0
 TAYLOR_WINDOW = 6
 N_DIV_PROBES = 8
+# the recorder evaluates up to this many buffered states per rows() call,
+# fewer when a state is large: the (T, n, d) temporaries stay near 256 kB
+CHUNK_ROWS = 512
+CHUNK_VALUES = 32768
+CSV_BLOCK_ROWS = 4096
+# series that are not a field of a row: the recorder fills them itself
+RUN_SERIES = ("t", "p_periodicity", "speed_drift", "envelope_rate")
 
 
 def _generalized_spectral_radius(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -45,6 +53,24 @@ def _generalized_spectral_radius(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     half = np.linalg.solve(chol, a)  # L^-1 a
     whitened = np.linalg.solve(chol, half.swapaxes(1, 2))  # L^-1 a L^-T, as a is symmetric
     return np.max(np.abs(np.linalg.eigvalsh(whitened)), axis=1)
+
+
+def _abs(a: np.ndarray) -> np.ndarray:
+    """|a| in place: a chunk's temporaries are large."""
+    return np.abs(a, out=a)
+
+
+def _first_max(a, b):
+    """Elementwise Python ``max(a, b)``: ``a`` unless ``b > a``, NaN included."""
+    return np.where(b > a, b, a)
+
+
+def _divergence_forms(split, grams: np.ndarray) -> np.ndarray:
+    """:func:`divergence_form` of the metric of each Gram matrix in a stack."""
+    gamma = connection_tensors(split, grams)
+    chol = np.linalg.cholesky(grams)
+    E = np.linalg.inv(chol).swapaxes(1, 2)  # columns are gram-orthonormal
+    return np.einsum("pai,pabc,pci->pb", E, gamma, grams @ E)
 
 
 class GridGeometry:
@@ -115,12 +141,11 @@ class GridGeometry:
             self.int_h02_vol = 0.0
             self.envelope_rate_unit = 0.0
         self.wvol = self.weights * self.vol
+        self._work_arrays = None
 
         probe_idx = np.unique(np.linspace(0, self.n - 1, N_DIV_PROBES).round().astype(int))
         self.div_probe_idx = probe_idx
-        self.div_forms = np.array(
-            [divergence_form(InvariantMetric(profile.split, self.gram[j])) for j in probe_idx]
-        )
+        self.div_forms = _divergence_forms(profile.split, self.gram[probe_idx])
 
         self.singular_windows = []
         if self.kind == INTERVAL:
@@ -145,54 +170,88 @@ class GridGeometry:
 
     # -- per-state evaluation ------------------------------------------------
 
-    def taylor_fit(self, v: np.ndarray):
-        """Per-endpoint (alpha, beta, parity misfit) near singular endpoints."""
-        out = []
-        for win in self.singular_windows:
-            data = v[win["slice"]]
-            coef = win["pinv"] @ data  # (2, d)
-            resid = win["resid"] @ data
-            misfit = float(np.sqrt(np.mean(resid**2)))
-            out.append((coef[0], coef[1], misfit))
-        return out
+    def taylor_fits(self, vs: np.ndarray):
+        """(alpha, beta, parity misfit) of each state near the singular endpoints.
 
-    def row(self, c: float, v: np.ndarray) -> dict:
-        """Every per-state diagnostic of (c, v), as one recorded row.
-
-        Runs record exactly these values and the public per-state functions
-        return them, so the two cannot disagree. Besides the series values
-        the row holds the speed samples and the instantaneous envelope rate,
-        from which the recorder derives its running series.
+        ``vs`` has shape (T, n, d); the results have shapes (T, n_end, d),
+        (T, n_end, d) and (T, n_end).
         """
-        h = c * self.h0  # h0 is zero on an interval
-        gv = np.einsum("jab,jb->ja", self.gram, v)
-        quad = np.einsum("ja,ja->j", v, gv)
-        speeds = np.sqrt(h * h + quad)
-        max_speed = float(np.max(speeds))
-        fd_max = float(np.max(np.abs(self.deriv(v))))
+        coefs, misfits = [], []
+        for win in self.singular_windows:
+            data = vs[:, win["slice"]]
+            coefs.append(win["pinv"] @ data)  # (T, 2, d)
+            misfits.append(np.sqrt(np.mean((win["resid"] @ data) ** 2, axis=(1, 2))))
+        coef = np.stack(coefs, axis=1)
+        return coef[:, :, 0], coef[:, :, 1], np.stack(misfits, axis=1)
+
+    def _work(self, T: int) -> np.ndarray:
+        """Four (n, d, T) work arrays for :meth:`rows`, kept between calls.
+
+        Allocated afresh for every chunk, arrays this large are returned to
+        the system when freed and cost a page fault per page the next time.
+        """
+        if self._work_arrays is None or self._work_arrays.shape[-1] != T:
+            self._work_arrays = np.empty((4, self.n, self.d, T))
+        return self._work_arrays
+
+    def rows(self, cs: np.ndarray, vs: np.ndarray) -> dict:
+        """Every per-state diagnostic of T states, as T recorded rows.
+
+        ``cs`` has shape (T,) and ``vs`` (T, n, d). Runs record exactly these
+        values and the public per-state functions return them (T = 1), so
+        the two cannot disagree; each row's bits do not depend on T. Besides
+        the series values the rows hold the speed samples (T, n) and the
+        instantaneous envelope rate, from which the recorder derives its
+        running series.
+        """
+        if len(cs) == 1:
+            # einsum keeps t as its inner loop only while t has two or more
+            # entries; a single state takes the two-state path
+            return {key: val[:1] for key, val in self.rows(np.repeat(cs, 2),
+                                                           np.repeat(vs, 2, axis=0)).items()}
+        T = len(cs)
+        vt, gv, gv_rows, Sv = self._work(T)
+        gv_rows = gv_rows.reshape(T, self.n, self.d)
+        # t last: each einsum below runs its inner loop over the T states
+        np.copyto(vt, vs.transpose(1, 2, 0))
+        np.einsum("jab,jbt->jat", self.gram, vt, out=gv)
+        # summed over a as for one (n, d) state: the reduced axis must be contiguous
+        np.copyto(gv_rows, gv.transpose(2, 0, 1))
+        quad = np.einsum("tja,tja->tj", vs, gv_rows)
+        density = cs[:, None] * self.h0  # h = c h0; h0 is zero on an interval
+        density *= density
+        density += quad
+        speeds = np.sqrt(density)
+        max_speed = np.max(speeds, axis=1)
         if self.kind == CIRCLE:
-            fd_max = max(fd_max, abs(c) * self.fd_h0_max)
-        Sv = np.einsum("jab,jb->ja", self.S, v)
-        sv_gram = float(np.sqrt(max(np.max(np.einsum("ja,jab,jb->j", Sv, self.gram, Sv)), 0.0)))
-        res_v = float(np.max(np.abs(np.einsum("pa,pa->p", self.div_forms, v[self.div_probe_idx]))))
-        row = {
-            "E": 0.5 * float(np.sum(self.wvol * (h * h + quad))),
-            "c": c,
+            # one (n, T) component at a time keeps the stencil's temporaries small
+            fd_max = np.max([np.max(_abs(self.deriv(vt[:, b])), axis=0)
+                             for b in range(self.d)], axis=0)
+            fd_max = _first_max(fd_max, np.abs(cs) * self.fd_h0_max)
+        else:
+            # the closures take one BLAS product per state (see Derivative4Interval)
+            fd_max = np.max(_abs(self.deriv(vs.swapaxes(0, 1))), axis=(0, 2))
+        np.einsum("jab,jbt->jat", self.S, vt, out=Sv)
+        sv_quad = np.max(np.einsum("jat,jab,jbt->jt", Sv, self.gram, Sv), axis=0)
+        probes = np.einsum("pa,pat->pt", self.div_forms, vt[self.div_probe_idx])
+        density *= self.wvol
+        rows = {
+            "E": 0.5 * np.sum(density, axis=1),
+            "c": cs,
             "max_speed": max_speed,
-            "c1_monitor": max_speed + fd_max + sv_gram,
-            "c1_sv_raw": float(np.max(np.abs(Sv))),
-            "div_residual": max(abs(c) * self.fd_div_floor, res_v),
-            "max_vertical": float(np.max(quad)),
-            "component_energy": 0.5 * np.einsum("j,ja,ja->a", self.wvol, v, gv),
+            "c1_monitor": max_speed + fd_max + np.sqrt(_first_max(sv_quad, 0.0)),
+            "c1_sv_raw": np.max(_abs(Sv), axis=(0, 1)),
+            "div_residual": _first_max(
+                np.abs(cs) * self.fd_div_floor, np.max(np.abs(probes), axis=0)
+            ),
+            "max_vertical": np.max(quad, axis=1),
+            "component_energy": 0.5 * np.einsum("j,jat,jat->ta", self.wvol, vt, gv),
             "speeds": speeds,
-            "envelope_rate": abs(c) * self.envelope_rate_unit,
+            "envelope_rate": np.abs(cs) * self.envelope_rate_unit,
         }
         if self.singular_windows:
-            fits = self.taylor_fit(v)
-            row["alpha"] = [f[0] for f in fits]
-            row["beta"] = [f[1] for f in fits]
-            row["parity_misfit"] = [f[2] for f in fits]
-        return row
+            rows["alpha"], rows["beta"], rows["parity_misfit"] = self.taylor_fits(vs)
+        return rows
 
 
 class _OrbitGeometry:
@@ -202,34 +261,45 @@ class _OrbitGeometry:
         self.gram = metric.gram
         self.div_form = divergence_form(metric)
 
-    def row(self, c: float, v: np.ndarray) -> dict:
-        """The row of :meth:`GridGeometry.row` for a single orbit; c plays no part."""
-        gram = self.gram
-        quad = float(v @ gram @ v)
-        speed = float(np.sqrt(quad))
+    def rows(self, cs: np.ndarray, vs: np.ndarray) -> dict:
+        """The rows of :meth:`GridGeometry.rows` for single orbits, vs of shape (T, d).
+
+        c plays no part. Each product is one BLAS call per state, as for a
+        single state, so each row's bits do not depend on T.
+        """
+        row_vs = vs[:, None, :]
+        quad = (row_vs @ self.gram @ vs[:, :, None])[:, 0, 0]
+        speeds = np.sqrt(quad)
+        zeros = np.zeros(len(vs))
         return {
             "E": 0.5 * quad,
-            "c": 0.0,
-            "max_speed": speed,
-            "c1_monitor": speed,
-            "c1_sv_raw": 0.0,
-            "div_residual": abs(float(self.div_form @ v)),
+            "c": zeros,
+            "max_speed": speeds,
+            "c1_monitor": speeds,
+            "c1_sv_raw": zeros,
+            "div_residual": np.abs((row_vs @ self.div_form[:, None])[:, 0, 0]),
             "max_vertical": quad,
-            "component_energy": 0.5 * v * (gram @ v),
-            "speeds": speed,
-            "envelope_rate": 0.0,
+            "component_energy": 0.5 * vs * (self.gram @ vs[:, :, None])[:, :, 0],
+            "speeds": speeds,
+            "envelope_rate": zeros,
         }
 
 
 # -- public operations -------------------------------------------------------
 
 
-def _row(state, geometry):
-    """(row, GridGeometry or None) of one state; ``geometry`` as in :func:`energy`."""
+def _row(state, geometry, c=None):
+    """(row, GridGeometry or None) of one state; ``geometry`` as in :func:`energy`.
+
+    ``c`` replaces the state's horizontal amplitude.
+    """
     if isinstance(geometry, InvariantMetric):
-        return _OrbitGeometry(geometry).row(0.0, state.v), None
-    geom = GridGeometry(geometry, state.grid)
-    return geom.row(float(state.c or 0.0), state.v), geom
+        geom, evaluator = None, _OrbitGeometry(geometry)
+    else:
+        geom = evaluator = GridGeometry(geometry, state.grid)
+    c = float(state.c or 0.0) if c is None else c
+    rows = evaluator.rows(np.array([c]), state.v[None])
+    return {key: val[0] for key, val in rows.items()}, geom
 
 
 def energy(state, geometry) -> float:
@@ -238,20 +308,20 @@ def energy(state, geometry) -> float:
     ``geometry`` is a metric profile for grid states, or an invariant metric
     for homogeneous states (relative to unit orbit volume).
     """
-    return _row(state, geometry)[0]["E"]
+    return float(_row(state, geometry)[0]["E"])
 
 
 def pointwise_speed(state, geometry, j: int | None = None) -> float:
     row, geom = _row(state, geometry)
     if j is None or geom is None:
-        return row["max_speed"]
+        return float(row["max_speed"])
     if not 0 <= j < geom.n:
         raise InputError(f"grid index {j} out of range [0, {geom.n})")
     return float(row["speeds"][j])
 
 
 def c1_monitor(state, geometry) -> float:
-    return _row(state, geometry)[0]["c1_monitor"]
+    return float(_row(state, geometry)[0]["c1_monitor"])
 
 
 def divergence_residual(state, geometry, h_samples=None) -> float:
@@ -261,12 +331,12 @@ def divergence_residual(state, geometry, h_samples=None) -> float:
     arbitrary samples, whose defect is then evaluated on the stencil.
     """
     if h_samples is None or isinstance(geometry, InvariantMetric):
-        return _row(state, geometry)[0]["div_residual"]
-    geom = GridGeometry(geometry, state.grid)
+        return float(_row(state, geometry)[0]["div_residual"])
+    # at c = 0 the row's residual is the vertical part alone
+    row, geom = _row(state, geometry, c=0.0)
     h = np.asarray(h_samples, float)
     res_h = float(np.max(np.abs(geom.deriv(h) - geom.trace_S * h)))
-    # at c = 0 the row's residual is the vertical part alone
-    return max(res_h, geom.row(0.0, state.v)["div_residual"])
+    return max(res_h, float(row["div_residual"]))
 
 
 def _coefficient_growth(alpha: np.ndarray, beta: np.ndarray) -> float:
@@ -292,15 +362,7 @@ def endpoint_taylor_monitor(trajectory, profile: MetricProfile):
     if not geom.singular_windows:
         raise ConfigError("endpoint Taylor monitor needs a singular endpoint")
     t = np.array([s.t for s in states])
-    alpha, beta, misfit = [], [], []
-    for s in states:
-        fits = geom.taylor_fit(s.v)
-        alpha.append([f[0] for f in fits])
-        beta.append([f[1] for f in fits])
-        misfit.append([f[2] for f in fits])
-    alpha = np.array(alpha)
-    beta = np.array(beta)
-    misfit = np.array(misfit)
+    alpha, beta, misfit = geom.taylor_fits(np.stack([s.v for s in states]))
     growth = _coefficient_growth(alpha, beta)
     return {
         "t": t,
@@ -329,9 +391,34 @@ def parity_tolerance(geom: GridGeometry) -> float:
 # -- run report --------------------------------------------------------------
 
 
+def series_shapes(d: int, n_singular: int) -> dict:
+    """Series name -> shape of one recorded row, for d coefficients per node."""
+    shapes = dict.fromkeys(RUN_SERIES + ("E", "c", "max_speed", "c1_monitor", "c1_sv_raw",
+                                         "div_residual", "max_vertical"), ())
+    shapes["component_energy"] = (d,)
+    if n_singular:
+        shapes.update(alpha=(n_singular, d), beta=(n_singular, d), parity_misfit=(n_singular,))
+    return shapes
+
+
+def chunk_rows(state_values: int) -> int:
+    """Buffered states per ``rows`` call, for states of ``state_values`` floats."""
+    return min(CHUNK_ROWS, max(1, CHUNK_VALUES // state_values))
+
+
+def row_width(d: int, n_singular: int) -> int:
+    """float64 values the recorder stores per row."""
+    return sum(math.prod(shape) for shape in series_shapes(d, n_singular).values())
+
+
 @dataclass
 class RunReport:
-    """Per-step diagnostic series plus the conservation summary."""
+    """Per-step diagnostic series plus the conservation summary.
+
+    ``series`` maps each name of :func:`series_shapes` to a float64 array
+    with one entry per recorded row: (rows,), (rows, d), (rows, n_end, d) or
+    (rows, n_end).
+    """
 
     kind: str
     n_coeff: int
@@ -341,55 +428,76 @@ class RunReport:
     failure: dict | None = None
     c_bound: float | None = None
 
-    def finalize(self):
-        self.series = {k: np.asarray(val) for k, val in self.series.items()}
-        return self
-
 
 class RunRecorder:
-    """Accumulates diagnostics during integration (one row per recorded step)."""
+    """Records one diagnostic row per recorded step into preallocated series.
 
-    def __init__(self, kind, geom: GridGeometry | None, metric: InvariantMetric | None):
-        self.geom = geom
-        d = geom.d if geom is not None else metric.split.dim_m
-        self.report = RunReport(kind=kind, n_coeff=d)
-        row_keys = ["E", "c", "max_speed", "c1_monitor", "c1_sv_raw", "div_residual",
-                    "max_vertical", "component_energy"]
+    ``n_rows`` is the number of rows the run records at most; each series is
+    one float64 array of that length. :meth:`record` stores t and the
+    pressure residual at once and buffers (c, v); a full chunk of buffered
+    states is evaluated by one ``rows`` call. :meth:`finish` evaluates the
+    partial chunk and hands out the recorded rows as views.
+    """
+
+    def __init__(self, kind, geom: GridGeometry | None, metric: InvariantMetric | None,
+                 n_rows: int):
         if geom is not None:
-            self.report.n_singular = len(geom.singular_windows)
-            self._row = geom.row
-            if geom.singular_windows:
-                row_keys += ["alpha", "beta", "parity_misfit"]
+            d, n_singular, state = geom.d, len(geom.singular_windows), (geom.n, geom.d)
+            self._rows = geom.rows
         else:
-            self._row = _OrbitGeometry(metric).row
-        self._row_keys = row_keys
-        self.series = {k: [] for k in ["t", "p_periodicity", "speed_drift", "envelope_rate"]
-                       + row_keys}
+            d = metric.split.dim_m
+            n_singular, state = 0, (d,)
+            self._rows = _OrbitGeometry(metric).rows
+        self.report = RunReport(kind=kind, n_coeff=d, n_singular=n_singular)
+        shapes = series_shapes(d, n_singular)
+        self.series = {k: np.empty((n_rows, *shape)) for k, shape in shapes.items()}
+        self._row_keys = [k for k in shapes if k not in RUN_SERIES]
+        self._t, self._p = self.series["t"], self.series["p_periodicity"]
+        self._chunk = chunk_rows(math.prod(state))
+        self._cs = np.empty(self._chunk)
+        self._vs = np.empty((self._chunk, *state))
+        self._n = 0  # rows recorded
+        self._done = 0  # rows evaluated
         self._speeds0 = None
         self._lambda_max = 0.0
 
     def record(self, t, c, v, p_residual=0.0):
-        s = self.series
-        row = self._row(0.0 if c is None else float(c), v)
-        s["t"].append(float(t))
-        s["p_periodicity"].append(float(p_residual))
-        for key in self._row_keys:
-            s[key].append(row[key])
-        self._lambda_max = max(self._lambda_max, row["envelope_rate"])
-        s["envelope_rate"].append(self._lambda_max)
-        speeds = row["speeds"]
-        if self._speeds0 is None:
-            self._speeds0 = speeds
-        if self.geom is None:
-            s["speed_drift"].append(abs(speeds - self._speeds0))
-        else:
-            s["speed_drift"].append(float(np.max(np.abs(speeds - self._speeds0))))
+        i = self._n
+        self._t[i] = t
+        self._p[i] = p_residual
+        k = i - self._done
+        self._cs[k] = 0.0 if c is None else c
+        self._vs[k] = v
+        self._n = i + 1
+        if k + 1 == self._chunk:
+            self._flush()
 
-    def finish(self, failure=None, c_bound=None) -> RunReport:
-        self.report.series = self.series
+    def _flush(self):
+        lo, hi = self._done, self._n
+        if hi == lo:
+            return
+        # a state that overflowed before a failure gives non-finite rows
+        with np.errstate(invalid="ignore", over="ignore"):
+            rows = self._rows(self._cs[: hi - lo], self._vs[: hi - lo])
+            speeds = rows["speeds"]
+            if self._speeds0 is None:
+                self._speeds0 = speeds[0].copy()
+            drift = _abs(speeds - self._speeds0)
+        s = self.series
+        for key in self._row_keys:
+            s[key][lo:hi] = rows[key]
+        s["speed_drift"][lo:hi] = drift if drift.ndim == 1 else np.max(drift, axis=1)
+        # the running maximum skips NaN rates (an overflowed c on a flat profile)
+        running = np.fmax(np.fmax.accumulate(rows["envelope_rate"]), self._lambda_max)
+        s["envelope_rate"][lo:hi] = running
+        self._lambda_max = float(running[-1])
+        self._done = hi
+
+    def finish(self, failure=None) -> RunReport:
+        self._flush()
+        self.report.series = {k: val[: self._n] for k, val in self.series.items()}
         self.report.failure = failure
-        self.report.c_bound = c_bound
-        return self.report.finalize()
+        return self.report
 
 
 def conservation_report(report: RunReport) -> dict:
@@ -499,35 +607,41 @@ def conservation_report(report: RunReport) -> dict:
 # -- artifact writers --------------------------------------------------------
 
 
+def _write_csv(path, header, columns):
+    """Header plus one "%.17g" line per row of the columns, formatted in blocks.
+
+    ``columns`` are arrays of equal length, each (rows,) or (rows, k); a
+    block of at most CSV_BLOCK_ROWS rows is stacked and formatted at a time.
+    """
+    n = len(columns[0])
+    width = sum(1 if col.ndim == 1 else col.shape[1] for col in columns)
+    template = ",".join(["%.17g"] * width) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, n, CSV_BLOCK_ROWS):
+            block = np.column_stack([col[lo : lo + CSV_BLOCK_ROWS] for col in columns])
+            fh.write("".join([template % tuple(row) for row in block.tolist()]))
+
+
 def write_diagnostics_csv(report: RunReport, path):
     s = report.series
     cols = ["t", "E", "c", "max_speed", "c1_monitor", "div_residual", "p_periodicity"]
     header = list(cols)
-    extra = []
+    columns = [s[c] for c in cols]
     if "alpha" in s and len(s["alpha"]):
         d = report.n_coeff
         header += [f"alpha_{i + 1}" for i in range(d)] + [f"beta_{i + 1}" for i in range(d)]
-        alpha = np.asarray(s["alpha"])[:, 0, :]  # first singular endpoint
-        beta = np.asarray(s["beta"])[:, 0, :]
-        extra = [alpha, beta]
-    data = np.column_stack([np.asarray(s[c]) for c in cols] + extra)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in data:
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        columns += [s["alpha"][:, 0, :], s["beta"][:, 0, :]]  # first singular endpoint
+    _write_csv(path, header, columns)
 
 
 def write_snapshot_csv(path, state, pressure_samples):
-    v = np.atleast_2d(state.v) if state.v.ndim == 1 else state.v
+    v = np.atleast_2d(state.v)
     if state.grid is None:
         r = np.zeros(1)
         p = np.zeros(1)
     else:
         r = state.grid
         p = pressure_samples
-    d = v.shape[1]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("r," + ",".join(f"v_{i + 1}" for i in range(d)) + ",p\n")
-        for j in range(r.size):
-            vals = [r[j], *v[j], p[j]]
-            fh.write(",".join(f"{x:.17g}" for x in vals) + "\n")
+    header = ["r", *(f"v_{i + 1}" for i in range(v.shape[1])), "p"]
+    _write_csv(path, header, [r, v, p])

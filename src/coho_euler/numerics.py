@@ -84,21 +84,32 @@ class Derivative4Periodic:
     """4th-order central d/dr on a uniform periodic grid, applied along axis 0."""
 
     def __init__(self, n: int, dr: float):
-        idx = np.arange(n)
-        self._m2 = (idx - 2) % n
-        self._m1 = (idx - 1) % n
-        self._p1 = (idx + 1) % n
-        self._p2 = (idx + 2) % n
+        self.n = n
         self._inv = 1.0 / (12.0 * dr)
 
     def __call__(self, f: np.ndarray) -> np.ndarray:
-        return (
-            f[self._m2] - 8.0 * f[self._m1] + 8.0 * f[self._p1] - f[self._p2]
-        ) * self._inv
+        # node j of the padded copy is node j - 2 of f, wrapped
+        g = np.concatenate((f[-2:], f, f[:2]))
+        n = self.n
+        out = g[:n] - 8.0 * g[1 : n + 1]
+        out += 8.0 * g[3 : n + 3]
+        out -= g[4:]
+        out *= self._inv
+        return out
+
+
+def _stencil_block(block: np.ndarray) -> np.ndarray:
+    """A (5, ...) edge block, contiguous, with the stencil axis second to last.
+
+    A closure applied to it is one BLAS product per trailing (5, d) matrix,
+    so each column's edge value does not depend on how many columns are
+    stacked behind it.
+    """
+    return np.ascontiguousarray(np.moveaxis(block, 0, -2) if block.ndim > 1 else block)
 
 
 class Derivative4Interval:
-    """4th-order d/dr on a closed uniform grid with one-sided closures."""
+    """4th-order d/dr on a closed uniform grid with one-sided closures, along axis 0."""
 
     def __init__(self, n: int, dr: float):
         if n < 5:
@@ -109,10 +120,12 @@ class Derivative4Interval:
     def __call__(self, f: np.ndarray) -> np.ndarray:
         out = np.empty_like(f)
         out[2:-2] = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / 12.0
-        out[0] = np.tensordot(_EDGE0, f[:5], axes=(0, 0))
-        out[1] = np.tensordot(_EDGE1, f[:5], axes=(0, 0))
-        out[-1] = -np.tensordot(_EDGE0, f[-5:][::-1], axes=(0, 0))
-        out[-2] = -np.tensordot(_EDGE1, f[-5:][::-1], axes=(0, 0))
+        head = _stencil_block(f[:5])
+        tail = _stencil_block(f[:-6:-1])
+        out[0] = _EDGE0 @ head
+        out[1] = _EDGE1 @ head
+        out[-1] = -(_EDGE0 @ tail)
+        out[-2] = -(_EDGE1 @ tail)
         return out * self._inv
 
 

@@ -66,10 +66,18 @@ class SolverConfig:
             raise InputError("diagnostics_cadence must be a positive integer")
 
     def n_steps(self) -> int:
-        n = int(round(self.t_end / self.dt))
+        steps = self.t_end / self.dt
+        if not np.isfinite(steps):  # a subnormal dt
+            raise InputError("t_end / dt overflows: too many steps")
+        n = int(round(steps))
         if n < 1 or abs(n * self.dt - self.t_end) > 1e-9 * max(1.0, abs(self.t_end)):
             raise InputError("t_end must be a positive integer multiple of dt")
         return n
+
+    def n_records(self) -> int:
+        """Diagnostic rows of a full run: step 0, every cadence-th step and the last."""
+        n, every = self.n_steps(), self.diagnostics_cadence
+        return 1 + n // every + (1 if n % every else 0)
 
 
 @dataclass
@@ -401,12 +409,13 @@ def integrate(problem, config: SolverConfig):
     diag_every = config.diagnostics_cadence
 
     state = problem.initial_state()
+    n_rows = config.n_records()
     if problem.kind == "homogeneous":
         disc = _make_disc(problem.metric, None)
-        recorder = RunRecorder("homogeneous", None, problem.metric)
+        recorder = RunRecorder("homogeneous", None, problem.metric, n_rows)
     else:
         disc = _make_disc(problem.profile, state.grid, config.dcdt_offset)
-        recorder = RunRecorder(problem.kind, disc.geom, None)
+        recorder = RunRecorder(problem.kind, disc.geom, None, n_rows)
     c = 0.0 if state.c is None else state.c
     v = state.v
 
@@ -447,10 +456,10 @@ def integrate(problem, config: SolverConfig):
         failure = exc.record()
         snapshots.append(_make_state(disc, t_now, c, v))
 
-    # the energy bound on c^2 comes from the first recorded row
-    c_bound = None
+    report = recorder.finish(failure)
     if disc.kind == "circle":
-        c_bound = 2.0 * recorder.series["E"][0] / disc.geom.int_h02_vol
-    report = recorder.finish(failure=failure, c_bound=c_bound)
+        # the energy bound on c^2 comes from the first recorded row, which
+        # is evaluated only once finish() has flushed the recorder
+        report.c_bound = 2.0 * float(report.series["E"][0]) / disc.geom.int_h02_vol
     conservation_report(report)
     return snapshots, report

@@ -253,6 +253,12 @@ EYE3 = np.eye(3).tolist()
         ("su2_rigid_body", {"metric.gram": [[1.0], [2.0, 3.0]]}),
         ("su2_rigid_body", {"algebra": {"structure": SU2_C, "Q": [[1.0], [0.0, 1.0], [0, 0, 1]]}}),
         ("su2_rigid_body", {"algebra": {"structure": [SU2_C[0], SU2_C[1], SU2_C[2][:2]], "Q": EYE3}}),
+        # just past each upper bound, and an allocation numpy cannot make
+        ("su2_rigid_body", {"algebra": {"name": "abelian", "dim": 17}}),
+        ("su2_rigid_body", {"algebra": {"name": "abelian", "dim": 100000}}),
+        ("berger_circle", {"solver.N": 4098}),
+        ("s3_t2_interval", {"solver.N": 4097}),
+        ("berger_circle", {"initial.v.modes": 1025}),
     ],
     ids=lambda case: ",".join(f"{k}={v!r}" for k, v in case.items()) if isinstance(case, dict) else case,
 )
@@ -329,8 +335,10 @@ def _not_antisymmetric():
         ("boundary_interval", {"algebra": {"structure": SU2_C, "Q": np.diag([1.0, 2.0, 3.0]).tolist()}, "solver.t_end": 0.01}),
         ("t3_circle", {"solver.dt": 0.003, "solver.t_end": 0.01}),
         ("su2_rigid_body", {"initial.x": [1.0], "solver.t_end": 0.01}),
+        ("su2_rigid_body", {"solver.dt": 5e-324, "solver.t_end": 2.0}),
     ],
-    ids=["structure-not-antisymmetric", "Q-not-ad-invariant", "t_end-not-multiple-of-dt", "short-initial-x"],
+    ids=["structure-not-antisymmetric", "Q-not-ad-invariant", "t_end-not-multiple-of-dt", "short-initial-x",
+         "step-count-overflows"],
 )
 def test_validate_and_run_agree(tmp_path, capsys, name, updates):
     path = tabulated_cfg(tmp_path, **updates) if name == "boundary_interval" else write_cfg(
@@ -341,3 +349,41 @@ def test_validate_and_run_agree(tmp_path, capsys, name, updates):
     assert main(["run", "--config", str(path), "--out", str(out)]) == 2
     assert not out.exists()
     assert "validation error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, updates, rows, width",
+    [
+        ("su2_rigid_body", {"solver.t_end": 1785.714}, 1785715, 14),
+        ("s3_t2_interval", {"solver.t_end": 1086.956}, 1086957, 23),
+        # 2173911 steps at cadence 2: the last step falls off the cadence
+        ("s3_t2_interval", {"solver.t_end": 2173.911, "output.diagnostics_cadence": 2}, 1086957, 23),
+    ],
+    ids=["homogeneous", "interval", "interval-cadence-2"],
+)
+def test_recorded_rows_budget_exits_2(tmp_path, capsys, name, updates, rows, width):
+    path = write_cfg(tmp_path, example_raw(name, updates))
+    out = tmp_path / "out"
+    assert main(["validate", "--config", str(path)]) == 2
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    message = (f"output.diagnostics_cadence: {rows} recorded rows of {width} values exceed the "
+               "budget of 25000000 values")
+    captured = capsys.readouterr()
+    assert f"FAIL  recorded_rows: {message}" in captured.out
+    assert f"validation error: {message}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "name, updates",
+    [
+        ("su2_rigid_body", {"solver.t_end": 1785.713}),
+        ("s3_t2_interval", {"solver.t_end": 1086.955}),
+        ("s3_t2_interval", {"solver.t_end": 2173.91, "output.diagnostics_cadence": 2}),
+    ],
+    ids=["homogeneous", "interval", "interval-cadence-2"],
+)
+def test_recorded_rows_budget_admits_the_limit(tmp_path, capsys, name, updates):
+    path = write_cfg(tmp_path, example_raw(name, updates))
+    assert main(["validate", "--config", str(path)]) == 0
+    assert "recorded_rows" not in capsys.readouterr().out

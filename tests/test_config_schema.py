@@ -59,6 +59,8 @@ PINNED = [
     ("su2_rigid_body", "algebra", {"structure": SU2_C}, ["algebra: give either a name or structure+Q"]),
     ("su2_rigid_body", "algebra", {"name": "abelian", "dim": 0},
      ["algebra.dim: expected a positive integer"]),
+    ("su2_rigid_body", "algebra", {"name": "abelian", "dim": 17},
+     ["algebra.dim: must be at most 16, got 17"]),
     ("su2_rigid_body", "algebra", {"structure": [[[1.0, "a"]]], "Q": EYE3},
      ["algebra.structure[0][0][1]: expected a finite number"]),
     ("su2_rigid_body", "algebra", {"structure": SU2_C, "Q": [[1.0], [0.0, 1.0], [0.0, 0.0, 1.0]]},
@@ -106,6 +108,7 @@ PINNED = [
     ("s3_t2_interval", "initial.v", {"type": "random_fourier", "seed": 1, "modes": 2, "amplitude": 0.1},
      ["initial.v.type: random_fourier is circle-only"]),
     ("berger_circle", "initial.v.modes", 0, ["initial.v.modes: expected a positive integer"]),
+    ("berger_circle", "initial.v.modes", 1025, ["initial.v.modes: must be at most 1024, got 1025"]),
     ("berger_circle", "initial.v.seed", -1, ["initial.v.seed: expected a non-negative integer"]),
     ("berger_circle", "initial.v", "x", ["initial.v: expected an object"]),
     ("berger_circle", "initial.c", DELETE, ["initial.c: missing required key"]),
@@ -114,6 +117,8 @@ PINNED = [
     ("t3_circle", "solver.N", 15, ["solver.N: circle grids need an even N >= 16, got 15"]),
     ("t3_circle", "solver.N", 14, ["solver.N: circle grids need an even N >= 16, got 14"]),
     ("s3_t2_interval", "solver.N", 5, ["solver.N: interval grids need N >= 6, got 5"]),
+    ("t3_circle", "solver.N", 4098, ["solver.N: must be at most 4096, got 4098"]),
+    ("s3_t2_interval", "solver.N", 4097, ["solver.N: must be at most 4096, got 4097"]),
     ("s3_t2_interval", "solver.N", 6.0, ["solver.N: expected an integer"]),
     ("su2_rigid_body", "solver.N", 64, ["solver.N: unknown key"]),
     ("t3_circle", "solver.cfl_guard", 0.0, ["solver.cfl_guard: must be positive"]),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh
@@ -19,8 +21,20 @@ from coho_euler import (
     pointwise_speed,
     warped_torus,
 )
-from coho_euler.diagnostics import GridGeometry, parity_tolerance, write_diagnostics_csv
+from coho_euler import LieAlgebraSpec, catalog, diagnostics, reductive_split
+from coho_euler.config import check_config
+from coho_euler.coho_geometry import BOUNDARY, INTERVAL, OrbitSpace, TabulatedProfile
+from coho_euler.diagnostics import (
+    PERIODICITY_TOL,
+    GridGeometry,
+    RunReport,
+    chunk_rows,
+    parity_tolerance,
+    write_diagnostics_csv,
+    write_snapshot_csv,
+)
 from coho_euler.errors import ConfigError
+from coho_euler.homogeneous_geometry import divergence_form
 from coho_euler.reduced_euler import circle_grid, interval_grid
 
 
@@ -222,8 +236,23 @@ def test_component_energies_recorded(flat_torus):
     assert np.allclose(comp[0], [0.5, 0.125])
 
 
+def _assert_rows_match_public(report, snaps, geometry, rows):
+    """Recorded rows equal the public per-state functions on the same states, bit for bit."""
+    s = report.series
+    for j in rows:
+        state = snaps[j]
+        assert state.t == s["t"][j]
+        assert float(state.c or 0.0) == s["c"][j]
+        assert energy(state, geometry) == s["E"][j]
+        assert pointwise_speed(state, geometry) == s["max_speed"][j]
+        assert c1_monitor(state, geometry) == s["c1_monitor"][j]
+        assert divergence_residual(state, geometry) == s["div_residual"][j]
+
+
 def test_recorder_rows_match_public_diagnostics(rigid_body_metric, round_s3_t2):
-    # runs and the public one-shot functions share one evaluator: equal bits
+    # runs and the public one-shot functions share one evaluator: equal bits,
+    # whether a row sat inside a full chunk, at either side of a chunk
+    # boundary or in the final partial chunk
     wt = warped_torus(1.0, [[0.0, 0.04, -0.02], [0.1, 0.02, 0.01]])
     n = 64
     grid = circle_grid(wt, n)
@@ -233,19 +262,120 @@ def test_recorder_rows_match_public_diagnostics(rigid_body_metric, round_s3_t2):
     v0_interval = np.tile([0.7, -0.4], (64, 1))
     v0_interval[:, 0] += 0.1 * np.cos(2 * interval_grid(round_s3_t2, 64))
     cases = [
-        (CircleProblem(wt, 0.3, v0), wt),
-        (IntervalProblem(round_s3_t2, v0_interval), round_s3_t2),
-        (HomogeneousProblem(rigid_body_metric, [0.0, 1.0, 1.0]), rigid_body_metric),
+        (CircleProblem(wt, 0.3, v0), wt, 0.6, n * 2),
+        (IntervalProblem(round_s3_t2, v0_interval), round_s3_t2, 0.6, 64 * 2),
+        (HomogeneousProblem(rigid_body_metric, [0.0, 1.0, 1.0]), rigid_body_metric, 1.2, 3),
     ]
-    for prob, geometry in cases:
-        snaps, report = integrate(prob, SolverConfig(dt=2e-3, t_end=0.1, snapshot_cadence=50))
-        final = snaps[-1]
-        s = report.series
-        assert final.t == s["t"][-1]
-        assert energy(final, geometry) == s["E"][-1]
-        assert pointwise_speed(final, geometry) == s["max_speed"][-1]
-        assert c1_monitor(final, geometry) == s["c1_monitor"][-1]
-        assert divergence_residual(final, geometry) == s["div_residual"][-1]
+    for prob, geometry, t_end, state_values in cases:
+        cfg = SolverConfig(dt=2e-3, t_end=t_end, snapshot_cadence=1)
+        snaps, report = integrate(prob, cfg)
+        chunk = chunk_rows(state_values)
+        n_rows = len(report.series["t"])
+        assert n_rows == cfg.n_records() == len(snaps)
+        assert chunk < n_rows < 2 * chunk  # one full chunk, then a partial one
+        _assert_rows_match_public(report, snaps, geometry, [0, chunk // 2, chunk - 1, chunk,
+                                                            n_rows - 2, n_rows - 1])
+
+
+@pytest.mark.parametrize("name", ["t3_circle", "berger_circle", "s3_t2_interval",
+                                  "boundary_interval"])
+def test_rows_bits_do_not_depend_on_stack_size(name):
+    # a row evaluated inside a stack of T states equals the row of that
+    # state alone, for every T the recorder can hand over
+    problem = check_config(catalog.load_example(name))[1]
+    geom = GridGeometry(problem.profile, problem.grid)
+    rng = np.random.default_rng(1)
+    chunk = chunk_rows(geom.n * geom.d)
+    vs = problem.v0 * (1.0 + 0.1 * rng.standard_normal((chunk, geom.n, geom.d)))
+    cs = rng.uniform(-1.0, 1.0, chunk)
+    alone = [geom.rows(cs[t : t + 1], vs[t : t + 1]) for t in range(chunk)]
+    for T in sorted({2, 3, 5, chunk - 1, chunk}):
+        stacked = geom.rows(cs[:T], vs[:T])
+        for key, val in stacked.items():
+            for t in range(T):
+                assert np.array_equal(val[t], alone[t][key][0]), (T, key, t)
+
+
+@pytest.mark.parametrize("kind", ["cfl", "pressure_periodicity"])
+def test_failure_mid_chunk_leaves_every_row_evaluated(monkeypatch, kind):
+    # the run fails at row 13 with chunks of 8 rows: one full chunk, then a
+    # partial one that finish() must still evaluate
+    monkeypatch.setattr(diagnostics, "CHUNK_ROWS", 8)
+    wt = warped_torus(1.0, [[0.0, 0.05, -0.03], [0.1, 0.03, 0.02]])
+    n, dt, k = 32, 1e-3, 13
+    grid = circle_grid(wt, n)
+    v0 = np.zeros((n, 2))
+    v0[:, 0] = 0.3 * np.sin(2 * np.pi * grid)
+    v0[:, 1] = 0.2 * np.cos(2 * np.pi * grid)
+    prob = CircleProblem(wt, 0.4, v0)
+    _, ref = integrate(prob, SolverConfig(dt=dt, t_end=20 * dt, dcdt_offset=1e-12))
+    assert ref.failure is None
+    if kind == "cfl":
+        # |c| still grows here: a guard between rows k - 1 and k trips at row k
+        c = np.abs(ref.series["c"])
+        assert c[k] > np.max(c[:k])
+        geom = GridGeometry(wt, grid)
+        guard = 0.5 * (np.max(c[:k]) + c[k]) * dt * geom.h0_max / geom.dr
+        cfg = SolverConfig(dt=dt, t_end=20 * dt, cfl_guard=guard, snapshot_cadence=1,
+                           dcdt_offset=1e-12)
+    else:
+        # the periodicity residual is linear in the offset and still grows
+        # here: a scaled offset first crosses the tolerance at row k
+        p = ref.series["p_periodicity"]
+        assert p[k] > np.max(p[:k]) * (1.0 + 1e-6)
+        offset = 1e-12 * PERIODICITY_TOL / np.sqrt(np.max(p[:k]) * p[k])
+        cfg = SolverConfig(dt=dt, t_end=20 * dt, snapshot_cadence=1, dcdt_offset=offset)
+    snaps, report = integrate(prob, cfg)
+    assert report.failure["kind"] == kind
+    s = report.series
+    assert {len(val) for val in s.values()} == {k + 1}
+    assert s["t"][-1] == k * dt == report.failure["t"]
+    _assert_rows_match_public(report, snaps, wt, range(k + 1))
+    if kind == "cfl":
+        # the same trajectory as the reference run, row for row
+        for key, val in s.items():
+            assert np.array_equal(val, ref.series[key][: k + 1]), key
+    else:
+        assert s["p_periodicity"][-1] == report.failure["residual"] > PERIODICITY_TOL
+        assert np.max(s["p_periodicity"][:-1]) <= PERIODICITY_TOL
+
+
+def test_recorder_memory_per_row(rigid_body_metric):
+    # 14 float64 series cost 112 bytes a row; one Python list per series
+    # held about 520 bytes a row at this size
+    prob = HomogeneousProblem(rigid_body_metric, [0.4, 0.4, 0.4])
+    cfg = SolverConfig(dt=1e-3, t_end=5.0)
+    tracemalloc.start()
+    try:
+        _, report = integrate(prob, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = len(report.series["t"])
+    assert rows == 5001
+    assert peak / rows < 200
+
+
+def test_div_forms_match_per_probe_divergence_form():
+    # compact fibres give identically zero forms; a non-unimodular algebra
+    # ([e1, e2] = e2, [e1, e3] = e3) gives nonzero ones to compare
+    structure = np.zeros((3, 3, 3))
+    structure[0, 1, 1] = structure[0, 2, 2] = 1.0
+    structure[1, 0, 1] = structure[2, 0, 2] = -1.0
+    split = reductive_split(LieAlgebraSpec(3, structure, np.eye(3)), [])
+    r = np.linspace(0.0, 1.0, 33)
+    a = 2.0 * np.pi * r
+    base = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.0]])
+    wobble = np.array([[0.2, 0.1, 0.0], [0.1, -0.1, 0.05], [0.0, 0.05, 0.1]])
+    gram = base + np.sin(a)[:, None, None] * wobble
+    prime = (2.0 * np.pi * np.cos(a))[:, None, None] * wobble
+    space = OrbitSpace(INTERVAL, 1.0, (BOUNDARY, BOUNDARY))
+    profile = TabulatedProfile(split, space, r, gram, prime)
+    geom = GridGeometry(profile, interval_grid(profile, 40))
+    want = np.array([divergence_form(InvariantMetric(split, geom.gram[j]))
+                     for j in geom.div_probe_idx])
+    assert len(want) == diagnostics.N_DIV_PROBES and np.min(np.abs(want[:, 0])) > 0.1
+    assert np.array_equal(geom.div_forms, want)
 
 
 def test_discrete_energy_exchange_identity():
@@ -302,3 +432,47 @@ def test_diagnostics_csv_roundtrip(tmp_path, round_s3_t2):
     path2 = tmp_path / "diag2.csv"
     write_diagnostics_csv(report, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+SPECIAL = [-0.0, 0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 1e-20, 5e-324,
+           2.225073858507201e-308, -1.5e-310, 0.1, 1.0 / 3.0, 123456789.0]
+
+
+def _fstring_csv(header, columns):
+    rows = np.column_stack(columns)
+    return ",".join(header) + "\n" + "".join(
+        ",".join(f"{x:.17g}" for x in row) + "\n" for row in rows
+    )
+
+
+def test_csv_writers_match_fstring_format(tmp_path):
+    rng = np.random.default_rng(0)
+    n = diagnostics.CSV_BLOCK_ROWS + 37  # a full block and a partial one
+    cols = ["t", "E", "c", "max_speed", "c1_monitor", "div_residual", "p_periodicity"]
+    series = {k: rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n) for k in cols}
+    series["E"][: len(SPECIAL)] = SPECIAL
+    edge = diagnostics.CSV_BLOCK_ROWS - len(SPECIAL) // 2  # straddles the block edge
+    series["c"][edge : edge + len(SPECIAL)] = SPECIAL
+    series["alpha"] = rng.standard_normal((n, 2, 2))
+    series["beta"] = rng.standard_normal((n, 2, 2))
+    series["beta"][-len(SPECIAL) :, 0, 1] = SPECIAL
+    report = RunReport(kind="interval", n_coeff=2, n_singular=2, series=series)
+    path = tmp_path / "diag.csv"
+    write_diagnostics_csv(report, path)
+    header = cols + ["alpha_1", "alpha_2", "beta_1", "beta_2"]
+    want = _fstring_csv(header, [series[k] for k in cols]
+                        + [series["alpha"][:, 0], series["beta"][:, 0]])
+    assert path.read_bytes() == want.encode()
+
+    finite = [x for x in SPECIAL if np.isfinite(x)]
+    grid = np.linspace(0.0, 1.0, len(SPECIAL))
+    v = np.column_stack([np.resize(finite, len(SPECIAL)), grid[::-1]])
+    state = ReducedState(0.0, 0.0, v, grid)
+    pressure = np.array(SPECIAL)
+    write_snapshot_csv(tmp_path / "snap.csv", state, pressure)
+    want = _fstring_csv(["r", "v_1", "v_2", "p"], [grid, v, pressure])
+    assert (tmp_path / "snap.csv").read_bytes() == want.encode()
+    orbit = ReducedState(0.0, None, np.array(finite[:3]), None)
+    write_snapshot_csv(tmp_path / "orbit.csv", orbit, pressure)
+    want = _fstring_csv(["r", "v_1", "v_2", "v_3", "p"], [np.zeros(1), orbit.v[None], np.zeros(1)])
+    assert (tmp_path / "orbit.csv").read_bytes() == want.encode()
