@@ -15,7 +15,6 @@ be checked symbolically before any discretisation happens.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -34,6 +33,16 @@ from .lie_core import check_reductive_split, monte_carlo_fixed_check, validate_s
 from .reduced_euler import CircleProblem, HomogeneousProblem, IntervalProblem, SolverConfig
 from .reduced_euler import circle_grid, interval_grid
 from .reports import ValidationReport
+
+# hashlib is heavy to load: it maps OpenSSL's libcrypto for one digest.
+# The built-in module gives the same SHA-256 (named _sha2 from Python 3.12).
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 KINDS = ("homogeneous", "interval", "circle")
 VKINDS = ("constant", "polynomial", "fourier", "random_fourier")
@@ -319,7 +328,7 @@ class RunConfig:
         return json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
 
     def hash(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+        return sha256(self.canonical_json().encode()).hexdigest()
 
 
 def parse_config_dict(data: dict, source_path: Path | None = None) -> RunConfig:

@@ -38,7 +38,7 @@ N_DIV_PROBES = 8
 # fewer when a state is large: the (T, n, d) temporaries stay near 256 kB
 CHUNK_ROWS = 512
 CHUNK_VALUES = 32768
-CSV_BLOCK_ROWS = 4096
+CSV_BLOCK_ROWS = 512
 # series that are not a field of a row: the recorder fills them itself
 RUN_SERIES = ("t", "p_periodicity", "speed_drift", "envelope_rate")
 
@@ -143,7 +143,10 @@ class GridGeometry:
         self.wvol = self.weights * self.vol
         self._work_arrays = None
 
-        probe_idx = np.unique(np.linspace(0, self.n - 1, N_DIV_PROBES).round().astype(int))
+        # the rounded probe indices are sorted: dropping repeats needs no np.unique,
+        # whose masked-array check loads numpy.ma
+        probe_idx = np.linspace(0, self.n - 1, N_DIV_PROBES).round().astype(int)
+        probe_idx = probe_idx[np.r_[True, np.diff(probe_idx) > 0]]
         self.div_probe_idx = probe_idx
         self.div_forms = _divergence_forms(profile.split, self.gram[probe_idx])
 

@@ -419,9 +419,10 @@ def integrate(problem, config: SolverConfig):
     c = 0.0 if state.c is None else state.c
     v = state.v
 
-    def record_with_pressure_watchdog(t, cc, vv):
-        # the offending row is recorded before raising: failures leave a
-        # diagnostic tail, never a silent exit
+    def record_with_pressure_watchdog(n, cc, vv):
+        # the state after n steps; the offending row is recorded before
+        # raising: failures leave a diagnostic tail, never a silent exit
+        t = n * dt
         residual = 0.0
         if disc.kind == "circle":
             _, residual = _pressure_gradient(disc.geom, cc, vv, disc.dcdt(vv))
@@ -431,6 +432,7 @@ def integrate(problem, config: SolverConfig):
                 f"pressure periodicity residual {residual:.3e} exceeds "
                 f"{PERIODICITY_TOL:.1e}",
                 kind="pressure_periodicity",
+                step=n,
                 t=t,
                 detail={"residual": residual},
             )
@@ -439,7 +441,7 @@ def integrate(problem, config: SolverConfig):
     failure = None
     t_now = 0.0
     try:
-        record_with_pressure_watchdog(0.0, c, v)
+        record_with_pressure_watchdog(0, c, v)
         snapshots.append(_make_state(disc, 0.0, c, v))
         for step in range(n_steps):
             _cfl_check(disc, config, c, step, t_now)
@@ -447,7 +449,7 @@ def integrate(problem, config: SolverConfig):
             t_now = (step + 1) * dt
             last = step + 1 == n_steps
             if (step + 1) % diag_every == 0 or last:
-                record_with_pressure_watchdog(t_now, c, v)
+                record_with_pressure_watchdog(step + 1, c, v)
             if (step + 1) % snap_every == 0 or last:
                 snapshots.append(_make_state(disc, t_now, c, v))
     except NumericalFailureError as exc:

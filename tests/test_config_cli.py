@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -97,6 +98,16 @@ def test_random_fourier_is_seed_deterministic():
     a = build_problem(parse_config_dict(raw)).v0
     b = build_problem(parse_config_dict(raw)).v0
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", [*catalog.example_names(), "non_ascii_directory"])
+def test_config_hash_is_hashlib_sha256(name):
+    # manifest.json's config_hash: the built-in digest must equal hashlib's
+    if name == "non_ascii_directory":
+        cfg = parse_config_dict(t3_raw(**{"output.directory": "résultats/流体 ☃"}))
+    else:
+        cfg = catalog.load_example(name)
+    assert cfg.hash() == hashlib.sha256(cfg.canonical_json().encode()).hexdigest()
 
 
 # -- CLI -----------------------------------------------------------------------

@@ -330,6 +330,7 @@ def test_failure_mid_chunk_leaves_every_row_evaluated(monkeypatch, kind):
     s = report.series
     assert {len(val) for val in s.values()} == {k + 1}
     assert s["t"][-1] == k * dt == report.failure["t"]
+    assert report.failure["step"] == k  # steps taken to the failing state
     _assert_rows_match_public(report, snaps, wt, range(k + 1))
     if kind == "cfl":
         # the same trajectory as the reference run, row for row

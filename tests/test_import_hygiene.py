@@ -1,7 +1,13 @@
-"""scipy stays out of the package import and of every `coho-euler run`.
+"""The package import and every `coho-euler run` load no module they do not use.
+
+Watched: scipy (only `validate` may import it), hashlib with OpenSSL's
+`_hashlib` (the config hash uses the built-in SHA-256), `numpy.ma` and
+`numpy.random`. The one exception is `random_fourier` initial data, which
+draws from `numpy.random`; numpy's import of `secrets` then brings in
+`hmac` and with it hashlib.
 
 Each check runs in a fresh interpreter, since this test process may
-already have imported scipy.
+already have imported any of them.
 """
 
 import json
@@ -19,7 +25,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 PROBE = """
 import json, sys
 import coho_euler, coho_euler.cli
-loaded = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+WATCHED = ("scipy", "hashlib", "_hashlib", "numpy.ma", "numpy.random")
+loaded = lambda: sorted(
+    m for m in sys.modules if any(m == w or m.startswith(w + ".") for w in WATCHED)
+)
 after_import = loaded()
 if len(sys.argv) > 1:
     code = coho_euler.cli.main(["run", "--config", sys.argv[1], "--out", sys.argv[2]])
@@ -28,7 +37,7 @@ print(json.dumps({"after_import": after_import, "after_run": loaded()}))
 """
 
 
-def scipy_modules(*args):
+def watched_modules(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     out = subprocess.run(
@@ -46,15 +55,22 @@ def short_config(tmp_path, name, t_end):
         raw["profile"]["csv"] = str(src.parent / raw["profile"]["csv"])
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(raw))
-    return path
+    return path, raw
 
 
 def test_package_import_loads_no_scipy():
-    assert scipy_modules()["after_import"] == []
+    assert watched_modules()["after_import"] == []
 
 
 @pytest.mark.parametrize("name", catalog.example_names())
 def test_run_loads_no_scipy(tmp_path, name):
     # analytic and tabulated profiles alike: only `validate` may import scipy
-    mods = scipy_modules(short_config(tmp_path, name, 0.01), tmp_path / "out")
-    assert mods == {"after_import": [], "after_run": []}
+    path, raw = short_config(tmp_path, name, 0.01)
+    mods = watched_modules(path, tmp_path / "out")
+    assert mods["after_import"] == []
+    expected = set()
+    if raw["initial"].get("v", {}).get("type") == "random_fourier":
+        rng = {m for m in mods["after_run"] if m.split(".")[:2] == ["numpy", "random"]}
+        assert "numpy.random" in rng
+        expected = rng | {"hashlib", "_hashlib"}
+    assert set(mods["after_run"]) == expected

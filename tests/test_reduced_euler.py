@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from coho_euler import (
     ReducedState,
     SolverConfig,
     abelian,
+    catalog,
     circle_rhs,
     euler_arnold_rhs,
     homogeneous_rhs,
@@ -22,6 +25,7 @@ from coho_euler import (
     warped_torus,
 )
 from coho_euler.coho_geometry import BOUNDARY, INTERVAL, OrbitSpace, TabulatedProfile
+from coho_euler.config import build_problem, build_solver_config
 from coho_euler.errors import NumericalFailureError
 from coho_euler.reduced_euler import circle_grid, interval_grid, trajectory_pressures
 
@@ -287,6 +291,41 @@ def test_integrate_cfl_failure(flat_torus):
     assert report.failure is not None
     assert report.failure["kind"] == "cfl"
     assert len(snaps) >= 1  # partial trajectory preserved
+
+
+def _started_from_negated(problem, state):
+    if problem.kind == "homogeneous":
+        return dataclasses.replace(problem, x0=-state.v)
+    if problem.kind == "circle":
+        return dataclasses.replace(problem, c0=-state.c, v0=-state.v)
+    return dataclasses.replace(problem, v0=-state.v)
+
+
+@pytest.mark.parametrize("name", catalog.example_names())
+def test_time_reversal_round_trip(name):
+    """Witness of the solution on all of the time line, not only forward.
+
+    Every reduced system is quadratic in (c, v), so if (c, v)(t) solves it,
+    so does -(c, v)(-t): integrating to T, negating, integrating to T again
+    and negating returns to the start, up to the RK4 error of both legs.
+    Reversal holds for any quadratic right-hand side, so this cannot catch
+    a wrong coefficient of one; it catches a non-quadratic term, a stage
+    order bug or a recorder that mutates the state.
+    """
+    cfg = catalog.load_example(name)
+    problem = build_problem(cfg)
+    solver = dataclasses.replace(build_solver_config(cfg), t_end=1.0)
+    start = problem.initial_state()
+    snaps, report = integrate(problem, solver)
+    assert report.failure is None
+    assert snaps[-1].t == 1.0
+    back, report = integrate(_started_from_negated(problem, snaps[-1]), solver)
+    assert report.failure is None
+    end = back[-1]
+    c0, c_end = start.c or 0.0, end.c or 0.0
+    scale = max(abs(c0), float(np.max(np.abs(start.v))))
+    err = max(abs(c_end + c0), float(np.max(np.abs(end.v + start.v)))) / scale
+    assert err <= 1e-10, err
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
