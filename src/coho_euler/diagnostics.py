@@ -16,7 +16,7 @@ import numpy as np
 
 from .coho_geometry import CIRCLE, INTERVAL, SINGULAR, MetricProfile
 from .errors import ConfigError, InputError
-from .homogeneous_geometry import InvariantMetric, connection_tensors, divergence_form
+from .homogeneous_geometry import InvariantMetric, divergence_forms
 from .numerics import (
     Derivative4Interval,
     Derivative4Periodic,
@@ -65,25 +65,75 @@ def _first_max(a, b):
     return np.where(b > a, b, a)
 
 
-def _divergence_forms(split, grams: np.ndarray) -> np.ndarray:
-    """:func:`divergence_form` of the metric of each Gram matrix in a stack."""
-    gamma = connection_tensors(split, grams)
-    chol = np.linalg.cholesky(grams)
-    E = np.linalg.inv(chol).swapaxes(1, 2)  # columns are gram-orthonormal
-    return np.einsum("pai,pabc,pci->pb", E, gamma, grams @ E)
-
-
 class GridGeometry:
     """Per-node metric data shared by the solver and the diagnostics.
 
-    Built once per (profile, grid); everything downstream is plain numpy on
-    the precomputed arrays, so repeated evaluation is cheap and bit-stable.
+    Built once per run from a metric profile and its state grid, or from an
+    invariant metric: a homogeneous state is the one-node case, with unit
+    weight and volume, zero S, h0 and h0', and a zero derivative. Everything
+    downstream is plain numpy on the precomputed arrays, so repeated
+    evaluation is cheap and bit-stable.
     """
 
-    def __init__(self, profile: MetricProfile, grid):
+    def __init__(self, geometry, grid=None):
+        self.split = geometry.split
+        self.d = self.split.dim_m
+        if isinstance(geometry, InvariantMetric):
+            self.profile, self.kind, self.r, self.n = None, "homogeneous", None, 1
+            self.weights = self.vol = np.ones(1)
+            self.deriv = np.zeros_like
+            self.gram = geometry.gram[None]
+            self.S = np.zeros((1, self.d, self.d))
+            self.rho = np.zeros(1)
+        else:
+            self._sample_profile(geometry, grid)
+        self.trace_S = np.trace(self.S, axis1=1, axis2=2)
+        self.gramS = np.einsum("jab,jbc->jac", self.gram, self.S)
+        self.has_S = bool(np.max(np.abs(self.S)) > 0.0)
+
+        if self.kind == CIRCLE:
+            vol_mid = self.profile.volume_at(0.5 * self.profile.length)
+            self.h0 = vol_mid / self.vol
+            self.h0_prime = self.trace_S * self.h0
+            self.h0_max = float(np.max(self.h0))
+            self.fd_div_floor = float(np.max(np.abs(self.deriv(self.h0) - self.h0_prime)))
+            self.fd_h0_max = float(np.max(np.abs(self.deriv(self.h0))))
+            self.int_h0 = float(np.sum(self.weights * self.h0))
+            self.int_h02_vol = float(np.sum(self.weights * self.h0**2 * self.vol))
+            self.envelope_rate_unit = float(np.max(self.h0 * self.rho))
+        else:
+            self.h0 = np.zeros(self.n)
+            self.h0_prime = np.zeros(self.n)
+            self.h0_max = 0.0
+            self.fd_div_floor = 0.0
+            self.fd_h0_max = 0.0
+            self.int_h0 = 0.0
+            self.int_h02_vol = 0.0
+            self.envelope_rate_unit = 0.0
+        self.wvol = self.weights * self.vol
+        self._work_arrays = None
+
+        # the rounded probe indices are sorted: dropping repeats needs no np.unique,
+        # whose masked-array check loads numpy.ma
+        probe_idx = np.linspace(0, self.n - 1, N_DIV_PROBES).round().astype(int)
+        probe_idx = probe_idx[np.r_[True, np.diff(probe_idx) > 0]]
+        self.div_probe_idx = probe_idx
+        self.div_forms = divergence_forms(self.split, self.gram[probe_idx])
+
+        self.singular_windows = []
+        if self.kind == INTERVAL:
+            left, right = self.profile.orbit_space.endpoint_kinds
+            if left == SINGULAR:
+                self.singular_windows.append(self._taylor_window(0.0, slice(0, TAYLOR_WINDOW)))
+            if right == SINGULAR:
+                self.singular_windows.append(
+                    self._taylor_window(self.profile.length, slice(self.n - TAYLOR_WINDOW, self.n))
+                )
+
+    def _sample_profile(self, profile: MetricProfile, grid):
+        """Grid, quadrature, stencil and the per-node metric of a profile."""
         self.profile = profile
         self.kind = profile.orbit_space.kind
-        self.d = profile.dim
         r = np.asarray(grid, dtype=float)
         if r.ndim != 1 or r.size < 4:
             raise InputError("state grid must be a 1-d array with >= 4 nodes")
@@ -118,47 +168,6 @@ class GridGeometry:
         self.S = -0.5 * np.linalg.solve(self.gram, self.gram_prime)
         self.vol = np.sqrt(np.linalg.det(self.gram))
         self.rho = _generalized_spectral_radius(-0.5 * self.gram_prime, self.gram)
-        self.trace_S = np.trace(self.S, axis1=1, axis2=2)
-        self.gramS = np.einsum("jab,jbc->jac", self.gram, self.S)
-
-        if self.kind == CIRCLE:
-            vol_mid = profile.volume_at(0.5 * L)
-            self.h0 = vol_mid / self.vol
-            self.h0_prime = self.trace_S * self.h0
-            self.h0_max = float(np.max(self.h0))
-            self.fd_div_floor = float(np.max(np.abs(self.deriv(self.h0) - self.h0_prime)))
-            self.fd_h0_max = float(np.max(np.abs(self.deriv(self.h0))))
-            self.int_h0 = float(np.sum(self.weights * self.h0))
-            self.int_h02_vol = float(np.sum(self.weights * self.h0**2 * self.vol))
-            self.envelope_rate_unit = float(np.max(self.h0 * self.rho))
-        else:
-            self.h0 = np.zeros(self.n)
-            self.h0_prime = np.zeros(self.n)
-            self.h0_max = 0.0
-            self.fd_div_floor = 0.0
-            self.fd_h0_max = 0.0
-            self.int_h0 = 0.0
-            self.int_h02_vol = 0.0
-            self.envelope_rate_unit = 0.0
-        self.wvol = self.weights * self.vol
-        self._work_arrays = None
-
-        # the rounded probe indices are sorted: dropping repeats needs no np.unique,
-        # whose masked-array check loads numpy.ma
-        probe_idx = np.linspace(0, self.n - 1, N_DIV_PROBES).round().astype(int)
-        probe_idx = probe_idx[np.r_[True, np.diff(probe_idx) > 0]]
-        self.div_probe_idx = probe_idx
-        self.div_forms = _divergence_forms(profile.split, self.gram[probe_idx])
-
-        self.singular_windows = []
-        if self.kind == INTERVAL:
-            left, right = profile.orbit_space.endpoint_kinds
-            if left == SINGULAR:
-                self.singular_windows.append(self._taylor_window(0.0, slice(0, TAYLOR_WINDOW)))
-            if right == SINGULAR:
-                self.singular_windows.append(
-                    self._taylor_window(L, slice(self.n - TAYLOR_WINDOW, self.n))
-                )
 
     def _taylor_window(self, side, sl):
         if self.n < TAYLOR_WINDOW:
@@ -257,51 +266,17 @@ class GridGeometry:
         return rows
 
 
-class _OrbitGeometry:
-    """The scalar counterpart of :class:`GridGeometry` for homogeneous states."""
-
-    def __init__(self, metric: InvariantMetric):
-        self.gram = metric.gram
-        self.div_form = divergence_form(metric)
-
-    def rows(self, cs: np.ndarray, vs: np.ndarray) -> dict:
-        """The rows of :meth:`GridGeometry.rows` for single orbits, vs of shape (T, d).
-
-        c plays no part. Each product is one BLAS call per state, as for a
-        single state, so each row's bits do not depend on T.
-        """
-        row_vs = vs[:, None, :]
-        quad = (row_vs @ self.gram @ vs[:, :, None])[:, 0, 0]
-        speeds = np.sqrt(quad)
-        zeros = np.zeros(len(vs))
-        return {
-            "E": 0.5 * quad,
-            "c": zeros,
-            "max_speed": speeds,
-            "c1_monitor": speeds,
-            "c1_sv_raw": zeros,
-            "div_residual": np.abs((row_vs @ self.div_form[:, None])[:, 0, 0]),
-            "max_vertical": quad,
-            "component_energy": 0.5 * vs * (self.gram @ vs[:, :, None])[:, :, 0],
-            "speeds": speeds,
-            "envelope_rate": zeros,
-        }
-
-
 # -- public operations -------------------------------------------------------
 
 
 def _row(state, geometry, c=None):
-    """(row, GridGeometry or None) of one state; ``geometry`` as in :func:`energy`.
+    """(row, GridGeometry) of one state; ``geometry`` as in :func:`energy`.
 
     ``c`` replaces the state's horizontal amplitude.
     """
-    if isinstance(geometry, InvariantMetric):
-        geom, evaluator = None, _OrbitGeometry(geometry)
-    else:
-        geom = evaluator = GridGeometry(geometry, state.grid)
+    geom = GridGeometry(geometry, state.grid)
     c = float(state.c or 0.0) if c is None else c
-    rows = evaluator.rows(np.array([c]), state.v[None])
+    rows = geom.rows(np.array([c]), state.v.reshape(1, geom.n, geom.d))
     return {key: val[0] for key, val in rows.items()}, geom
 
 
@@ -316,7 +291,7 @@ def energy(state, geometry) -> float:
 
 def pointwise_speed(state, geometry, j: int | None = None) -> float:
     row, geom = _row(state, geometry)
-    if j is None or geom is None:
+    if j is None or geom.r is None:
         return float(row["max_speed"])
     if not 0 <= j < geom.n:
         raise InputError(f"grid index {j} out of range [0, {geom.n})")
@@ -333,10 +308,10 @@ def divergence_residual(state, geometry, h_samples=None) -> float:
     ``h_samples`` replaces the horizontal amplitude c h0 of a grid state by
     arbitrary samples, whose defect is then evaluated on the stencil.
     """
-    if h_samples is None or isinstance(geometry, InvariantMetric):
-        return float(_row(state, geometry)[0]["div_residual"])
     # at c = 0 the row's residual is the vertical part alone
-    row, geom = _row(state, geometry, c=0.0)
+    row, geom = _row(state, geometry, c=None if h_samples is None else 0.0)
+    if h_samples is None or geom.r is None:
+        return float(row["div_residual"])
     h = np.asarray(h_samples, float)
     res_h = float(np.max(np.abs(geom.deriv(h) - geom.trace_S * h)))
     return max(res_h, float(row["div_residual"]))
@@ -442,23 +417,17 @@ class RunRecorder:
     partial chunk and hands out the recorded rows as views.
     """
 
-    def __init__(self, kind, geom: GridGeometry | None, metric: InvariantMetric | None,
-                 n_rows: int):
-        if geom is not None:
-            d, n_singular, state = geom.d, len(geom.singular_windows), (geom.n, geom.d)
-            self._rows = geom.rows
-        else:
-            d = metric.split.dim_m
-            n_singular, state = 0, (d,)
-            self._rows = _OrbitGeometry(metric).rows
-        self.report = RunReport(kind=kind, n_coeff=d, n_singular=n_singular)
+    def __init__(self, geom: GridGeometry, n_rows: int):
+        d, n_singular = geom.d, len(geom.singular_windows)
+        self._rows = geom.rows
+        self.report = RunReport(kind=geom.kind, n_coeff=d, n_singular=n_singular)
         shapes = series_shapes(d, n_singular)
         self.series = {k: np.empty((n_rows, *shape)) for k, shape in shapes.items()}
         self._row_keys = [k for k in shapes if k not in RUN_SERIES]
         self._t, self._p = self.series["t"], self.series["p_periodicity"]
-        self._chunk = chunk_rows(math.prod(state))
+        self._chunk = chunk_rows(geom.n * d)
         self._cs = np.empty(self._chunk)
-        self._vs = np.empty((self._chunk, *state))
+        self._vs = np.empty((self._chunk, geom.n, d))  # a homogeneous (d,) state fills one node
         self._n = 0  # rows recorded
         self._done = 0  # rows evaluated
         self._speeds0 = None
@@ -469,7 +438,7 @@ class RunRecorder:
         self._t[i] = t
         self._p[i] = p_residual
         k = i - self._done
-        self._cs[k] = 0.0 if c is None else c
+        self._cs[k] = c
         self._vs[k] = v
         self._n = i + 1
         if k + 1 == self._chunk:
@@ -479,7 +448,7 @@ class RunRecorder:
         lo, hi = self._done, self._n
         if hi == lo:
             return
-        # a state that overflowed before a failure gives non-finite rows
+        # a finite state can still overflow its squares (a run failing by overflow)
         with np.errstate(invalid="ignore", over="ignore"):
             rows = self._rows(self._cs[: hi - lo], self._vs[: hi - lo])
             speeds = rows["speeds"]
@@ -489,9 +458,8 @@ class RunRecorder:
         s = self.series
         for key in self._row_keys:
             s[key][lo:hi] = rows[key]
-        s["speed_drift"][lo:hi] = drift if drift.ndim == 1 else np.max(drift, axis=1)
-        # the running maximum skips NaN rates (an overflowed c on a flat profile)
-        running = np.fmax(np.fmax.accumulate(rows["envelope_rate"]), self._lambda_max)
+        s["speed_drift"][lo:hi] = np.max(drift, axis=1)
+        running = np.maximum(np.maximum.accumulate(rows["envelope_rate"]), self._lambda_max)
         s["envelope_rate"][lo:hi] = running
         self._lambda_max = float(running[-1])
         self._done = hi

@@ -118,18 +118,21 @@ def euler_arnold_rhs(metric: InvariantMetric, X) -> np.ndarray:
     return -invariant_connection(metric, X, X)
 
 
-def divergence_form(metric: InvariantMetric) -> np.ndarray:
-    """Row vector d with div(X) = d . X for invariant fields.
+def divergence_forms(split: ReductiveSplit, grams: np.ndarray) -> np.ndarray:
+    """Row vectors d with div(X) = d . X for invariant fields, one per Gram matrix.
 
     The trace of Z -> nabla_Z X over a gram-orthonormal basis; identically
     zero for compact groups, so this is a runtime zero-witness.
     """
-    gamma = metric.connection_tensor()
-    L = np.linalg.cholesky(metric.gram)
-    E = np.linalg.inv(L).T  # columns are gram-orthonormal
+    gamma = connection_tensors(split, grams)
+    E = np.linalg.inv(np.linalg.cholesky(grams)).swapaxes(1, 2)  # columns are gram-orthonormal
     # d_b = sum_i E_i^a Gamma[a,b,c] (gram E_i)_c
-    GE = metric.gram @ E
-    return np.einsum("ai,abc,ci->b", E, gamma, GE)
+    return np.einsum("pai,pabc,pci->pb", E, gamma, grams @ E)
+
+
+def divergence_form(metric: InvariantMetric) -> np.ndarray:
+    """:func:`divergence_forms` of one invariant metric."""
+    return divergence_forms(metric.split, metric.gram[None])[0]
 
 
 def divergence_of_invariant_field(metric: InvariantMetric, X) -> float:

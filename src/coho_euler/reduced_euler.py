@@ -20,7 +20,9 @@ inputs give bit-identical outputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -127,8 +129,19 @@ def interval_grid(profile: MetricProfile, n: int) -> np.ndarray:
     return closed[lo : lo + n]
 
 
+class _Problem:
+    """A problem's :class:`GridGeometry`: built on first use, inside ``integrate``
+    rather than in a run's set-up, then shared with :func:`trajectory_pressures`."""
+
+    grid = None  # homogeneous problems have no grid
+
+    @cached_property
+    def geom(self) -> GridGeometry:
+        return GridGeometry(self.metric if self.kind == "homogeneous" else self.profile, self.grid)
+
+
 @dataclass
-class HomogeneousProblem:
+class HomogeneousProblem(_Problem):
     metric: InvariantMetric
     x0: np.ndarray
     kind: str = field(default="homogeneous", init=False)
@@ -141,7 +154,7 @@ class HomogeneousProblem:
 
 
 @dataclass
-class IntervalProblem:
+class IntervalProblem(_Problem):
     profile: MetricProfile
     v0: np.ndarray
     kind: str = field(default="interval", init=False)
@@ -159,7 +172,7 @@ class IntervalProblem:
 
 
 @dataclass
-class CircleProblem:
+class CircleProblem(_Problem):
     profile: MetricProfile
     c0: float
     v0: np.ndarray
@@ -180,25 +193,17 @@ class CircleProblem:
 # -- right-hand sides ---------------------------------------------------------
 
 
-class _HomogeneousDisc:
-    kind = "homogeneous"
+class _Disc:
+    """Gamma on every node of a geometry; subclasses give the right-hand side.
 
-    def __init__(self, metric: InvariantMetric):
-        gamma = metric.connection_tensor()
-        self.d = gamma.shape[0]
-        self._g2 = np.ascontiguousarray(gamma.reshape(self.d, self.d * self.d))
+    Only a circle's dc/dt closure takes the injected offset.
+    """
 
-    def rhs(self, c, x):
-        m = (x @ self._g2).reshape(self.d, self.d)
-        return 0.0, -(x @ m)
-
-
-class _GridDisc:
-    def __init__(self, geom: GridGeometry):
+    def __init__(self, geom: GridGeometry, dcdt_offset: float = 0.0):
         self.geom = geom
-        self.gamma = connection_tensors(geom.profile.split, geom.gram)
+        self.dcdt_offset = float(dcdt_offset)
+        self.gamma = connection_tensors(geom.split, geom.gram)
         self.has_gamma = bool(np.max(np.abs(self.gamma)) > 0.0)
-        self.has_S = bool(np.max(np.abs(geom.S)) > 0.0)
 
     def _gamma_vv(self, v):
         if not self.has_gamma:
@@ -206,56 +211,52 @@ class _GridDisc:
         return np.einsum("jabc,ja,jb->jc", self.gamma, v, v)
 
 
-class _IntervalDisc(_GridDisc):
-    kind = "interval"
+class _HomogeneousDisc(_Disc):
+    def __init__(self, geom: GridGeometry, dcdt_offset: float = 0.0):
+        super().__init__(geom, dcdt_offset)
+        self.d = geom.d
+        # x @ G2, then x @ m: the contraction order of the su2 reference run
+        self._g2 = np.ascontiguousarray(self.gamma[0].reshape(self.d, self.d * self.d))
 
+    def rhs(self, c, x):
+        m = (x @ self._g2).reshape(self.d, self.d)
+        return 0.0, -(x @ m)
+
+
+class _IntervalDisc(_Disc):
     def rhs(self, c, v):
         return 0.0, -self._gamma_vv(v)
 
 
-class _CircleDisc(_GridDisc):
-    kind = "circle"
-
-    def __init__(self, geom: GridGeometry, dcdt_offset: float = 0.0):
-        super().__init__(geom)
-        self.dcdt_offset = float(dcdt_offset)
-
-    def q_samples(self, v):
-        return np.einsum("ja,jab,jb->j", v, self.geom.gramS, v)
-
+class _CircleDisc(_Disc):
     def dcdt(self, v):
-        if not self.has_S:
-            return self.dcdt_offset
-        q_int = float(np.sum(self.geom.weights * self.q_samples(v)))
-        return -q_int / self.geom.int_h0 + self.dcdt_offset
+        return _closure(self.geom, v)[1] + self.dcdt_offset
 
     def rhs(self, c, v):
         geom = self.geom
         h = c * geom.h0
         hcol = h[:, None]
         dv = -hcol * geom.deriv(v)
-        if self.has_S:
+        if geom.has_S:
             dv += (2.0 * hcol) * np.einsum("jab,jb->ja", geom.S, v)
         if self.has_gamma:
             dv -= self._gamma_vv(v)
         return self.dcdt(v), dv
 
 
-def _make_disc(geometry, grid, dcdt_offset: float = 0.0):
-    """The discretisation of an invariant metric, or of a profile on a grid."""
-    if isinstance(geometry, InvariantMetric):
-        return _HomogeneousDisc(geometry)
-    geom = GridGeometry(geometry, grid)
-    if geom.kind == CIRCLE:
-        return _CircleDisc(geom, dcdt_offset)
-    return _IntervalDisc(geom)
+_DISCS = {"homogeneous": _HomogeneousDisc, INTERVAL: _IntervalDisc, CIRCLE: _CircleDisc}
 
 
-def _make_state(disc, t: float, c: float, v: np.ndarray) -> ReducedState:
-    """A snapshot of (c, v) on the disc's grid; c is kept only on a circle."""
-    if disc.kind == "homogeneous":
-        return ReducedState(t, None, v.copy(), None)
-    return ReducedState(t, c if disc.kind == "circle" else 0.0, v.copy(), disc.geom.r)
+def _make_disc(geom: GridGeometry, dcdt_offset: float = 0.0):
+    """The discretisation on a geometry."""
+    return _DISCS[geom.kind](geom, dcdt_offset)
+
+
+def _make_state(geom: GridGeometry, t: float, c: float, v: np.ndarray) -> ReducedState:
+    """A snapshot of (c, v) on the geometry's grid; c is kept only on a circle."""
+    if geom.kind != CIRCLE:
+        c = None if geom.kind == "homogeneous" else 0.0
+    return ReducedState(t, c, v.copy(), geom.r)
 
 
 def homogeneous_rhs(metric: InvariantMetric, X) -> np.ndarray:
@@ -265,18 +266,38 @@ def homogeneous_rhs(metric: InvariantMetric, X) -> np.ndarray:
 
 def interval_rhs(state: ReducedState, profile: MetricProfile) -> np.ndarray:
     """Node-decoupled dv/dt = -nabla^r_v v on an interval of orbits."""
-    return _make_disc(profile, state.grid).rhs(0.0, state.v)[1]
+    return _make_disc(GridGeometry(profile, state.grid)).rhs(0.0, state.v)[1]
 
 
 def circle_rhs(state: ReducedState, profile: MetricProfile, dcdt_offset: float = 0.0):
     """(dc/dt, dv/dt) for the circle problem."""
-    return _make_disc(profile, state.grid, dcdt_offset).rhs(float(state.c), state.v)
+    return _make_disc(GridGeometry(profile, state.grid), dcdt_offset).rhs(float(state.c), state.v)
 
 
-def _pressure_gradient(geom: GridGeometry, c: float, v: np.ndarray, dcdt: float):
-    """Radial pressure gradient samples and the loop (periodicity) residual."""
+def _closure(geom: GridGeometry, v: np.ndarray):
+    """q = g(S v, v) per node, and the dc/dt closure without any injected offset.
+
+    dc/dt is nonzero only on a circle with shape-operator coupling.
+    """
+    if not geom.has_S:
+        return np.zeros(geom.n), 0.0
     q = np.einsum("ja,jab,jb->j", v, geom.gramS, v)
+    if geom.kind != CIRCLE:
+        return q, 0.0
+    return q, -float(np.sum(geom.weights * q)) / geom.int_h0
+
+
+def _pressure_gradient(geom: GridGeometry, c: float, v: np.ndarray,
+                       dcdt_offset: float = 0.0, dcdt: float | None = None):
+    """Radial pressure gradient samples and the loop (periodicity) residual.
+
+    dc/dt is ``dcdt`` if given, else the closure's plus ``dcdt_offset``, as
+    in the right-hand side of a run with that offset.
+    """
+    q, closure = _closure(geom, v)
     if geom.kind == CIRCLE:
+        if dcdt is None:
+            dcdt = closure + dcdt_offset
         pprime = -dcdt * geom.h0 - (c * c) * geom.h0 * geom.h0_prime - q
         loop = float(np.sum(geom.weights * pprime))
         scale = max(geom.profile.length * float(np.max(np.abs(pprime))), 1e-30)
@@ -287,13 +308,13 @@ def _pressure_gradient(geom: GridGeometry, c: float, v: np.ndarray, dcdt: float)
     return pprime, residual
 
 
-def _pressure(disc, state: ReducedState, dcdt: float) -> PressureField:
+def _pressure(geom: GridGeometry, state: ReducedState, dcdt: float | None = None):
     """Pressure samples (gauge p(r_0) = 0) and the periodicity residual."""
-    if disc.kind == "homogeneous":
+    if geom.kind == "homogeneous":
         return PressureField(np.zeros(1))
-    c = float(state.c) if disc.kind == "circle" else 0.0
-    pprime, residual = _pressure_gradient(disc.geom, c, state.v, dcdt)
-    return PressureField(cumulative_integral(pprime, disc.geom.dr), residual)
+    c = float(state.c) if geom.kind == CIRCLE else 0.0
+    pprime, residual = _pressure_gradient(geom, c, state.v, dcdt=dcdt)
+    return PressureField(cumulative_integral(pprime, geom.dr), residual)
 
 
 def pressure_reconstruct(
@@ -307,13 +328,10 @@ def pressure_reconstruct(
     ``geometry`` is a metric profile for grid states, or an invariant metric
     for homogeneous states, whose pressure is the zero field. ``dcdt``
     defaults to the closure's dc/dt of the state on a circle (as in
-    :func:`trajectory_pressures`) and to 0 elsewhere; a given value is used
-    as is.
+    :func:`trajectory_pressures`); a given value is used as is, and only on
+    a circle.
     """
-    disc = _make_disc(geometry, state.grid)
-    if dcdt is None:
-        dcdt = disc.dcdt(state.v) if disc.kind == "circle" else 0.0
-    field = _pressure(disc, state, dcdt)
+    field = _pressure(GridGeometry(geometry, state.grid), state, dcdt)
     residual = field.periodicity_residual
     if check and residual > PERIODICITY_TOL:
         raise NumericalFailureError(
@@ -327,26 +345,41 @@ def pressure_reconstruct(
 
 
 def trajectory_pressures(problem, snapshots) -> list[PressureField]:
-    """Pressure fields for a trajectory, sharing one discretisation build."""
-    if problem.kind == "homogeneous":
-        return [PressureField(np.zeros(1)) for _ in snapshots]
-    disc = _make_disc(problem.profile, problem.grid)
-    if disc.kind == "circle":
-        return [_pressure(disc, s, disc.dcdt(s.v)) for s in snapshots]
-    return [_pressure(disc, s, 0.0) for s in snapshots]
+    """Pressure fields for a trajectory, on the geometry its run used."""
+    geom = problem.geom
+    return [_pressure(geom, s) for s in snapshots]
 
 
 # -- time stepping ------------------------------------------------------------
 
 
-def _check_stage(dc, dv, stage, step, t):
-    # cheap screen first; a non-finite entry always poisons the sum
-    if np.isfinite(dc) and np.isfinite(float(np.sum(dv))):
+def _stages(rhs, c, v, dt):
+    """The four RK4 stages (dc/dt, dv/dt) from (c, v), in order."""
+    k1c, k1v = rhs(c, v)
+    k2c, k2v = rhs(c + 0.5 * dt * k1c, v + (0.5 * dt) * k1v)
+    k3c, k3v = rhs(c + 0.5 * dt * k2c, v + (0.5 * dt) * k2v)
+    k4c, k4v = rhs(c + dt * k3c, v + dt * k3v)
+    return (k1c, k1v), (k2c, k2v), (k3c, k3v), (k4c, k4v)
+
+
+def _check_stage(disc, c, v, dt, step, t, c_new, v_new):
+    """Screen the stepped state once; on failure, name where it went non-finite.
+
+    A non-finite stage always poisons the stepped state, so one check per
+    step sees every failure. The cold path re-runs the stages from (c, v)
+    quietly and names the first non-finite one, or "combine" when all four
+    are finite and only their combination overflowed.
+    """
+    # a non-finite entry always poisons the sum; a finite sum can still overflow
+    if math.isfinite(c_new) and (math.isfinite(v_new.sum()) or np.isfinite(v_new).all()):
         return
-    if np.isfinite(dc) and bool(np.all(np.isfinite(dv))):
-        return  # finite values whose sum overflowed
+    with np.errstate(over="ignore", invalid="ignore"):
+        stages = _stages(disc.rhs, c, v, dt)
+    stage = next((i for i, (kc, kv) in enumerate(stages, 1)
+                  if not (math.isfinite(kc) and np.isfinite(kv).all())), "combine")
     raise NumericalFailureError(
-        f"non-finite right-hand side at RK4 stage {stage}",
+        "non-finite state from the RK4 combine of four finite stages" if stage == "combine"
+        else f"non-finite right-hand side at RK4 stage {stage}",
         kind="non_finite",
         step=step,
         t=t,
@@ -355,22 +388,15 @@ def _check_stage(dc, dv, stage, step, t):
 
 
 def _rk4(disc, c, v, dt, step, t):
-    rhs = disc.rhs
-    k1c, k1v = rhs(c, v)
-    _check_stage(k1c, k1v, 1, step, t)
-    k2c, k2v = rhs(c + 0.5 * dt * k1c, v + (0.5 * dt) * k1v)
-    _check_stage(k2c, k2v, 2, step, t)
-    k3c, k3v = rhs(c + 0.5 * dt * k2c, v + (0.5 * dt) * k2v)
-    _check_stage(k3c, k3v, 3, step, t)
-    k4c, k4v = rhs(c + dt * k3c, v + dt * k3v)
-    _check_stage(k4c, k4v, 4, step, t)
+    (k1c, k1v), (k2c, k2v), (k3c, k3v), (k4c, k4v) = _stages(disc.rhs, c, v, dt)
     c_new = c + (dt / 6.0) * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
     v_new = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    _check_stage(disc, c, v, dt, step, t, c_new, v_new)
     return c_new, v_new
 
 
 def _cfl_check(disc, config, c, step, t):
-    if disc.kind != "circle":
+    if disc.geom.kind != CIRCLE:
         return
     hmax = abs(c) * disc.geom.h0_max
     limit = config.cfl_guard * disc.geom.dr / max(hmax, CFL_EPS)
@@ -387,11 +413,12 @@ def _cfl_check(disc, config, c, step, t):
 
 def step_rk4(state: ReducedState, geometry, config: SolverConfig) -> ReducedState:
     """One deterministic RK4 step of the appropriate reduced system."""
-    disc = _make_disc(geometry, state.grid, config.dcdt_offset)
-    c = float(state.c) if disc.kind == "circle" else 0.0
+    geom = GridGeometry(geometry, state.grid)
+    disc = _make_disc(geom, config.dcdt_offset)
+    c = float(state.c) if geom.kind == CIRCLE else 0.0
     _cfl_check(disc, config, c, 0, state.t)
     c_new, v_new = _rk4(disc, c, state.v, config.dt, 0, state.t)
-    return _make_state(disc, state.t + config.dt, c_new, v_new)
+    return _make_state(geom, state.t + config.dt, c_new, v_new)
 
 
 def integrate(problem, config: SolverConfig):
@@ -409,13 +436,9 @@ def integrate(problem, config: SolverConfig):
     diag_every = config.diagnostics_cadence
 
     state = problem.initial_state()
-    n_rows = config.n_records()
-    if problem.kind == "homogeneous":
-        disc = _make_disc(problem.metric, None)
-        recorder = RunRecorder("homogeneous", None, problem.metric, n_rows)
-    else:
-        disc = _make_disc(problem.profile, state.grid, config.dcdt_offset)
-        recorder = RunRecorder(problem.kind, disc.geom, None, n_rows)
+    geom = problem.geom
+    disc = _make_disc(geom, config.dcdt_offset)
+    recorder = RunRecorder(geom, config.n_records())
     c = 0.0 if state.c is None else state.c
     v = state.v
 
@@ -424,8 +447,8 @@ def integrate(problem, config: SolverConfig):
         # raising: failures leave a diagnostic tail, never a silent exit
         t = n * dt
         residual = 0.0
-        if disc.kind == "circle":
-            _, residual = _pressure_gradient(disc.geom, cc, vv, disc.dcdt(vv))
+        if geom.kind == CIRCLE:
+            _, residual = _pressure_gradient(geom, cc, vv, disc.dcdt_offset)
         recorder.record(t, cc, vv, residual)
         if residual > PERIODICITY_TOL:
             raise NumericalFailureError(
@@ -442,7 +465,7 @@ def integrate(problem, config: SolverConfig):
     t_now = 0.0
     try:
         record_with_pressure_watchdog(0, c, v)
-        snapshots.append(_make_state(disc, 0.0, c, v))
+        snapshots.append(_make_state(geom, 0.0, c, v))
         for step in range(n_steps):
             _cfl_check(disc, config, c, step, t_now)
             c, v = _rk4(disc, c, v, dt, step, t_now)
@@ -451,17 +474,17 @@ def integrate(problem, config: SolverConfig):
             if (step + 1) % diag_every == 0 or last:
                 record_with_pressure_watchdog(step + 1, c, v)
             if (step + 1) % snap_every == 0 or last:
-                snapshots.append(_make_state(disc, t_now, c, v))
+                snapshots.append(_make_state(geom, t_now, c, v))
     except NumericalFailureError as exc:
         if exc.t is None:
             exc.t = t_now
         failure = exc.record()
-        snapshots.append(_make_state(disc, t_now, c, v))
+        snapshots.append(_make_state(geom, t_now, c, v))
 
     report = recorder.finish(failure)
-    if disc.kind == "circle":
+    if geom.kind == CIRCLE:
         # the energy bound on c^2 comes from the first recorded row, which
         # is evaluated only once finish() has flushed the recorder
-        report.c_bound = 2.0 * float(report.series["E"][0]) / disc.geom.int_h02_vol
+        report.c_bound = 2.0 * float(report.series["E"][0]) / geom.int_h02_vol
     conservation_report(report)
     return snapshots, report

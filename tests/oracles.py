@@ -1,6 +1,7 @@
-"""Independent brute-force oracles; nothing here imports solver internals."""
+"""Independent oracles, brute-force or closed-form; nothing here imports solver internals."""
 
 import numpy as np
+from scipy.special import ellipj, ellipkinc
 
 
 def bracket_direct(C, x, y):
@@ -58,42 +59,30 @@ def joint_ad_kernel(alg, h_basis, m_basis, tol=1e-10):
     return evecs[:, evals < tol**2 * max(1.0, evals[-1])].T
 
 
-def euler_top_rk4(inertia, omega0, dt, n_steps, record_every):
-    """Classical rigid-body equations, plain-float RK4, recorded periodically."""
+def euler_top_elliptic(inertia, omega0, t):
+    """Closed-form Euler top, (T, 3) angular velocities at the times ``t``.
+
+    Landau & Lifshitz, Mechanics, section 37: for I1 < I2 < I3 and
+    M^2 > 2 E I2 the body rotates about the third axis, and
+    (w1, w2, w3) = (A1 cn u, A2 sn u, A3 dn u) with u = u0 + t sqrt((I3 - I2)
+    (M^2 - 2 E I1) / (I1 I2 I3)) and parameter
+    m = (I2 - I1)(2 E I3 - M^2) / ((I3 - I2)(M^2 - 2 E I1)).
+    """
     i1, i2, i3 = (float(x) for x in inertia)
-    a1 = (i2 - i3) / i1
-    a2 = (i3 - i1) / i2
-    a3 = (i1 - i2) / i3
-    w1, w2, w3 = (float(x) for x in omega0)
-    states = [(0.0, (w1, w2, w3))]
-    for k in range(n_steps):
-        k11 = a1 * w2 * w3
-        k12 = a2 * w3 * w1
-        k13 = a3 * w1 * w2
-        u1 = w1 + 0.5 * dt * k11
-        u2 = w2 + 0.5 * dt * k12
-        u3 = w3 + 0.5 * dt * k13
-        k21 = a1 * u2 * u3
-        k22 = a2 * u3 * u1
-        k23 = a3 * u1 * u2
-        u1 = w1 + 0.5 * dt * k21
-        u2 = w2 + 0.5 * dt * k22
-        u3 = w3 + 0.5 * dt * k23
-        k31 = a1 * u2 * u3
-        k32 = a2 * u3 * u1
-        k33 = a3 * u1 * u2
-        u1 = w1 + dt * k31
-        u2 = w2 + dt * k32
-        u3 = w3 + dt * k33
-        k41 = a1 * u2 * u3
-        k42 = a2 * u3 * u1
-        k43 = a3 * u1 * u2
-        w1 += dt / 6.0 * (k11 + 2.0 * (k21 + k31) + k41)
-        w2 += dt / 6.0 * (k12 + 2.0 * (k22 + k32) + k42)
-        w3 += dt / 6.0 * (k13 + 2.0 * (k23 + k33) + k43)
-        if (k + 1) % record_every == 0:
-            states.append(((k + 1) * dt, (w1, w2, w3)))
-    return states
+    w = np.asarray(omega0, dtype=float)
+    two_e = i1 * w[0] ** 2 + i2 * w[1] ** 2 + i3 * w[2] ** 2
+    m2 = i1**2 * w[0] ** 2 + i2**2 * w[1] ** 2 + i3**2 * w[2] ** 2
+    if not (i1 < i2 < i3 and m2 > two_e * i2 and w[2] > 0.0):
+        raise ValueError("oracle covers I1 < I2 < I3, M^2 > 2 E I2 and w3 > 0 only")
+    amp = np.sqrt([(two_e * i3 - m2) / (i1 * (i3 - i1)),
+                   (two_e * i3 - m2) / (i2 * (i3 - i2)),
+                   (m2 - two_e * i1) / (i3 * (i3 - i1))])
+    m = (i2 - i1) * (two_e * i3 - m2) / ((i3 - i2) * (m2 - two_e * i1))
+    rate = np.sqrt((i3 - i2) * (m2 - two_e * i1) / (i1 * i2 * i3))
+    # the amplitude phi of u0 has cos phi = cn u0 and sin phi = sn u0
+    u0 = ellipkinc(np.arctan2(w[1] / amp[1], w[0] / amp[0]), m)
+    sn, cn, dn, _ = ellipj(u0 + rate * np.asarray(t, dtype=float), m)
+    return np.stack([amp[0] * cn, amp[1] * sn, amp[2] * dn], axis=-1)
 
 
 def h0_by_ode(profile, n_grid, substeps_per_cell=32):

@@ -27,7 +27,7 @@ from coho_euler.coho_geometry import RoundS3T2Profile, trace_identity_probes
 from coho_euler.config import build_problem, build_solver_config, parse_config_dict
 from coho_euler.reduced_euler import trajectory_pressures
 
-from oracles import coordinate_divergence_fd, euler_top_rk4
+from oracles import coordinate_divergence_fd, euler_top_elliptic
 
 
 def criterion(number, description, passed, detail=""):
@@ -80,21 +80,14 @@ def test_criterion_1_rigid_body_conservation(su2_run):
 
 def test_criterion_2_euler_top_oracle(su2_run):
     snapshots, _, _ = su2_run
-    states = [(s.t, s.v) for s in snapshots if s.t <= 10.0 + 1e-12]
-    oracle = euler_top_rk4((1.0, 2.0, 3.0), np.ones(3) / np.sqrt(6.0), 1e-5, 1_000_000, 10_000)
-    by_t = {round(t, 9): np.array(w) for t, w in oracle}
-    dev = 0.0
-    compared = 0
-    for t, v in states:
-        key = round(t, 9)
-        if key in by_t:
-            dev = max(dev, float(np.max(np.abs(v - by_t[key]))))
-            compared += 1
+    t = np.array([s.t for s in snapshots])
+    oracle = euler_top_elliptic((1.0, 2.0, 3.0), np.ones(3) / np.sqrt(6.0), t)
+    dev = float(np.max(np.abs(np.stack([s.v for s in snapshots]) - oracle)))
     criterion(
         2,
-        "trajectory matches dt/100 classical rigid-body reference on [0, 10]",
-        compared >= 100 and dev < 1e-6,
-        f"max deviation={dev:.2e} over {compared} states",
+        "trajectory matches the closed-form (Jacobi elliptic) Euler top on [0, 100]",
+        len(t) >= 1000 and abs(t[-1] - 100.0) < 1e-9 and dev < 1e-10,
+        f"max deviation={dev:.2e} over {len(t)} states",
     )
 
 
@@ -324,4 +317,37 @@ def test_criterion_11_run_determinism(tmp_path):
         "byte-identical artifacts from two fresh runs of every example",
         ok,
         ", ".join(details),
+    )
+
+
+def test_criterion_12_spatial_self_convergence():
+    """berger_circle to t = 1 at N = 32, 64, 128 against N = 256, on shared nodes.
+
+    The circle is the only kind with a spatial error to converge: interval
+    runs are node-decoupled (their right-hand side is -Gamma(v, v) node by
+    node), so their states carry no stencil error at all. dt = 5e-4 keeps
+    the RK4 error well below the N = 128 spatial error.
+    """
+    finals = {}
+    for n in (32, 64, 128, 256):
+        cfg = load_modified("berger_circle", N=n, dt=5e-4, t_end=1.0, _diag_cadence=2000)
+        snaps, report = integrate(build_problem(cfg), build_solver_config(cfg))
+        assert report.failure is None and snaps[-1].t == 1.0
+        finals[n] = snaps[-1]
+    ref = finals[256]
+    errors = {}
+    for n in (32, 64, 128):
+        state = finals[n]
+        shared = ref.v[:: 256 // n]  # node k of N is node k 256/N of the reference
+        errors[n] = max(abs(state.c - ref.c), float(np.max(np.abs(state.v - shared))))
+        print(f"  N = {n:3d}   error vs N = 256: {errors[n]:.3e}")
+    orders = [np.log2(errors[n] / errors[2 * n]) for n in (32, 64)]
+    for n, order in zip((64, 128), orders):
+        print(f"  N = {n:3d}   observed order {order:.2f}")
+    criterion(
+        12,
+        "fourth-order spatial self-convergence of the coupled circle system",
+        min(orders) >= 3.8,
+        " ".join(f"{n}:{errors[n]:.2e}" for n in errors)
+        + " orders " + " ".join(f"{o:.2f}" for o in orders),
     )

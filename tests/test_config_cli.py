@@ -183,6 +183,25 @@ def test_cli_numerical_failure_exit_3(tmp_path, capsys):
     assert manifest["status"] == "failed"
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+def test_cli_overflowing_rk4_combine_exit_3(tmp_path, capsys):
+    # all four stages are finite, but k1 + 2 k2 + 2 k3 + k4 overflows: the
+    # stepped-state screen names the combine and the run keeps its artifacts
+    raw = example_raw("su2_rigid_body", {"initial.x": [1e154, 1e154, 1e154],
+                                         "solver.dt": 1e-300, "solver.t_end": 1e-300})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_cfg(tmp_path, raw)), "--out", str(out)]) == 3
+    failure = json.loads((out / "summary.json").read_text())["failure"]
+    assert failure["kind"] == "non_finite"
+    assert (failure["stage"], failure["step"], failure["t"]) == ("combine", 0, 0.0)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed" and (out / "diagnostics.csv").exists()
+    assert manifest["snapshots"]
+    for snap in manifest["snapshots"]:
+        values = np.loadtxt(out / snap["file"], delimiter=",", skiprows=1)
+        assert np.all(np.isfinite(values)), snap["file"]
+
+
 def test_cli_validate_bundled_interval(capsys):
     path = catalog.example_path("s3_t2_interval")
     assert main(["validate", "--config", str(path)]) == 0

@@ -329,6 +329,7 @@ def test_time_reversal_round_trip(name):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_integrate_non_finite_failure(su2_split):
     metric = InvariantMetric(su2_split, np.diag([1.0, 2.0, 3.0]))
     prob = HomogeneousProblem(metric, np.array([1e200, 1e200, 0.0]))
