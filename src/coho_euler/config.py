@@ -25,13 +25,13 @@ import numpy as np
 
 from . import coho_geometry as cg
 from .coho_geometry import CIRCLE, INTERVAL
-from .diagnostics import GridGeometry, parity_tolerance, row_width
+from .diagnostics import GRID_NODES, GridGeometry, grid_layout, grid_rule, parity_tolerance
+from .diagnostics import row_width
 from .errors import ConfigError, InputError
 from .homogeneous_geometry import InvariantMetric, check_metric_invariance
 from .lie_core import LieAlgebraSpec, abelian, reductive_split, su2
 from .lie_core import check_reductive_split, monte_carlo_fixed_check, validate_structure
 from .reduced_euler import CircleProblem, HomogeneousProblem, IntervalProblem, SolverConfig
-from .reduced_euler import circle_grid, interval_grid
 from .reports import ValidationReport
 
 # hashlib is heavy to load: it maps OpenSSL's libcrypto for one digest.
@@ -292,10 +292,8 @@ def _schema(kind):
                                 _tabulated_rule(kind))
     v = Union("type", {tag: case(tag, {"type": None, **fields}) for tag, fields in VTYPES.items()},
               f"expected one of {VKINDS}, got {{!r}}")
-    if kind == CIRCLE:
-        n = Int(16, even=True, bound="circle grids need an even N >= 16, got {}", high=MAX_N)
-    else:
-        n = Int(6, bound="interval grids need N >= 6, got {}", high=MAX_N)
+    low, even = GRID_NODES[kind]
+    n = Int(low, even=even, bound=grid_rule(kind) + ", got {}", high=MAX_N)
     solver = {"dt": POSITIVE, "t_end": POSITIVE, "cfl_guard": POSITIVE, "N": n}
     return Obj({"problem": PROBLEM, "algebra": ALGEBRA, "isotropy": ISOTROPY,
                 "profile": Union("family", families, "unknown family {!r}"),
@@ -532,8 +530,7 @@ def check_config(cfg: RunConfig, deep: bool = False):
         report.extend(profile_report, "profile: {} failed")
         if not profile_report["gram_positive_on_probe_grid"].passed:
             return report, None
-        n = int(cfg.solver["N"])
-        grid = interval_grid(profile, n) if cfg.kind == INTERVAL else circle_grid(profile, n)
+        grid = grid_layout(profile, int(cfg.solver["N"]))[0]
         try:
             initial = build_initial_v(cfg, profile, grid)
         except ConfigError as exc:

@@ -33,6 +33,9 @@ ENVELOPE_FACTOR = 1.05
 C1_GROWTH_LIMIT = 10.0
 TAYLOR_GROWTH_LIMIT = 10.0
 TAYLOR_WINDOW = 6
+# the node-count rule of a state grid on each orbit space: (fewest nodes, even only);
+# an interval grid holds at least one endpoint Taylor window
+GRID_NODES = {CIRCLE: (16, True), INTERVAL: (TAYLOR_WINDOW, False)}
 N_DIV_PROBES = 8
 # the recorder evaluates up to this many buffered states per rows() call,
 # fewer when a state is large: the (T, n, d) temporaries stay near 256 kB
@@ -65,6 +68,37 @@ def _first_max(a, b):
     return np.where(b > a, b, a)
 
 
+def grid_rule(kind: str) -> str:
+    """The node-count rule of :data:`GRID_NODES` in words."""
+    low, even = GRID_NODES[kind]
+    return f"{kind} grids need {'an even ' if even else ''}N >= {low}"
+
+
+def grid_layout(profile: MetricProfile, n: int):
+    """The state grid of ``n`` nodes on a profile's orbit space: (nodes, weights, dr).
+
+    A circle takes an even n >= 16 nodes on [0, L) with periodic Simpson
+    weights. An interval takes n >= 6 nodes (one endpoint Taylor window) of
+    the uniform closed grid less its singular endpoints; integrands vanish
+    there (volume collapse), so the closed grid's Simpson weights are cut to
+    the state nodes. Every state grid of the package is built here.
+    """
+    kind = profile.orbit_space.kind
+    low, even = GRID_NODES[kind]
+    if n < low or (even and n % 2):
+        raise InputError(f"{grid_rule(kind)}, got {n}")
+    L = profile.length
+    if kind == CIRCLE:
+        dr = L / n
+        return L * np.arange(n) / n, simpson_weights_periodic(n, dr), dr
+    left, right = profile.orbit_space.endpoint_kinds
+    lo = int(left == SINGULAR)
+    m = n + lo + (right == SINGULAR)
+    nodes = np.linspace(0.0, L, m)[lo : lo + n]
+    dr = float(nodes[1] - nodes[0])
+    return nodes, simpson_weights_closed(m, dr)[lo : lo + n], dr
+
+
 class GridGeometry:
     """Per-node metric data shared by the solver and the diagnostics.
 
@@ -91,25 +125,20 @@ class GridGeometry:
         self.gramS = np.einsum("jab,jbc->jac", self.gram, self.S)
         self.has_S = bool(np.max(np.abs(self.S)) > 0.0)
 
+        # h = c h0: only a circle carries a horizontal field, so h0 and every
+        # constant below are zero on the other kinds
         if self.kind == CIRCLE:
-            vol_mid = self.profile.volume_at(0.5 * self.profile.length)
-            self.h0 = vol_mid / self.vol
-            self.h0_prime = self.trace_S * self.h0
-            self.h0_max = float(np.max(self.h0))
-            self.fd_div_floor = float(np.max(np.abs(self.deriv(self.h0) - self.h0_prime)))
-            self.fd_h0_max = float(np.max(np.abs(self.deriv(self.h0))))
-            self.int_h0 = float(np.sum(self.weights * self.h0))
-            self.int_h02_vol = float(np.sum(self.weights * self.h0**2 * self.vol))
-            self.envelope_rate_unit = float(np.max(self.h0 * self.rho))
+            self.h0 = self.profile.volume_at(0.5 * self.profile.length) / self.vol
         else:
             self.h0 = np.zeros(self.n)
-            self.h0_prime = np.zeros(self.n)
-            self.h0_max = 0.0
-            self.fd_div_floor = 0.0
-            self.fd_h0_max = 0.0
-            self.int_h0 = 0.0
-            self.int_h02_vol = 0.0
-            self.envelope_rate_unit = 0.0
+        self.h0_prime = self.trace_S * self.h0
+        fd_h0 = self.deriv(self.h0)
+        self.h0_max = float(np.max(self.h0))
+        self.fd_div_floor = float(np.max(np.abs(fd_h0 - self.h0_prime)))
+        self.fd_h0_max = float(np.max(np.abs(fd_h0)))
+        self.int_h0 = float(np.sum(self.weights * self.h0))
+        self.int_h02_vol = float(np.sum(self.weights * self.h0**2 * self.vol))
+        self.envelope_rate_unit = float(np.max(self.h0 * self.rho))
         self.wvol = self.weights * self.vol
         self._work_arrays = None
 
@@ -135,34 +164,15 @@ class GridGeometry:
         self.profile = profile
         self.kind = profile.orbit_space.kind
         r = np.asarray(grid, dtype=float)
-        if r.ndim != 1 or r.size < 4:
-            raise InputError("state grid must be a 1-d array with >= 4 nodes")
+        nodes, self.weights, self.dr = grid_layout(profile, r.size)
+        if r.shape != nodes.shape or not np.max(np.abs(r - nodes)) <= 1e-9 * profile.length:
+            raise InputError(f"state grid is not the {self.kind} grid of {r.size} nodes")
         self.r = r
         self.n = r.size
-        L = profile.length
-
         if self.kind == CIRCLE:
-            self.dr = L / self.n
-            if np.max(np.abs(r - self.dr * np.arange(self.n))) > 1e-9 * L:
-                raise InputError("circle grid must be uniform on [0, L)")
-            self.weights = simpson_weights_periodic(self.n, self.dr)
             self.deriv = Derivative4Periodic(self.n, self.dr)
         else:
-            # quadrature runs over the closed grid; integrands vanish at
-            # singular endpoints (volume collapse), so their weights are
-            # dropped together with the nodes
-            self.dr = float(r[1] - r[0])
-            m_closed = int(round(L / self.dr)) + 1
-            closed = np.linspace(0.0, L, m_closed)
-            left, right = profile.orbit_space.endpoint_kinds
-            off = 1 if left == SINGULAR else 0
-            if off + self.n + (1 if right == SINGULAR else 0) != m_closed or np.max(
-                np.abs(r - closed[off : off + self.n])
-            ) > 1e-9 * L:
-                raise InputError("interval grid does not match the canonical layout")
-            self.weights = simpson_weights_closed(m_closed, self.dr)[off : off + self.n]
             self.deriv = Derivative4Interval(self.n, self.dr)
-
         self.gram = profile.gram_at(r)
         self.gram_prime = profile.gram_prime_at(r)
         self.S = -0.5 * np.linalg.solve(self.gram, self.gram_prime)
@@ -170,10 +180,6 @@ class GridGeometry:
         self.rho = _generalized_spectral_radius(-0.5 * self.gram_prime, self.gram)
 
     def _taylor_window(self, side, sl):
-        if self.n < TAYLOR_WINDOW:
-            raise ConfigError(
-                f"endpoint Taylor fit needs at least {TAYLOR_WINDOW} interior nodes"
-            )
         rho = np.abs(self.r[sl] - side)
         A = np.column_stack([np.ones_like(rho), rho**2])
         pinv = np.linalg.pinv(A)

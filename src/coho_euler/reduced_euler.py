@@ -26,15 +26,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .coho_geometry import CIRCLE, INTERVAL, SINGULAR, MetricProfile
+from .coho_geometry import CIRCLE, INTERVAL, MetricProfile
 from .diagnostics import (
     PERIODICITY_TOL,
     GridGeometry,
     RunRecorder,
     conservation_report,
+    grid_layout,
 )
 from .errors import InputError, NumericalFailureError
-from .homogeneous_geometry import InvariantMetric, connection_tensors, euler_arnold_rhs
+from .homogeneous_geometry import InvariantMetric, connection_tensors
 from .numerics import as_float_array, cumulative_integral
 
 CFL_EPS = 1e-12
@@ -112,21 +113,12 @@ class PressureField:
     periodicity_residual: float = 0.0
 
 
-def circle_grid(profile: MetricProfile, n: int) -> np.ndarray:
-    if n < 16 or n % 2:
-        raise InputError(f"circle grids need an even node count >= 16, got {n}")
-    return profile.length * np.arange(n) / n
+def state_grid(profile: MetricProfile, n: int) -> np.ndarray:
+    """The ``n`` state nodes of :func:`~coho_euler.diagnostics.grid_layout`."""
+    return grid_layout(profile, n)[0]
 
 
-def interval_grid(profile: MetricProfile, n: int) -> np.ndarray:
-    """State nodes of the uniform closed grid: singular endpoints excluded."""
-    left, right = profile.orbit_space.endpoint_kinds
-    if n < 6:
-        raise InputError(f"interval grids need at least 6 state nodes, got {n}")
-    m = n + (left == SINGULAR) + (right == SINGULAR)
-    closed = np.linspace(0.0, profile.length, m)
-    lo = 1 if left == SINGULAR else 0
-    return closed[lo : lo + n]
+circle_grid = interval_grid = state_grid
 
 
 class _Problem:
@@ -134,6 +126,15 @@ class _Problem:
     rather than in a run's set-up, then shared with :func:`trajectory_pressures`."""
 
     grid = None  # homogeneous problems have no grid
+
+    def __post_init__(self):
+        """A grid problem's v0: (n, d) samples on the state grid of n nodes."""
+        if self.profile.orbit_space.kind != self.kind:
+            raise InputError(f"{type(self).__name__} needs an orbit space of kind {self.kind!r}")
+        self.v0 = np.asarray(self.v0, dtype=float)
+        if self.v0.ndim != 2 or self.v0.shape[1] != self.profile.dim:
+            raise InputError(f"v0 must have shape (n, {self.profile.dim})")
+        self.grid = state_grid(self.profile, self.v0.shape[0])
 
     @cached_property
     def geom(self) -> GridGeometry:
@@ -159,14 +160,6 @@ class IntervalProblem(_Problem):
     v0: np.ndarray
     kind: str = field(default="interval", init=False)
 
-    def __post_init__(self):
-        if self.profile.orbit_space.kind != INTERVAL:
-            raise InputError("IntervalProblem needs an interval orbit space")
-        self.v0 = np.asarray(self.v0, dtype=float)
-        if self.v0.ndim != 2 or self.v0.shape[1] != self.profile.dim:
-            raise InputError(f"v0 must have shape (n, {self.profile.dim})")
-        self.grid = interval_grid(self.profile, self.v0.shape[0])
-
     def initial_state(self) -> ReducedState:
         return ReducedState(0.0, 0.0, self.v0.copy(), self.grid.copy())
 
@@ -177,14 +170,6 @@ class CircleProblem(_Problem):
     c0: float
     v0: np.ndarray
     kind: str = field(default="circle", init=False)
-
-    def __post_init__(self):
-        if self.profile.orbit_space.kind != CIRCLE:
-            raise InputError("CircleProblem needs a circle orbit space")
-        self.v0 = np.asarray(self.v0, dtype=float)
-        if self.v0.ndim != 2 or self.v0.shape[1] != self.profile.dim:
-            raise InputError(f"v0 must have shape (n, {self.profile.dim})")
-        self.grid = circle_grid(self.profile, self.v0.shape[0])
 
     def initial_state(self) -> ReducedState:
         return ReducedState(0.0, float(self.c0), self.v0.copy(), self.grid.copy())
@@ -260,8 +245,9 @@ def _make_state(geom: GridGeometry, t: float, c: float, v: np.ndarray) -> Reduce
 
 
 def homogeneous_rhs(metric: InvariantMetric, X) -> np.ndarray:
-    """du/dt for the orbit problem; delegates to the Euler-Arnold field."""
-    return euler_arnold_rhs(metric, X)
+    """du/dt = -nabla_u u for the orbit problem, as a run evaluates it."""
+    x = as_float_array(X, (metric.split.dim_m,), "X")
+    return _make_disc(GridGeometry(metric)).rhs(0.0, x)[1]
 
 
 def interval_rhs(state: ReducedState, profile: MetricProfile) -> np.ndarray:
@@ -367,14 +353,15 @@ def _check_stage(disc, c, v, dt, step, t, c_new, v_new):
 
     A non-finite stage always poisons the stepped state, so one check per
     step sees every failure. The cold path re-runs the stages from (c, v)
-    quietly and names the first non-finite one, or "combine" when all four
-    are finite and only their combination overflowed.
+    and names the first non-finite one, or "combine" when all four are
+    finite and only their combination overflowed. Callers step under
+    ``np.errstate(over="ignore", invalid="ignore")``: the failure record,
+    not a numpy warning, reports a non-finite step.
     """
     # a non-finite entry always poisons the sum; a finite sum can still overflow
     if math.isfinite(c_new) and (math.isfinite(v_new.sum()) or np.isfinite(v_new).all()):
         return
-    with np.errstate(over="ignore", invalid="ignore"):
-        stages = _stages(disc.rhs, c, v, dt)
+    stages = _stages(disc.rhs, c, v, dt)
     stage = next((i for i, (kc, kv) in enumerate(stages, 1)
                   if not (math.isfinite(kc) and np.isfinite(kv).all())), "combine")
     raise NumericalFailureError(
@@ -417,7 +404,8 @@ def step_rk4(state: ReducedState, geometry, config: SolverConfig) -> ReducedStat
     disc = _make_disc(geom, config.dcdt_offset)
     c = float(state.c) if geom.kind == CIRCLE else 0.0
     _cfl_check(disc, config, c, 0, state.t)
-    c_new, v_new = _rk4(disc, c, state.v, config.dt, 0, state.t)
+    with np.errstate(over="ignore", invalid="ignore"):  # see _check_stage
+        c_new, v_new = _rk4(disc, c, state.v, config.dt, 0, state.t)
     return _make_state(geom, state.t + config.dt, c_new, v_new)
 
 
@@ -463,23 +451,24 @@ def integrate(problem, config: SolverConfig):
     snapshots = []
     failure = None
     t_now = 0.0
-    try:
-        record_with_pressure_watchdog(0, c, v)
-        snapshots.append(_make_state(geom, 0.0, c, v))
-        for step in range(n_steps):
-            _cfl_check(disc, config, c, step, t_now)
-            c, v = _rk4(disc, c, v, dt, step, t_now)
-            t_now = (step + 1) * dt
-            last = step + 1 == n_steps
-            if (step + 1) % diag_every == 0 or last:
-                record_with_pressure_watchdog(step + 1, c, v)
-            if (step + 1) % snap_every == 0 or last:
-                snapshots.append(_make_state(geom, t_now, c, v))
-    except NumericalFailureError as exc:
-        if exc.t is None:
-            exc.t = t_now
-        failure = exc.record()
-        snapshots.append(_make_state(geom, t_now, c, v))
+    with np.errstate(over="ignore", invalid="ignore"):  # see _check_stage
+        try:
+            record_with_pressure_watchdog(0, c, v)
+            snapshots.append(_make_state(geom, 0.0, c, v))
+            for step in range(n_steps):
+                _cfl_check(disc, config, c, step, t_now)
+                c, v = _rk4(disc, c, v, dt, step, t_now)
+                t_now = (step + 1) * dt
+                last = step + 1 == n_steps
+                if (step + 1) % diag_every == 0 or last:
+                    record_with_pressure_watchdog(step + 1, c, v)
+                if (step + 1) % snap_every == 0 or last:
+                    snapshots.append(_make_state(geom, t_now, c, v))
+        except NumericalFailureError as exc:
+            if exc.t is None:
+                exc.t = t_now
+            failure = exc.record()
+            snapshots.append(_make_state(geom, t_now, c, v))
 
     report = recorder.finish(failure)
     if geom.kind == CIRCLE:

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,9 @@ import pytest
 from coho_euler import ConfigError, catalog, su2
 from coho_euler.cli import main
 from coho_euler.config import build_problem, parse_config, parse_config_dict
+from coho_euler.diagnostics import grid_rule
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def example_raw(name, updates):
@@ -137,10 +144,14 @@ def test_cli_parse_error_exit_4(tmp_path, capsys):
 
 
 def test_cli_validation_error_exit_2(tmp_path, capsys):
-    path = write_cfg(tmp_path, t3_raw(**{"solver.N": 15}))
-    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert "solver.N" in err
+    # solver.N below the grid rule of a circle, a singular and a boundary interval
+    for name, n in (("t3_circle", 15), ("t3_circle", 14), ("s3_t2_interval", 5),
+                    ("boundary_interval", 5)):
+        raw = example_raw(name, {"solver.N": n})
+        path = write_cfg(tmp_path, raw)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"solver.N: {grid_rule(raw['problem']['kind'])}, got {n}" in err
 
 
 def test_cli_run_success_and_artifacts(tmp_path, capsys):
@@ -183,7 +194,23 @@ def test_cli_numerical_failure_exit_3(tmp_path, capsys):
     assert manifest["status"] == "failed"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+def test_cli_failing_run_prints_no_runtime_warning(tmp_path):
+    # a fresh process, where no pytest warning filter applies: the failure
+    # record reports the non-finite stage, and numpy stays silent
+    raw = example_raw("su2_rigid_body", {"initial.x": [1e200, 1e200, 0.0], "solver.t_end": 1.0})
+    out = tmp_path / "out"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-m", "coho_euler.cli", "run",
+         "--config", str(write_cfg(tmp_path, raw)), "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 3, res.stderr
+    assert "RuntimeWarning" not in res.stderr, res.stderr
+    assert json.loads((out / "summary.json").read_text())["failure"]["stage"] == 1
+
+
 def test_cli_overflowing_rk4_combine_exit_3(tmp_path, capsys):
     # all four stages are finite, but k1 + 2 k2 + 2 k3 + k4 overflows: the
     # stepped-state screen names the combine and the run keeps its artifacts

@@ -117,6 +117,7 @@ PINNED = [
     ("t3_circle", "solver.N", 15, ["solver.N: circle grids need an even N >= 16, got 15"]),
     ("t3_circle", "solver.N", 14, ["solver.N: circle grids need an even N >= 16, got 14"]),
     ("s3_t2_interval", "solver.N", 5, ["solver.N: interval grids need N >= 6, got 5"]),
+    ("boundary_interval", "solver.N", 5, ["solver.N: interval grids need N >= 6, got 5"]),
     ("t3_circle", "solver.N", 4098, ["solver.N: must be at most 4096, got 4098"]),
     ("s3_t2_interval", "solver.N", 4097, ["solver.N: must be at most 4096, got 4097"]),
     ("s3_t2_interval", "solver.N", 6.0, ["solver.N: expected an integer"]),

@@ -25,10 +25,12 @@ from coho_euler import LieAlgebraSpec, catalog, diagnostics, reductive_split
 from coho_euler.config import check_config
 from coho_euler.coho_geometry import BOUNDARY, INTERVAL, OrbitSpace, TabulatedProfile
 from coho_euler.diagnostics import (
+    GRID_NODES,
     PERIODICITY_TOL,
     GridGeometry,
     RunReport,
     chunk_rows,
+    grid_rule,
     parity_tolerance,
     write_diagnostics_csv,
     write_snapshot_csv,
@@ -54,6 +56,33 @@ def test_grid_geometry_rho_matches_generalized_eigh(coupled_tabulated):
     )
     assert np.max(np.abs(geom.gram[:, 0, 1])) > 0.1  # the pencil is not diagonal
     assert np.max(np.abs(geom.rho - want) / want) <= 1e-13
+
+
+@pytest.mark.parametrize("kind", ["circle", "singular_interval", "boundary_interval"])
+def test_grid_rule_is_one_rule(kind, flat_torus, round_s3_t2, coupled_tabulated):
+    profile = {"circle": flat_torus, "singular_interval": round_s3_t2,
+               "boundary_interval": coupled_tabulated(INTERVAL)}[kind]
+    low, even = GRID_NODES[profile.orbit_space.kind]
+    grid = circle_grid(profile, low)
+    GridGeometry(profile, grid)
+    for j in (0, low // 2, low - 1):
+        moved = grid.copy()
+        moved[j] += 1e-6 * profile.length
+        with pytest.raises(InputError, match="not the"):
+            GridGeometry(profile, moved)
+
+    # one node count below the rule, refused alike by every entry point
+    few = low - 2 if even else low - 1
+    v0 = np.zeros((few, profile.dim))
+    messages = set()
+    for build in (lambda: circle_grid(profile, few), lambda: interval_grid(profile, few),
+                  lambda: GridGeometry(profile, grid[:few]),
+                  lambda: CircleProblem(profile, 0.0, v0) if kind == "circle"
+                  else IntervalProblem(profile, v0)):
+        with pytest.raises(InputError) as exc:
+            build()
+        messages.add(str(exc.value))
+    assert messages == {f"{grid_rule(profile.orbit_space.kind)}, got {few}"}
 
 
 def test_energy_zero_state(flat_torus):

@@ -27,7 +27,7 @@ from coho_euler import (
 from coho_euler.coho_geometry import BOUNDARY, INTERVAL, OrbitSpace, TabulatedProfile
 from coho_euler.config import build_problem, build_solver_config
 from coho_euler.errors import NumericalFailureError
-from coho_euler.reduced_euler import circle_grid, interval_grid, trajectory_pressures
+from coho_euler.reduced_euler import _make_disc, circle_grid, interval_grid, trajectory_pressures
 
 
 def su2_const_tabulated(diag=(1.0, 2.0, 3.0), n=33):
@@ -107,6 +107,14 @@ def test_homogeneous_rhs_equals_euler_arnold(rigid_body_metric):
     assert np.allclose(
         homogeneous_rhs(rigid_body_metric, x), euler_arnold_rhs(rigid_body_metric, x)
     )
+
+
+def test_homogeneous_rhs_is_the_run_rhs(rigid_body_metric):
+    # bit-equal to the right-hand side a run steps with; euler_arnold_rhs is
+    # the geometric reference, equal to rounding only
+    disc = _make_disc(HomogeneousProblem(rigid_body_metric, np.zeros(3)).geom)
+    for x in np.random.default_rng(5).normal(size=(200, 3)):
+        assert np.array_equal(homogeneous_rhs(rigid_body_metric, x), disc.rhs(0.0, x)[1])
 
 
 def test_interval_rhs_abelian_is_steady(round_s3_t2):
@@ -328,8 +336,6 @@ def test_time_reversal_round_trip(name):
     assert err <= 1e-10, err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_integrate_non_finite_failure(su2_split):
     metric = InvariantMetric(su2_split, np.diag([1.0, 2.0, 3.0]))
     prob = HomogeneousProblem(metric, np.array([1e200, 1e200, 0.0]))
