@@ -16,7 +16,7 @@ import numpy as np
 
 from .coho_geometry import CIRCLE, INTERVAL, SINGULAR, MetricProfile
 from .errors import ConfigError, InputError
-from .homogeneous_geometry import InvariantMetric, divergence_forms
+from .homogeneous_geometry import InvariantMetric, connection_tensors, divergence_forms
 from .numerics import (
     Derivative4Interval,
     Derivative4Periodic,
@@ -124,6 +124,9 @@ class GridGeometry:
         self.trace_S = np.trace(self.S, axis1=1, axis2=2)
         self.gramS = np.einsum("jab,jbc->jac", self.gram, self.S)
         self.has_S = bool(np.max(np.abs(self.S)) > 0.0)
+        # the run's one connection tensor: the step and the divergence probes read it
+        self.gamma = connection_tensors(self.split, self.gram)
+        self.has_gamma = bool(np.max(np.abs(self.gamma)) > 0.0)
 
         # h = c h0: only a circle carries a horizontal field, so h0 and every
         # constant below are zero on the other kinds
@@ -147,7 +150,7 @@ class GridGeometry:
         probe_idx = np.linspace(0, self.n - 1, N_DIV_PROBES).round().astype(int)
         probe_idx = probe_idx[np.r_[True, np.diff(probe_idx) > 0]]
         self.div_probe_idx = probe_idx
-        self.div_forms = divergence_forms(self.split, self.gram[probe_idx])
+        self.div_forms = divergence_forms(self.gamma[probe_idx])
 
         self.singular_windows = []
         if self.kind == INTERVAL:

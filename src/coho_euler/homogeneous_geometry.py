@@ -16,7 +16,7 @@ w1' = ((I2 - I3)/I1) w2 w3 (cyclic).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,21 +69,15 @@ class InvariantMetric:
 
     split: ReductiveSplit
     gram: np.ndarray
-    _gamma: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         m = self.split.dim_m
         self.gram = as_float_array(self.gram, (m, m), "gram")
         _check_grams(self.gram[None])
 
-    def connection_supported(self) -> bool:
-        return connection_supported(self.split)
-
     def connection_tensor(self) -> np.ndarray:
-        """Gamma[a,b,c] with nabla_{e_a} e_b = sum_c Gamma[a,b,c] e_c (cached)."""
-        if self._gamma is None:
-            self._gamma = connection_tensors(self.split, self.gram[None])[0]
-        return self._gamma
+        """Gamma[a,b,c] with nabla_{e_a} e_b = sum_c Gamma[a,b,c] e_c."""
+        return connection_tensors(self.split, self.gram[None])[0]
 
 
 def check_metric_invariance(metric: InvariantMetric) -> ValidationReport:
@@ -118,21 +112,19 @@ def euler_arnold_rhs(metric: InvariantMetric, X) -> np.ndarray:
     return -invariant_connection(metric, X, X)
 
 
-def divergence_forms(split: ReductiveSplit, grams: np.ndarray) -> np.ndarray:
-    """Row vectors d with div(X) = d . X for invariant fields, one per Gram matrix.
+def divergence_forms(gamma: np.ndarray) -> np.ndarray:
+    """Row vectors d with div(X) = d . X for invariant fields, one per Gamma[j].
 
-    The trace of Z -> nabla_Z X over a gram-orthonormal basis; identically
-    zero for compact groups, so this is a runtime zero-witness.
+    The trace of Z -> nabla_Z X, which needs no basis: d_b = Gamma[a,b,a]
+    = -tr(ad_{e_b}) for every metric. Identically zero for unimodular
+    (e.g. compact) groups, so this is a runtime zero-witness.
     """
-    gamma = connection_tensors(split, grams)
-    E = np.linalg.inv(np.linalg.cholesky(grams)).swapaxes(1, 2)  # columns are gram-orthonormal
-    # d_b = sum_i E_i^a Gamma[a,b,c] (gram E_i)_c
-    return np.einsum("pai,pabc,pci->pb", E, gamma, grams @ E)
+    return np.einsum("jaba->jb", gamma)
 
 
 def divergence_form(metric: InvariantMetric) -> np.ndarray:
     """:func:`divergence_forms` of one invariant metric."""
-    return divergence_forms(metric.split, metric.gram[None])[0]
+    return divergence_forms(metric.connection_tensor()[None])[0]
 
 
 def divergence_of_invariant_field(metric: InvariantMetric, X) -> float:

@@ -35,7 +35,7 @@ from .diagnostics import (
     grid_layout,
 )
 from .errors import InputError, NumericalFailureError
-from .homogeneous_geometry import InvariantMetric, connection_tensors
+from .homogeneous_geometry import InvariantMetric
 from .numerics import as_float_array, cumulative_integral
 
 CFL_EPS = 1e-12
@@ -179,7 +179,7 @@ class CircleProblem(_Problem):
 
 
 class _Disc:
-    """Gamma on every node of a geometry; subclasses give the right-hand side.
+    """The right-hand side on a geometry, whose Gamma it reads; one subclass per kind.
 
     Only a circle's dc/dt closure takes the injected offset.
     """
@@ -187,13 +187,11 @@ class _Disc:
     def __init__(self, geom: GridGeometry, dcdt_offset: float = 0.0):
         self.geom = geom
         self.dcdt_offset = float(dcdt_offset)
-        self.gamma = connection_tensors(geom.split, geom.gram)
-        self.has_gamma = bool(np.max(np.abs(self.gamma)) > 0.0)
 
     def _gamma_vv(self, v):
-        if not self.has_gamma:
+        if not self.geom.has_gamma:
             return np.zeros_like(v)
-        return np.einsum("jabc,ja,jb->jc", self.gamma, v, v)
+        return np.einsum("jabc,ja,jb->jc", self.geom.gamma, v, v)
 
 
 class _HomogeneousDisc(_Disc):
@@ -201,7 +199,7 @@ class _HomogeneousDisc(_Disc):
         super().__init__(geom, dcdt_offset)
         self.d = geom.d
         # x @ G2, then x @ m: the contraction order of the su2 reference run
-        self._g2 = np.ascontiguousarray(self.gamma[0].reshape(self.d, self.d * self.d))
+        self._g2 = np.ascontiguousarray(geom.gamma[0].reshape(self.d, self.d * self.d))
 
     def rhs(self, c, x):
         m = (x @ self._g2).reshape(self.d, self.d)
@@ -224,7 +222,7 @@ class _CircleDisc(_Disc):
         dv = -hcol * geom.deriv(v)
         if geom.has_S:
             dv += (2.0 * hcol) * np.einsum("jab,jb->ja", geom.S, v)
-        if self.has_gamma:
+        if geom.has_gamma:
             dv -= self._gamma_vv(v)
         return self.dcdt(v), dv
 
@@ -465,8 +463,6 @@ def integrate(problem, config: SolverConfig):
                 if (step + 1) % snap_every == 0 or last:
                     snapshots.append(_make_state(geom, t_now, c, v))
         except NumericalFailureError as exc:
-            if exc.t is None:
-                exc.t = t_now
             failure = exc.record()
             snapshots.append(_make_state(geom, t_now, c, v))
 

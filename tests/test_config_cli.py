@@ -182,6 +182,44 @@ def test_cli_rerun_byte_identical(tmp_path):
         assert snap.read_bytes() == (out2 / "snapshots" / snap.name).read_bytes()
 
 
+def short_su2_cfg(tmp_path, **updates):
+    """A 5-step su2_rigid_body config written to tmp_path/configs/cfg.json."""
+    (tmp_path / "configs").mkdir(exist_ok=True)
+    raw = example_raw("su2_rigid_body", {"solver.t_end": 0.005, **updates})
+    return write_cfg(tmp_path / "configs", raw)
+
+
+def test_cli_relative_output_directory_is_under_the_working_directory(tmp_path, monkeypatch):
+    path = short_su2_cfg(tmp_path, **{"output.directory": "runs/su2"})
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(["run", "--config", str(path)]) == 0
+    assert (work / "runs" / "su2" / "manifest.json").exists()
+    assert not (tmp_path / "configs" / "runs").exists()
+
+
+def test_cli_default_output_directory_is_named_by_the_config_hash(tmp_path, monkeypatch):
+    path = short_su2_cfg(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", str(path)]) == 0
+    out = tmp_path / f"coho_euler_run_{parse_config(path).hash()[:8]}"
+    assert (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("under", [False, True])
+def test_cli_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, under):
+    path = short_su2_cfg(tmp_path)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file\n")
+    out = blocker / "sub" if under else blocker
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot create output directory {out}" in err
+    assert "Traceback" not in err
+    assert blocker.read_text() == "a regular file\n"
+
+
 def test_cli_numerical_failure_exit_3(tmp_path, capsys):
     raw = t3_raw(**{"solver.t_end": 0.05, "hooks.dcdt_offset": 1.0})
     path = write_cfg(tmp_path, raw)

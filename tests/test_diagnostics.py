@@ -386,9 +386,17 @@ def test_recorder_memory_per_row(rigid_body_metric):
     assert peak / rows < 200
 
 
-def test_div_forms_match_per_probe_divergence_form():
-    # compact fibres give identically zero forms; a non-unimodular algebra
-    # ([e1, e2] = e2, [e1, e3] = e3) gives nonzero ones to compare
+def test_div_forms_match_per_probe_divergence_form(su2_split):
+    # the divergence form is -tr(ad_{e_b}) whatever the metric: zero on su2,
+    # (-2, 0, 0) on the non-unimodular [e1, e2] = e2, [e1, e3] = e3
+    rng = np.random.default_rng(3)
+
+    def random_spd():
+        a = rng.uniform(-1.0, 1.0, (3, 3))
+        return a @ a.T + 0.5 * np.eye(3)
+
+    for _ in range(50):
+        assert np.max(np.abs(divergence_form(InvariantMetric(su2_split, random_spd())))) <= 1e-14
     structure = np.zeros((3, 3, 3))
     structure[0, 1, 1] = structure[0, 2, 2] = 1.0
     structure[1, 0, 1] = structure[2, 0, 2] = -1.0
@@ -404,8 +412,13 @@ def test_div_forms_match_per_probe_divergence_form():
     geom = GridGeometry(profile, interval_grid(profile, 40))
     want = np.array([divergence_form(InvariantMetric(split, geom.gram[j]))
                      for j in geom.div_probe_idx])
-    assert len(want) == diagnostics.N_DIV_PROBES and np.min(np.abs(want[:, 0])) > 0.1
+    assert len(want) == diagnostics.N_DIV_PROBES
     assert np.array_equal(geom.div_forms, want)
+    oracle = -np.array([np.trace(split.ad_on_m(e)) for e in np.eye(3)])
+    assert np.array_equal(oracle, [-2.0, 0.0, 0.0])
+    assert np.max(np.abs(geom.div_forms - oracle)) <= 1e-13
+    for _ in range(50):
+        assert np.max(np.abs(divergence_form(InvariantMetric(split, random_spd())) - oracle)) <= 1e-13
 
 
 def test_discrete_energy_exchange_identity():

@@ -339,10 +339,13 @@ def test_time_reversal_round_trip(name):
 def test_integrate_non_finite_failure(su2_split):
     metric = InvariantMetric(su2_split, np.diag([1.0, 2.0, 3.0]))
     prob = HomogeneousProblem(metric, np.array([1e200, 1e200, 0.0]))
-    snaps, report = integrate(prob, SolverConfig(dt=1e-3, t_end=1.0))
-    assert report.failure is not None
-    assert report.failure["kind"] == "non_finite"
-    assert report.failure["stage"] >= 1
+    dt = 1e-3
+    snaps, report = integrate(prob, SolverConfig(dt=dt, t_end=1.0))
+    failure = report.failure
+    assert failure is not None
+    assert failure["kind"] == "non_finite"
+    assert failure["stage"] >= 1
+    assert failure["t"] == failure["step"] * dt
 
 
 def test_integrate_dcdt_fault_injection(flat_torus):
