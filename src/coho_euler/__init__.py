@@ -1,17 +1,12 @@
 """Reduced incompressible Euler flows on compact cohomogeneity-one manifolds."""
 
 from .coho_geometry import (
-    Frame,
     MetricProfile,
     OrbitSpace,
     RoundS3T2Profile,
     TabulatedProfile,
     berger_circle,
-    h0_profile,
-    mean_curvature,
-    metric_at,
     reconstruct_velocity,
-    shape_operator,
     validate_profile,
     warped_torus,
 )
@@ -36,7 +31,6 @@ from .errors import (
 from .homogeneous_geometry import (
     InvariantMetric,
     check_metric_invariance,
-    euler_arnold_rhs,
     invariant_connection,
     orbit_volume,
 )

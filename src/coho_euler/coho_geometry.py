@@ -64,14 +64,6 @@ class OrbitSpace:
                     raise InputError(f"unknown endpoint kind {k!r}")
 
 
-@dataclass(frozen=True)
-class Frame:
-    """Identification of vertical coefficient slots with fixed basis vectors."""
-
-    n_coefficients: int
-    monodromy: str = "identity"
-
-
 class MetricProfile:
     """Base class for one-parameter families of invariant orbit metrics."""
 
@@ -101,9 +93,6 @@ class MetricProfile:
     @property
     def length(self) -> float:
         return self.orbit_space.length
-
-    def frame(self) -> Frame:
-        return Frame(self.split.dim_m0)
 
     def reduce(self, r):
         """Map r (a radius or a 1-d array of radii) into the domain.
@@ -178,23 +167,6 @@ def _diagonal_stack(entries) -> np.ndarray:
     out = np.zeros((n, d, d))
     out[:, np.arange(d), np.arange(d)] = np.column_stack(entries)
     return out
-
-
-def metric_at(profile: MetricProfile, r: float) -> tuple[np.ndarray, np.ndarray]:
-    return profile.gram_at(r), profile.gram_prime_at(r)
-
-
-def shape_operator(profile: MetricProfile, r: float) -> np.ndarray:
-    return profile.shape_operator_at(r)
-
-
-def mean_curvature(profile: MetricProfile, r: float) -> float:
-    return profile.mean_curvature_at(r)
-
-
-def h0_profile(profile: MetricProfile, grid) -> np.ndarray:
-    """Samples of the divergence-free horizontal amplitude, normalised at L/2."""
-    return profile.h0_at(np.asarray(grid, dtype=float))
 
 
 def reconstruct_velocity(state_slice, profile: MetricProfile, r: float):

@@ -4,7 +4,8 @@ Every checkable claim becomes a recorded series: energy, pointwise speeds,
 a C1 proxy, divergence residuals, pressure periodicity, endpoint Taylor
 coefficients, and the amplitude / maximum-principle bounds. The summary
 assembled by :func:`conservation_report` carries one pass/fail flag per
-claim with pinned tolerances.
+claim with pinned tolerances. The public per-state functions take a state
+and its geometry as :func:`state_geometry` does.
 """
 
 from __future__ import annotations
@@ -99,6 +100,11 @@ def grid_layout(profile: MetricProfile, n: int):
     return nodes, simpson_weights_closed(m, dr)[lo : lo + n], dr
 
 
+def _on_grid(r, nodes: np.ndarray, length: float) -> bool:
+    """Whether the radii ``r`` are the grid ``nodes``, to 1e-9 of the orbit-space length."""
+    return np.shape(r) == nodes.shape and bool(np.max(np.abs(r - nodes)) <= 1e-9 * length)
+
+
 class GridGeometry:
     """Per-node metric data shared by the solver and the diagnostics.
 
@@ -168,7 +174,7 @@ class GridGeometry:
         self.kind = profile.orbit_space.kind
         r = np.asarray(grid, dtype=float)
         nodes, self.weights, self.dr = grid_layout(profile, r.size)
-        if r.shape != nodes.shape or not np.max(np.abs(r - nodes)) <= 1e-9 * profile.length:
+        if not _on_grid(r, nodes, profile.length):
             raise InputError(f"state grid is not the {self.kind} grid of {r.size} nodes")
         self.r = r
         self.n = r.size
@@ -275,26 +281,44 @@ class GridGeometry:
         return rows
 
 
+def state_geometry(state, geometry) -> GridGeometry:
+    """The :class:`GridGeometry` of a reduced state, checked against the state.
+
+    ``geometry`` is a metric profile (grid states), an invariant metric
+    (homogeneous states) or a geometry built for the state's grid, such as
+    ``problem.geom``, which is returned as it is. v must have shape (n, d),
+    or (d,) on the one-node geometry, and a circle state needs a finite c.
+    """
+    grid = state.grid
+    if isinstance(geometry, GridGeometry):
+        geom = geometry
+        if not (grid is None if geom.r is None else _on_grid(grid, geom.r, geom.profile.length)):
+            raise InputError(f"state grid is not the grid of the given {geom.kind} geometry")
+    elif (grid is None) != isinstance(geometry, InvariantMetric):
+        raise InputError("a state has a grid exactly when its geometry is a metric profile")
+    else:
+        geom = GridGeometry(geometry, grid)
+    shape = (geom.d,) if geom.r is None else (geom.n, geom.d)
+    if np.shape(state.v) != shape:
+        raise InputError(f"state v has shape {np.shape(state.v)}, the geometry needs {shape}")
+    if geom.kind == CIRCLE and (state.c is None or not math.isfinite(state.c)):
+        raise InputError(f"a circle state needs a finite horizontal amplitude c, got {state.c}")
+    return geom
+
+
 # -- public operations -------------------------------------------------------
 
 
 def _row(state, geometry, c=None):
-    """(row, GridGeometry) of one state; ``geometry`` as in :func:`energy`.
-
-    ``c`` replaces the state's horizontal amplitude.
-    """
-    geom = GridGeometry(geometry, state.grid)
+    """(row, GridGeometry) of one state; ``c`` replaces its horizontal amplitude."""
+    geom = state_geometry(state, geometry)
     c = float(state.c or 0.0) if c is None else c
     rows = geom.rows(np.array([c]), state.v.reshape(1, geom.n, geom.d))
     return {key: val[0] for key, val in rows.items()}, geom
 
 
 def energy(state, geometry) -> float:
-    """Total kinetic energy of a reduced state.
-
-    ``geometry`` is a metric profile for grid states, or an invariant metric
-    for homogeneous states (relative to unit orbit volume).
-    """
+    """Total kinetic energy of a reduced state (of unit orbit volume if homogeneous)."""
     return float(_row(state, geometry)[0]["E"])
 
 
@@ -322,6 +346,8 @@ def divergence_residual(state, geometry, h_samples=None) -> float:
     if h_samples is None or geom.r is None:
         return float(row["div_residual"])
     h = np.asarray(h_samples, float)
+    if h.shape != (geom.n,):
+        raise InputError(f"h_samples has shape {h.shape}, the grid needs ({geom.n},)")
     res_h = float(np.max(np.abs(geom.deriv(h) - geom.trace_S * h)))
     return max(res_h, float(row["div_residual"]))
 
@@ -335,7 +361,7 @@ def _coefficient_growth(alpha: np.ndarray, beta: np.ndarray) -> float:
     )
 
 
-def endpoint_taylor_monitor(trajectory, profile: MetricProfile):
+def endpoint_taylor_monitor(trajectory, geometry):
     """Fit v_i ~ alpha_i + beta_i rho^2 near each singular endpoint over time.
 
     Returns a dict with arrays ``t``, ``alpha``, ``beta``, ``misfit`` of
@@ -345,7 +371,9 @@ def endpoint_taylor_monitor(trajectory, profile: MetricProfile):
     states = list(trajectory)
     if not states:
         raise InputError("empty trajectory")
-    geom = GridGeometry(profile, states[0].grid)
+    geom = geometry
+    for s in states:  # a geometry built for the first state serves the rest
+        geom = state_geometry(s, geom)
     if not geom.singular_windows:
         raise ConfigError("endpoint Taylor monitor needs a singular endpoint")
     t = np.array([s.t for s in states])

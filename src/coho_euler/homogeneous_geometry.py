@@ -38,17 +38,13 @@ def _check_grams(grams: np.ndarray) -> None:
         raise InputError("gram matrix is not positive definite")
 
 
-def connection_supported(split: ReductiveSplit) -> bool:
-    return split.dim_h == 0 or split.dim_m0 == split.dim_m
-
-
 def connection_tensors(split: ReductiveSplit, grams: np.ndarray) -> np.ndarray:
     """Gamma[j,a,b,c] for an (n, m, m) stack of Gram matrices, in one pass.
 
     nabla_{e_a} e_b = sum_c Gamma[j,a,b,c] e_c under the metric grams[j].
     Every matrix must be symmetric positive definite.
     """
-    if not connection_supported(split):
+    if not (split.dim_h == 0 or split.dim_m0 == split.dim_m):
         raise UnsupportedConfigurationError(
             "invariant-field connection needs trivial isotropy or an isotropy "
             "acting trivially on the whole complement "
@@ -107,11 +103,6 @@ def orbit_volume(metric: InvariantMetric) -> float:
     return float(np.sqrt(det))
 
 
-def euler_arnold_rhs(metric: InvariantMetric, X) -> np.ndarray:
-    """du/dt = -nabla_u u at u = X; always gram-orthogonal to X."""
-    return -invariant_connection(metric, X, X)
-
-
 def divergence_forms(gamma: np.ndarray) -> np.ndarray:
     """Row vectors d with div(X) = d . X for invariant fields, one per Gamma[j].
 
@@ -121,12 +112,3 @@ def divergence_forms(gamma: np.ndarray) -> np.ndarray:
     """
     return np.einsum("jaba->jb", gamma)
 
-
-def divergence_form(metric: InvariantMetric) -> np.ndarray:
-    """:func:`divergence_forms` of one invariant metric."""
-    return divergence_forms(metric.connection_tensor()[None])[0]
-
-
-def divergence_of_invariant_field(metric: InvariantMetric, X) -> float:
-    X = as_float_array(X, (metric.split.dim_m,), "X")
-    return float(divergence_form(metric) @ X)

@@ -15,7 +15,9 @@ periodicity residual cancels to rounding and any externally injected dc/dt
 offset shows up immediately.
 
 Time stepping is fixed-step classical RK4 on a single thread; identical
-inputs give bit-identical outputs.
+inputs give bit-identical outputs. The public right-hand sides, step and
+pressure take their geometry as :func:`~coho_euler.diagnostics.state_geometry`
+does: a metric profile, an invariant metric, or a built ``problem.geom``.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .diagnostics import (
     RunRecorder,
     conservation_report,
     grid_layout,
+    state_geometry,
 )
 from .errors import InputError, NumericalFailureError
 from .homogeneous_geometry import InvariantMetric
@@ -116,9 +119,6 @@ class PressureField:
 def state_grid(profile: MetricProfile, n: int) -> np.ndarray:
     """The ``n`` state nodes of :func:`~coho_euler.diagnostics.grid_layout`."""
     return grid_layout(profile, n)[0]
-
-
-circle_grid = interval_grid = state_grid
 
 
 class _Problem:
@@ -242,20 +242,20 @@ def _make_state(geom: GridGeometry, t: float, c: float, v: np.ndarray) -> Reduce
     return ReducedState(t, c, v.copy(), geom.r)
 
 
-def homogeneous_rhs(metric: InvariantMetric, X) -> np.ndarray:
+def homogeneous_rhs(metric, X) -> np.ndarray:
     """du/dt = -nabla_u u for the orbit problem, as a run evaluates it."""
-    x = as_float_array(X, (metric.split.dim_m,), "X")
-    return _make_disc(GridGeometry(metric)).rhs(0.0, x)[1]
+    state = ReducedState(0.0, None, X, None)
+    return _make_disc(state_geometry(state, metric)).rhs(0.0, state.v)[1]
 
 
-def interval_rhs(state: ReducedState, profile: MetricProfile) -> np.ndarray:
+def interval_rhs(state: ReducedState, profile) -> np.ndarray:
     """Node-decoupled dv/dt = -nabla^r_v v on an interval of orbits."""
-    return _make_disc(GridGeometry(profile, state.grid)).rhs(0.0, state.v)[1]
+    return _make_disc(state_geometry(state, profile)).rhs(0.0, state.v)[1]
 
 
-def circle_rhs(state: ReducedState, profile: MetricProfile, dcdt_offset: float = 0.0):
+def circle_rhs(state: ReducedState, profile, dcdt_offset: float = 0.0):
     """(dc/dt, dv/dt) for the circle problem."""
-    return _make_disc(GridGeometry(profile, state.grid), dcdt_offset).rhs(float(state.c), state.v)
+    return _make_disc(state_geometry(state, profile), dcdt_offset).rhs(float(state.c), state.v)
 
 
 def _closure(geom: GridGeometry, v: np.ndarray):
@@ -309,13 +309,12 @@ def pressure_reconstruct(
 ) -> PressureField:
     """Integrate the radial momentum balance to the pressure, gauge p(r_0)=0.
 
-    ``geometry`` is a metric profile for grid states, or an invariant metric
-    for homogeneous states, whose pressure is the zero field. ``dcdt``
-    defaults to the closure's dc/dt of the state on a circle (as in
+    A homogeneous state's pressure is the zero field. ``dcdt`` defaults to
+    the closure's dc/dt of the state on a circle (as in
     :func:`trajectory_pressures`); a given value is used as is, and only on
     a circle.
     """
-    field = _pressure(GridGeometry(geometry, state.grid), state, dcdt)
+    field = _pressure(state_geometry(state, geometry), state, dcdt)
     residual = field.periodicity_residual
     if check and residual > PERIODICITY_TOL:
         raise NumericalFailureError(
@@ -398,7 +397,7 @@ def _cfl_check(disc, config, c, step, t):
 
 def step_rk4(state: ReducedState, geometry, config: SolverConfig) -> ReducedState:
     """One deterministic RK4 step of the appropriate reduced system."""
-    geom = GridGeometry(geometry, state.grid)
+    geom = state_geometry(state, geometry)
     disc = _make_disc(geom, config.dcdt_offset)
     c = float(state.c) if geom.kind == CIRCLE else 0.0
     _cfl_check(disc, config, c, 0, state.t)

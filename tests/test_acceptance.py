@@ -240,9 +240,9 @@ def test_criterion_10_equivariance():
     # reflection r -> pi/2 - r with fibre swap on the round 3-sphere
     prof = RoundS3T2Profile()
     n = 64
-    from coho_euler.reduced_euler import interval_grid
+    from coho_euler.reduced_euler import state_grid
 
-    grid = interval_grid(prof, n)
+    grid = state_grid(prof, n)
     v0 = np.column_stack([np.cos(2 * grid), np.cos(4 * grid)])
 
     def reflect(v):

@@ -10,12 +10,8 @@ from coho_euler import (
     abelian,
     berger_circle,
     catalog,
-    h0_profile,
-    mean_curvature,
-    metric_at,
     reconstruct_velocity,
     reductive_split,
-    shape_operator,
     su2,
     validate_profile,
     warped_torus,
@@ -65,35 +61,36 @@ def test_orbit_space_validation():
 
 
 def test_round_s3_t2_metric_at(round_s3_t2):
-    g, gp = metric_at(round_s3_t2, np.pi / 4)
+    g, gp = round_s3_t2.gram_at(np.pi / 4), round_s3_t2.gram_prime_at(np.pi / 4)
     assert np.allclose(np.diag(g), [0.5, 0.5])
     assert np.allclose(np.diag(gp), [-1.0, 1.0])
 
 
 def test_constant_warped_torus_metric(flat_torus):
-    g, gp = metric_at(flat_torus, 0.37)
+    g, gp = flat_torus.gram_at(0.37), flat_torus.gram_prime_at(0.37)
     assert np.allclose(g, np.eye(2))
     assert np.allclose(gp, 0.0)
 
 
 def test_warped_torus_chain_rule_at_zero():
     wt = warped_torus(1.0, [[0.0, 0.0, 1.0]])  # f^2 = exp(sin 2 pi r)
-    g, gp = metric_at(wt, 0.0)
+    g, gp = wt.gram_at(0.0), wt.gram_prime_at(0.0)
     assert abs(g[0, 0] - 1.0) < 1e-15
     assert abs(gp[0, 0] - 2.0 * np.pi) < 1e-12
 
 
 def test_circle_coordinates_wrap(flat_torus):
     wt = warped_torus(1.0, [[0.1, 0.3, -0.2]])
-    g1, gp1 = metric_at(wt, 0.25)
-    g2, gp2 = metric_at(wt, 1.25)
+    g1, gp1 = wt.gram_at(0.25), wt.gram_prime_at(0.25)
+    g2, gp2 = wt.gram_at(1.25), wt.gram_prime_at(1.25)
     assert np.allclose(g1, g2) and np.allclose(gp1, gp2)
 
 
 def test_domain_errors_at_singular_endpoints(round_s3_t2):
     for r in (0.0, -0.1, np.pi / 2, np.pi / 2 + 0.1):
-        with pytest.raises(DomainError):
-            metric_at(round_s3_t2, r)
+        for sampler in (round_s3_t2.gram_at, round_s3_t2.gram_prime_at):
+            with pytest.raises(DomainError):
+                sampler(r)
 
 
 SAMPLED_PROFILES = ["round_s3_t2", "warped_torus", "berger_circle", INTERVAL, CIRCLE]
@@ -137,25 +134,25 @@ def test_sampler_raises_at_or_beyond_singular_endpoints(round_s3_t2, coupled_tab
 
 def test_boundary_endpoints_are_in_domain():
     prof = tabulated_interval(lambda r: 1.0 + r, lambda r: np.ones_like(r))
-    metric_at(prof, 0.0)
-    metric_at(prof, 1.0)
+    prof.gram_at(0.0), prof.gram_prime_at(0.0)
+    prof.gram_at(1.0), prof.gram_prime_at(1.0)
     with pytest.raises(DomainError):
-        metric_at(prof, 1.0 + 1e-9)
+        prof.gram_at(1.0 + 1e-9), prof.gram_prime_at(1.0 + 1e-9)
 
 
 def test_shape_operator_examples(round_s3_t2, flat_torus):
-    assert np.allclose(shape_operator(round_s3_t2, np.pi / 4), np.diag([1.0, -1.0]))
-    assert np.allclose(shape_operator(flat_torus, 0.3), 0.0)
+    assert np.allclose(round_s3_t2.shape_operator_at(np.pi / 4), np.diag([1.0, -1.0]))
+    assert np.allclose(flat_torus.shape_operator_at(0.3), 0.0)
     exp_prof = tabulated_interval(lambda r: np.exp(2 * r), lambda r: 2 * np.exp(2 * r))
     # evaluated at a sample node the spline is exact
-    assert abs(shape_operator(exp_prof, 0.5)[0, 0] + 1.0) < 1e-12
+    assert abs(exp_prof.shape_operator_at(0.5)[0, 0] + 1.0) < 1e-12
 
 
 def test_mean_curvature_examples(round_s3_t2, flat_torus):
-    assert abs(mean_curvature(round_s3_t2, np.pi / 4)) < 1e-14
-    assert abs(mean_curvature(flat_torus, 0.123)) < 1e-15
+    assert abs(round_s3_t2.mean_curvature_at(np.pi / 4)) < 1e-14
+    assert abs(flat_torus.mean_curvature_at(0.123)) < 1e-15
     want = np.tan(np.pi / 6) - 1.0 / np.tan(np.pi / 6)
-    assert abs(mean_curvature(round_s3_t2, np.pi / 6) - want) < 1e-14
+    assert abs(round_s3_t2.mean_curvature_at(np.pi / 6) - want) < 1e-14
     assert abs(want + 2.0 / np.sqrt(3.0)) < 1e-15
 
 
@@ -169,14 +166,14 @@ def test_shape_operator_gram_symmetry_random_probes():
     for prof in profiles:
         for _ in range(400):
             r = rng.uniform(0, prof.length)
-            g, _ = metric_at(prof, r)
-            gs = g @ shape_operator(prof, r)
+            g = prof.gram_at(r)
+            gs = g @ prof.shape_operator_at(r)
             worst = max(worst, float(np.max(np.abs(gs - gs.T))))
     prof = tabulated_interval(lambda r: 2.0 + np.sin(r), lambda r: np.cos(r), d=3)
     for _ in range(200):
         r = rng.uniform(0, 1)
-        g, _ = metric_at(prof, r)
-        gs = g @ shape_operator(prof, r)
+        g = prof.gram_at(r)
+        gs = g @ prof.shape_operator_at(r)
         worst = max(worst, float(np.max(np.abs(gs - gs.T))))
     assert worst < 1e-12
 
@@ -198,14 +195,14 @@ def test_trace_identity_on_builtin_families(round_s3_t2):
 
 def test_h0_constant_profile_is_one(flat_torus):
     grid = np.linspace(0, 1, 64, endpoint=False)
-    assert np.allclose(h0_profile(flat_torus, grid), 1.0)
+    assert np.allclose(flat_torus.h0_at(grid), 1.0)
 
 
 def test_h0_closed_form_single_fiber():
     wt = warped_torus(1.0, [[0.0, 0.0, 1.0]])  # vol = exp(sin(2 pi r) / 2)
     grid = np.linspace(0, 1, 32, endpoint=False)
     want = np.exp(-0.5 * np.sin(2 * np.pi * grid))
-    assert np.allclose(h0_profile(wt, grid), want, rtol=1e-14)
+    assert np.allclose(wt.h0_at(grid), want, rtol=1e-14)
 
 
 def test_h0_normalised_at_midpoint():
@@ -215,7 +212,7 @@ def test_h0_normalised_at_midpoint():
 
 def test_h0_rejected_on_interval(round_s3_t2):
     with pytest.raises(UnsupportedConfigurationError):
-        h0_profile(round_s3_t2, [0.3])
+        round_s3_t2.h0_at([0.3])
 
 
 def test_h0_matches_ode_integration():
@@ -223,7 +220,7 @@ def test_h0_matches_ode_integration():
     wt = warped_torus(1.0, [[0.0, 0.3, -0.15], [0.1, 0.1, 0.2]])
     n = 64
     grid = np.arange(n) / n
-    closed = h0_profile(wt, grid)
+    closed = wt.h0_at(grid)
     ode = h0_by_ode(wt, n)
     assert np.max(np.abs(ode - closed) / closed) < 1e-8
 
@@ -271,12 +268,6 @@ def test_validate_profile_flags_first_order_collapse():
     assert not report["second_order_collapse_at_r=0"].passed
 
 
-def test_frame_shape(round_s3_t2):
-    frame = round_s3_t2.frame()
-    assert frame.n_coefficients == 2
-    assert frame.monodromy == "identity"
-
-
 def test_reconstruct_velocity_interval_kills_horizontal(round_s3_t2):
     h, v = reconstruct_velocity((5.0, np.array([1.0, 2.0])), round_s3_t2, 0.7)
     assert h == 0.0
@@ -291,7 +282,7 @@ def test_reconstruct_velocity_circle_constant_profile(flat_torus):
 def test_reconstruct_velocity_speed_contraction(round_s3_t2):
     a, b, r = 1.5, -0.7, 0.9
     h, v = reconstruct_velocity((0.0, np.array([a, b])), round_s3_t2, r)
-    g, _ = metric_at(round_s3_t2, r)
+    g = round_s3_t2.gram_at(r)
     speed2 = h * h + v @ g @ v
     want = a * a * np.cos(r) ** 2 + b * b * np.sin(r) ** 2
     assert abs(speed2 - want) < 1e-14

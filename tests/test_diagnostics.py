@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,16 +14,20 @@ from coho_euler import (
     ReducedState,
     SolverConfig,
     c1_monitor,
+    circle_rhs,
     conservation_report,
     divergence_residual,
     endpoint_taylor_monitor,
     energy,
+    homogeneous_rhs,
     integrate,
     pointwise_speed,
+    pressure_reconstruct,
+    step_rk4,
     warped_torus,
 )
 from coho_euler import LieAlgebraSpec, catalog, diagnostics, reductive_split
-from coho_euler.config import check_config
+from coho_euler.config import build_problem, check_config
 from coho_euler.coho_geometry import BOUNDARY, INTERVAL, OrbitSpace, TabulatedProfile
 from coho_euler.diagnostics import (
     GRID_NODES,
@@ -36,18 +41,17 @@ from coho_euler.diagnostics import (
     write_snapshot_csv,
 )
 from coho_euler.errors import ConfigError
-from coho_euler.homogeneous_geometry import divergence_form
-from coho_euler.reduced_euler import circle_grid, interval_grid
+from coho_euler.reduced_euler import state_grid
 
 
 def interval_state(profile, values, n=128):
-    grid = interval_grid(profile, n)
+    grid = state_grid(profile, n)
     return ReducedState(0.0, 0.0, np.tile(values, (n, 1)), grid)
 
 
 def test_grid_geometry_rho_matches_generalized_eigh(coupled_tabulated):
     prof = coupled_tabulated("interval")
-    geom = GridGeometry(prof, interval_grid(prof, 64))
+    geom = GridGeometry(prof, state_grid(prof, 64))
     want = np.array(
         [
             np.max(np.abs(eigh(-0.5 * gp, g, eigvals_only=True)))
@@ -63,7 +67,7 @@ def test_grid_rule_is_one_rule(kind, flat_torus, round_s3_t2, coupled_tabulated)
     profile = {"circle": flat_torus, "singular_interval": round_s3_t2,
                "boundary_interval": coupled_tabulated(INTERVAL)}[kind]
     low, even = GRID_NODES[profile.orbit_space.kind]
-    grid = circle_grid(profile, low)
+    grid = state_grid(profile, low)
     GridGeometry(profile, grid)
     for j in (0, low // 2, low - 1):
         moved = grid.copy()
@@ -75,7 +79,7 @@ def test_grid_rule_is_one_rule(kind, flat_torus, round_s3_t2, coupled_tabulated)
     few = low - 2 if even else low - 1
     v0 = np.zeros((few, profile.dim))
     messages = set()
-    for build in (lambda: circle_grid(profile, few), lambda: interval_grid(profile, few),
+    for build in (lambda: state_grid(profile, few),
                   lambda: GridGeometry(profile, grid[:few]),
                   lambda: CircleProblem(profile, 0.0, v0) if kind == "circle"
                   else IntervalProblem(profile, v0)):
@@ -86,13 +90,13 @@ def test_grid_rule_is_one_rule(kind, flat_torus, round_s3_t2, coupled_tabulated)
 
 
 def test_energy_zero_state(flat_torus):
-    grid = circle_grid(flat_torus, 32)
+    grid = state_grid(flat_torus, 32)
     state = ReducedState(0.0, 0.0, np.zeros((32, 2)), grid)
     assert energy(state, flat_torus) == 0.0
 
 
 def test_energy_flat_torus_pure_horizontal(flat_torus):
-    grid = circle_grid(flat_torus, 64)
+    grid = state_grid(flat_torus, 64)
     state = ReducedState(0.0, 1.0, np.zeros((64, 2)), grid)
     assert abs(energy(state, flat_torus) - 0.5) < 1e-14
 
@@ -120,13 +124,13 @@ def test_pointwise_speed_examples(round_s3_t2, flat_torus):
     want = np.sqrt((a * a + b * b) / 2.0)
     assert abs(pointwise_speed(state, round_s3_t2, j) - want) < 1e-12
 
-    grid = circle_grid(flat_torus, 32)
+    grid = state_grid(flat_torus, 32)
     horiz = ReducedState(0.0, 2.0, np.zeros((32, 2)), grid)
     assert abs(pointwise_speed(horiz, flat_torus, 5) - 2.0) < 1e-15
 
 
 def test_pointwise_speed_index_error(flat_torus):
-    grid = circle_grid(flat_torus, 32)
+    grid = state_grid(flat_torus, 32)
     state = ReducedState(0.0, 0.0, np.zeros((32, 2)), grid)
     with pytest.raises(InputError):
         pointwise_speed(state, flat_torus, 32)
@@ -146,7 +150,7 @@ def test_c1_monitor_constant_on_steady_run(round_s3_t2):
 
 def test_c1_monitor_constant_under_transport(flat_torus):
     n = 128
-    grid = circle_grid(flat_torus, n)
+    grid = state_grid(flat_torus, n)
     v0 = np.zeros((n, 2))
     v0[:, 0] = np.sin(2 * np.pi * grid)
     prob = CircleProblem(flat_torus, 1.0, v0)
@@ -166,7 +170,7 @@ def test_divergence_residual_interval(round_s3_t2):
 def test_divergence_residual_circle_h0():
     # bundled-scale profile: the 4th-order stencil floor sits well under 1e-8
     wt = warped_torus(1.0, [[0.0, 0.08, -0.05]])
-    grid = circle_grid(wt, 256)
+    grid = state_grid(wt, 256)
     state = ReducedState(0.0, 1.0, np.zeros((256, 1)), grid)
     assert divergence_residual(state, wt) < 1e-8
 
@@ -174,7 +178,7 @@ def test_divergence_residual_circle_h0():
 def test_divergence_residual_detects_constant_h():
     # constant horizontal amplitude on a variable-volume circle: not solenoidal
     wt = warped_torus(1.0, [[0.0, 0.8, 0.0]])
-    grid = circle_grid(wt, 256)
+    grid = state_grid(wt, 256)
     state = ReducedState(0.0, 0.0, np.zeros((256, 1)), grid)
     res = divergence_residual(state, wt, h_samples=np.ones(256))
     assert res > 0.1
@@ -190,7 +194,7 @@ def test_endpoint_taylor_steady(round_s3_t2):
 
 
 def test_endpoint_taylor_zero_state(round_s3_t2):
-    grid = interval_grid(round_s3_t2, 32)
+    grid = state_grid(round_s3_t2, 32)
     state = ReducedState(0.0, 0.0, np.zeros((32, 2)), grid)
     mon = endpoint_taylor_monitor([state], round_s3_t2)
     assert np.max(np.abs(mon["alpha"])) == 0.0
@@ -199,7 +203,7 @@ def test_endpoint_taylor_zero_state(round_s3_t2):
 
 
 def test_endpoint_taylor_flags_odd_parity(round_s3_t2):
-    grid = interval_grid(round_s3_t2, 128)
+    grid = state_grid(round_s3_t2, 128)
     v = np.zeros((128, 2))
     v[:, 0] = grid  # v_1 = r: odd about the left singular endpoint
     state = ReducedState(0.0, 0.0, v, grid)
@@ -213,7 +217,7 @@ def test_endpoint_taylor_flags_odd_parity(round_s3_t2):
 
 
 def test_endpoint_taylor_needs_singular_endpoint(flat_torus):
-    grid = circle_grid(flat_torus, 32)
+    grid = state_grid(flat_torus, 32)
     state = ReducedState(0.0, 0.0, np.zeros((32, 2)), grid)
     with pytest.raises(ConfigError):
         endpoint_taylor_monitor([state], flat_torus)
@@ -231,7 +235,7 @@ def test_conservation_report_steady_run(round_s3_t2):
 
 def test_conservation_report_flags_fault_injection(flat_torus):
     n = 32
-    grid = circle_grid(flat_torus, n)
+    grid = state_grid(flat_torus, n)
     v0 = np.zeros((n, 2))
     v0[:, 0] = 0.1 * np.sin(2 * np.pi * grid)
     prob = CircleProblem(flat_torus, 0.5, v0)
@@ -246,7 +250,7 @@ def test_divergence_invariant_under_integration():
     # solenoidality is structural: the residual must not drift with time
     wt = warped_torus(1.0, [[0.0, 0.06, -0.03], [0.1, -0.04, 0.02]])
     n = 128
-    grid = circle_grid(wt, n)
+    grid = state_grid(wt, n)
     v0 = np.zeros((n, 2))
     v0[:, 0] = 0.2 * np.sin(2 * np.pi * grid)
     v0[:, 1] = 0.1 * np.cos(2 * np.pi * grid)
@@ -284,12 +288,12 @@ def test_recorder_rows_match_public_diagnostics(rigid_body_metric, round_s3_t2):
     # boundary or in the final partial chunk
     wt = warped_torus(1.0, [[0.0, 0.04, -0.02], [0.1, 0.02, 0.01]])
     n = 64
-    grid = circle_grid(wt, n)
+    grid = state_grid(wt, n)
     v0 = np.zeros((n, 2))
     v0[:, 0] = 0.2 * np.sin(2 * np.pi * grid)
     v0[:, 1] = 0.1 + 0.05 * np.cos(2 * np.pi * grid)
     v0_interval = np.tile([0.7, -0.4], (64, 1))
-    v0_interval[:, 0] += 0.1 * np.cos(2 * interval_grid(round_s3_t2, 64))
+    v0_interval[:, 0] += 0.1 * np.cos(2 * state_grid(round_s3_t2, 64))
     cases = [
         (CircleProblem(wt, 0.3, v0), wt, 0.6, n * 2),
         (IntervalProblem(round_s3_t2, v0_interval), round_s3_t2, 0.6, 64 * 2),
@@ -332,7 +336,7 @@ def test_failure_mid_chunk_leaves_every_row_evaluated(monkeypatch, kind):
     monkeypatch.setattr(diagnostics, "CHUNK_ROWS", 8)
     wt = warped_torus(1.0, [[0.0, 0.05, -0.03], [0.1, 0.03, 0.02]])
     n, dt, k = 32, 1e-3, 13
-    grid = circle_grid(wt, n)
+    grid = state_grid(wt, n)
     v0 = np.zeros((n, 2))
     v0[:, 0] = 0.3 * np.sin(2 * np.pi * grid)
     v0[:, 1] = 0.2 * np.cos(2 * np.pi * grid)
@@ -386,6 +390,10 @@ def test_recorder_memory_per_row(rigid_body_metric):
     assert peak / rows < 200
 
 
+def one_node_div_form(split, gram):
+    return GridGeometry(InvariantMetric(split, gram)).div_forms[0]
+
+
 def test_div_forms_match_per_probe_divergence_form(su2_split):
     # the divergence form is -tr(ad_{e_b}) whatever the metric: zero on su2,
     # (-2, 0, 0) on the non-unimodular [e1, e2] = e2, [e1, e3] = e3
@@ -396,7 +404,7 @@ def test_div_forms_match_per_probe_divergence_form(su2_split):
         return a @ a.T + 0.5 * np.eye(3)
 
     for _ in range(50):
-        assert np.max(np.abs(divergence_form(InvariantMetric(su2_split, random_spd())))) <= 1e-14
+        assert np.max(np.abs(one_node_div_form(su2_split, random_spd()))) <= 1e-14
     structure = np.zeros((3, 3, 3))
     structure[0, 1, 1] = structure[0, 2, 2] = 1.0
     structure[1, 0, 1] = structure[2, 0, 2] = -1.0
@@ -409,8 +417,8 @@ def test_div_forms_match_per_probe_divergence_form(su2_split):
     prime = (2.0 * np.pi * np.cos(a))[:, None, None] * wobble
     space = OrbitSpace(INTERVAL, 1.0, (BOUNDARY, BOUNDARY))
     profile = TabulatedProfile(split, space, r, gram, prime)
-    geom = GridGeometry(profile, interval_grid(profile, 40))
-    want = np.array([divergence_form(InvariantMetric(split, geom.gram[j]))
+    geom = GridGeometry(profile, state_grid(profile, 40))
+    want = np.array([one_node_div_form(split, geom.gram[j])
                      for j in geom.div_probe_idx])
     assert len(want) == diagnostics.N_DIV_PROBES
     assert np.array_equal(geom.div_forms, want)
@@ -418,7 +426,7 @@ def test_div_forms_match_per_probe_divergence_form(su2_split):
     assert np.array_equal(oracle, [-2.0, 0.0, 0.0])
     assert np.max(np.abs(geom.div_forms - oracle)) <= 1e-13
     for _ in range(50):
-        assert np.max(np.abs(divergence_form(InvariantMetric(split, random_spd())) - oracle)) <= 1e-13
+        assert np.max(np.abs(one_node_div_form(split, random_spd()) - oracle)) <= 1e-13
 
 
 def test_discrete_energy_exchange_identity():
@@ -427,7 +435,7 @@ def test_discrete_energy_exchange_identity():
     # shape-operator exchange term against the integrated dynamics
     wt = warped_torus(1.0, [[0.0, 0.05, -0.03], [0.1, 0.03, 0.02]])
     n = 128
-    grid = circle_grid(wt, n)
+    grid = state_grid(wt, n)
     v0 = np.zeros((n, 2))
     v0[:, 0] = 0.3 * np.sin(2 * np.pi * grid)
     v0[:, 1] = 0.2 * np.cos(2 * np.pi * grid)
@@ -519,3 +527,43 @@ def test_csv_writers_match_fstring_format(tmp_path):
     write_snapshot_csv(tmp_path / "orbit.csv", orbit, pressure)
     want = _fstring_csv(["r", "v_1", "v_2", "v_3", "p"], [np.zeros(1), orbit.v[None], np.zeros(1)])
     assert (tmp_path / "orbit.csv").read_bytes() == want.encode()
+
+
+# malformed input to a public per-state function, each with a metric profile
+# or invariant metric and with the problem's built geometry:
+# (example, what the InputError says, call)
+MALFORMED = {
+    "v_width": ("berger_circle", "shape", lambda s, g: energy(replace(s, v=s.v[:, :2]), g)),
+    "v_nodes": ("berger_circle", "shape",
+                lambda s, g: pressure_reconstruct(replace(s, v=s.v[:10]), g)),
+    "h_samples": ("berger_circle", "h_samples",
+                  lambda s, g: divergence_residual(s, g, h_samples=np.ones(5))),
+    "c_none": ("berger_circle", "finite horizontal amplitude",
+               lambda s, g: circle_rhs(replace(s, c=None), g)),
+    "grid_none": ("berger_circle", "has a grid exactly|not the grid",
+                  lambda s, g: energy(replace(s, grid=None), g)),
+    "grid_moved": ("s3_t2_interval", "not the",
+                   lambda s, g: c1_monitor(replace(s, grid=s.grid + 1e-3), g)),
+    "grid_short": ("s3_t2_interval", "not the",
+                   lambda s, g: step_rk4(replace(s, grid=s.grid[:-2], v=s.v[:-2]), g,
+                                         SolverConfig(dt=1e-3, t_end=1e-3))),
+    "orbit_v_width": ("su2_rigid_body", "shape",
+                      lambda s, g: pointwise_speed(replace(s, v=s.v[:2]), g)),
+    "orbit_grid": ("su2_rigid_body", "has a grid exactly|not the grid",
+                   lambda s, g: energy(replace(s, grid=np.zeros(1), v=s.v[None]), g)),
+    "orbit_x_on_grid": ("t3_circle", "has a grid exactly|not the grid",
+                        lambda s, g: homogeneous_rhs(g, s.v[0])),
+}
+
+
+@pytest.mark.parametrize("built", [False, True], ids=["source", "built"])
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_public_input_raises_input_error(case, built):
+    name, message, call = MALFORMED[case]
+    problem = build_problem(catalog.load_example(name))
+    if built:
+        geometry = problem.geom
+    else:
+        geometry = problem.metric if problem.kind == "homogeneous" else problem.profile
+    with pytest.raises(InputError, match=message):
+        call(problem.initial_state(), geometry)

@@ -4,6 +4,7 @@ import pytest
 from coho_euler import (
     InputError,
     InvariantMetric,
+    ReducedState,
     StructureError,
     UnsupportedConfigurationError,
     abelian,
@@ -11,7 +12,8 @@ from coho_euler import (
     catalog,
     check_metric_invariance,
     direct_sum,
-    euler_arnold_rhs,
+    divergence_residual,
+    homogeneous_rhs,
     invariant_connection,
     orbit_volume,
     reductive_split,
@@ -19,12 +21,8 @@ from coho_euler import (
 )
 from coho_euler.config import build_problem
 from coho_euler.diagnostics import GridGeometry
-from coho_euler.homogeneous_geometry import (
-    connection_tensors,
-    divergence_form,
-    divergence_of_invariant_field,
-)
-from coho_euler.reduced_euler import circle_grid, interval_grid
+from coho_euler.homogeneous_geometry import connection_tensors
+from coho_euler.reduced_euler import state_grid
 
 from oracles import koszul_oracle
 
@@ -121,8 +119,7 @@ def koszul_per_node(split, gram):
 def test_stacked_connection_equals_per_node(name):
     problem = build_problem(catalog.load_example(name))
     profile, n = problem.profile, len(problem.v0)
-    grid = circle_grid(profile, n) if problem.kind == "circle" else interval_grid(profile, n)
-    grams = GridGeometry(profile, grid).gram
+    grams = GridGeometry(profile, state_grid(profile, n)).gram
     stacked = connection_tensors(profile.split, grams)
     assert stacked.shape == (n,) + (profile.dim,) * 3
     for j, g in enumerate(grams):
@@ -167,17 +164,17 @@ def test_orbit_volume_examples(su2_split):
 
 def test_euler_arnold_steady_cases(su2_split):
     metric = InvariantMetric(su2_split, np.eye(3))
-    assert np.allclose(euler_arnold_rhs(metric, [1.0, 0.0, 0.0]), 0.0)
+    assert np.allclose(homogeneous_rhs(metric, [1.0, 0.0, 0.0]), 0.0)
     split = reductive_split(abelian(3), [])
     flat = InvariantMetric(split, np.diag([2.0, 3.0, 4.0]))
-    assert np.allclose(euler_arnold_rhs(flat, [1.0, -2.0, 0.5]), 0.0)
+    assert np.allclose(homogeneous_rhs(flat, [1.0, -2.0, 0.5]), 0.0)
 
 
 def test_euler_arnold_matches_oracle_and_rigid_body(su2_split):
     gram = np.diag([1.0, 2.0, 3.0])
     metric = InvariantMetric(su2_split, gram)
     x = np.array([0.0, 1.0, 1.0])
-    got = euler_arnold_rhs(metric, x)
+    got = homogeneous_rhs(metric, x)
     want = -koszul_oracle(bracket_tensor(su2_split), gram, x, x)
     assert np.allclose(got, want, atol=1e-14)
     # classical pattern w1' = ((I2 - I3)/I1) w2 w3 (cyclic)
@@ -217,7 +214,7 @@ def test_connection_properties_random_metrics(su2_split, seed):
                 assert abs(resid) < 1e-12
     x = rng.uniform(-1, 1, 3)
     # energy orthogonality: d/dt g(u,u) = 0 pointwise
-    assert abs(euler_arnold_rhs(metric, x) @ gram @ x) < 1e-12
+    assert abs(homogeneous_rhs(metric, x) @ gram @ x) < 1e-12
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -225,5 +222,5 @@ def test_invariant_fields_divergence_free(su2_split, seed):
     rng = np.random.default_rng(100 + seed)
     metric = InvariantMetric(su2_split, _random_spd(rng, 3))
     x = rng.uniform(-1, 1, 3)
-    assert abs(divergence_of_invariant_field(metric, x)) < 1e-10
-    assert np.max(np.abs(divergence_form(metric))) < 1e-10
+    assert abs(divergence_residual(ReducedState(0.0, None, x, None), metric)) < 1e-10
+    assert np.max(np.abs(GridGeometry(metric).div_forms[0])) < 1e-10

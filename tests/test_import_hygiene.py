@@ -1,4 +1,5 @@
-"""The package import and every `coho-euler run` load no module they do not use.
+"""The package import and every `coho-euler run` load no module they do not use,
+and the package binds each of its functions to one public name.
 
 Watched: scipy (only `validate` may import it), hashlib with OpenSSL's
 `_hashlib` (the config hash uses the built-in SHA-256), `numpy.ma` and
@@ -6,18 +7,22 @@ Watched: scipy (only `validate` may import it), hashlib with OpenSSL's
 draws from `numpy.random`; numpy's import of `secrets` then brings in
 `hmac` and with it hashlib.
 
-Each check runs in a fresh interpreter, since this test process may
+Each import check runs in a fresh interpreter, since this test process may
 already have imported any of them.
 """
 
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import coho_euler
 from coho_euler import catalog
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -74,3 +79,21 @@ def test_run_loads_no_scipy(tmp_path, name):
         assert "numpy.random" in rng
         expected = rng | {"hashlib", "_hashlib"}
     assert set(mods["after_run"]) == expected
+
+
+def test_one_public_name_per_function():
+    # a second public name bound to a package function, in the package or in
+    # any of its modules or classes, is an alias: one concept, two names
+    modules = [coho_euler] + [importlib.import_module(f"coho_euler.{info.name}")
+                              for info in pkgutil.iter_modules(coho_euler.__path__)]
+    namespaces = [vars(m) for m in modules]
+    namespaces += [vars(obj) for ns in namespaces for obj in ns.values()
+                   if inspect.isclass(obj) and obj.__module__.startswith("coho_euler")]
+    names = {}
+    for ns in namespaces:
+        for name, obj in ns.items():
+            if (not name.startswith("_") and inspect.isfunction(obj)
+                    and obj.__module__.startswith("coho_euler")):
+                names.setdefault(obj, set()).add(name)
+    assert len(modules) > 10
+    assert [sorted(n) for n in names.values() if len(n) > 1] == []

@@ -14,9 +14,9 @@ from coho_euler import (
     abelian,
     catalog,
     circle_rhs,
-    euler_arnold_rhs,
     homogeneous_rhs,
     integrate,
+    invariant_connection,
     interval_rhs,
     pressure_reconstruct,
     reductive_split,
@@ -27,7 +27,7 @@ from coho_euler import (
 from coho_euler.coho_geometry import BOUNDARY, INTERVAL, OrbitSpace, TabulatedProfile
 from coho_euler.config import build_problem, build_solver_config
 from coho_euler.errors import NumericalFailureError
-from coho_euler.reduced_euler import _make_disc, circle_grid, interval_grid, trajectory_pressures
+from coho_euler.reduced_euler import _make_disc, state_grid, trajectory_pressures
 
 
 def su2_const_tabulated(diag=(1.0, 2.0, 3.0), n=33):
@@ -46,15 +46,15 @@ def su2_const_tabulated(diag=(1.0, 2.0, 3.0), n=33):
 
 def test_circle_grid_constraints(flat_torus):
     with pytest.raises(InputError):
-        circle_grid(flat_torus, 15)
+        state_grid(flat_torus, 15)
     with pytest.raises(InputError):
-        circle_grid(flat_torus, 14)
-    grid = circle_grid(flat_torus, 16)
+        state_grid(flat_torus, 14)
+    grid = state_grid(flat_torus, 16)
     assert grid[0] == 0.0 and grid[-1] < flat_torus.length
 
 
 def test_interval_grid_excludes_singular_endpoints(round_s3_t2):
-    grid = interval_grid(round_s3_t2, 128)
+    grid = state_grid(round_s3_t2, 128)
     assert grid.size == 128
     dr = grid[1] - grid[0]
     assert abs(grid[0] - dr) < 1e-15
@@ -63,7 +63,7 @@ def test_interval_grid_excludes_singular_endpoints(round_s3_t2):
 
 def test_interval_grid_includes_boundary_endpoints():
     prof = su2_const_tabulated()
-    grid = interval_grid(prof, 64)
+    grid = state_grid(prof, 64)
     assert grid[0] == 0.0 and grid[-1] == 1.0
 
 
@@ -105,20 +105,20 @@ def test_homogeneous_rhs_steady_cases(su2_split):
 def test_homogeneous_rhs_equals_euler_arnold(rigid_body_metric):
     x = np.array([0.0, 1.0, 1.0])
     assert np.allclose(
-        homogeneous_rhs(rigid_body_metric, x), euler_arnold_rhs(rigid_body_metric, x)
+        homogeneous_rhs(rigid_body_metric, x), -invariant_connection(rigid_body_metric, x, x)
     )
 
 
 def test_homogeneous_rhs_is_the_run_rhs(rigid_body_metric):
-    # bit-equal to the right-hand side a run steps with; euler_arnold_rhs is
-    # the geometric reference, equal to rounding only
+    # bit-equal to the right-hand side a run steps with; -nabla_x x from
+    # invariant_connection is the geometric form, equal to rounding only
     disc = _make_disc(HomogeneousProblem(rigid_body_metric, np.zeros(3)).geom)
     for x in np.random.default_rng(5).normal(size=(200, 3)):
         assert np.array_equal(homogeneous_rhs(rigid_body_metric, x), disc.rhs(0.0, x)[1])
 
 
 def test_interval_rhs_abelian_is_steady(round_s3_t2):
-    grid = interval_grid(round_s3_t2, 16)
+    grid = state_grid(round_s3_t2, 16)
     v = np.column_stack([np.full(16, 1.0), np.full(16, 2.0)])
     state = ReducedState(0.0, 0.0, v, grid)
     assert np.allclose(interval_rhs(state, round_s3_t2), 0.0)
@@ -128,7 +128,7 @@ def test_interval_rhs_abelian_is_steady(round_s3_t2):
 
 def test_interval_rhs_reduces_to_homogeneous_per_node(rigid_body_metric):
     prof = su2_const_tabulated()
-    grid = interval_grid(prof, 16)
+    grid = state_grid(prof, 16)
     v = np.tile([0.0, 1.0, 1.0], (16, 1))
     state = ReducedState(0.0, 0.0, v, grid)
     dv = interval_rhs(state, prof)
@@ -139,7 +139,7 @@ def test_interval_rhs_reduces_to_homogeneous_per_node(rigid_body_metric):
 
 def test_circle_rhs_pure_horizontal_is_steady():
     wt = warped_torus(1.0, [[0.0, 0.2, -0.1]])
-    grid = circle_grid(wt, 64)
+    grid = state_grid(wt, 64)
     state = ReducedState(0.0, 2.0, np.zeros((64, 1)), grid)
     dc, dv = circle_rhs(state, wt)
     assert dc == 0.0
@@ -147,7 +147,7 @@ def test_circle_rhs_pure_horizontal_is_steady():
 
 
 def test_circle_rhs_constant_state_flat_torus(flat_torus):
-    grid = circle_grid(flat_torus, 32)
+    grid = state_grid(flat_torus, 32)
     state = ReducedState(0.0, 1.5, np.tile([0.4, -0.2], (32, 1)), grid)
     dc, dv = circle_rhs(state, flat_torus)
     assert dc == 0.0
@@ -156,7 +156,7 @@ def test_circle_rhs_constant_state_flat_torus(flat_torus):
 
 def test_circle_rhs_transport_term(flat_torus):
     n = 256
-    grid = circle_grid(flat_torus, n)
+    grid = state_grid(flat_torus, n)
     v = np.zeros((n, 2))
     v[:, 0] = np.sin(2 * np.pi * grid)
     state = ReducedState(0.0, 1.0, v, grid)
@@ -172,7 +172,7 @@ def test_circle_rhs_transport_term(flat_torus):
 
 def test_pressure_closed_form_round_s3_t2(round_s3_t2):
     a, b = 1.0, 2.0
-    grid = interval_grid(round_s3_t2, 128)
+    grid = state_grid(round_s3_t2, 128)
     state = ReducedState(0.0, 0.0, np.tile([a, b], (128, 1)), grid)
     field = pressure_reconstruct(state, round_s3_t2, dcdt=0.0)
     want = -(a * a - b * b) * np.sin(grid) ** 2 / 2.0
@@ -182,7 +182,7 @@ def test_pressure_closed_form_round_s3_t2(round_s3_t2):
 
 
 def test_pressure_symmetric_coefficients_cancel(round_s3_t2):
-    grid = interval_grid(round_s3_t2, 64)
+    grid = state_grid(round_s3_t2, 64)
     state = ReducedState(0.0, 0.0, np.tile([1.3, 1.3], (64, 1)), grid)
     field = pressure_reconstruct(state, round_s3_t2)
     assert np.max(np.abs(field.samples)) < 1e-14
@@ -191,7 +191,7 @@ def test_pressure_symmetric_coefficients_cancel(round_s3_t2):
 def test_pressure_pure_horizontal_exact_antiderivative():
     wt = warped_torus(1.0, [[0.0, 0.0, 0.4]])
     n = 256
-    grid = circle_grid(wt, n)
+    grid = state_grid(wt, n)
     c = 1.0
     state = ReducedState(0.0, c, np.zeros((n, 1)), grid)
     field = pressure_reconstruct(state, wt, dcdt=0.0)
@@ -202,7 +202,7 @@ def test_pressure_pure_horizontal_exact_antiderivative():
 
 
 def test_pressure_flags_inconsistent_dcdt(flat_torus):
-    grid = circle_grid(flat_torus, 32)
+    grid = state_grid(flat_torus, 32)
     v = np.zeros((32, 2))
     v[:, 0] = np.sin(2 * np.pi * grid)
     state = ReducedState(0.0, 1.0, v, grid)
@@ -215,7 +215,7 @@ def test_pressure_flags_inconsistent_dcdt(flat_torus):
 def test_pressure_default_dcdt_is_the_closure():
     # shape-operator coupling makes dc/dt nonzero: a default of 0 broke periodicity
     wt = warped_torus(1.0, [[0.0, 0.1, 0.05], [0.2, -0.1, 0.03]])
-    grid = circle_grid(wt, 64)
+    grid = state_grid(wt, 64)
     v = np.column_stack([np.sin(2 * np.pi * grid), 0.5 * np.cos(2 * np.pi * grid)])
     state = ReducedState(0.0, 0.3, v, grid)
     field = pressure_reconstruct(state, wt)
@@ -231,7 +231,7 @@ def test_pressure_default_dcdt_is_the_closure():
 
 
 def test_step_rk4_steady_state_only_advances_time(round_s3_t2):
-    grid = interval_grid(round_s3_t2, 16)
+    grid = state_grid(round_s3_t2, 16)
     state = ReducedState(0.0, 0.0, np.tile([1.0, 2.0], (16, 1)), grid)
     cfg = SolverConfig(dt=0.25, t_end=1.0)
     new = step_rk4(state, round_s3_t2, cfg)
@@ -283,7 +283,7 @@ def test_integrate_steady_horizontal_circle(flat_torus):
 
 def test_integrate_transport_one_period(flat_torus):
     n = 64
-    grid = circle_grid(flat_torus, n)
+    grid = state_grid(flat_torus, n)
     v0 = np.zeros((n, 2))
     v0[:, 0] = np.sin(2 * np.pi * grid)
     prob = CircleProblem(flat_torus, 1.0, v0)
@@ -350,7 +350,7 @@ def test_integrate_non_finite_failure(su2_split):
 
 def test_integrate_dcdt_fault_injection(flat_torus):
     n = 32
-    grid = circle_grid(flat_torus, n)
+    grid = state_grid(flat_torus, n)
     v0 = np.zeros((n, 2))
     v0[:, 0] = 0.1 * np.sin(2 * np.pi * grid)
     prob = CircleProblem(flat_torus, 0.5, v0)

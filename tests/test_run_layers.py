@@ -1,21 +1,38 @@
 """How a run is put together: one geometry per run, and traceable layers.
 
 A run builds its problem's geometry once and shares it between the step,
-the recorder and the pressures. perfbench's tracer wraps the layers of a
-run by name, so a rename or a fused-away layer must fail here rather than
-turn that layer silently into "absent" in the trace.
+the recorder and the pressures; a public per-state function given that
+geometry builds none. perfbench's tracer wraps the layers of a run by name,
+so a rename or a fused-away layer must fail here rather than turn that
+layer silently into "absent" in the trace.
 """
 
+import dataclasses
 import importlib.util
 import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from coho_euler import catalog, diagnostics, homogeneous_geometry
+from coho_euler import (
+    c1_monitor,
+    catalog,
+    circle_rhs,
+    diagnostics,
+    divergence_residual,
+    endpoint_taylor_monitor,
+    energy,
+    homogeneous_geometry,
+    homogeneous_rhs,
+    interval_rhs,
+    pointwise_speed,
+    pressure_reconstruct,
+    step_rk4,
+)
 from coho_euler.cli import run_command
-from coho_euler.config import parse_config_dict
+from coho_euler.config import build_problem, build_solver_config, parse_config_dict
 
 CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
 
@@ -64,3 +81,64 @@ def test_perfbench_trace_targets_resolve():
     ]
     assert missing == []
     assert child.resolve("coho_euler.reduced_euler", "integrate") is not None
+
+
+def public_calls(problem, config):
+    """Each public per-state function on the problem's initial state, by name."""
+    state = problem.initial_state()
+    calls = {
+        "energy": lambda g: energy(state, g),
+        "pointwise_speed": lambda g: pointwise_speed(state, g),
+        "c1_monitor": lambda g: c1_monitor(state, g),
+        "divergence_residual": lambda g: divergence_residual(state, g),
+        "step_rk4": lambda g: step_rk4(state, g, config),
+        "pressure_reconstruct": lambda g: pressure_reconstruct(state, g),
+    }
+    if problem.kind == "homogeneous":
+        calls["homogeneous_rhs"] = lambda g: homogeneous_rhs(g, state.v)
+        return calls
+    h = np.linspace(0.5, 1.5, len(state.grid))
+    calls["pointwise_speed_j"] = lambda g: pointwise_speed(state, g, j=3)
+    calls["divergence_residual_h"] = lambda g: divergence_residual(state, g, h_samples=h)
+    if problem.kind == "interval":
+        calls["interval_rhs"] = lambda g: interval_rhs(state, g)
+    else:
+        calls["circle_rhs"] = lambda g: circle_rhs(state, g)
+    if problem.geom.singular_windows:
+        calls["endpoint_taylor_monitor"] = lambda g: endpoint_taylor_monitor([state] * 3, g)
+    return calls
+
+
+def bits(x):
+    """A result as nested bytes, so that equal bits compare equal."""
+    if dataclasses.is_dataclass(x):
+        return bits(vars(x))
+    if isinstance(x, dict):
+        return {k: bits(v) for k, v in x.items()}
+    if isinstance(x, (tuple, list)):
+        return [bits(v) for v in x]
+    if x is None:
+        return None
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("name", catalog.example_names())
+def test_public_calls_reuse_a_built_geometry(monkeypatch, name):
+    cfg = catalog.load_example(name)
+    problem = build_problem(cfg)
+    calls = public_calls(problem, build_solver_config(cfg))
+    source = problem.metric if problem.kind == "homogeneous" else problem.profile
+    want = {key: bits(call(source)) for key, call in calls.items()}
+    geom = problem.geom
+
+    builds = []
+    init = diagnostics.GridGeometry.__init__
+
+    def counted_init(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(diagnostics.GridGeometry, "__init__", counted_init)
+    for key, call in calls.items():
+        assert bits(call(geom)) == want[key], key
+    assert builds == []
