@@ -72,11 +72,7 @@ class MetricProfile:
     def __init__(self, split: ReductiveSplit, orbit_space: OrbitSpace):
         self.split = split
         self.orbit_space = orbit_space
-        if split.dim_m0 != split.dim_m:
-            raise UnsupportedConfigurationError(
-                "profiles require the whole complement to carry invariant fields "
-                f"(dim m0 = {split.dim_m0}, dim m = {split.dim_m})"
-            )
+        split.require_fixed_complement()
 
     # subclasses provide these two on a 1-d array of already-reduced radii,
     # as (n, d, d) stacks

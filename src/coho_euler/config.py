@@ -27,7 +27,7 @@ from . import coho_geometry as cg
 from .coho_geometry import CIRCLE, INTERVAL
 from .diagnostics import GRID_NODES, GridGeometry, grid_layout, grid_rule, parity_tolerance
 from .diagnostics import row_width
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, UnsupportedConfigurationError
 from .homogeneous_geometry import InvariantMetric, check_metric_invariance
 from .lie_core import LieAlgebraSpec, abelian, reductive_split, su2
 from .lie_core import check_reductive_split, monte_carlo_fixed_check, validate_structure
@@ -192,13 +192,13 @@ MAX_DIM, MAX_N, MAX_MODES = 16, 4096, 1024
 # the run records its diagnostic rows into float64 arrays allocated up front
 MAX_RECORDED_VALUES = 25_000_000
 TOP_REQUIRED = ("problem", "initial", "solver")
-TOP_OPTIONAL = ("algebra", "isotropy", "metric", "profile", "output", "seed", "hooks")
+TOP_OPTIONAL = ("algebra", "isotropy", "metric", "profile", "output", "seed")
 TOP = Obj(dict.fromkeys(TOP_REQUIRED + TOP_OPTIONAL), TOP_REQUIRED)
 PROBLEM = Obj({"kind": None})
 ISOTROPY = Obj({"basis": Numbers(2)})
 OUTPUT = Obj({"directory": Str("a path"), "snapshot_cadence": COUNT,
               "diagnostics_cadence": COUNT}, ())
-COMMON = {"output": OUTPUT, "seed": Int(), "hooks": Obj({"dcdt_offset": NUMBER}, ())}
+COMMON = {"output": OUTPUT, "seed": Int()}
 FOURIER = {"length": POSITIVE, "fourier": Numbers(2)}
 FAMILIES = {"round_s3_t2": {}, "warped_torus": FOURIER, "berger_circle": FOURIER}
 TABULATED = {"family": None, "length": POSITIVE, "kind": None, "csv": Str("a file name"),
@@ -318,7 +318,6 @@ class RunConfig:
     solver: dict
     output: dict
     seed: int
-    dcdt_offset: float
     raw: dict
     source_path: Path | None = field(default=None, compare=False)
 
@@ -357,7 +356,6 @@ def parse_config_dict(data: dict, source_path: Path | None = None) -> RunConfig:
         solver=dict(data["solver"]),
         output=dict(data.get("output", {})),
         seed=data.get("seed", 0),
-        dcdt_offset=float(data.get("hooks", {}).get("dcdt_offset", 0.0)),
         raw=data,
         source_path=source_path,
     )
@@ -514,6 +512,12 @@ def check_config(cfg: RunConfig, deep: bool = False):
     report.extend(check_reductive_split(split), "algebra: {} failed")
     if deep:
         report.extend(monte_carlo_fixed_check(split, seed=cfg.seed))
+    try:
+        split.require_fixed_complement()
+    except UnsupportedConfigurationError as exc:
+        report.add_error("isotropy_fixes_complement", f"isotropy.basis: {exc}")
+        return report, None
+    report.add_flag("isotropy_fixes_complement", True)
 
     if cfg.kind == "homogeneous":
         metric = InvariantMetric(split, np.asarray(cfg.metric_gram, dtype=float))
@@ -581,5 +585,4 @@ def build_solver_config(cfg: RunConfig) -> SolverConfig:
         cfl_guard=float(cfg.solver.get("cfl_guard", 0.5)),
         snapshot_cadence=cfg.output.get("snapshot_cadence"),
         diagnostics_cadence=cfg.output.get("diagnostics_cadence", 1),
-        dcdt_offset=cfg.dcdt_offset,
     )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, StructureError, UnsupportedConfigurationError
+from .errors import InputError, StructureError
 from .lie_core import ReductiveSplit
 from .numerics import as_float_array
 from .reports import ValidationReport
@@ -42,14 +42,10 @@ def connection_tensors(split: ReductiveSplit, grams: np.ndarray) -> np.ndarray:
     """Gamma[j,a,b,c] for an (n, m, m) stack of Gram matrices, in one pass.
 
     nabla_{e_a} e_b = sum_c Gamma[j,a,b,c] e_c under the metric grams[j].
-    Every matrix must be symmetric positive definite.
+    Every matrix must be symmetric positive definite, and the isotropy must
+    fix the whole complement.
     """
-    if not (split.dim_h == 0 or split.dim_m0 == split.dim_m):
-        raise UnsupportedConfigurationError(
-            "invariant-field connection needs trivial isotropy or an isotropy "
-            "acting trivially on the whole complement "
-            f"(dim h = {split.dim_h}, dim m0 = {split.dim_m0}, dim m = {split.dim_m})"
-        )
+    split.require_fixed_complement()
     _check_grams(grams)
     n, m = grams.shape[:2]
     G1 = np.einsum("abd,jdc->jabc", split.bracket_on_m(), grams)

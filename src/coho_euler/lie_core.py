@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, StructureError
+from .errors import InputError, StructureError, UnsupportedConfigurationError
 from .numerics import as_float_array
 from .reports import ValidationReport
 
@@ -149,6 +149,19 @@ class ReductiveSplit:
         """Matrix of (project to complement) . ad(x) in complement coordinates."""
         w = np.einsum("i,bj,ijk->bk", x, self.m_basis, self.algebra.structure)
         return self.m_basis @ self.algebra.Q @ w.T
+
+    def require_fixed_complement(self):
+        """Refuse a fibre whose isotropy moves part of the complement (m0 != m).
+
+        Invariant fields carry the algebra bracket only when the isotropy fixes
+        the whole complement, as trivial isotropy does; the invariant-field
+        connection and every metric profile rest on that.
+        """
+        if self.dim_m0 != self.dim_m:
+            raise UnsupportedConfigurationError(
+                "the isotropy must fix the whole complement "
+                f"(dim h = {self.dim_h}, dim m0 = {self.dim_m0}, dim m = {self.dim_m})"
+            )
 
     def bracket_on_m(self) -> np.ndarray:
         """Tensor B[a,b,c]: projected bracket of complement basis vectors."""

@@ -11,8 +11,8 @@ c(t) to the vertical coefficients through
 where the dc/dt closure is exactly the solvability condition that keeps the
 reconstructed pressure periodic (the int h0 h0' dr term drops by
 periodicity). Both integrals use the same quadrature weights, so the
-periodicity residual cancels to rounding and any externally injected dc/dt
-offset shows up immediately.
+periodicity residual cancels to rounding and any other dc/dt shows up
+immediately.
 
 Time stepping is fixed-step classical RK4 on a single thread; identical
 inputs give bit-identical outputs. The public right-hand sides, step and
@@ -57,7 +57,6 @@ class SolverConfig:
     cfl_guard: float = 0.5
     snapshot_cadence: int | None = None
     diagnostics_cadence: int = 1
-    dcdt_offset: float = 0.0  # test-only fault injection into the c closure
 
     def __post_init__(self):
         if not (self.dt > 0 and np.isfinite(self.dt)):
@@ -179,14 +178,10 @@ class CircleProblem(_Problem):
 
 
 class _Disc:
-    """The right-hand side on a geometry, whose Gamma it reads; one subclass per kind.
+    """The right-hand side on a geometry, whose Gamma it reads; one subclass per kind."""
 
-    Only a circle's dc/dt closure takes the injected offset.
-    """
-
-    def __init__(self, geom: GridGeometry, dcdt_offset: float = 0.0):
+    def __init__(self, geom: GridGeometry):
         self.geom = geom
-        self.dcdt_offset = float(dcdt_offset)
 
     def _gamma_vv(self, v):
         if not self.geom.has_gamma:
@@ -195,8 +190,8 @@ class _Disc:
 
 
 class _HomogeneousDisc(_Disc):
-    def __init__(self, geom: GridGeometry, dcdt_offset: float = 0.0):
-        super().__init__(geom, dcdt_offset)
+    def __init__(self, geom: GridGeometry):
+        super().__init__(geom)
         self.d = geom.d
         # x @ G2, then x @ m: the contraction order of the su2 reference run
         self._g2 = np.ascontiguousarray(geom.gamma[0].reshape(self.d, self.d * self.d))
@@ -213,7 +208,7 @@ class _IntervalDisc(_Disc):
 
 class _CircleDisc(_Disc):
     def dcdt(self, v):
-        return _closure(self.geom, v)[1] + self.dcdt_offset
+        return _closure(self.geom, v)[1]
 
     def rhs(self, c, v):
         geom = self.geom
@@ -230,9 +225,9 @@ class _CircleDisc(_Disc):
 _DISCS = {"homogeneous": _HomogeneousDisc, INTERVAL: _IntervalDisc, CIRCLE: _CircleDisc}
 
 
-def _make_disc(geom: GridGeometry, dcdt_offset: float = 0.0):
+def _make_disc(geom: GridGeometry):
     """The discretisation on a geometry."""
-    return _DISCS[geom.kind](geom, dcdt_offset)
+    return _DISCS[geom.kind](geom)
 
 
 def _make_state(geom: GridGeometry, t: float, c: float, v: np.ndarray) -> ReducedState:
@@ -253,13 +248,13 @@ def interval_rhs(state: ReducedState, profile) -> np.ndarray:
     return _make_disc(state_geometry(state, profile)).rhs(0.0, state.v)[1]
 
 
-def circle_rhs(state: ReducedState, profile, dcdt_offset: float = 0.0):
+def circle_rhs(state: ReducedState, profile):
     """(dc/dt, dv/dt) for the circle problem."""
-    return _make_disc(state_geometry(state, profile), dcdt_offset).rhs(float(state.c), state.v)
+    return _make_disc(state_geometry(state, profile)).rhs(float(state.c), state.v)
 
 
 def _closure(geom: GridGeometry, v: np.ndarray):
-    """q = g(S v, v) per node, and the dc/dt closure without any injected offset.
+    """q = g(S v, v) per node, and the dc/dt closure: the one dc/dt of the system.
 
     dc/dt is nonzero only on a circle with shape-operator coupling.
     """
@@ -271,17 +266,14 @@ def _closure(geom: GridGeometry, v: np.ndarray):
     return q, -float(np.sum(geom.weights * q)) / geom.int_h0
 
 
-def _pressure_gradient(geom: GridGeometry, c: float, v: np.ndarray,
-                       dcdt_offset: float = 0.0, dcdt: float | None = None):
+def _pressure_gradient(geom: GridGeometry, c: float, v: np.ndarray, dcdt: float | None = None):
     """Radial pressure gradient samples and the loop (periodicity) residual.
 
-    dc/dt is ``dcdt`` if given, else the closure's plus ``dcdt_offset``, as
-    in the right-hand side of a run with that offset.
+    dc/dt is ``dcdt`` if given, else the closure's, as in a run's right-hand side.
     """
     q, closure = _closure(geom, v)
     if geom.kind == CIRCLE:
-        if dcdt is None:
-            dcdt = closure + dcdt_offset
+        dcdt = closure if dcdt is None else dcdt
         pprime = -dcdt * geom.h0 - (c * c) * geom.h0 * geom.h0_prime - q
         loop = float(np.sum(geom.weights * pprime))
         scale = max(geom.profile.length * float(np.max(np.abs(pprime))), 1e-30)
@@ -292,45 +284,36 @@ def _pressure_gradient(geom: GridGeometry, c: float, v: np.ndarray,
     return pprime, residual
 
 
-def _pressure(geom: GridGeometry, state: ReducedState, dcdt: float | None = None):
-    """Pressure samples (gauge p(r_0) = 0) and the periodicity residual."""
-    if geom.kind == "homogeneous":
-        return PressureField(np.zeros(1))
-    c = float(state.c) if geom.kind == CIRCLE else 0.0
-    pprime, residual = _pressure_gradient(geom, c, state.v, dcdt=dcdt)
-    return PressureField(cumulative_integral(pprime, geom.dr), residual)
+def _periodicity_failure(residual: float, t: float, step: int | None = None):
+    """The failure of a state whose pressure loop residual exceeds PERIODICITY_TOL."""
+    return NumericalFailureError(
+        f"pressure periodicity residual {residual:.3e} exceeds {PERIODICITY_TOL:.1e}",
+        kind="pressure_periodicity", step=step, t=t, detail={"residual": residual},
+    )
 
 
-def pressure_reconstruct(
-    state: ReducedState,
-    geometry,
-    dcdt: float | None = None,
-    check: bool = True,
-) -> PressureField:
+def pressure_reconstruct(state: ReducedState, geometry, dcdt: float | None = None,
+                         check: bool = True) -> PressureField:
     """Integrate the radial momentum balance to the pressure, gauge p(r_0)=0.
 
     A homogeneous state's pressure is the zero field. ``dcdt`` defaults to
-    the closure's dc/dt of the state on a circle (as in
-    :func:`trajectory_pressures`); a given value is used as is, and only on
-    a circle.
+    the closure's dc/dt of the state on a circle; a given value is used as
+    is, and only on a circle. With ``check``, a periodicity residual above
+    PERIODICITY_TOL raises the run's ``pressure_periodicity`` failure.
     """
-    field = _pressure(state_geometry(state, geometry), state, dcdt)
-    residual = field.periodicity_residual
+    geom = state_geometry(state, geometry)
+    if geom.kind == "homogeneous":
+        return PressureField(np.zeros(1))
+    c = float(state.c) if geom.kind == CIRCLE else 0.0
+    pprime, residual = _pressure_gradient(geom, c, state.v, dcdt)
     if check and residual > PERIODICITY_TOL:
-        raise NumericalFailureError(
-            f"pressure periodicity residual {residual:.3e} exceeds {PERIODICITY_TOL:.1e} "
-            "(dc/dt inconsistent with the periodic closure)",
-            kind="pressure_periodicity",
-            t=state.t,
-            detail={"residual": residual},
-        )
-    return field
+        raise _periodicity_failure(residual, state.t)
+    return PressureField(cumulative_integral(pprime, geom.dr), residual)
 
 
 def trajectory_pressures(problem, snapshots) -> list[PressureField]:
-    """Pressure fields for a trajectory, on the geometry its run used."""
-    geom = problem.geom
-    return [_pressure(geom, s) for s in snapshots]
+    """Pressure fields for a trajectory, on the geometry its run used, unchecked."""
+    return [pressure_reconstruct(s, problem.geom, check=False) for s in snapshots]
 
 
 # -- time stepping ------------------------------------------------------------
@@ -398,7 +381,7 @@ def _cfl_check(disc, config, c, step, t):
 def step_rk4(state: ReducedState, geometry, config: SolverConfig) -> ReducedState:
     """One deterministic RK4 step of the appropriate reduced system."""
     geom = state_geometry(state, geometry)
-    disc = _make_disc(geom, config.dcdt_offset)
+    disc = _make_disc(geom)
     c = float(state.c) if geom.kind == CIRCLE else 0.0
     _cfl_check(disc, config, c, 0, state.t)
     with np.errstate(over="ignore", invalid="ignore"):  # see _check_stage
@@ -422,7 +405,7 @@ def integrate(problem, config: SolverConfig):
 
     state = problem.initial_state()
     geom = problem.geom
-    disc = _make_disc(geom, config.dcdt_offset)
+    disc = _make_disc(geom)
     recorder = RunRecorder(geom, config.n_records())
     c = 0.0 if state.c is None else state.c
     v = state.v
@@ -431,19 +414,10 @@ def integrate(problem, config: SolverConfig):
         # the state after n steps; the offending row is recorded before
         # raising: failures leave a diagnostic tail, never a silent exit
         t = n * dt
-        residual = 0.0
-        if geom.kind == CIRCLE:
-            _, residual = _pressure_gradient(geom, cc, vv, disc.dcdt_offset)
+        residual = _pressure_gradient(geom, cc, vv)[1] if geom.kind == CIRCLE else 0.0
         recorder.record(t, cc, vv, residual)
         if residual > PERIODICITY_TOL:
-            raise NumericalFailureError(
-                f"pressure periodicity residual {residual:.3e} exceeds "
-                f"{PERIODICITY_TOL:.1e}",
-                kind="pressure_periodicity",
-                step=n,
-                t=t,
-                detail={"residual": residual},
-            )
+            raise _periodicity_failure(residual, t, n)
 
     snapshots = []
     failure = None
@@ -463,12 +437,10 @@ def integrate(problem, config: SolverConfig):
                     snapshots.append(_make_state(geom, t_now, c, v))
         except NumericalFailureError as exc:
             failure = exc.record()
-            snapshots.append(_make_state(geom, t_now, c, v))
+            # a CFL or non-finite failure keeps a state that may be the last snapshot
+            if not snapshots or snapshots[-1].t != t_now:
+                snapshots.append(_make_state(geom, t_now, c, v))
 
     report = recorder.finish(failure)
-    if geom.kind == CIRCLE:
-        # the energy bound on c^2 comes from the first recorded row, which
-        # is evaluated only once finish() has flushed the recorder
-        report.c_bound = 2.0 * float(report.series["E"][0]) / geom.int_h02_vol
     conservation_report(report)
     return snapshots, report

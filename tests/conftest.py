@@ -7,6 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from coho_euler import InvariantMetric, RoundS3T2Profile, abelian, reductive_split, su2, warped_torus
+from coho_euler import reduced_euler
 from coho_euler.coho_geometry import BOUNDARY, CIRCLE, OrbitSpace, TabulatedProfile
 
 
@@ -29,6 +30,25 @@ def round_s3_t2():
 def flat_torus():
     # flat 3-torus: two unit fibre circles over a unit base circle
     return warped_torus(1.0, [[0.0], [0.0]])
+
+
+@pytest.fixture
+def dcdt_fault(monkeypatch):
+    """Fault injection: ``dcdt_fault(offset)`` adds ``offset`` to the dc/dt closure.
+
+    A run's right-hand side and its pressure watchdog then both read the
+    faulty dc/dt; a later call replaces the earlier offset.
+    """
+    closure = reduced_euler._closure
+
+    def inject(offset):
+        def faulty(geom, v):
+            q, dcdt = closure(geom, v)
+            return q, dcdt + offset
+
+        monkeypatch.setattr(reduced_euler, "_closure", faulty)
+
+    return inject
 
 
 @pytest.fixture

@@ -220,8 +220,9 @@ def test_cli_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, under):
     assert blocker.read_text() == "a regular file\n"
 
 
-def test_cli_numerical_failure_exit_3(tmp_path, capsys):
-    raw = t3_raw(**{"solver.t_end": 0.05, "hooks.dcdt_offset": 1.0})
+def test_cli_numerical_failure_exit_3(tmp_path, capsys, dcdt_fault):
+    raw = t3_raw(**{"solver.t_end": 0.05})
+    dcdt_fault(1.0)
     path = write_cfg(tmp_path, raw)
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 3
@@ -431,9 +432,11 @@ def _not_antisymmetric():
         ("t3_circle", {"solver.dt": 0.003, "solver.t_end": 0.01}),
         ("su2_rigid_body", {"initial.x": [1.0], "solver.t_end": 0.01}),
         ("su2_rigid_body", {"solver.dt": 5e-324, "solver.t_end": 2.0}),
+        ("su2_rigid_body", {"isotropy": {"basis": [[0.0, 0.0, 1.0]]}, "metric.gram": [[1.0, 0.0], [0.0, 1.0]],
+                            "initial.x": [1.0, 0.5], "solver.t_end": 0.01}),
     ],
     ids=["structure-not-antisymmetric", "Q-not-ad-invariant", "t_end-not-multiple-of-dt", "short-initial-x",
-         "step-count-overflows"],
+         "step-count-overflows", "isotropy-moves-complement"],
 )
 def test_validate_and_run_agree(tmp_path, capsys, name, updates):
     path = tabulated_cfg(tmp_path, **updates) if name == "boundary_interval" else write_cfg(

@@ -127,8 +127,8 @@ PINNED = [
     ("t3_circle", "solver", [], ["solver: expected an object"]),
     ("t3_circle", "output", {"snapshot_cadence": 0}, ["output.snapshot_cadence: expected a positive integer"]),
     ("t3_circle", "seed", "7", ["seed: expected an integer"]),
-    ("t3_circle", "hooks", {"dcdt_offset": "x"}, ["hooks.dcdt_offset: expected a finite number"]),
-    ("t3_circle", "hooks", {"other": 1}, ["hooks.other: unknown key"]),
+    ("t3_circle", "hooks", {"dcdt_offset": "x"}, ["config.hooks: unknown key"]),
+    ("t3_circle", "hooks", {"other": 1}, ["config.hooks: unknown key"]),
 ]
 
 

@@ -233,13 +233,14 @@ def test_conservation_report_steady_run(round_s3_t2):
     assert s["all_ok"]
 
 
-def test_conservation_report_flags_fault_injection(flat_torus):
+def test_conservation_report_flags_fault_injection(flat_torus, dcdt_fault):
     n = 32
     grid = state_grid(flat_torus, n)
     v0 = np.zeros((n, 2))
     v0[:, 0] = 0.1 * np.sin(2 * np.pi * grid)
     prob = CircleProblem(flat_torus, 0.5, v0)
-    _, report = integrate(prob, SolverConfig(dt=1e-3, t_end=0.1, dcdt_offset=1.0))
+    dcdt_fault(1.0)
+    _, report = integrate(prob, SolverConfig(dt=1e-3, t_end=0.1))
     s = report.summary
     assert report.failure is not None
     assert not s["pressure_periodicity"]["ok"]
@@ -330,7 +331,7 @@ def test_rows_bits_do_not_depend_on_stack_size(name):
 
 
 @pytest.mark.parametrize("kind", ["cfl", "pressure_periodicity"])
-def test_failure_mid_chunk_leaves_every_row_evaluated(monkeypatch, kind):
+def test_failure_mid_chunk_leaves_every_row_evaluated(monkeypatch, dcdt_fault, kind):
     # the run fails at row 13 with chunks of 8 rows: one full chunk, then a
     # partial one that finish() must still evaluate
     monkeypatch.setattr(diagnostics, "CHUNK_ROWS", 8)
@@ -341,7 +342,8 @@ def test_failure_mid_chunk_leaves_every_row_evaluated(monkeypatch, kind):
     v0[:, 0] = 0.3 * np.sin(2 * np.pi * grid)
     v0[:, 1] = 0.2 * np.cos(2 * np.pi * grid)
     prob = CircleProblem(wt, 0.4, v0)
-    _, ref = integrate(prob, SolverConfig(dt=dt, t_end=20 * dt, dcdt_offset=1e-12))
+    dcdt_fault(1e-12)
+    _, ref = integrate(prob, SolverConfig(dt=dt, t_end=20 * dt))
     assert ref.failure is None
     if kind == "cfl":
         # |c| still grows here: a guard between rows k - 1 and k trips at row k
@@ -349,15 +351,15 @@ def test_failure_mid_chunk_leaves_every_row_evaluated(monkeypatch, kind):
         assert c[k] > np.max(c[:k])
         geom = GridGeometry(wt, grid)
         guard = 0.5 * (np.max(c[:k]) + c[k]) * dt * geom.h0_max / geom.dr
-        cfg = SolverConfig(dt=dt, t_end=20 * dt, cfl_guard=guard, snapshot_cadence=1,
-                           dcdt_offset=1e-12)
+        cfg = SolverConfig(dt=dt, t_end=20 * dt, cfl_guard=guard, snapshot_cadence=1)
     else:
         # the periodicity residual is linear in the offset and still grows
         # here: a scaled offset first crosses the tolerance at row k
         p = ref.series["p_periodicity"]
         assert p[k] > np.max(p[:k]) * (1.0 + 1e-6)
         offset = 1e-12 * PERIODICITY_TOL / np.sqrt(np.max(p[:k]) * p[k])
-        cfg = SolverConfig(dt=dt, t_end=20 * dt, snapshot_cadence=1, dcdt_offset=offset)
+        dcdt_fault(offset)
+        cfg = SolverConfig(dt=dt, t_end=20 * dt, snapshot_cadence=1)
     snaps, report = integrate(prob, cfg)
     assert report.failure["kind"] == kind
     s = report.series

@@ -348,16 +348,34 @@ def test_integrate_non_finite_failure(su2_split):
     assert failure["t"] == failure["step"] * dt
 
 
-def test_integrate_dcdt_fault_injection(flat_torus):
+def test_integrate_dcdt_fault_injection(flat_torus, dcdt_fault):
     n = 32
     grid = state_grid(flat_torus, n)
     v0 = np.zeros((n, 2))
     v0[:, 0] = 0.1 * np.sin(2 * np.pi * grid)
     prob = CircleProblem(flat_torus, 0.5, v0)
-    cfg = SolverConfig(dt=1e-3, t_end=0.1, dcdt_offset=1.0)
+    dcdt_fault(1.0)
+    cfg = SolverConfig(dt=1e-3, t_end=0.1)
     snaps, report = integrate(prob, cfg)
     assert report.failure is not None
     assert report.failure["kind"] == "pressure_periodicity"
+
+
+@pytest.mark.parametrize("kind", ["cfl", "non_finite", "pressure_periodicity"])
+def test_failed_run_snapshot_times_increase(flat_torus, rigid_body_metric, dcdt_fault, kind):
+    # every step is snapshotted, so the failing state may already be the last snapshot
+    if kind == "cfl":
+        prob = CircleProblem(flat_torus, 100.0, np.zeros((32, 2)))
+    elif kind == "non_finite":
+        prob = HomogeneousProblem(rigid_body_metric, [1e200, 1e200, 0.0])
+    else:
+        dcdt_fault(1.0)
+        prob = CircleProblem(flat_torus, 0.5, np.zeros((32, 2)))
+    snaps, report = integrate(prob, SolverConfig(dt=1e-3, t_end=1.0, snapshot_cadence=1))
+    assert report.failure["kind"] == kind
+    times = [s.t for s in snaps]
+    assert times[-1] == report.failure["t"]
+    assert all(a < b for a, b in zip(times, times[1:])), times[-3:]
 
 
 def test_integrate_records_diagnostics_each_step(flat_torus):
