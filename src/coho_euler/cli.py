@@ -48,7 +48,7 @@ def run_command(cfg: RunConfig, out_dir: Path) -> int:
     manifest_snaps = []
     for i, (state, pressure) in enumerate(zip(snapshots, pressures)):
         fname = f"snapshots/snapshot_{i:06d}.csv"
-        write_snapshot_csv(out_dir / fname, state, pressure.samples)
+        write_snapshot_csv(out_dir / fname, state, problem.geom, pressure.samples)
         manifest_snaps.append({"file": fname, "t": float(state.t)})
 
     write_diagnostics_csv(report, out_dir / "diagnostics.csv")

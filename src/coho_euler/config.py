@@ -480,7 +480,7 @@ def build_initial_v(cfg: RunConfig, profile: cg.MetricProfile, grid: np.ndarray)
 
 def _initial_parity(report: ValidationReport, profile, grid, v0):
     """The numeric parity fit of the initial data at each singular endpoint."""
-    geom = GridGeometry(profile, grid)
+    geom = GridGeometry(profile, grid.size)
     if not geom.singular_windows:
         return
     tol = parity_tolerance(geom)

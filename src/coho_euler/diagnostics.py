@@ -100,33 +100,29 @@ def grid_layout(profile: MetricProfile, n: int):
     return nodes, simpson_weights_closed(m, dr)[lo : lo + n], dr
 
 
-def _on_grid(r, nodes: np.ndarray, length: float) -> bool:
-    """Whether the radii ``r`` are the grid ``nodes``, to 1e-9 of the orbit-space length."""
-    return np.shape(r) == nodes.shape and bool(np.max(np.abs(r - nodes)) <= 1e-9 * length)
-
-
 class GridGeometry:
     """Per-node metric data shared by the solver and the diagnostics.
 
-    Built once per run from a metric profile and its state grid, or from an
-    invariant metric: a homogeneous state is the one-node case, with unit
+    Built once per run from a metric profile and a node count ``n``, whose
+    nodes :func:`grid_layout` places and ``r`` keeps, or from an invariant
+    metric: a homogeneous state is the one-node case at r = 0, with unit
     weight and volume, zero S, h0 and h0', and a zero derivative. Everything
     downstream is plain numpy on the precomputed arrays, so repeated
     evaluation is cheap and bit-stable.
     """
 
-    def __init__(self, geometry, grid=None):
+    def __init__(self, geometry, n=None):
         self.split = geometry.split
         self.d = self.split.dim_m
         if isinstance(geometry, InvariantMetric):
-            self.profile, self.kind, self.r, self.n = None, "homogeneous", None, 1
+            self.profile, self.kind, self.r, self.n = None, "homogeneous", np.zeros(1), 1
             self.weights = self.vol = np.ones(1)
             self.deriv = np.zeros_like
             self.gram = geometry.gram[None]
             self.S = np.zeros((1, self.d, self.d))
             self.rho = np.zeros(1)
         else:
-            self._sample_profile(geometry, grid)
+            self._sample_profile(geometry, n)
         self.trace_S = np.trace(self.S, axis1=1, axis2=2)
         self.gramS = np.einsum("jab,jbc->jac", self.gram, self.S)
         self.has_S = bool(np.max(np.abs(self.S)) > 0.0)
@@ -168,16 +164,12 @@ class GridGeometry:
                     self._taylor_window(self.profile.length, slice(self.n - TAYLOR_WINDOW, self.n))
                 )
 
-    def _sample_profile(self, profile: MetricProfile, grid):
-        """Grid, quadrature, stencil and the per-node metric of a profile."""
+    def _sample_profile(self, profile: MetricProfile, n: int):
+        """Nodes, quadrature, stencil and the per-node metric of a profile."""
         self.profile = profile
         self.kind = profile.orbit_space.kind
-        r = np.asarray(grid, dtype=float)
-        nodes, self.weights, self.dr = grid_layout(profile, r.size)
-        if not _on_grid(r, nodes, profile.length):
-            raise InputError(f"state grid is not the {self.kind} grid of {r.size} nodes")
-        self.r = r
-        self.n = r.size
+        r, self.weights, self.dr = grid_layout(profile, n)
+        self.r, self.n = r, r.size
         if self.kind == CIRCLE:
             self.deriv = Derivative4Periodic(self.n, self.dr)
         else:
@@ -272,7 +264,6 @@ class GridGeometry:
                 np.abs(cs) * self.fd_div_floor, np.max(np.abs(probes), axis=0)
             ),
             "max_vertical": np.max(quad, axis=1),
-            "component_energy": 0.5 * np.einsum("j,jat,jat->ta", self.wvol, vt, gv),
             "speeds": speeds,
             "envelope_rate": np.abs(cs) * self.envelope_rate_unit,
         }
@@ -284,25 +275,23 @@ class GridGeometry:
 def state_geometry(state, geometry) -> GridGeometry:
     """The :class:`GridGeometry` of a reduced state, checked against the state.
 
-    ``geometry`` is a metric profile (grid states), an invariant metric
-    (homogeneous states) or a geometry built for the state's grid, such as
-    ``problem.geom``, which is returned as it is. v must have shape (n, d),
-    or (d,) on the one-node geometry, and a circle state needs a finite c.
+    ``geometry`` is a metric profile, whose geometry is built on ``len(state.v)``
+    nodes, an invariant metric (homogeneous states) or a built geometry such
+    as ``problem.geom``, which is returned as it is. v must have shape (n, d),
+    or (d,) on the one-node geometry, and c is zero off the circle.
     """
-    grid = state.grid
     if isinstance(geometry, GridGeometry):
         geom = geometry
-        if not (grid is None if geom.r is None else _on_grid(grid, geom.r, geom.profile.length)):
-            raise InputError(f"state grid is not the grid of the given {geom.kind} geometry")
-    elif (grid is None) != isinstance(geometry, InvariantMetric):
-        raise InputError("a state has a grid exactly when its geometry is a metric profile")
+    elif isinstance(geometry, InvariantMetric):
+        geom = GridGeometry(geometry)
     else:
-        geom = GridGeometry(geometry, grid)
-    shape = (geom.d,) if geom.r is None else (geom.n, geom.d)
+        geom = GridGeometry(geometry, len(state.v))
+    shape = (geom.d,) if geom.kind == "homogeneous" else (geom.n, geom.d)
     if np.shape(state.v) != shape:
         raise InputError(f"state v has shape {np.shape(state.v)}, the geometry needs {shape}")
-    if geom.kind == CIRCLE and (state.c is None or not math.isfinite(state.c)):
-        raise InputError(f"a circle state needs a finite horizontal amplitude c, got {state.c}")
+    if geom.kind != CIRCLE and state.c != 0.0:
+        raise InputError("only a circle state has a nonzero finite horizontal amplitude; "
+                         f"this {geom.kind} state has c = {state.c}")
     return geom
 
 
@@ -312,7 +301,7 @@ def state_geometry(state, geometry) -> GridGeometry:
 def _row(state, geometry, c=None):
     """(row, GridGeometry) of one state; ``c`` replaces its horizontal amplitude."""
     geom = state_geometry(state, geometry)
-    c = float(state.c or 0.0) if c is None else c
+    c = state.c if c is None else c
     rows = geom.rows(np.array([c]), state.v.reshape(1, geom.n, geom.d))
     return {key: val[0] for key, val in rows.items()}, geom
 
@@ -324,7 +313,7 @@ def energy(state, geometry) -> float:
 
 def pointwise_speed(state, geometry, j: int | None = None) -> float:
     row, geom = _row(state, geometry)
-    if j is None or geom.r is None:
+    if j is None or geom.kind == "homogeneous":
         return float(row["max_speed"])
     if not 0 <= j < geom.n:
         raise InputError(f"grid index {j} out of range [0, {geom.n})")
@@ -343,7 +332,7 @@ def divergence_residual(state, geometry, h_samples=None) -> float:
     """
     # at c = 0 the row's residual is the vertical part alone
     row, geom = _row(state, geometry, c=None if h_samples is None else 0.0)
-    if h_samples is None or geom.r is None:
+    if h_samples is None or geom.kind == "homogeneous":
         return float(row["div_residual"])
     h = np.asarray(h_samples, float)
     if h.shape != (geom.n,):
@@ -410,7 +399,6 @@ def series_shapes(d: int, n_singular: int) -> dict:
     """Series name -> shape of one recorded row, for d coefficients per node."""
     shapes = dict.fromkeys(RUN_SERIES + ("E", "c", "max_speed", "c1_monitor", "c1_sv_raw",
                                          "div_residual", "max_vertical"), ())
-    shapes["component_energy"] = (d,)
     if n_singular:
         shapes.update(alpha=(n_singular, d), beta=(n_singular, d), parity_misfit=(n_singular,))
     return shapes
@@ -431,8 +419,7 @@ class RunReport:
     """Per-step diagnostic series plus the conservation summary.
 
     ``series`` maps each name of :func:`series_shapes` to a float64 array
-    with one entry per recorded row: (rows,), (rows, d), (rows, n_end, d) or
-    (rows, n_end).
+    with one entry per recorded row: (rows,), (rows, n_end, d) or (rows, n_end).
     """
 
     kind: str
@@ -646,13 +633,8 @@ def write_diagnostics_csv(report: RunReport, path):
     _write_csv(path, header, columns)
 
 
-def write_snapshot_csv(path, state, pressure_samples):
-    v = np.atleast_2d(state.v)
-    if state.grid is None:
-        r = np.zeros(1)
-        p = np.zeros(1)
-    else:
-        r = state.grid
-        p = pressure_samples
-    header = ["r", *(f"v_{i + 1}" for i in range(v.shape[1])), "p"]
-    _write_csv(path, header, [r, v, p])
+def write_snapshot_csv(path, state, geometry, pressure_samples):
+    """One row (r, v, p) per node of the state's geometry; r = 0 on a homogeneous one."""
+    geom = state_geometry(state, geometry)
+    header = ["r", *(f"v_{i + 1}" for i in range(geom.d)), "p"]
+    _write_csv(path, header, [geom.r, state.v.reshape(geom.n, geom.d), pressure_samples])

@@ -291,7 +291,8 @@ def monte_carlo_fixed_check(split: ReductiveSplit, seed: int = 0, samples: int =
 
     report = ValidationReport()
     if split.dim_h == 0 or split.dim_m0 == 0:
-        report.add("monte_carlo_ad_fixedness", 0.0, 1e-8, "no isotropy action to probe")
+        detail = "no isotropy action to probe" if split.dim_h == 0 else "the fixed subspace is empty"
+        report.add("monte_carlo_ad_fixedness", 0.0, 1e-8, detail)
         return report
     rng = np.random.default_rng(seed)
     worst = 0.0

@@ -1,4 +1,4 @@
-"""The three reduced Euler integrators and pressure reconstruction.
+"""The reduced Euler system of each regime, its integrator and pressure reconstruction.
 
 Homogeneous runs integrate du/dt = -nabla_u u on a single orbit. Interval
 runs have no horizontal component at all, so each grid node evolves by the
@@ -89,22 +89,30 @@ class SolverConfig:
 class ReducedState:
     """Reduced velocity at one instant.
 
-    ``c`` is the horizontal amplitude (None for homogeneous runs, 0.0 on
-    intervals); ``v`` holds vertical coefficients per grid node, or the
-    single coefficient vector for homogeneous runs (grid is None there).
+    ``c`` is the finite horizontal amplitude, 0.0 off the circle; ``v``
+    holds the vertical coefficients per node, (n, d), or the single
+    coefficient vector (d,) of a homogeneous run. The nodes are not part of
+    the state: its geometry places them (see ``state_geometry``).
     """
 
     t: float
-    c: float | None
+    c: float
     v: np.ndarray
-    grid: np.ndarray | None
 
     def __post_init__(self):
         self.v = np.asarray(self.v, dtype=float)
+        if self.v.ndim == 0:
+            raise InputError("state coefficients v must have shape (n, d) or (d,)")
         if not np.all(np.isfinite(self.v)):
             raise InputError("state coefficients contain non-finite entries")
-        if self.c is not None and not np.isfinite(self.c):
-            raise InputError("horizontal amplitude is not finite")
+        c = self.c
+        try:
+            self.c = float(c)
+            finite = math.isfinite(self.c)
+        except (TypeError, ValueError):
+            finite = False
+        if not finite:
+            raise InputError(f"a reduced state needs a finite horizontal amplitude c, got {c}")
 
 
 @dataclass
@@ -121,23 +129,24 @@ def state_grid(profile: MetricProfile, n: int) -> np.ndarray:
 
 
 class _Problem:
-    """A problem's :class:`GridGeometry`: built on first use, inside ``integrate``
-    rather than in a run's set-up, then shared with :func:`trajectory_pressures`."""
-
-    grid = None  # homogeneous problems have no grid
+    """A problem's :class:`GridGeometry`, whose ``r`` holds its nodes: built on
+    first use, inside ``integrate`` rather than in a run's set-up, then shared
+    with :func:`trajectory_pressures`."""
 
     def __post_init__(self):
-        """A grid problem's v0: (n, d) samples on the state grid of n nodes."""
+        """A grid problem's v0: (n, d) samples on the n nodes of ``state_grid``."""
         if self.profile.orbit_space.kind != self.kind:
             raise InputError(f"{type(self).__name__} needs an orbit space of kind {self.kind!r}")
         self.v0 = np.asarray(self.v0, dtype=float)
         if self.v0.ndim != 2 or self.v0.shape[1] != self.profile.dim:
             raise InputError(f"v0 must have shape (n, {self.profile.dim})")
-        self.grid = state_grid(self.profile, self.v0.shape[0])
+        grid_layout(self.profile, self.v0.shape[0])  # refuses a node count off the rule
 
     @cached_property
     def geom(self) -> GridGeometry:
-        return GridGeometry(self.metric if self.kind == "homogeneous" else self.profile, self.grid)
+        if self.kind == "homogeneous":
+            return GridGeometry(self.metric)
+        return GridGeometry(self.profile, self.v0.shape[0])
 
 
 @dataclass
@@ -150,7 +159,7 @@ class HomogeneousProblem(_Problem):
         self.x0 = as_float_array(self.x0, (self.metric.split.dim_m,), "x0")
 
     def initial_state(self) -> ReducedState:
-        return ReducedState(0.0, None, self.x0.copy(), None)
+        return ReducedState(0.0, 0.0, self.x0.copy())
 
 
 @dataclass
@@ -160,7 +169,7 @@ class IntervalProblem(_Problem):
     kind: str = field(default="interval", init=False)
 
     def initial_state(self) -> ReducedState:
-        return ReducedState(0.0, 0.0, self.v0.copy(), self.grid.copy())
+        return ReducedState(0.0, 0.0, self.v0.copy())
 
 
 @dataclass
@@ -171,7 +180,7 @@ class CircleProblem(_Problem):
     kind: str = field(default="circle", init=False)
 
     def initial_state(self) -> ReducedState:
-        return ReducedState(0.0, float(self.c0), self.v0.copy(), self.grid.copy())
+        return ReducedState(0.0, self.c0, self.v0.copy())
 
 
 # -- right-hand sides ---------------------------------------------------------
@@ -230,16 +239,9 @@ def _make_disc(geom: GridGeometry):
     return _DISCS[geom.kind](geom)
 
 
-def _make_state(geom: GridGeometry, t: float, c: float, v: np.ndarray) -> ReducedState:
-    """A snapshot of (c, v) on the geometry's grid; c is kept only on a circle."""
-    if geom.kind != CIRCLE:
-        c = None if geom.kind == "homogeneous" else 0.0
-    return ReducedState(t, c, v.copy(), geom.r)
-
-
 def homogeneous_rhs(metric, X) -> np.ndarray:
     """du/dt = -nabla_u u for the orbit problem, as a run evaluates it."""
-    state = ReducedState(0.0, None, X, None)
+    state = ReducedState(0.0, 0.0, X)
     return _make_disc(state_geometry(state, metric)).rhs(0.0, state.v)[1]
 
 
@@ -250,7 +252,7 @@ def interval_rhs(state: ReducedState, profile) -> np.ndarray:
 
 def circle_rhs(state: ReducedState, profile):
     """(dc/dt, dv/dt) for the circle problem."""
-    return _make_disc(state_geometry(state, profile)).rhs(float(state.c), state.v)
+    return _make_disc(state_geometry(state, profile)).rhs(state.c, state.v)
 
 
 def _closure(geom: GridGeometry, v: np.ndarray):
@@ -266,14 +268,13 @@ def _closure(geom: GridGeometry, v: np.ndarray):
     return q, -float(np.sum(geom.weights * q)) / geom.int_h0
 
 
-def _pressure_gradient(geom: GridGeometry, c: float, v: np.ndarray, dcdt: float | None = None):
+def _pressure_gradient(geom: GridGeometry, c: float, v: np.ndarray):
     """Radial pressure gradient samples and the loop (periodicity) residual.
 
-    dc/dt is ``dcdt`` if given, else the closure's, as in a run's right-hand side.
+    dc/dt is the closure's, as in a run's right-hand side.
     """
-    q, closure = _closure(geom, v)
+    q, dcdt = _closure(geom, v)
     if geom.kind == CIRCLE:
-        dcdt = closure if dcdt is None else dcdt
         pprime = -dcdt * geom.h0 - (c * c) * geom.h0 * geom.h0_prime - q
         loop = float(np.sum(geom.weights * pprime))
         scale = max(geom.profile.length * float(np.max(np.abs(pprime))), 1e-30)
@@ -292,20 +293,17 @@ def _periodicity_failure(residual: float, t: float, step: int | None = None):
     )
 
 
-def pressure_reconstruct(state: ReducedState, geometry, dcdt: float | None = None,
-                         check: bool = True) -> PressureField:
+def pressure_reconstruct(state: ReducedState, geometry, check: bool = True) -> PressureField:
     """Integrate the radial momentum balance to the pressure, gauge p(r_0)=0.
 
-    A homogeneous state's pressure is the zero field. ``dcdt`` defaults to
-    the closure's dc/dt of the state on a circle; a given value is used as
-    is, and only on a circle. With ``check``, a periodicity residual above
+    A homogeneous state's pressure is the zero field. On a circle dc/dt is
+    the closure's, as in a run. With ``check``, a periodicity residual above
     PERIODICITY_TOL raises the run's ``pressure_periodicity`` failure.
     """
     geom = state_geometry(state, geometry)
     if geom.kind == "homogeneous":
         return PressureField(np.zeros(1))
-    c = float(state.c) if geom.kind == CIRCLE else 0.0
-    pprime, residual = _pressure_gradient(geom, c, state.v, dcdt)
+    pprime, residual = _pressure_gradient(geom, state.c, state.v)
     if check and residual > PERIODICITY_TOL:
         raise _periodicity_failure(residual, state.t)
     return PressureField(cumulative_integral(pprime, geom.dr), residual)
@@ -382,11 +380,10 @@ def step_rk4(state: ReducedState, geometry, config: SolverConfig) -> ReducedStat
     """One deterministic RK4 step of the appropriate reduced system."""
     geom = state_geometry(state, geometry)
     disc = _make_disc(geom)
-    c = float(state.c) if geom.kind == CIRCLE else 0.0
-    _cfl_check(disc, config, c, 0, state.t)
+    _cfl_check(disc, config, state.c, 0, state.t)
     with np.errstate(over="ignore", invalid="ignore"):  # see _check_stage
-        c_new, v_new = _rk4(disc, c, state.v, config.dt, 0, state.t)
-    return _make_state(geom, state.t + config.dt, c_new, v_new)
+        c_new, v_new = _rk4(disc, state.c, state.v, config.dt, 0, state.t)
+    return ReducedState(state.t + config.dt, c_new, v_new)
 
 
 def integrate(problem, config: SolverConfig):
@@ -407,8 +404,7 @@ def integrate(problem, config: SolverConfig):
     geom = problem.geom
     disc = _make_disc(geom)
     recorder = RunRecorder(geom, config.n_records())
-    c = 0.0 if state.c is None else state.c
-    v = state.v
+    c, v = state.c, state.v
 
     def record_with_pressure_watchdog(n, cc, vv):
         # the state after n steps; the offending row is recorded before
@@ -425,7 +421,7 @@ def integrate(problem, config: SolverConfig):
     with np.errstate(over="ignore", invalid="ignore"):  # see _check_stage
         try:
             record_with_pressure_watchdog(0, c, v)
-            snapshots.append(_make_state(geom, 0.0, c, v))
+            snapshots.append(state)
             for step in range(n_steps):
                 _cfl_check(disc, config, c, step, t_now)
                 c, v = _rk4(disc, c, v, dt, step, t_now)
@@ -434,12 +430,12 @@ def integrate(problem, config: SolverConfig):
                 if (step + 1) % diag_every == 0 or last:
                     record_with_pressure_watchdog(step + 1, c, v)
                 if (step + 1) % snap_every == 0 or last:
-                    snapshots.append(_make_state(geom, t_now, c, v))
+                    snapshots.append(ReducedState(t_now, c, v))
         except NumericalFailureError as exc:
             failure = exc.record()
             # a CFL or non-finite failure keeps a state that may be the last snapshot
             if not snapshots or snapshots[-1].t != t_now:
-                snapshots.append(_make_state(geom, t_now, c, v))
+                snapshots.append(ReducedState(t_now, c, v))
 
     report = recorder.finish(failure)
     conservation_report(report)

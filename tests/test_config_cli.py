@@ -449,13 +449,26 @@ def test_validate_and_run_agree(tmp_path, capsys, name, updates):
     assert "validation error: " in capsys.readouterr().err
 
 
+def test_validate_names_an_empty_fixed_subspace(tmp_path, capsys):
+    # an isotropy that fixes no vector of m: the Monte Carlo check has an
+    # action but no fixed subspace to probe it on
+    raw = example_raw("su2_rigid_body", {"isotropy": {"basis": [[0.0, 0.0, 1.0]]},
+                                         "metric.gram": [[1.0, 0.0], [0.0, 1.0]],
+                                         "initial.x": [1.0, 0.5]})
+    assert main(["validate", "--config", str(write_cfg(tmp_path, raw))]) == 2
+    out = capsys.readouterr().out
+    assert "PASS  monte_carlo_ad_fixedness: residual=0.000e+00 (tol=1.0e-08) " \
+           "[the fixed subspace is empty]" in out
+    assert "no isotropy action" not in out
+
+
 @pytest.mark.parametrize(
     "name, updates, rows, width",
     [
-        ("su2_rigid_body", {"solver.t_end": 1785.714}, 1785715, 14),
-        ("s3_t2_interval", {"solver.t_end": 1086.956}, 1086957, 23),
-        # 2173911 steps at cadence 2: the last step falls off the cadence
-        ("s3_t2_interval", {"solver.t_end": 2173.911, "output.diagnostics_cadence": 2}, 1086957, 23),
+        ("su2_rigid_body", {"solver.t_end": 2272.727}, 2272728, 11),
+        ("s3_t2_interval", {"solver.t_end": 1190.476}, 1190477, 21),
+        # 2380951 steps at cadence 2: the last step falls off the cadence
+        ("s3_t2_interval", {"solver.t_end": 2380.951, "output.diagnostics_cadence": 2}, 1190477, 21),
     ],
     ids=["homogeneous", "interval", "interval-cadence-2"],
 )
@@ -475,9 +488,9 @@ def test_recorded_rows_budget_exits_2(tmp_path, capsys, name, updates, rows, wid
 @pytest.mark.parametrize(
     "name, updates",
     [
-        ("su2_rigid_body", {"solver.t_end": 1785.713}),
-        ("s3_t2_interval", {"solver.t_end": 1086.955}),
-        ("s3_t2_interval", {"solver.t_end": 2173.91, "output.diagnostics_cadence": 2}),
+        ("su2_rigid_body", {"solver.t_end": 2272.726}),
+        ("s3_t2_interval", {"solver.t_end": 1190.475}),
+        ("s3_t2_interval", {"solver.t_end": 2380.95, "output.diagnostics_cadence": 2}),
     ],
     ids=["homogeneous", "interval", "interval-cadence-2"],
 )

@@ -44,14 +44,13 @@ from coho_euler.errors import ConfigError
 from coho_euler.reduced_euler import state_grid
 
 
-def interval_state(profile, values, n=128):
-    grid = state_grid(profile, n)
-    return ReducedState(0.0, 0.0, np.tile(values, (n, 1)), grid)
+def interval_state(values, n=128):
+    return ReducedState(0.0, 0.0, np.tile(values, (n, 1)))
 
 
 def test_grid_geometry_rho_matches_generalized_eigh(coupled_tabulated):
     prof = coupled_tabulated("interval")
-    geom = GridGeometry(prof, state_grid(prof, 64))
+    geom = GridGeometry(prof, 64)
     want = np.array(
         [
             np.max(np.abs(eigh(-0.5 * gp, g, eigvals_only=True)))
@@ -67,20 +66,14 @@ def test_grid_rule_is_one_rule(kind, flat_torus, round_s3_t2, coupled_tabulated)
     profile = {"circle": flat_torus, "singular_interval": round_s3_t2,
                "boundary_interval": coupled_tabulated(INTERVAL)}[kind]
     low, even = GRID_NODES[profile.orbit_space.kind]
-    grid = state_grid(profile, low)
-    GridGeometry(profile, grid)
-    for j in (0, low // 2, low - 1):
-        moved = grid.copy()
-        moved[j] += 1e-6 * profile.length
-        with pytest.raises(InputError, match="not the"):
-            GridGeometry(profile, moved)
+    GridGeometry(profile, low)
 
     # one node count below the rule, refused alike by every entry point
     few = low - 2 if even else low - 1
     v0 = np.zeros((few, profile.dim))
     messages = set()
     for build in (lambda: state_grid(profile, few),
-                  lambda: GridGeometry(profile, grid[:few]),
+                  lambda: GridGeometry(profile, few),
                   lambda: CircleProblem(profile, 0.0, v0) if kind == "circle"
                   else IntervalProblem(profile, v0)):
         with pytest.raises(InputError) as exc:
@@ -90,54 +83,50 @@ def test_grid_rule_is_one_rule(kind, flat_torus, round_s3_t2, coupled_tabulated)
 
 
 def test_energy_zero_state(flat_torus):
-    grid = state_grid(flat_torus, 32)
-    state = ReducedState(0.0, 0.0, np.zeros((32, 2)), grid)
+    state = ReducedState(0.0, 0.0, np.zeros((32, 2)))
     assert energy(state, flat_torus) == 0.0
 
 
 def test_energy_flat_torus_pure_horizontal(flat_torus):
-    grid = state_grid(flat_torus, 64)
-    state = ReducedState(0.0, 1.0, np.zeros((64, 2)), grid)
+    state = ReducedState(0.0, 1.0, np.zeros((64, 2)))
     assert abs(energy(state, flat_torus) - 0.5) < 1e-14
 
 
 def test_energy_round_s3_t2_quadrature(round_s3_t2):
     # 2E = int_0^{pi/2} cos^2 r * (sin r cos r) dr = 1/4
-    state = interval_state(round_s3_t2, [1.0, 0.0], n=128)
+    state = interval_state([1.0, 0.0], n=128)
     assert abs(2.0 * energy(state, round_s3_t2) - 0.25) < 1e-8
 
 
 def test_energy_homogeneous(rigid_body_metric):
-    state = ReducedState(0.0, None, np.array([1.0, 0.0, 1.0]), None)
+    state = ReducedState(0.0, 0.0, np.array([1.0, 0.0, 1.0]))
     assert abs(energy(state, rigid_body_metric) - 0.5 * (1.0 + 3.0)) < 1e-15
 
 
 def test_pointwise_speed_examples(round_s3_t2, flat_torus):
-    zero = interval_state(round_s3_t2, [0.0, 0.0], n=16)
+    zero = interval_state([0.0, 0.0], n=16)
     assert pointwise_speed(zero, round_s3_t2, 3) == 0.0
 
     # N = 127 interior nodes puts a node exactly at pi/4
     a, b = 1.5, -0.4
-    state = interval_state(round_s3_t2, [a, b], n=127)
+    state = interval_state([a, b], n=127)
     j = 63
-    assert abs(state.grid[j] - np.pi / 4) < 1e-12
+    assert abs(state_grid(round_s3_t2, 127)[j] - np.pi / 4) < 1e-12
     want = np.sqrt((a * a + b * b) / 2.0)
     assert abs(pointwise_speed(state, round_s3_t2, j) - want) < 1e-12
 
-    grid = state_grid(flat_torus, 32)
-    horiz = ReducedState(0.0, 2.0, np.zeros((32, 2)), grid)
+    horiz = ReducedState(0.0, 2.0, np.zeros((32, 2)))
     assert abs(pointwise_speed(horiz, flat_torus, 5) - 2.0) < 1e-15
 
 
 def test_pointwise_speed_index_error(flat_torus):
-    grid = state_grid(flat_torus, 32)
-    state = ReducedState(0.0, 0.0, np.zeros((32, 2)), grid)
+    state = ReducedState(0.0, 0.0, np.zeros((32, 2)))
     with pytest.raises(InputError):
         pointwise_speed(state, flat_torus, 32)
 
 
 def test_c1_monitor_zero_state(round_s3_t2):
-    state = interval_state(round_s3_t2, [0.0, 0.0], n=16)
+    state = interval_state([0.0, 0.0], n=16)
     assert c1_monitor(state, round_s3_t2) == 0.0
 
 
@@ -163,23 +152,21 @@ def test_c1_monitor_constant_under_transport(flat_torus):
 
 
 def test_divergence_residual_interval(round_s3_t2):
-    state = interval_state(round_s3_t2, [0.7, -1.1], n=64)
+    state = interval_state([0.7, -1.1], n=64)
     assert divergence_residual(state, round_s3_t2) < 1e-10
 
 
 def test_divergence_residual_circle_h0():
     # bundled-scale profile: the 4th-order stencil floor sits well under 1e-8
     wt = warped_torus(1.0, [[0.0, 0.08, -0.05]])
-    grid = state_grid(wt, 256)
-    state = ReducedState(0.0, 1.0, np.zeros((256, 1)), grid)
+    state = ReducedState(0.0, 1.0, np.zeros((256, 1)))
     assert divergence_residual(state, wt) < 1e-8
 
 
 def test_divergence_residual_detects_constant_h():
     # constant horizontal amplitude on a variable-volume circle: not solenoidal
     wt = warped_torus(1.0, [[0.0, 0.8, 0.0]])
-    grid = state_grid(wt, 256)
-    state = ReducedState(0.0, 0.0, np.zeros((256, 1)), grid)
+    state = ReducedState(0.0, 0.0, np.zeros((256, 1)))
     res = divergence_residual(state, wt, h_samples=np.ones(256))
     assert res > 0.1
 
@@ -194,8 +181,7 @@ def test_endpoint_taylor_steady(round_s3_t2):
 
 
 def test_endpoint_taylor_zero_state(round_s3_t2):
-    grid = state_grid(round_s3_t2, 32)
-    state = ReducedState(0.0, 0.0, np.zeros((32, 2)), grid)
+    state = ReducedState(0.0, 0.0, np.zeros((32, 2)))
     mon = endpoint_taylor_monitor([state], round_s3_t2)
     assert np.max(np.abs(mon["alpha"])) == 0.0
     assert np.max(np.abs(mon["beta"])) == 0.0
@@ -206,19 +192,18 @@ def test_endpoint_taylor_flags_odd_parity(round_s3_t2):
     grid = state_grid(round_s3_t2, 128)
     v = np.zeros((128, 2))
     v[:, 0] = grid  # v_1 = r: odd about the left singular endpoint
-    state = ReducedState(0.0, 0.0, v, grid)
+    state = ReducedState(0.0, 0.0, v)
     mon = endpoint_taylor_monitor([state], round_s3_t2)
-    geom = GridGeometry(round_s3_t2, grid)
+    geom = GridGeometry(round_s3_t2, 128)
     assert mon["misfit"][0, 0] > parity_tolerance(geom)
     # constants stay far below the parity cut
-    flat = ReducedState(0.0, 0.0, np.tile([1.0, 2.0], (128, 1)), grid)
+    flat = ReducedState(0.0, 0.0, np.tile([1.0, 2.0], (128, 1)))
     mon2 = endpoint_taylor_monitor([flat], round_s3_t2)
     assert np.max(mon2["misfit"]) < 1e-12
 
 
 def test_endpoint_taylor_needs_singular_endpoint(flat_torus):
-    grid = state_grid(flat_torus, 32)
-    state = ReducedState(0.0, 0.0, np.zeros((32, 2)), grid)
+    state = ReducedState(0.0, 0.0, np.zeros((32, 2)))
     with pytest.raises(ConfigError):
         endpoint_taylor_monitor([state], flat_torus)
 
@@ -262,21 +247,13 @@ def test_divergence_invariant_under_integration():
     assert np.max(np.abs(res - res[0])) < 1e-8
 
 
-def test_component_energies_recorded(flat_torus):
-    prob = CircleProblem(flat_torus, 0.0, np.tile([1.0, 0.5], (32, 1)))
-    _, report = integrate(prob, SolverConfig(dt=1e-2, t_end=0.1))
-    comp = np.asarray(report.series["component_energy"])
-    assert comp.shape[1] == 2
-    assert np.allclose(comp[0], [0.5, 0.125])
-
-
 def _assert_rows_match_public(report, snaps, geometry, rows):
     """Recorded rows equal the public per-state functions on the same states, bit for bit."""
     s = report.series
     for j in rows:
         state = snaps[j]
         assert state.t == s["t"][j]
-        assert float(state.c or 0.0) == s["c"][j]
+        assert state.c == s["c"][j]
         assert energy(state, geometry) == s["E"][j]
         assert pointwise_speed(state, geometry) == s["max_speed"][j]
         assert c1_monitor(state, geometry) == s["c1_monitor"][j]
@@ -317,7 +294,7 @@ def test_rows_bits_do_not_depend_on_stack_size(name):
     # a row evaluated inside a stack of T states equals the row of that
     # state alone, for every T the recorder can hand over
     problem = check_config(catalog.load_example(name))[1]
-    geom = GridGeometry(problem.profile, problem.grid)
+    geom = problem.geom
     rng = np.random.default_rng(1)
     chunk = chunk_rows(geom.n * geom.d)
     vs = problem.v0 * (1.0 + 0.1 * rng.standard_normal((chunk, geom.n, geom.d)))
@@ -349,7 +326,7 @@ def test_failure_mid_chunk_leaves_every_row_evaluated(monkeypatch, dcdt_fault, k
         # |c| still grows here: a guard between rows k - 1 and k trips at row k
         c = np.abs(ref.series["c"])
         assert c[k] > np.max(c[:k])
-        geom = GridGeometry(wt, grid)
+        geom = GridGeometry(wt, n)
         guard = 0.5 * (np.max(c[:k]) + c[k]) * dt * geom.h0_max / geom.dr
         cfg = SolverConfig(dt=dt, t_end=20 * dt, cfl_guard=guard, snapshot_cadence=1)
     else:
@@ -419,7 +396,7 @@ def test_div_forms_match_per_probe_divergence_form(su2_split):
     prime = (2.0 * np.pi * np.cos(a))[:, None, None] * wobble
     space = OrbitSpace(INTERVAL, 1.0, (BOUNDARY, BOUNDARY))
     profile = TabulatedProfile(split, space, r, gram, prime)
-    geom = GridGeometry(profile, state_grid(profile, 40))
+    geom = GridGeometry(profile, 40)
     want = np.array([one_node_div_form(split, geom.gram[j])
                      for j in geom.div_probe_idx])
     assert len(want) == diagnostics.N_DIV_PROBES
@@ -444,7 +421,7 @@ def test_discrete_energy_exchange_identity():
     prob = CircleProblem(wt, 0.4, v0)
     dt = 1e-4
     snaps, _ = integrate(prob, SolverConfig(dt=dt, t_end=10 * dt, snapshot_cadence=1))
-    geom = GridGeometry(wt, grid)
+    geom = GridGeometry(wt, n)
 
     def vG(state):
         return np.einsum("ja,jab,jb->j", state.v, geom.gram, state.v)
@@ -498,7 +475,7 @@ def _fstring_csv(header, columns):
     )
 
 
-def test_csv_writers_match_fstring_format(tmp_path):
+def test_csv_writers_match_fstring_format(tmp_path, coupled_tabulated, rigid_body_metric):
     rng = np.random.default_rng(0)
     n = diagnostics.CSV_BLOCK_ROWS + 37  # a full block and a partial one
     cols = ["t", "E", "c", "max_speed", "c1_monitor", "div_residual", "p_periodicity"]
@@ -518,15 +495,16 @@ def test_csv_writers_match_fstring_format(tmp_path):
     assert path.read_bytes() == want.encode()
 
     finite = [x for x in SPECIAL if np.isfinite(x)]
+    # the nodes of a boundary interval of length 1 include both ends
     grid = np.linspace(0.0, 1.0, len(SPECIAL))
     v = np.column_stack([np.resize(finite, len(SPECIAL)), grid[::-1]])
-    state = ReducedState(0.0, 0.0, v, grid)
+    state = ReducedState(0.0, 0.0, v)
     pressure = np.array(SPECIAL)
-    write_snapshot_csv(tmp_path / "snap.csv", state, pressure)
+    write_snapshot_csv(tmp_path / "snap.csv", state, coupled_tabulated(INTERVAL), pressure)
     want = _fstring_csv(["r", "v_1", "v_2", "p"], [grid, v, pressure])
     assert (tmp_path / "snap.csv").read_bytes() == want.encode()
-    orbit = ReducedState(0.0, None, np.array(finite[:3]), None)
-    write_snapshot_csv(tmp_path / "orbit.csv", orbit, pressure)
+    orbit = ReducedState(0.0, 0.0, np.array(finite[:3]))
+    write_snapshot_csv(tmp_path / "orbit.csv", orbit, rigid_body_metric, np.zeros(1))
     want = _fstring_csv(["r", "v_1", "v_2", "v_3", "p"], [np.zeros(1), orbit.v[None], np.zeros(1)])
     assert (tmp_path / "orbit.csv").read_bytes() == want.encode()
 
@@ -536,24 +514,22 @@ def test_csv_writers_match_fstring_format(tmp_path):
 # (example, what the InputError says, call)
 MALFORMED = {
     "v_width": ("berger_circle", "shape", lambda s, g: energy(replace(s, v=s.v[:, :2]), g)),
-    "v_nodes": ("berger_circle", "shape",
+    "v_nodes": ("berger_circle", "shape|circle grids need an even N >= 16, got 10",
                 lambda s, g: pressure_reconstruct(replace(s, v=s.v[:10]), g)),
     "h_samples": ("berger_circle", "h_samples",
                   lambda s, g: divergence_residual(s, g, h_samples=np.ones(5))),
     "c_none": ("berger_circle", "finite horizontal amplitude",
                lambda s, g: circle_rhs(replace(s, c=None), g)),
-    "grid_none": ("berger_circle", "has a grid exactly|not the grid",
-                  lambda s, g: energy(replace(s, grid=None), g)),
-    "grid_moved": ("s3_t2_interval", "not the",
-                   lambda s, g: c1_monitor(replace(s, grid=s.grid + 1e-3), g)),
-    "grid_short": ("s3_t2_interval", "not the",
-                   lambda s, g: step_rk4(replace(s, grid=s.grid[:-2], v=s.v[:-2]), g,
-                                         SolverConfig(dt=1e-3, t_end=1e-3))),
+    "c_off_circle": ("s3_t2_interval", "finite horizontal amplitude",
+                     lambda s, g: step_rk4(replace(s, c=0.5), g,
+                                           SolverConfig(dt=1e-3, t_end=1e-3))),
     "orbit_v_width": ("su2_rigid_body", "shape",
                       lambda s, g: pointwise_speed(replace(s, v=s.v[:2]), g)),
-    "orbit_grid": ("su2_rigid_body", "has a grid exactly|not the grid",
-                   lambda s, g: energy(replace(s, grid=np.zeros(1), v=s.v[None]), g)),
-    "orbit_x_on_grid": ("t3_circle", "has a grid exactly|not the grid",
+    "orbit_grid": ("su2_rigid_body", "shape",
+                   lambda s, g: energy(replace(s, v=s.v[None]), g)),
+    "orbit_c_off_circle": ("su2_rigid_body", "finite horizontal amplitude",
+                           lambda s, g: c1_monitor(replace(s, c=-1.0), g)),
+    "orbit_x_on_grid": ("t3_circle", "shape|circle grids need an even N >= 16, got 2",
                         lambda s, g: homogeneous_rhs(g, s.v[0])),
 }
 

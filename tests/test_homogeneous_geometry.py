@@ -22,7 +22,6 @@ from coho_euler import (
 from coho_euler.config import build_problem
 from coho_euler.diagnostics import GridGeometry
 from coho_euler.homogeneous_geometry import connection_tensors
-from coho_euler.reduced_euler import state_grid
 
 from oracles import koszul_oracle
 
@@ -119,7 +118,7 @@ def koszul_per_node(split, gram):
 def test_stacked_connection_equals_per_node(name):
     problem = build_problem(catalog.load_example(name))
     profile, n = problem.profile, len(problem.v0)
-    grams = GridGeometry(profile, state_grid(profile, n)).gram
+    grams = GridGeometry(profile, n).gram
     stacked = connection_tensors(profile.split, grams)
     assert stacked.shape == (n,) + (profile.dim,) * 3
     for j, g in enumerate(grams):
@@ -222,5 +221,5 @@ def test_invariant_fields_divergence_free(su2_split, seed):
     rng = np.random.default_rng(100 + seed)
     metric = InvariantMetric(su2_split, _random_spd(rng, 3))
     x = rng.uniform(-1, 1, 3)
-    assert abs(divergence_residual(ReducedState(0.0, None, x, None), metric)) < 1e-10
+    assert abs(divergence_residual(ReducedState(0.0, 0.0, x), metric)) < 1e-10
     assert np.max(np.abs(GridGeometry(metric).div_forms[0])) < 1e-10

@@ -90,7 +90,7 @@ def test_solver_config_validation():
 
 def test_reduced_state_rejects_non_finite():
     with pytest.raises(InputError):
-        ReducedState(0.0, 0.0, np.array([[np.inf, 0.0]]), np.zeros(1))
+        ReducedState(0.0, 0.0, np.array([[np.inf, 0.0]]))
 
 
 # -- right-hand sides ----------------------------------------------------------
@@ -118,19 +118,17 @@ def test_homogeneous_rhs_is_the_run_rhs(rigid_body_metric):
 
 
 def test_interval_rhs_abelian_is_steady(round_s3_t2):
-    grid = state_grid(round_s3_t2, 16)
     v = np.column_stack([np.full(16, 1.0), np.full(16, 2.0)])
-    state = ReducedState(0.0, 0.0, v, grid)
+    state = ReducedState(0.0, 0.0, v)
     assert np.allclose(interval_rhs(state, round_s3_t2), 0.0)
-    zero = ReducedState(0.0, 0.0, np.zeros((16, 2)), grid)
+    zero = ReducedState(0.0, 0.0, np.zeros((16, 2)))
     assert np.allclose(interval_rhs(zero, round_s3_t2), 0.0)
 
 
 def test_interval_rhs_reduces_to_homogeneous_per_node(rigid_body_metric):
     prof = su2_const_tabulated()
-    grid = state_grid(prof, 16)
     v = np.tile([0.0, 1.0, 1.0], (16, 1))
-    state = ReducedState(0.0, 0.0, v, grid)
+    state = ReducedState(0.0, 0.0, v)
     dv = interval_rhs(state, prof)
     want = homogeneous_rhs(rigid_body_metric, np.array([0.0, 1.0, 1.0]))
     for j in range(16):
@@ -139,16 +137,14 @@ def test_interval_rhs_reduces_to_homogeneous_per_node(rigid_body_metric):
 
 def test_circle_rhs_pure_horizontal_is_steady():
     wt = warped_torus(1.0, [[0.0, 0.2, -0.1]])
-    grid = state_grid(wt, 64)
-    state = ReducedState(0.0, 2.0, np.zeros((64, 1)), grid)
+    state = ReducedState(0.0, 2.0, np.zeros((64, 1)))
     dc, dv = circle_rhs(state, wt)
     assert dc == 0.0
     assert np.allclose(dv, 0.0)
 
 
 def test_circle_rhs_constant_state_flat_torus(flat_torus):
-    grid = state_grid(flat_torus, 32)
-    state = ReducedState(0.0, 1.5, np.tile([0.4, -0.2], (32, 1)), grid)
+    state = ReducedState(0.0, 1.5, np.tile([0.4, -0.2], (32, 1)))
     dc, dv = circle_rhs(state, flat_torus)
     assert dc == 0.0
     assert np.max(np.abs(dv)) < 1e-13
@@ -159,7 +155,7 @@ def test_circle_rhs_transport_term(flat_torus):
     grid = state_grid(flat_torus, n)
     v = np.zeros((n, 2))
     v[:, 0] = np.sin(2 * np.pi * grid)
-    state = ReducedState(0.0, 1.0, v, grid)
+    state = ReducedState(0.0, 1.0, v)
     dc, dv = circle_rhs(state, flat_torus)
     assert dc == 0.0
     want = -2 * np.pi * np.cos(2 * np.pi * grid)
@@ -173,8 +169,8 @@ def test_circle_rhs_transport_term(flat_torus):
 def test_pressure_closed_form_round_s3_t2(round_s3_t2):
     a, b = 1.0, 2.0
     grid = state_grid(round_s3_t2, 128)
-    state = ReducedState(0.0, 0.0, np.tile([a, b], (128, 1)), grid)
-    field = pressure_reconstruct(state, round_s3_t2, dcdt=0.0)
+    state = ReducedState(0.0, 0.0, np.tile([a, b], (128, 1)))
+    field = pressure_reconstruct(state, round_s3_t2)
     want = -(a * a - b * b) * np.sin(grid) ** 2 / 2.0
     want -= want[0]  # same gauge
     assert np.max(np.abs(field.samples - want)) < 1e-8
@@ -182,8 +178,7 @@ def test_pressure_closed_form_round_s3_t2(round_s3_t2):
 
 
 def test_pressure_symmetric_coefficients_cancel(round_s3_t2):
-    grid = state_grid(round_s3_t2, 64)
-    state = ReducedState(0.0, 0.0, np.tile([1.3, 1.3], (64, 1)), grid)
+    state = ReducedState(0.0, 0.0, np.tile([1.3, 1.3], (64, 1)))
     field = pressure_reconstruct(state, round_s3_t2)
     assert np.max(np.abs(field.samples)) < 1e-14
 
@@ -193,22 +188,23 @@ def test_pressure_pure_horizontal_exact_antiderivative():
     n = 256
     grid = state_grid(wt, n)
     c = 1.0
-    state = ReducedState(0.0, c, np.zeros((n, 1)), grid)
-    field = pressure_reconstruct(state, wt, dcdt=0.0)
+    state = ReducedState(0.0, c, np.zeros((n, 1)))
+    field = pressure_reconstruct(state, wt)
     h0 = np.array([wt.h0_at(r) for r in grid])
     want = -c * c * (h0**2 - h0[0] ** 2) / 2.0
     assert np.max(np.abs(field.samples - want)) < 1e-8
     assert field.periodicity_residual < 1e-8
 
 
-def test_pressure_flags_inconsistent_dcdt(flat_torus):
+def test_pressure_flags_inconsistent_dcdt(flat_torus, dcdt_fault):
     grid = state_grid(flat_torus, 32)
     v = np.zeros((32, 2))
     v[:, 0] = np.sin(2 * np.pi * grid)
-    state = ReducedState(0.0, 1.0, v, grid)
+    state = ReducedState(0.0, 1.0, v)
+    dcdt_fault(1.0)
     with pytest.raises(NumericalFailureError):
-        pressure_reconstruct(state, flat_torus, dcdt=1.0)
-    field = pressure_reconstruct(state, flat_torus, dcdt=1.0, check=False)
+        pressure_reconstruct(state, flat_torus)
+    field = pressure_reconstruct(state, flat_torus, check=False)
     assert field.periodicity_residual > 1e-3
 
 
@@ -217,22 +213,18 @@ def test_pressure_default_dcdt_is_the_closure():
     wt = warped_torus(1.0, [[0.0, 0.1, 0.05], [0.2, -0.1, 0.03]])
     grid = state_grid(wt, 64)
     v = np.column_stack([np.sin(2 * np.pi * grid), 0.5 * np.cos(2 * np.pi * grid)])
-    state = ReducedState(0.0, 0.3, v, grid)
+    state = ReducedState(0.0, 0.3, v)
     field = pressure_reconstruct(state, wt)
     want = trajectory_pressures(CircleProblem(wt, 0.3, v), [state])[0]
     assert np.array_equal(field.samples, want.samples)
     assert field.periodicity_residual == want.periodicity_residual
-    # an explicit value is still used as given
-    with pytest.raises(NumericalFailureError):
-        pressure_reconstruct(state, wt, dcdt=0.0)
 
 
 # -- stepping ------------------------------------------------------------------
 
 
 def test_step_rk4_steady_state_only_advances_time(round_s3_t2):
-    grid = state_grid(round_s3_t2, 16)
-    state = ReducedState(0.0, 0.0, np.tile([1.0, 2.0], (16, 1)), grid)
+    state = ReducedState(0.0, 0.0, np.tile([1.0, 2.0], (16, 1)))
     cfg = SolverConfig(dt=0.25, t_end=1.0)
     new = step_rk4(state, round_s3_t2, cfg)
     assert new.t == 0.25
@@ -240,7 +232,7 @@ def test_step_rk4_steady_state_only_advances_time(round_s3_t2):
 
 
 def test_step_rk4_deterministic(rigid_body_metric):
-    state = ReducedState(0.0, None, np.array([1.0, 1.0, 1.0]) / np.sqrt(6), None)
+    state = ReducedState(0.0, 0.0, np.array([1.0, 1.0, 1.0]) / np.sqrt(6))
     cfg = SolverConfig(dt=1e-2, t_end=1.0)
     a = step_rk4(state, rigid_body_metric, cfg)
     b = step_rk4(state, rigid_body_metric, cfg)

@@ -33,16 +33,22 @@ from coho_euler import (
 )
 from coho_euler.cli import run_command
 from coho_euler.config import build_problem, build_solver_config, parse_config_dict
+from coho_euler.reduced_euler import state_grid
 
 CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
 
 
-@pytest.mark.parametrize("name", catalog.example_names())
-def test_one_geometry_per_run(monkeypatch, tmp_path, name):
+def short_run_config(name):
+    """A bundled example cut to five steps."""
     cfg = catalog.load_example(name)
     raw = json.loads(json.dumps(cfg.raw))
     raw["solver"]["t_end"] = 5 * raw["solver"]["dt"]
-    cfg = parse_config_dict(raw, cfg.source_path)
+    return parse_config_dict(raw, cfg.source_path)
+
+
+@pytest.mark.parametrize("name", catalog.example_names())
+def test_one_geometry_per_run(monkeypatch, tmp_path, name):
+    cfg = short_run_config(name)
 
     calls = {"geometry": 0, "gamma": 0}
     init = diagnostics.GridGeometry.__init__
@@ -67,6 +73,23 @@ def test_one_geometry_per_run(monkeypatch, tmp_path, name):
     # divergence probes both read that copy
     assert calls["geometry"] == 1
     assert calls["gamma"] == 1
+
+
+@pytest.mark.parametrize("name", catalog.example_names())
+def test_snapshot_nodes_are_the_layout_nodes(tmp_path, name):
+    # the r column is the geometry's nodes, which grid_layout places: bit for
+    # bit on a grid example, and 0 on the homogeneous one
+    cfg = short_run_config(name)
+    assert run_command(cfg, tmp_path) == 0
+    if cfg.kind == "homogeneous":
+        want = np.zeros(1)
+    else:
+        want = state_grid(build_problem(cfg).profile, cfg.solver["N"])
+    files = sorted((tmp_path / "snapshots").glob("*.csv"))
+    assert len(files) == 2
+    for path in files:
+        r = np.array([float(line.split(",")[0]) for line in path.read_text().splitlines()[1:]])
+        assert r.tobytes() == want.tobytes(), path.name
 
 
 def test_perfbench_trace_targets_resolve():
@@ -97,7 +120,7 @@ def public_calls(problem, config):
     if problem.kind == "homogeneous":
         calls["homogeneous_rhs"] = lambda g: homogeneous_rhs(g, state.v)
         return calls
-    h = np.linspace(0.5, 1.5, len(state.grid))
+    h = np.linspace(0.5, 1.5, len(state.v))
     calls["pointwise_speed_j"] = lambda g: pointwise_speed(state, g, j=3)
     calls["divergence_residual_h"] = lambda g: divergence_residual(state, g, h_samples=h)
     if problem.kind == "interval":
