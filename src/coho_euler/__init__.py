@@ -22,6 +22,7 @@ from .diagnostics import (
 from .errors import (
     CohoEulerError,
     ConfigError,
+    ConfigParseError,
     DomainError,
     InputError,
     NumericalFailureError,

@@ -15,7 +15,7 @@ from pathlib import Path
 from . import catalog
 from .config import RunConfig, build_problem, build_solver_config, check_config, parse_config
 from .diagnostics import write_diagnostics_csv, write_snapshot_csv
-from .errors import CohoEulerError, ConfigError, NumericalFailureError
+from .errors import CohoEulerError, ConfigError, ConfigParseError, NumericalFailureError
 from .reduced_euler import integrate, trajectory_pressures
 
 EXIT_OK = 0
@@ -130,7 +130,7 @@ def main(argv=None) -> int:
 
         try:
             cfg = parse_config(args.config)
-        except (json.JSONDecodeError, OSError) as exc:
+        except (ConfigParseError, OSError) as exc:
             print(f"parse error: {exc}", file=sys.stderr)
             return EXIT_PARSE
 

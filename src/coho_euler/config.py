@@ -27,10 +27,11 @@ from . import coho_geometry as cg
 from .coho_geometry import CIRCLE, INTERVAL
 from .diagnostics import GRID_NODES, GridGeometry, grid_layout, grid_rule, parity_tolerance
 from .diagnostics import row_width
-from .errors import ConfigError, InputError, UnsupportedConfigurationError
+from .errors import ConfigError, ConfigParseError, InputError, UnsupportedConfigurationError
 from .homogeneous_geometry import InvariantMetric, check_metric_invariance
 from .lie_core import LieAlgebraSpec, abelian, reductive_split, su2
 from .lie_core import check_reductive_split, monte_carlo_fixed_check, validate_structure
+from .numerics import seeded_uniform
 from .reduced_euler import CircleProblem, HomogeneousProblem, IntervalProblem, SolverConfig
 from .reports import ValidationReport
 
@@ -198,7 +199,7 @@ PROBLEM = Obj({"kind": None})
 ISOTROPY = Obj({"basis": Numbers(2)})
 OUTPUT = Obj({"directory": Str("a path"), "snapshot_cadence": COUNT,
               "diagnostics_cadence": COUNT}, ())
-COMMON = {"output": OUTPUT, "seed": Int()}
+COMMON = {"output": OUTPUT, "seed": Int(0, bound="expected a non-negative integer")}
 FOURIER = {"length": POSITIVE, "fourier": Numbers(2)}
 FAMILIES = {"round_s3_t2": {}, "warped_torus": FOURIER, "berger_circle": FOURIER}
 TABULATED = {"family": None, "length": POSITIVE, "kind": None, "csv": Str("a file name"),
@@ -365,7 +366,10 @@ def parse_config(path) -> RunConfig:
     """Load and validate a JSON run configuration from disk."""
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)  # json.JSONDecodeError maps to the parse exit code
+        try:
+            data = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # also bad UTF-8, digit limit, deep nesting
+            raise ConfigParseError(str(exc)) from exc
     return parse_config_dict(data, source_path=path)
 
 
@@ -465,17 +469,12 @@ def build_initial_v(cfg: RunConfig, profile: cg.MetricProfile, grid: np.ndarray)
                     [f"initial.v.coefficients[{i}]: expected odd length [a0,a1,b1,...]"]
                 )
         return np.column_stack([_fourier_eval(row, grid, profile.length) for row in rows])
-    # random_fourier: smooth seeded band-limited data, 1/k amplitude falloff
-    rng = np.random.default_rng(int(vinit["seed"]))
+    # random_fourier: smooth seeded band-limited data, 1/k amplitude falloff;
+    # row i holds a_1, b_1, a_2, b_2, ... of component i, drawn in that order
     modes = int(vinit["modes"])
-    amp = float(vinit["amplitude"])
-    rows = []
-    for _ in range(d):
-        coeffs = [0.0]
-        for k in range(1, modes + 1):
-            coeffs += [amp * rng.uniform(-1, 1) / k, amp * rng.uniform(-1, 1) / k]
-        rows.append(coeffs)
-    return np.column_stack([_fourier_eval(np.array(row), grid, profile.length) for row in rows])
+    draws = np.array(seeded_uniform(int(vinit["seed"]), 2 * d * modes)).reshape(d, 2 * modes)
+    rows = float(vinit["amplitude"]) * draws / np.repeat(np.arange(1, modes + 1), 2)
+    return np.column_stack([_fourier_eval(np.r_[0.0, row], grid, profile.length) for row in rows])
 
 
 def _initial_parity(report: ValidationReport, profile, grid, v0):

@@ -36,6 +36,11 @@ class ConfigError(CohoEulerError, ValueError):
         super().__init__("; ".join(self.messages))
 
 
+class ConfigParseError(CohoEulerError):
+    """A config file is not UTF-8 JSON that ``json`` can load; unlike a
+    ``ConfigError`` it is no ``ValueError``, so the two exit codes stay apart."""
+
+
 class NumericalFailureError(CohoEulerError):
     """Time integration failed: CFL violation, non-finite stage, bad pressure.
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, StructureError, UnsupportedConfigurationError
-from .numerics import as_float_array
+from .numerics import as_float_array, seeded_uniform
 from .reports import ValidationReport
 
 STRUCTURE_TOL = 1e-12
@@ -294,10 +294,10 @@ def monte_carlo_fixed_check(split: ReductiveSplit, seed: int = 0, samples: int =
         detail = "no isotropy action to probe" if split.dim_h == 0 else "the fixed subspace is empty"
         report.add("monte_carlo_ad_fixedness", 0.0, 1e-8, detail)
         return report
-    rng = np.random.default_rng(seed)
+    draws = np.array(seeded_uniform(seed, samples * split.dim_h)).reshape(samples, split.dim_h)
     worst = 0.0
-    for _ in range(samples):
-        x = rng.uniform(-1.0, 1.0, split.dim_h) @ split.h_basis
+    for coeffs in draws:
+        x = coeffs @ split.h_basis
         g = expm(split.algebra.ad(x))
         for vec in split.m0_basis:
             worst = max(worst, float(np.max(np.abs(g @ vec - vec))))

@@ -1,4 +1,4 @@
-"""Quadrature weights, finite-difference stencils and the cubic spline.
+"""Quadrature weights, finite-difference stencils, the cubic spline and seeded draws.
 
 Everything here is deterministic: weight vectors are built once, and all
 reductions go through numpy's fixed-order pairwise summation, so identical
@@ -6,6 +6,8 @@ inputs give bit-identical results.
 """
 
 from __future__ import annotations
+
+from itertools import permutations, product
 
 import numpy as np
 
@@ -263,6 +265,58 @@ def cubic_spline(x, y, periodic: bool) -> PiecewisePolynomial:
     t = (s[:-1] + s[1:] - 2 * slope) / dxr
     c = np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
     return PiecewisePolynomial(x, c, periodic)
+
+
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+
+
+def seeded_uniform(seed: int, count: int) -> list[float]:
+    """The first ``count`` draws of numpy's ``default_rng(seed).uniform(-1.0, 1.0)``.
+
+    A pure-Python transcription of numpy's ``SeedSequence`` (4-word pool,
+    ``generate_state(4, uint64)``) and its PCG64 generator (128-bit LCG,
+    XSL-RR output), so the draws equal numpy's bit for bit without loading
+    numpy's random module and the hashing modules it imports. ``seed`` is a
+    non-negative integer.
+    """
+    words = [(seed >> s) & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    hash_a = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_a
+        value ^= hash_a
+        hash_a = (hash_a * 0x931E8875) & _M32
+        value = (value * hash_a) & _M32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ (r >> 16)
+
+    pool = [hashmix(w) for w in (words + [0, 0, 0])[:4]]
+    for src, dst in permutations(range(4), 2):
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word, dst in product(words[4:], range(4)):
+        pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_b, state = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_b
+        hash_b = (hash_b * 0x58F38DED) & _M32
+        value = (value * hash_b) & _M32
+        state.append(value ^ (value >> 16))
+    s0, s1, s2, s3 = (state[i] | state[i + 1] << 32 for i in range(0, 8, 2))
+
+    mult = 0x2360ED051FC65DA44385DF649FCCF645
+    inc = ((s2 << 64 | s3) << 1 | 1) & _M128
+    x = ((inc + (s0 << 64 | s1)) * mult + inc) & _M128  # srandom_r: step, add, step
+    out = []
+    for _ in range(count):
+        x = (x * mult + inc) & _M128
+        rot, xsl = x >> 122, (x >> 64 ^ x) & _M64
+        word = (xsl >> rot | xsl << (64 - rot)) & _M64
+        out.append(-1.0 + 2.0 * ((word >> 11) * 2**-53))
+    return out
 
 
 def as_float_array(x, shape=None, name="array") -> np.ndarray:

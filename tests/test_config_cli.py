@@ -143,6 +143,41 @@ def test_cli_parse_error_exit_4(tmp_path, capsys):
     assert main(["run", "--config", str(missing), "--out", str(tmp_path / "o")]) == 4
 
 
+def assert_parse_error(tmp_path, capsys, bad, reason):
+    for args in (["run", "--config", str(bad), "--out", str(tmp_path / "o")],
+                 ["validate", "--config", str(bad)]):
+        assert main(args) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and reason in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_integer_over_digit_limit_exit_4(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"seed": ' + "1" * 4301 + "}")
+    assert_parse_error(tmp_path, capsys, bad, "4300 digits")
+
+
+def test_cli_non_utf8_config_exit_4(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"problem": "\xff\xfe"}')
+    assert_parse_error(tmp_path, capsys, bad, "utf-8")
+
+
+def test_cli_deeply_nested_config_exit_4(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[" * 200000)
+    assert_parse_error(tmp_path, capsys, bad, "recursion")
+
+
+def test_random_fourier_seed_of_4299_digits_runs(tmp_path):
+    # the largest integer literal json reads is still a valid seed
+    raw = example_raw("berger_circle", {"initial.v.seed": int("7" * 4299), "solver.t_end": 0.01})
+    assert main(["run", "--config", str(write_cfg(tmp_path, raw)),
+                 "--out", str(tmp_path / "o")]) == 0
+
+
 def test_cli_validation_error_exit_2(tmp_path, capsys):
     # solver.N below the grid rule of a circle, a singular and a boundary interval
     for name, n in (("t3_circle", 15), ("t3_circle", 14), ("s3_t2_interval", 5),

@@ -127,6 +127,7 @@ PINNED = [
     ("t3_circle", "solver", [], ["solver: expected an object"]),
     ("t3_circle", "output", {"snapshot_cadence": 0}, ["output.snapshot_cadence: expected a positive integer"]),
     ("t3_circle", "seed", "7", ["seed: expected an integer"]),
+    ("t3_circle", "seed", -1, ["seed: expected a non-negative integer"]),
     ("t3_circle", "hooks", {"dcdt_offset": "x"}, ["config.hooks: unknown key"]),
     ("t3_circle", "hooks", {"other": 1}, ["config.hooks: unknown key"]),
 ]

@@ -3,9 +3,9 @@ and the package binds each of its functions to one public name.
 
 Watched: scipy (only `validate` may import it), hashlib with OpenSSL's
 `_hashlib` (the config hash uses the built-in SHA-256), `numpy.ma` and
-`numpy.random`. The one exception is `random_fourier` initial data, which
-draws from `numpy.random`; numpy's import of `secrets` then brings in
-`hmac` and with it hashlib.
+`numpy.random`. No run loads any of them, `random_fourier` initial data
+included: its seeded draws come from `numerics.seeded_uniform`, not from
+`numpy.random`, whose import of `secrets` would bring in `hmac` and hashlib.
 
 Each import check runs in a fresh interpreter, since this test process may
 already have imported any of them.
@@ -60,7 +60,7 @@ def short_config(tmp_path, name, t_end):
         raw["profile"]["csv"] = str(src.parent / raw["profile"]["csv"])
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(raw))
-    return path, raw
+    return path
 
 
 def test_package_import_loads_no_scipy():
@@ -69,16 +69,10 @@ def test_package_import_loads_no_scipy():
 
 @pytest.mark.parametrize("name", catalog.example_names())
 def test_run_loads_no_scipy(tmp_path, name):
-    # analytic and tabulated profiles alike: only `validate` may import scipy
-    path, raw = short_config(tmp_path, name, 0.01)
+    # analytic and tabulated profiles and seeded random_fourier data alike
+    path = short_config(tmp_path, name, 0.01)
     mods = watched_modules(path, tmp_path / "out")
-    assert mods["after_import"] == []
-    expected = set()
-    if raw["initial"].get("v", {}).get("type") == "random_fourier":
-        rng = {m for m in mods["after_run"] if m.split(".")[:2] == ["numpy", "random"]}
-        assert "numpy.random" in rng
-        expected = rng | {"hashlib", "_hashlib"}
-    assert set(mods["after_run"]) == expected
+    assert mods == {"after_import": [], "after_run": []}
 
 
 def test_one_public_name_per_function():

@@ -10,6 +10,7 @@ from coho_euler.numerics import (
     Derivative4Periodic,
     _solve_tridiagonal,
     cumulative_integral,
+    seeded_uniform,
     simpson_weights_closed,
     simpson_weights_periodic,
 )
@@ -102,3 +103,31 @@ def test_tridiagonal_solve_matches_lapack_gtsv(n, seed):
     for b in (rng.normal(size=n), rng.normal(size=(n, 3, 3))):
         ref = solve_banded((1, 1), ab, b.reshape(n, -1)).reshape(b.shape)
         assert np.array_equal(_solve_tridiagonal(ab, b), ref)
+
+
+# numpy's own generator is the arbiter of the pure-Python stream
+def test_seeded_uniform_matches_numpy_first_draws():
+    # against numpy's scalar uniform(-1, 1) calls, over 1001 seeds
+    for seed in range(1001):
+        rng = np.random.default_rng(seed)
+        assert seeded_uniform(seed, 64) == [rng.uniform(-1, 1) for _ in range(64)], seed
+
+
+@pytest.mark.parametrize("seed", [0, 20240811, 2**32, 2**64 + 5,
+                                  pytest.param(int("7" * 4299), id="4299-digits")])
+def test_seeded_uniform_matches_numpy_full_stream(seed):
+    # two draws per component and mode at the config caps (16 components,
+    # 1024 modes); 2**32 and 2**64 + 5 take 2 and 3 entropy words, and the
+    # 4299-digit seed more than the 4-word pool
+    ref = np.random.default_rng(seed).uniform(-1.0, 1.0, 32768)
+    assert seeded_uniform(seed, 32768) == ref.tolist()
+
+
+@pytest.mark.parametrize("dim_h", [1, 3, 8])
+@pytest.mark.parametrize("seed", [0, 1, 7919])
+def test_seeded_uniform_rows_match_numpy_array_draws(dim_h, seed):
+    # the Monte Carlo fixedness check reads its samples as rows
+    rng = np.random.default_rng(seed)
+    ref = np.array([rng.uniform(-1.0, 1.0, dim_h) for _ in range(100)])
+    got = np.array(seeded_uniform(seed, 100 * dim_h)).reshape(100, dim_h)
+    assert np.array_equal(got, ref)
