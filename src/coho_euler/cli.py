@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import catalog
@@ -42,27 +43,33 @@ def run_command(cfg: RunConfig, out_dir: Path) -> int:
         print(f"error: cannot create output directory {out_dir}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    snapshots, report = integrate(problem, solver)
-    pressures = trajectory_pressures(problem, snapshots)
+    try:
+        # the run streams its rows into diagnostics.csv as it records them
+        with open(out_dir / "diagnostics.csv", "w", encoding="utf-8", newline="\n") as diag:
+            snapshots, report = integrate(problem, solver, partial(write_diagnostics_csv, diag))
+        pressures = trajectory_pressures(problem, snapshots)
 
-    manifest_snaps = []
-    for i, (state, pressure) in enumerate(zip(snapshots, pressures)):
-        fname = f"snapshots/snapshot_{i:06d}.csv"
-        write_snapshot_csv(out_dir / fname, state, problem.geom, pressure.samples)
-        manifest_snaps.append({"file": fname, "t": float(state.t)})
+        manifest_snaps = []
+        for i, (state, pressure) in enumerate(zip(snapshots, pressures)):
+            fname = f"snapshots/snapshot_{i:06d}.csv"
+            write_snapshot_csv(out_dir / fname, state, problem.geom, pressure.samples)
+            manifest_snaps.append({"file": fname, "t": float(state.t)})
 
-    write_diagnostics_csv(report, out_dir / "diagnostics.csv")
-    _json_dump(report.summary, out_dir / "summary.json")
-    manifest = {
-        "config": cfg.raw,
-        "config_hash": cfg.hash(),
-        "problem_kind": cfg.kind,
-        "status": "failed" if report.failure else "ok",
-        "snapshots": manifest_snaps,
-        "diagnostics": "diagnostics.csv",
-        "summary": "summary.json",
-    }
-    _json_dump(manifest, out_dir / "manifest.json")
+        _json_dump(report.summary, out_dir / "summary.json")
+        manifest = {
+            "config": cfg.raw,
+            "config_hash": cfg.hash(),
+            "problem_kind": cfg.kind,
+            "status": "failed" if report.failure else "ok",
+            "snapshots": manifest_snaps,
+            "diagnostics": "diagnostics.csv",
+            "summary": "summary.json",
+        }
+        _json_dump(manifest, out_dir / "manifest.json")
+    except OSError as exc:
+        print(f"error: cannot write {exc.filename or out_dir}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return EXIT_VALIDATION
 
     if report.failure is not None:
         print(

@@ -190,7 +190,7 @@ class Union:
 NUMBER, POSITIVE, COUNT = Num(), Num(positive=True), Int(1, "a positive integer")
 # caps on the integers that size allocations: Gamma holds N * dim**3 floats
 MAX_DIM, MAX_N, MAX_MODES = 16, 4096, 1024
-# the run records its diagnostic rows into float64 arrays allocated up front
+# recorded rows times the values of a row: bounds the size of a run's diagnostics.csv
 MAX_RECORDED_VALUES = 25_000_000
 TOP_REQUIRED = ("problem", "initial", "solver")
 TOP_OPTIONAL = ("algebra", "isotropy", "metric", "profile", "output", "seed")

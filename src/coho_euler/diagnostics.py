@@ -45,6 +45,9 @@ CHUNK_VALUES = 32768
 CSV_BLOCK_ROWS = 512
 # series that are not a field of a row: the recorder fills them itself
 RUN_SERIES = ("t", "p_periodicity", "speed_drift", "envelope_rate")
+# series whose largest value over a run the summary reads as it is
+PEAK_SERIES = ("speed_drift", "c1_monitor", "c1_sv_raw", "div_residual", "p_periodicity",
+               "parity_misfit")
 
 
 def _generalized_spectral_radius(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -242,24 +245,32 @@ class GridGeometry:
         density += quad
         speeds = np.sqrt(density)
         max_speed = np.max(speeds, axis=1)
+        # no stencil on one node, no S v at zero S: the zeros they would add
+        # leave every bit of the row as it is
+        fd_max = 0.0
         if self.kind == CIRCLE:
             # one (n, T) component at a time keeps the stencil's temporaries small
             fd_max = np.max([np.max(_abs(self.deriv(vt[:, b])), axis=0)
                              for b in range(self.d)], axis=0)
             fd_max = _first_max(fd_max, np.abs(cs) * self.fd_h0_max)
-        else:
+        elif self.kind == INTERVAL:
             # the closures take one BLAS product per state (see Derivative4Interval)
             fd_max = np.max(_abs(self.deriv(vs.swapaxes(0, 1))), axis=(0, 2))
-        np.einsum("jab,jbt->jat", self.S, vt, out=Sv)
-        sv_quad = np.max(np.einsum("jat,jab,jbt->jt", Sv, self.gram, Sv), axis=0)
+        c1 = max_speed + fd_max
+        sv_raw = np.zeros(T)
+        if self.has_S:
+            np.einsum("jab,jbt->jat", self.S, vt, out=Sv)
+            sv_quad = np.max(np.einsum("jat,jab,jbt->jt", Sv, self.gram, Sv), axis=0)
+            c1 += np.sqrt(_first_max(sv_quad, 0.0))
+            sv_raw = np.max(_abs(Sv), axis=(0, 1))
         probes = np.einsum("pa,pat->pt", self.div_forms, vt[self.div_probe_idx])
         density *= self.wvol
         rows = {
             "E": 0.5 * np.sum(density, axis=1),
             "c": cs,
             "max_speed": max_speed,
-            "c1_monitor": max_speed + fd_max + np.sqrt(_first_max(sv_quad, 0.0)),
-            "c1_sv_raw": np.max(_abs(Sv), axis=(0, 1)),
+            "c1_monitor": c1,
+            "c1_sv_raw": sv_raw,
             "div_residual": _first_max(
                 np.abs(cs) * self.fd_div_floor, np.max(np.abs(probes), axis=0)
             ),
@@ -341,13 +352,11 @@ def divergence_residual(state, geometry, h_samples=None) -> float:
     return max(res_h, float(row["div_residual"]))
 
 
-def _coefficient_growth(alpha: np.ndarray, beta: np.ndarray) -> float:
-    """Largest |coefficient| over its initial value, for the 10x growth rule."""
-    floor = 1e-8 * max(1.0, float(np.max(np.abs(alpha[0]))), float(np.max(np.abs(beta[0]))))
-    return max(
-        float(np.max(np.abs(alpha) / np.maximum(np.abs(alpha[0]), floor))),
-        float(np.max(np.abs(beta) / np.maximum(np.abs(beta[0]), floor))),
-    )
+def _growth_ratios(alpha, beta, alpha0, beta0):
+    """Largest |alpha| and |beta| over their first values; the 10x rule takes max(alpha, beta)."""
+    floor = 1e-8 * max(1.0, float(np.max(np.abs(alpha0))), float(np.max(np.abs(beta0))))
+    return (np.max(np.abs(alpha) / np.maximum(np.abs(alpha0), floor)),
+            np.max(np.abs(beta) / np.maximum(np.abs(beta0), floor)))
 
 
 def endpoint_taylor_monitor(trajectory, geometry):
@@ -367,7 +376,7 @@ def endpoint_taylor_monitor(trajectory, geometry):
         raise ConfigError("endpoint Taylor monitor needs a singular endpoint")
     t = np.array([s.t for s in states])
     alpha, beta, misfit = geom.taylor_fits(np.stack([s.v for s in states]))
-    growth = _coefficient_growth(alpha, beta)
+    growth = max(map(float, _growth_ratios(alpha, beta, alpha[0], beta[0])))
     return {
         "t": t,
         "alpha": alpha,
@@ -410,114 +419,132 @@ def chunk_rows(state_values: int) -> int:
 
 
 def row_width(d: int, n_singular: int) -> int:
-    """float64 values the recorder stores per row."""
+    """float64 values of one recorded row, as the recorded-rows budget counts them."""
     return sum(math.prod(shape) for shape in series_shapes(d, n_singular).values())
 
 
 @dataclass
 class RunReport:
-    """Per-step diagnostic series plus the conservation summary.
+    """A run's diagnostic rows folded into the values its summary reads.
 
-    ``series`` maps each name of :func:`series_shapes` to a float64 array
-    with one entry per recorded row: (rows,), (rows, n_end, d) or (rows, n_end).
+    ``first`` maps each name of :func:`series_shapes` to the first row's
+    value and ``peaks`` holds running maxima over every row (see
+    :meth:`RunRecorder._fold`). The rows are not kept: a caller that wants
+    them passes a row sink to ``integrate``.
     """
 
     kind: str
-    n_coeff: int
     n_singular: int = 0
-    series: dict = field(default_factory=dict)
+    rows: int = 0
+    t_final: float | None = None
+    first: dict = field(default_factory=dict)
+    peaks: dict = field(default_factory=dict)
     summary: dict | None = None
     failure: dict | None = None
     c_bound: float | None = None
 
 
 class RunRecorder:
-    """Records one diagnostic row per recorded step into preallocated series.
+    """Records one diagnostic row per recorded step, holding one chunk of rows at a time.
 
-    ``n_rows`` is the number of rows the run records at most; each series is
-    one float64 array of that length. :meth:`record` stores t and the
-    pressure residual at once and buffers (c, v); a full chunk of buffered
-    states is evaluated by one ``rows`` call. :meth:`finish` evaluates the
-    partial chunk and hands out the recorded rows as views, with a circle's
-    amplitude bound.
+    :meth:`record` buffers t, the pressure residual and (c, v). A full chunk
+    is evaluated by one ``rows`` call, folded into the report, handed to
+    ``sink`` (if any) as a dict of arrays the sink owns, one entry per row
+    and keyed by the names of :func:`series_shapes`, and dropped: memory
+    does not grow with the run's length. :meth:`finish` flushes the partial
+    chunk and returns the report, with a circle's amplitude bound.
     """
 
-    def __init__(self, geom: GridGeometry, n_rows: int):
-        d, n_singular = geom.d, len(geom.singular_windows)
+    def __init__(self, geom: GridGeometry, sink=None):
         self._geom = geom
-        self.report = RunReport(kind=geom.kind, n_coeff=d, n_singular=n_singular)
-        shapes = series_shapes(d, n_singular)
-        self.series = {k: np.empty((n_rows, *shape)) for k, shape in shapes.items()}
-        self._row_keys = [k for k in shapes if k not in RUN_SERIES]
-        self._t, self._p = self.series["t"], self.series["p_periodicity"]
-        self._chunk = chunk_rows(geom.n * d)
-        self._cs = np.empty(self._chunk)
-        self._vs = np.empty((self._chunk, geom.n, d))  # a homogeneous (d,) state fills one node
-        self._n = 0  # rows recorded
-        self._done = 0  # rows evaluated
+        self._sink = sink
+        self.report = RunReport(kind=geom.kind, n_singular=len(geom.singular_windows))
+        self._chunk = chunk_rows(geom.n * geom.d)
+        self._ts, self._ps, self._cs = np.empty((3, self._chunk))
+        self._vs = np.empty((self._chunk, geom.n, geom.d))  # a (d,) state fills one node
+        self._k = 0  # rows buffered
         self._speeds0 = None
         self._lambda_max = 0.0
 
     def record(self, t, c, v, p_residual=0.0):
-        i = self._n
-        self._t[i] = t
-        self._p[i] = p_residual
-        k = i - self._done
-        self._cs[k] = c
+        k = self._k
+        self._ts[k], self._ps[k], self._cs[k] = t, p_residual, c
         self._vs[k] = v
-        self._n = i + 1
+        self._k = k + 1
         if k + 1 == self._chunk:
             self._flush()
 
     def _flush(self):
-        lo, hi = self._done, self._n
-        if hi == lo:
+        k = self._k
+        if not k:
             return
         # a finite state can still overflow its squares (a run failing by overflow)
         with np.errstate(invalid="ignore", over="ignore"):
-            rows = self._geom.rows(self._cs[: hi - lo], self._vs[: hi - lo])
-            speeds = rows["speeds"]
+            rows = self._geom.rows(self._cs[:k].copy(), self._vs[:k])
+            speeds = rows.pop("speeds")
             if self._speeds0 is None:
                 self._speeds0 = speeds[0].copy()
-            drift = _abs(speeds - self._speeds0)
-        s = self.series
-        for key in self._row_keys:
-            s[key][lo:hi] = rows[key]
-        s["speed_drift"][lo:hi] = np.max(drift, axis=1)
-        running = np.maximum(np.maximum.accumulate(rows["envelope_rate"]), self._lambda_max)
-        s["envelope_rate"][lo:hi] = running
-        self._lambda_max = float(running[-1])
-        self._done = hi
+            rows["speed_drift"] = np.max(_abs(speeds - self._speeds0), axis=1)
+            running = np.maximum(np.maximum.accumulate(rows["envelope_rate"]), self._lambda_max)
+            rows["envelope_rate"] = running
+            self._lambda_max = float(running[-1])
+            rows["t"], rows["p_periodicity"] = self._ts[:k].copy(), self._ps[:k].copy()
+            self._fold(rows)
+        self._k = 0
+        if self._sink is not None:
+            self._sink(rows)
+
+    def _fold(self, rows):
+        """Fold a chunk into the report: its first row and the running maxima.
+
+        The maxima are taken with ``np.maximum``, which, like ``np.max`` over a
+        whole series, propagates NaN.
+        """
+        report = self.report
+        first = report.first
+        if not first:
+            first.update((key, np.copy(val[0])) for key, val in rows.items())
+            if report.kind == CIRCLE:
+                # the energy bound on c^2 comes from the first row
+                report.c_bound = 2.0 * float(first["E"]) / self._geom.int_h02_vol
+        report.rows += len(rows["t"])
+        report.t_final = float(rows["t"][-1])
+        peaks = {key: rows[key] for key in PEAK_SERIES if key in rows}
+        peaks["energy"] = np.abs(rows["E"] - first["E"])
+        if report.kind == CIRCLE:
+            peaks["c_margin"] = rows["c"] ** 2 - report.c_bound
+            mv, mv0 = rows["max_vertical"], first["max_vertical"]
+            # the envelope ratio, or the largest vertical speed of a state starting at rest
+            peaks["envelope"] = (mv / (mv0 * np.exp(2.0 * rows["t"] * rows["envelope_rate"]))
+                                 if mv0 > 1e-30 else mv)
+        if report.n_singular:
+            peaks["alpha"], peaks["beta"] = _growth_ratios(rows["alpha"], rows["beta"],
+                                                           first["alpha"], first["beta"])
+        for key, val in peaks.items():
+            report.peaks[key] = np.maximum(report.peaks.get(key, -np.inf), np.max(val))
 
     def finish(self, failure=None) -> RunReport:
         self._flush()
-        report = self.report
-        report.series = {k: val[: self._n] for k, val in self.series.items()}
-        report.failure = failure
-        if report.kind == CIRCLE:
-            # the energy bound on c^2 comes from the first row, evaluated by the flush
-            report.c_bound = 2.0 * float(report.series["E"][0]) / self._geom.int_h02_vol
-        return report
+        self.report.failure = failure
+        return self.report
 
 
 def conservation_report(report: RunReport) -> dict:
     """Summarise drifts and bound margins; attach pass/fail flags.
 
-    Non-finite series values (possible after an overflow failure) simply
-    fail their flags; comparisons with NaN are already False.
+    Non-finite values (possible after an overflow failure) simply fail
+    their flags; comparisons with NaN are already False.
     """
-    s = report.series
-    if len(s["t"]) == 0:
+    if not report.rows:
         raise InputError("cannot summarise an empty run report")
-    E = s["E"]
-    e_scale = max(abs(float(E[0])), 1e-30)
-    with np.errstate(invalid="ignore", over="ignore"):
-        energy_drift = float(np.max(np.abs(E - E[0]))) / e_scale
+    first, peaks = report.first, report.peaks
+    e_scale = max(abs(float(first["E"])), 1e-30)
+    energy_drift = float(peaks["energy"]) / e_scale
     summary = {
         "kind": report.kind,
-        "t_final": float(s["t"][-1]),
+        "t_final": report.t_final,
         "energy": {
-            "initial": float(E[0]),
+            "initial": float(first["E"]),
             "max_rel_drift": energy_drift,
             "tol": ENERGY_DRIFT_TOL,
             "ok": bool(energy_drift <= ENERGY_DRIFT_TOL),
@@ -525,7 +552,7 @@ def conservation_report(report: RunReport) -> dict:
     }
 
     if report.kind in ("homogeneous", "interval"):
-        drift = float(np.max(s["speed_drift"]))
+        drift = float(peaks["speed_drift"])
         summary["pointwise_speed"] = {
             "max_drift": drift,
             "tol": SPEED_DRIFT_TOL,
@@ -533,62 +560,54 @@ def conservation_report(report: RunReport) -> dict:
         }
 
     if report.kind == "circle":  # the recorder sets a circle's c_bound
-        margin = float(np.max(np.asarray(s["c"]) ** 2 - report.c_bound))
+        margin = float(peaks["c_margin"])
         summary["c_bound"] = {
             "bound": report.c_bound,
             "max_margin": margin,
             "tol": C_BOUND_MARGIN,
             "ok": bool(margin <= C_BOUND_MARGIN),
         }
-        mv = np.asarray(s["max_vertical"])
-        t = np.asarray(s["t"])
-        lam = np.asarray(s["envelope_rate"])
-        if mv[0] > 1e-30:
-            envelope = mv[0] * np.exp(2.0 * t * lam)
-            ratio = float(np.max(mv / envelope))
+        if first["max_vertical"] > 1e-30:
+            ratio = float(peaks["envelope"])
         else:
-            ratio = 1.0 if float(np.max(mv)) <= 1e-25 else np.inf
+            ratio = 1.0 if float(peaks["envelope"]) <= 1e-25 else np.inf
         summary["max_principle"] = {
             "max_ratio": ratio,
             "tol": ENVELOPE_FACTOR,
             "ok": bool(ratio <= ENVELOPE_FACTOR),
         }
 
-    c1 = np.asarray(s["c1_monitor"])
-    c1_floor = max(abs(float(c1[0])), 1e-12)
-    growth = float(np.max(c1)) / c1_floor
+    c1_0 = float(first["c1_monitor"])
+    growth = float(peaks["c1_monitor"]) / max(abs(c1_0), 1e-12)
     summary["c1_monitor"] = {
-        "initial": float(c1[0]),
-        "max": float(np.max(c1)),
-        "max_sv_raw": float(np.max(s["c1_sv_raw"])),
+        "initial": c1_0,
+        "max": float(peaks["c1_monitor"]),
+        "max_sv_raw": float(peaks["c1_sv_raw"]),
         "growth_factor": growth,
         "limit": C1_GROWTH_LIMIT,
         "ok": bool(growth <= C1_GROWTH_LIMIT),
     }
 
-    div_max = float(np.max(s["div_residual"]))
+    div_max = float(peaks["div_residual"])
     summary["divergence"] = {
         "max_residual": div_max,
         "tol": DIV_RESIDUAL_TOL,
         "ok": bool(div_max <= DIV_RESIDUAL_TOL),
     }
 
-    p_max = float(np.max(s["p_periodicity"]))
+    p_max = float(peaks["p_periodicity"])
     summary["pressure_periodicity"] = {
         "max_residual": p_max,
         "tol": PERIODICITY_TOL,
         "ok": bool(p_max <= PERIODICITY_TOL),
     }
 
-    if "alpha" in s and len(s["alpha"]):
-        alpha = np.asarray(s["alpha"])
-        beta = np.asarray(s["beta"])
-        misfit = np.asarray(s["parity_misfit"])
-        growth = _coefficient_growth(alpha, beta)
+    if report.n_singular:
+        growth = max(float(peaks["alpha"]), float(peaks["beta"]))
         summary["endpoint_taylor"] = {
             "max_growth": growth,
             "limit": TAYLOR_GROWTH_LIMIT,
-            "max_parity_misfit": float(np.max(misfit)),
+            "max_parity_misfit": float(peaks["parity_misfit"]),
             "ok": bool(growth <= TAYLOR_GROWTH_LIMIT),
         }
 
@@ -605,8 +624,8 @@ def conservation_report(report: RunReport) -> dict:
 # -- artifact writers --------------------------------------------------------
 
 
-def _write_csv(path, header, columns):
-    """Header plus one "%.17g" line per row of the columns, formatted in blocks.
+def _write_rows(fh, columns):
+    """One "%.17g" line per row of the columns, formatted in blocks.
 
     ``columns`` are arrays of equal length, each (rows,) or (rows, k); a
     block of at most CSV_BLOCK_ROWS rows is stacked and formatted at a time.
@@ -614,23 +633,34 @@ def _write_csv(path, header, columns):
     n = len(columns[0])
     width = sum(1 if col.ndim == 1 else col.shape[1] for col in columns)
     template = ",".join(["%.17g"] * width) + "\n"
+    for lo in range(0, n, CSV_BLOCK_ROWS):
+        block = np.column_stack([col[lo : lo + CSV_BLOCK_ROWS] for col in columns])
+        fh.write("".join([template % tuple(row) for row in block.tolist()]))
+
+
+def _write_csv(path, header, columns):
+    """A CSV file of a header line and the rows of the columns."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for lo in range(0, n, CSV_BLOCK_ROWS):
-            block = np.column_stack([col[lo : lo + CSV_BLOCK_ROWS] for col in columns])
-            fh.write("".join([template % tuple(row) for row in block.tolist()]))
+        _write_rows(fh, columns)
 
 
-def write_diagnostics_csv(report: RunReport, path):
-    s = report.series
+def write_diagnostics_csv(fh, rows: dict):
+    """Append recorded rows, as a run's sink hands them over, to an open diagnostics.csv.
+
+    The header goes first, while the file is still empty. An interval with a
+    singular endpoint adds the Taylor coefficients of the first one.
+    """
     cols = ["t", "E", "c", "max_speed", "c1_monitor", "div_residual", "p_periodicity"]
     header = list(cols)
-    columns = [s[c] for c in cols]
-    if "alpha" in s and len(s["alpha"]):
-        d = report.n_coeff
+    columns = [rows[c] for c in cols]
+    if "alpha" in rows:
+        d = rows["alpha"].shape[-1]
         header += [f"alpha_{i + 1}" for i in range(d)] + [f"beta_{i + 1}" for i in range(d)]
-        columns += [s["alpha"][:, 0, :], s["beta"][:, 0, :]]  # first singular endpoint
-    _write_csv(path, header, columns)
+        columns += [rows["alpha"][:, 0, :], rows["beta"][:, 0, :]]  # first singular endpoint
+    if fh.tell() == 0:
+        fh.write(",".join(header) + "\n")
+    _write_rows(fh, columns)
 
 
 def write_snapshot_csv(path, state, geometry, pressure_samples):

@@ -386,9 +386,11 @@ def step_rk4(state: ReducedState, geometry, config: SolverConfig) -> ReducedStat
     return ReducedState(state.t + config.dt, c_new, v_new)
 
 
-def integrate(problem, config: SolverConfig):
+def integrate(problem, config: SolverConfig, sink=None):
     """Run the problem to t_end; returns (snapshots, report).
 
+    Each chunk of diagnostic rows is folded into the report and handed to
+    ``sink``, if given (see :class:`~coho_euler.diagnostics.RunRecorder`).
     A CFL or non-finite failure ends the run early with the partial
     trajectory preserved and a failure record in the report; it never exits
     silently.
@@ -403,7 +405,7 @@ def integrate(problem, config: SolverConfig):
     state = problem.initial_state()
     geom = problem.geom
     disc = _make_disc(geom)
-    recorder = RunRecorder(geom, config.n_records())
+    recorder = RunRecorder(geom, sink)
     c, v = state.c, state.v
 
     def record_with_pressure_watchdog(n, cc, vv):

@@ -3,6 +3,17 @@
 import numpy as np
 from scipy.special import ellipj, ellipkinc
 
+from coho_euler.diagnostics import (
+    C1_GROWTH_LIMIT,
+    C_BOUND_MARGIN,
+    DIV_RESIDUAL_TOL,
+    ENERGY_DRIFT_TOL,
+    ENVELOPE_FACTOR,
+    PERIODICITY_TOL,
+    SPEED_DRIFT_TOL,
+    TAYLOR_GROWTH_LIMIT,
+)
+
 
 def bracket_direct(C, x, y):
     """Direct triple-loop summation of the structure constants."""
@@ -126,3 +137,76 @@ def coordinate_divergence_fd(profile, h_of_r, r, eps=1e-5):
     """
     num = profile.volume_at(r + eps) * h_of_r(r + eps) - profile.volume_at(r - eps) * h_of_r(r - eps)
     return num / (2.0 * eps * profile.volume_at(r))
+
+
+def conservation_summary(s, kind, c_bound, failure):
+    """The run summary in array form, over every recorded row at once.
+
+    ``s`` maps each series name to its whole array, as a run's row sink
+    collects them; ``c_bound`` and ``failure`` are the report's.
+    """
+    E = s["E"]
+    e_scale = max(abs(float(E[0])), 1e-30)
+    with np.errstate(invalid="ignore", over="ignore"):
+        energy_drift = float(np.max(np.abs(E - E[0]))) / e_scale
+    summary = {
+        "kind": kind,
+        "t_final": float(s["t"][-1]),
+        "energy": {
+            "initial": float(E[0]),
+            "max_rel_drift": energy_drift,
+            "tol": ENERGY_DRIFT_TOL,
+            "ok": bool(energy_drift <= ENERGY_DRIFT_TOL),
+        },
+    }
+    if kind in ("homogeneous", "interval"):
+        drift = float(np.max(s["speed_drift"]))
+        summary["pointwise_speed"] = {"max_drift": drift, "tol": SPEED_DRIFT_TOL,
+                                      "ok": bool(drift <= SPEED_DRIFT_TOL)}
+    if kind == "circle":
+        margin = float(np.max(s["c"] ** 2 - c_bound))
+        summary["c_bound"] = {"bound": c_bound, "max_margin": margin, "tol": C_BOUND_MARGIN,
+                              "ok": bool(margin <= C_BOUND_MARGIN)}
+        mv = s["max_vertical"]
+        if mv[0] > 1e-30:
+            with np.errstate(over="ignore"):
+                envelope = mv[0] * np.exp(2.0 * s["t"] * s["envelope_rate"])
+            ratio = float(np.max(mv / envelope))
+        else:
+            ratio = 1.0 if float(np.max(mv)) <= 1e-25 else np.inf
+        summary["max_principle"] = {"max_ratio": ratio, "tol": ENVELOPE_FACTOR,
+                                    "ok": bool(ratio <= ENVELOPE_FACTOR)}
+    c1 = s["c1_monitor"]
+    growth = float(np.max(c1)) / max(abs(float(c1[0])), 1e-12)
+    summary["c1_monitor"] = {
+        "initial": float(c1[0]),
+        "max": float(np.max(c1)),
+        "max_sv_raw": float(np.max(s["c1_sv_raw"])),
+        "growth_factor": growth,
+        "limit": C1_GROWTH_LIMIT,
+        "ok": bool(growth <= C1_GROWTH_LIMIT),
+    }
+    div_max = float(np.max(s["div_residual"]))
+    summary["divergence"] = {"max_residual": div_max, "tol": DIV_RESIDUAL_TOL,
+                             "ok": bool(div_max <= DIV_RESIDUAL_TOL)}
+    p_max = float(np.max(s["p_periodicity"]))
+    summary["pressure_periodicity"] = {"max_residual": p_max, "tol": PERIODICITY_TOL,
+                                       "ok": bool(p_max <= PERIODICITY_TOL)}
+    if "alpha" in s:
+        alpha, beta = s["alpha"], s["beta"]
+        floor = 1e-8 * max(1.0, float(np.max(np.abs(alpha[0]))), float(np.max(np.abs(beta[0]))))
+        growth = max(float(np.max(np.abs(alpha) / np.maximum(np.abs(alpha[0]), floor))),
+                     float(np.max(np.abs(beta) / np.maximum(np.abs(beta[0]), floor))))
+        summary["endpoint_taylor"] = {
+            "max_growth": growth,
+            "limit": TAYLOR_GROWTH_LIMIT,
+            "max_parity_misfit": float(np.max(s["parity_misfit"])),
+            "ok": bool(growth <= TAYLOR_GROWTH_LIMIT),
+        }
+    if failure is not None:
+        summary["failure"] = failure
+    summary["all_ok"] = bool(
+        failure is None
+        and all(v["ok"] for v in summary.values() if isinstance(v, dict) and "ok" in v)
+    )
+    return summary

@@ -28,6 +28,7 @@ from coho_euler.config import build_problem, build_solver_config, parse_config_d
 from coho_euler.reduced_euler import trajectory_pressures
 
 from oracles import coordinate_divergence_fd, euler_top_elliptic
+from recorded_rows import collect_rows
 
 
 def criterion(number, description, passed, detail=""):
@@ -53,22 +54,22 @@ def su2_run():
     solver = build_solver_config(cfg)
     solver.snapshot_cadence = 100  # states every 0.1 time units
     t0 = time.perf_counter()
-    snapshots, report = integrate(problem, solver)
+    snapshots, _, series = collect_rows(problem, solver)
     runtime = time.perf_counter() - t0
-    return snapshots, report, runtime
+    return snapshots, series, runtime
 
 
 @pytest.fixture(scope="session")
 def berger_run():
     cfg = catalog.load_example("berger_circle")
     problem = build_problem(cfg)
-    snapshots, report = integrate(problem, build_solver_config(cfg))
-    return problem, snapshots, report
+    snapshots, report, series = collect_rows(problem, build_solver_config(cfg))
+    return problem, snapshots, report, series
 
 
 def test_criterion_1_rigid_body_conservation(su2_run):
-    _, report, runtime = su2_run
-    quad = np.asarray(report.series["max_speed"]) ** 2  # gram(X, X)
+    _, series, runtime = su2_run
+    quad = np.asarray(series["max_speed"]) ** 2  # gram(X, X)
     drift = float(np.max(np.abs(quad - quad[0])))
     criterion(
         1,
@@ -94,10 +95,10 @@ def test_criterion_2_euler_top_oracle(su2_run):
 def test_criterion_3_interval_steadiness():
     cfg = catalog.load_example("s3_t2_interval")
     problem = build_problem(cfg)
-    snapshots, report = integrate(problem, build_solver_config(cfg))
+    snapshots, _, series = collect_rows(problem, build_solver_config(cfg))
     v0 = snapshots[0].v
     v_dev = max(float(np.max(np.abs(s.v - v0))) for s in snapshots)
-    speed_drift = float(np.max(report.series["speed_drift"]))
+    speed_drift = float(np.max(series["speed_drift"]))
     pressure = trajectory_pressures(problem, snapshots)[-1]
     grid = problem.geom.r
     want = -(1.0**2 - 2.0**2) * np.sin(grid) ** 2 / 2.0
@@ -156,10 +157,10 @@ def test_criterion_5_transport_exactness():
 
 
 def test_criterion_6_amplitude_bound(berger_run):
-    _, _, report = berger_run
-    c = np.asarray(report.series["c"])
+    _, _, report, series = berger_run
+    c = np.asarray(series["c"])
     margin = float(np.max(c**2 - report.c_bound))
-    p_res = float(np.max(report.series["p_periodicity"]))
+    p_res = float(np.max(series["p_periodicity"]))
     criterion(
         6,
         "horizontal amplitude bound c^2 <= 2E0 / int h0^2 vol and periodic pressure",
@@ -169,7 +170,7 @@ def test_criterion_6_amplitude_bound(berger_run):
 
 
 def test_criterion_7_max_principle_envelope(berger_run):
-    _, _, report = berger_run
+    _, _, report, _ = berger_run
     ratio = report.summary["max_principle"]["max_ratio"]
     criterion(
         7,

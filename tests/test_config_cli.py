@@ -255,6 +255,17 @@ def test_cli_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, under):
     assert blocker.read_text() == "a regular file\n"
 
 
+@pytest.mark.parametrize("artifact", ["diagnostics.csv", "snapshots/snapshot_000000.csv"])
+def test_cli_unwritable_artifact_exits_2(tmp_path, capsys, artifact):
+    path = short_su2_cfg(tmp_path)
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)  # a directory where the artifact goes
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: cannot write {out / artifact}: ")
+
+
 def test_cli_numerical_failure_exit_3(tmp_path, capsys, dcdt_fault):
     raw = t3_raw(**{"solver.t_end": 0.05})
     dcdt_fault(1.0)

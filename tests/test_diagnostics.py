@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from dataclasses import replace
 
@@ -27,13 +28,13 @@ from coho_euler import (
     warped_torus,
 )
 from coho_euler import LieAlgebraSpec, catalog, diagnostics, reductive_split
-from coho_euler.config import build_problem, check_config
+from coho_euler.config import build_problem, build_solver_config, check_config, parse_config_dict
 from coho_euler.coho_geometry import BOUNDARY, INTERVAL, OrbitSpace, TabulatedProfile
 from coho_euler.diagnostics import (
     GRID_NODES,
     PERIODICITY_TOL,
     GridGeometry,
-    RunReport,
+    RunRecorder,
     chunk_rows,
     grid_rule,
     parity_tolerance,
@@ -42,6 +43,9 @@ from coho_euler.diagnostics import (
 )
 from coho_euler.errors import ConfigError
 from coho_euler.reduced_euler import state_grid
+
+from oracles import conservation_summary
+from recorded_rows import collect_rows, concatenate
 
 
 def interval_state(values, n=128):
@@ -132,8 +136,8 @@ def test_c1_monitor_zero_state(round_s3_t2):
 
 def test_c1_monitor_constant_on_steady_run(round_s3_t2):
     prob = IntervalProblem(round_s3_t2, np.tile([1.0, 2.0], (64, 1)))
-    _, report = integrate(prob, SolverConfig(dt=1e-2, t_end=1.0))
-    c1 = np.asarray(report.series["c1_monitor"])
+    series = collect_rows(prob, SolverConfig(dt=1e-2, t_end=1.0))[2]
+    c1 = np.asarray(series["c1_monitor"])
     assert np.max(np.abs(c1 - c1[0])) < 1e-10
 
 
@@ -143,8 +147,8 @@ def test_c1_monitor_constant_under_transport(flat_torus):
     v0 = np.zeros((n, 2))
     v0[:, 0] = np.sin(2 * np.pi * grid)
     prob = CircleProblem(flat_torus, 1.0, v0)
-    _, report = integrate(prob, SolverConfig(dt=1e-3, t_end=1.0))
-    c1 = np.asarray(report.series["c1_monitor"])
+    series = collect_rows(prob, SolverConfig(dt=1e-3, t_end=1.0))[2]
+    c1 = np.asarray(series["c1_monitor"])
     # sup-over-grid of a sliding profile wobbles by O((pi/N)^2) between nodes
     assert np.max(np.abs(c1 - c1[0])) / c1[0] < 1e-3
     # after one full period the phase realigns with the grid exactly
@@ -241,15 +245,14 @@ def test_divergence_invariant_under_integration():
     v0[:, 0] = 0.2 * np.sin(2 * np.pi * grid)
     v0[:, 1] = 0.1 * np.cos(2 * np.pi * grid)
     prob = CircleProblem(wt, 0.4, v0)
-    _, report = integrate(prob, SolverConfig(dt=2e-3, t_end=1.0))
-    res = np.asarray(report.series["div_residual"])
+    series = collect_rows(prob, SolverConfig(dt=2e-3, t_end=1.0))[2]
+    res = np.asarray(series["div_residual"])
     assert np.max(res) < 1e-8
     assert np.max(np.abs(res - res[0])) < 1e-8
 
 
-def _assert_rows_match_public(report, snaps, geometry, rows):
+def _assert_rows_match_public(s, snaps, geometry, rows):
     """Recorded rows equal the public per-state functions on the same states, bit for bit."""
-    s = report.series
     for j in rows:
         state = snaps[j]
         assert state.t == s["t"][j]
@@ -279,12 +282,12 @@ def test_recorder_rows_match_public_diagnostics(rigid_body_metric, round_s3_t2):
     ]
     for prob, geometry, t_end, state_values in cases:
         cfg = SolverConfig(dt=2e-3, t_end=t_end, snapshot_cadence=1)
-        snaps, report = integrate(prob, cfg)
+        snaps, _, series = collect_rows(prob, cfg)
         chunk = chunk_rows(state_values)
-        n_rows = len(report.series["t"])
+        n_rows = len(series["t"])
         assert n_rows == cfg.n_records() == len(snaps)
         assert chunk < n_rows < 2 * chunk  # one full chunk, then a partial one
-        _assert_rows_match_public(report, snaps, geometry, [0, chunk // 2, chunk - 1, chunk,
+        _assert_rows_match_public(series, snaps, geometry, [0, chunk // 2, chunk - 1, chunk,
                                                             n_rows - 2, n_rows - 1])
 
 
@@ -320,11 +323,11 @@ def test_failure_mid_chunk_leaves_every_row_evaluated(monkeypatch, dcdt_fault, k
     v0[:, 1] = 0.2 * np.cos(2 * np.pi * grid)
     prob = CircleProblem(wt, 0.4, v0)
     dcdt_fault(1e-12)
-    _, ref = integrate(prob, SolverConfig(dt=dt, t_end=20 * dt))
+    _, ref, ref_series = collect_rows(prob, SolverConfig(dt=dt, t_end=20 * dt))
     assert ref.failure is None
     if kind == "cfl":
         # |c| still grows here: a guard between rows k - 1 and k trips at row k
-        c = np.abs(ref.series["c"])
+        c = np.abs(ref_series["c"])
         assert c[k] > np.max(c[:k])
         geom = GridGeometry(wt, n)
         guard = 0.5 * (np.max(c[:k]) + c[k]) * dt * geom.h0_max / geom.dr
@@ -332,41 +335,104 @@ def test_failure_mid_chunk_leaves_every_row_evaluated(monkeypatch, dcdt_fault, k
     else:
         # the periodicity residual is linear in the offset and still grows
         # here: a scaled offset first crosses the tolerance at row k
-        p = ref.series["p_periodicity"]
+        p = ref_series["p_periodicity"]
         assert p[k] > np.max(p[:k]) * (1.0 + 1e-6)
         offset = 1e-12 * PERIODICITY_TOL / np.sqrt(np.max(p[:k]) * p[k])
         dcdt_fault(offset)
         cfg = SolverConfig(dt=dt, t_end=20 * dt, snapshot_cadence=1)
-    snaps, report = integrate(prob, cfg)
+    snaps, report, s = collect_rows(prob, cfg)
     assert report.failure["kind"] == kind
-    s = report.series
     assert {len(val) for val in s.values()} == {k + 1}
     assert s["t"][-1] == k * dt == report.failure["t"]
     assert report.failure["step"] == k  # steps taken to the failing state
-    _assert_rows_match_public(report, snaps, wt, range(k + 1))
+    _assert_rows_match_public(s, snaps, wt, range(k + 1))
     if kind == "cfl":
         # the same trajectory as the reference run, row for row
         for key, val in s.items():
-            assert np.array_equal(val, ref.series[key][: k + 1]), key
+            assert np.array_equal(val, ref_series[key][: k + 1]), key
     else:
         assert s["p_periodicity"][-1] == report.failure["residual"] > PERIODICITY_TOL
         assert np.max(s["p_periodicity"][:-1]) <= PERIODICITY_TOL
+    _assert_summary_matches_oracle(report, s)
 
 
-def test_recorder_memory_per_row(rigid_body_metric):
-    # 14 float64 series cost 112 bytes a row; one Python list per series
-    # held about 520 bytes a row at this size
+def _assert_summary_matches_oracle(report, series):
+    """The folded summary equals the array-form oracle over every row, as JSON."""
+    want = conservation_summary(series, report.kind, report.c_bound, report.failure)
+    assert report.rows == len(series["t"])
+    assert json.dumps(report.summary, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+def _short_example(name):
+    """A bundled example cut to 20 steps: (problem, solver config)."""
+    cfg = catalog.load_example(name)
+    raw = json.loads(json.dumps(cfg.raw))
+    raw["solver"]["t_end"] = 20 * raw["solver"]["dt"]
+    cfg = parse_config_dict(raw, cfg.source_path)
+    return build_problem(cfg), build_solver_config(cfg)
+
+
+FAILING_RUNS = {
+    "cfl": lambda ft, rb: (CircleProblem(ft, 100.0, np.zeros((32, 2))),
+                           SolverConfig(dt=1e-3, t_end=1.0)),
+    "pressure_periodicity": lambda ft, rb: (CircleProblem(ft, 0.5, np.zeros((32, 2))),
+                                            SolverConfig(dt=1e-3, t_end=1.0)),
+    "non_finite": lambda ft, rb: (HomogeneousProblem(rb, [1e200, 1e200, 0.0]),
+                                  SolverConfig(dt=1e-3, t_end=1.0)),
+    # the four stages are finite and their combination overflows
+    "overflowing_combine": lambda ft, rb: (HomogeneousProblem(rb, [1e154, 1e154, 1e154]),
+                                           SolverConfig(dt=1e-300, t_end=1e-300)),
+}
+
+
+@pytest.mark.parametrize("chunk", [3, 8, diagnostics.CHUNK_ROWS])
+@pytest.mark.parametrize("case", catalog.example_names() + list(FAILING_RUNS))
+def test_folded_summary_matches_array_oracle(monkeypatch, flat_torus, rigid_body_metric,
+                                             dcdt_fault, case, chunk):
+    # the summary is folded a chunk at a time; NaN and inf fold as np.max
+    # over the whole series takes them
+    monkeypatch.setattr(diagnostics, "CHUNK_ROWS", chunk)
+    if case in FAILING_RUNS:
+        if case == "pressure_periodicity":
+            dcdt_fault(1.0)
+        problem, config = FAILING_RUNS[case](flat_torus, rigid_body_metric)
+    else:
+        problem, config = _short_example(case)
+    _, report, series = collect_rows(problem, config)
+    assert (report.failure is None) == (case not in FAILING_RUNS)
+    _assert_summary_matches_oracle(report, series)
+
+
+def test_folded_summary_takes_overflow_in_a_later_chunk(monkeypatch, rigid_body_metric):
+    # finite rows in the first chunk, overflowing squares in later ones
+    monkeypatch.setattr(diagnostics, "CHUNK_ROWS", 3)
+    chunks = []
+    recorder = RunRecorder(GridGeometry(rigid_body_metric), chunks.append)
+    for i in range(7):  # |v| up to 2e300: the squares overflow from the fifth row on
+        recorder.record(0.1 * i, 0.0, np.array([1.0, -2.0, 0.5]) * 10.0 ** (50 * i))
+    report = recorder.finish()
+    conservation_report(report)
+    series = concatenate(chunks)
+    assert np.isinf(report.summary["energy"]["max_rel_drift"])
+    _assert_summary_matches_oracle(report, series)
+
+
+def test_recorder_memory_does_not_grow_with_rows(rigid_body_metric):
+    # the recorder holds one chunk of rows whatever the run's length; the
+    # 15000 more rows of the longer run, at 11 float64 values each, would
+    # take 1.3 MB if they were kept
     prob = HomogeneousProblem(rigid_body_metric, [0.4, 0.4, 0.4])
-    cfg = SolverConfig(dt=1e-3, t_end=5.0)
-    tracemalloc.start()
-    try:
-        _, report = integrate(prob, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    rows = len(report.series["t"])
-    assert rows == 5001
-    assert peak / rows < 200
+    integrate(prob, SolverConfig(dt=1e-3, t_end=1e-2))  # numpy's first-call allocations
+    peaks = []
+    for rows in (5001, 20001):
+        tracemalloc.start()
+        try:
+            _, report = integrate(prob, SolverConfig(dt=1e-3, t_end=(rows - 1) * 1e-3))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert report.rows == rows
+    assert peaks[1] - peaks[0] <= 64 * 1024
 
 
 def one_node_div_form(split, gram):
@@ -441,26 +507,41 @@ def test_discrete_energy_exchange_identity():
 
 def test_report_series_aligned_even_after_failure(flat_torus):
     prob = CircleProblem(flat_torus, 5.0, np.zeros((32, 2)))  # CFL violation
-    _, report = integrate(prob, SolverConfig(dt=0.05, t_end=1.0))
-    lengths = {len(v) for v in report.series.values()}
+    series = collect_rows(prob, SolverConfig(dt=0.05, t_end=1.0))[2]
+    lengths = {len(v) for v in series.values()}
     assert len(lengths) == 1
-    for key, vals in report.series.items():
+    for key, vals in series.items():
         assert np.all(np.isfinite(np.asarray(vals, dtype=float).ravel())), key
 
 
-def test_diagnostics_csv_roundtrip(tmp_path, round_s3_t2):
+def write_diagnostics(path, series):
+    """diagnostics.csv of rows handed over at once."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        write_diagnostics_csv(fh, series)
+
+
+def test_diagnostics_csv_roundtrip(tmp_path, monkeypatch, round_s3_t2):
+    monkeypatch.setattr(diagnostics, "CHUNK_ROWS", 3)
     prob = IntervalProblem(round_s3_t2, np.tile([1.0, 2.0], (32, 1)))
-    _, report = integrate(prob, SolverConfig(dt=1e-2, t_end=0.1))
     path = tmp_path / "diag.csv"
-    write_diagnostics_csv(report, path)
+    chunks = []
+
+    def sink(rows):  # writes a chunk of 3 rows at a time, as the CLI's sink does
+        chunks.append(rows)
+        write_diagnostics_csv(fh, rows)
+
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        integrate(prob, SolverConfig(dt=1e-2, t_end=0.1), sink)
+    series = concatenate(chunks)
+    assert len(chunks) == 4
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
     assert header[:7] == ["t", "E", "c", "max_speed", "c1_monitor", "div_residual", "p_periodicity"]
     assert "alpha_1" in header and "beta_2" in header
-    assert len(lines) == 1 + len(report.series["t"])
-    # byte determinism of the writer
+    assert len(lines) == 1 + len(series["t"])
+    # byte determinism of the writer, whatever the chunks it is handed
     path2 = tmp_path / "diag2.csv"
-    write_diagnostics_csv(report, path2)
+    write_diagnostics(path2, series)
     assert path.read_bytes() == path2.read_bytes()
 
 
@@ -486,9 +567,8 @@ def test_csv_writers_match_fstring_format(tmp_path, coupled_tabulated, rigid_bod
     series["alpha"] = rng.standard_normal((n, 2, 2))
     series["beta"] = rng.standard_normal((n, 2, 2))
     series["beta"][-len(SPECIAL) :, 0, 1] = SPECIAL
-    report = RunReport(kind="interval", n_coeff=2, n_singular=2, series=series)
     path = tmp_path / "diag.csv"
-    write_diagnostics_csv(report, path)
+    write_diagnostics(path, series)
     header = cols + ["alpha_1", "alpha_2", "beta_1", "beta_2"]
     want = _fstring_csv(header, [series[k] for k in cols]
                         + [series["alpha"][:, 0], series["beta"][:, 0]])

@@ -29,6 +29,8 @@ from coho_euler.config import build_problem, build_solver_config
 from coho_euler.errors import NumericalFailureError
 from coho_euler.reduced_euler import _make_disc, state_grid, trajectory_pressures
 
+from recorded_rows import collect_rows
+
 
 def su2_const_tabulated(diag=(1.0, 2.0, 3.0), n=33):
     split = reductive_split(su2(), [])
@@ -372,9 +374,9 @@ def test_failed_run_snapshot_times_increase(flat_torus, rigid_body_metric, dcdt_
 
 def test_integrate_records_diagnostics_each_step(flat_torus):
     prob = CircleProblem(flat_torus, 1.0, np.zeros((32, 2)))
-    _, report = integrate(prob, SolverConfig(dt=1e-2, t_end=0.1))
-    assert len(report.series["t"]) == 11
-    assert np.allclose(np.diff(report.series["t"]), 1e-2)
+    series = collect_rows(prob, SolverConfig(dt=1e-2, t_end=0.1))[2]
+    assert len(series["t"]) == 11
+    assert np.allclose(np.diff(series["t"]), 1e-2)
 
 
 def test_trajectory_pressures_match_public_op(round_s3_t2, rigid_body_metric):
