@@ -6,7 +6,6 @@ from .coho_geometry import (
     RoundS3T2Profile,
     TabulatedProfile,
     berger_circle,
-    reconstruct_velocity,
     validate_profile,
     warped_torus,
 )
@@ -52,11 +51,9 @@ from .reduced_euler import (
     PressureField,
     ReducedState,
     SolverConfig,
-    circle_rhs,
-    homogeneous_rhs,
     integrate,
-    interval_rhs,
     pressure_reconstruct,
+    rhs,
     step_rk4,
 )
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -10,56 +9,24 @@ from .config import RunConfig, parse_config
 from .errors import InputError
 
 
-@dataclass(frozen=True)
-class ExampleCatalogEntry:
-    name: str
-    description: str
-    filename: str
-
-
-EXAMPLES = (
-    ExampleCatalogEntry(
-        "su2_rigid_body",
-        "free rigid body: orbit dynamics on su(2) with inertia diag(1,2,3)",
-        "su2_rigid_body.json",
-    ),
-    ExampleCatalogEntry(
-        "s3_t2_interval",
-        "round 3-sphere under its torus action; decoupled steady orbit flow",
-        "s3_t2_interval.json",
-    ),
-    ExampleCatalogEntry(
-        "t3_circle",
-        "flat 3-torus: pure horizontal transport of a vertical sine profile",
-        "t3_circle.json",
-    ),
-    ExampleCatalogEntry(
-        "berger_circle",
-        "su(2) fibres over a circle with a Fourier-perturbed diagonal metric",
-        "berger_circle.json",
-    ),
-    ExampleCatalogEntry(
-        "boundary_interval",
-        "su(2) fibres over an interval with principal-orbit boundary ends",
-        "boundary_interval.json",
-    ),
-)
+# name -> description; the config of each is examples_data/<name>.json
+EXAMPLES = {
+    "su2_rigid_body": "free rigid body: orbit dynamics on su(2) with inertia diag(1,2,3)",
+    "s3_t2_interval": "round 3-sphere under its torus action; decoupled steady orbit flow",
+    "t3_circle": "flat 3-torus: pure horizontal transport of a vertical sine profile",
+    "berger_circle": "su(2) fibres over a circle with a Fourier-perturbed diagonal metric",
+    "boundary_interval": "su(2) fibres over an interval with principal-orbit boundary ends",
+}
 
 
 def example_names() -> list[str]:
-    return [e.name for e in EXAMPLES]
-
-
-def example_entry(name: str) -> ExampleCatalogEntry:
-    for e in EXAMPLES:
-        if e.name == name:
-            return e
-    raise InputError(f"unknown example {name!r}; known: {', '.join(example_names())}")
+    return list(EXAMPLES)
 
 
 def example_path(name: str) -> Path:
-    entry = example_entry(name)
-    return Path(resources.files("coho_euler").joinpath("examples_data", entry.filename))
+    if name not in EXAMPLES:
+        raise InputError(f"unknown example {name!r}; known: {', '.join(example_names())}")
+    return Path(resources.files("coho_euler").joinpath("examples_data", f"{name}.json"))
 
 
 def load_example(name: str) -> RunConfig:
@@ -68,7 +35,7 @@ def load_example(name: str) -> RunConfig:
 
 def listing_lines() -> list[str]:
     lines = []
-    for e in EXAMPLES:
-        lines.append(f"{e.name:18s} {e.description}")
-        lines.append(f"{'':18s} config: {example_path(e.name)}")
+    for name, description in EXAMPLES.items():
+        lines.append(f"{name:18s} {description}")
+        lines.append(f"{'':18s} config: {example_path(name)}")
     return lines

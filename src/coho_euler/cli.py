@@ -91,8 +91,7 @@ def run_command(cfg: RunConfig, out_dir: Path) -> int:
 def validate_command(cfg: RunConfig) -> int:
     """Print one line per structural check of ``config.check_config``; no stepping.
 
-    The checks are ``run``'s, plus the group-level Monte Carlo check and the
-    numeric parity fit of the initial data.
+    The checks are ``run``'s, plus the numeric parity fit of the initial data.
     """
     report, _ = check_config(cfg, deep=True)
     for line in report.lines():

@@ -16,6 +16,7 @@ a disagreeing derivative table cannot pass silently.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,17 +166,6 @@ def _diagonal_stack(entries) -> np.ndarray:
     return out
 
 
-def reconstruct_velocity(state_slice, profile: MetricProfile, r: float):
-    """(c, v) -> (h, vertical) at radius r; h = c*h0 on circles, 0 on intervals."""
-    c, v = state_slice
-    v = np.asarray(v, dtype=float)
-    if profile.orbit_space.kind == CIRCLE:
-        h = float(c) * profile.h0_at(r)
-    else:
-        h = 0.0
-    return h, v
-
-
 class RoundS3T2Profile(MetricProfile):
     """The round 3-sphere under its torus action: g_r = diag(cos^2 r, sin^2 r).
 
@@ -314,19 +304,21 @@ class TabulatedProfile(MetricProfile):
 
 
 def load_tabulated_csv(path):
-    """Read (r, gram, gram') samples from CSV.
+    """Read (r, gram, gram') samples from a UTF-8 CSV file.
 
     Mandatory header row, then columns: r, the upper triangle of gram in
     row-major order, then the upper triangle of gram' in the same order.
+    The file is read and decoded whole, in one place, before any parsing.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header or header.split(",")[0].strip().lower() != "r":
-            raise InputError(f"{path}: first CSV column must be named 'r'")
-        try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise InputError(f"{path}: could not parse numeric rows: {exc}") from exc
+        rows = io.StringIO(fh.read())
+    header = rows.readline().strip()
+    if not header or header.split(",")[0].strip().lower() != "r":
+        raise InputError(f"{path}: first CSV column must be named 'r'")
+    try:
+        data = np.loadtxt(rows, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise InputError(f"{path}: could not parse numeric rows: {exc}") from exc
     ncols = data.shape[1]
     ntri = (ncols - 1) // 2
     d = int(round((np.sqrt(8 * ntri + 1) - 1) / 2))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import stat
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -30,7 +31,7 @@ from .diagnostics import row_width
 from .errors import ConfigError, ConfigParseError, InputError, UnsupportedConfigurationError
 from .homogeneous_geometry import InvariantMetric, check_metric_invariance
 from .lie_core import LieAlgebraSpec, abelian, reductive_split, su2
-from .lie_core import check_reductive_split, monte_carlo_fixed_check, validate_structure
+from .lie_core import check_reductive_split, validate_structure
 from .numerics import seeded_uniform
 from .reduced_euler import CircleProblem, HomogeneousProblem, IntervalProblem, SolverConfig
 from .reports import ValidationReport
@@ -199,6 +200,7 @@ PROBLEM = Obj({"kind": None})
 ISOTROPY = Obj({"basis": Numbers(2)})
 OUTPUT = Obj({"directory": Str("a path"), "snapshot_cadence": COUNT,
               "diagnostics_cadence": COUNT}, ())
+# the top-level seed enters the config hash (and manifest.json's config echo) and nothing else
 COMMON = {"output": OUTPUT, "seed": Int(0, bound="expected a non-negative integer")}
 FOURIER = {"length": POSITIVE, "fourier": Numbers(2)}
 FAMILIES = {"round_s3_t2": {}, "warped_torus": FOURIER, "berger_circle": FOURIER}
@@ -318,7 +320,6 @@ class RunConfig:
     initial: dict
     solver: dict
     output: dict
-    seed: int
     raw: dict
     source_path: Path | None = field(default=None, compare=False)
 
@@ -356,7 +357,6 @@ def parse_config_dict(data: dict, source_path: Path | None = None) -> RunConfig:
         initial=data["initial"],
         solver=dict(data["solver"]),
         output=dict(data.get("output", {})),
-        seed=data.get("seed", 0),
         raw=data,
         source_path=source_path,
     )
@@ -399,14 +399,35 @@ def build_profile(cfg: RunConfig, split=None) -> cg.MetricProfile:
     csv_path = Path(p["csv"])
     if not csv_path.is_absolute() and cfg.source_path is not None:
         csv_path = cfg.source_path.parent / csv_path
-    if not csv_path.is_file():
-        raise ConfigError([f"profile.csv: no such file {csv_path}"])
-    r, gram, prime = cg.load_tabulated_csv(csv_path)
+    r, gram, prime = _load_csv(csv_path)
     if p["kind"] == INTERVAL:
         space = cg.OrbitSpace(INTERVAL, float(p["length"]), tuple(p["endpoints"]))
     else:
         space = cg.OrbitSpace(CIRCLE, float(p["length"]))
     return cg.TabulatedProfile(split, space, r, gram, prime)
+
+
+def _load_csv(path: Path):
+    """``load_tabulated_csv`` of a profile's file. A path that names no regular
+    file, or a file that cannot be read or decoded, is one ``profile.csv``
+    message that names the path."""
+    try:
+        regular = stat.S_ISREG(path.stat().st_mode)
+    # ValueError: a NUL or an unencodable character, which no file name holds
+    except (FileNotFoundError, NotADirectoryError, ValueError):
+        raise ConfigError([f"profile.csv: no such file {path}"]) from None
+    except OSError as exc:
+        reason = exc.strerror
+    else:  # a directory, or a device or pipe that the read could hang on
+        reason = None if regular else "not a regular file"
+    if reason is None:
+        try:
+            return cg.load_tabulated_csv(path)
+        except UnicodeDecodeError as exc:
+            reason = f"not UTF-8 text: {exc.reason} at byte offset {exc.start}"
+        except OSError as exc:
+            reason = exc.strerror
+    raise ConfigError([f"profile.csv: cannot read {path}: {reason}"])
 
 
 def _fourier_eval(coeffs, r, length):
@@ -496,9 +517,8 @@ def check_config(cfg: RunConfig, deep: bool = False):
     passed, and ``report.errors()`` then gives the messages ``run`` raises.
     Checks that stand on others stop where those fail: nothing is built on
     a failed algebra, and no grid on a profile that is not positive
-    definite. With ``deep`` (``coho-euler validate``) two more checks run:
-    the group-level Monte Carlo check of the fixed subspace, after the split
-    checks, and the numeric parity fit of the initial data.
+    definite. With ``deep`` (``coho-euler validate``) one more check runs:
+    the numeric parity fit of the initial data.
     """
     report = ValidationReport()
     builtin = cfg.kind != "homogeneous" and cfg.profile["family"] != "tabulated"
@@ -509,8 +529,6 @@ def check_config(cfg: RunConfig, deep: bool = False):
         return report, None
     split = profile.split if builtin else reductive_split(algebra, cfg.isotropy)
     report.extend(check_reductive_split(split), "algebra: {} failed")
-    if deep:
-        report.extend(monte_carlo_fixed_check(split, seed=cfg.seed))
     try:
         split.require_fixed_complement()
     except UnsupportedConfigurationError as exc:

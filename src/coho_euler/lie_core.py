@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, StructureError, UnsupportedConfigurationError
-from .numerics import as_float_array, seeded_uniform
+from .numerics import as_float_array
 from .reports import ValidationReport
 
 STRUCTURE_TOL = 1e-12
@@ -277,29 +277,3 @@ def check_reductive_split(split: ReductiveSplit) -> ValidationReport:
     report.add("fixed_subspace_annihilated", fixed, KERNEL_CUTOFF)
     return report
 
-
-def monte_carlo_fixed_check(split: ReductiveSplit, seed: int = 0, samples: int = 100):
-    """Group-level confirmation that the fixed subspace is actually fixed.
-
-    The kernel construction only sees the infinitesimal action; here the
-    matrix exponential of 100 random isotropy elements (coefficients in
-    [-1, 1]) is applied to every fixed-subspace vector. Valid for a
-    connected isotropy group, the only kind supported. Only ``coho-euler
-    validate`` calls this check, so scipy is imported here, not at module scope.
-    """
-    from scipy.linalg import expm
-
-    report = ValidationReport()
-    if split.dim_h == 0 or split.dim_m0 == 0:
-        detail = "no isotropy action to probe" if split.dim_h == 0 else "the fixed subspace is empty"
-        report.add("monte_carlo_ad_fixedness", 0.0, 1e-8, detail)
-        return report
-    draws = np.array(seeded_uniform(seed, samples * split.dim_h)).reshape(samples, split.dim_h)
-    worst = 0.0
-    for coeffs in draws:
-        x = coeffs @ split.h_basis
-        g = expm(split.algebra.ad(x))
-        for vec in split.m0_basis:
-            worst = max(worst, float(np.max(np.abs(g @ vec - vec))))
-    report.add("monte_carlo_ad_fixedness", worst, 1e-8, f"{samples} samples")
-    return report

@@ -15,7 +15,7 @@ periodicity residual cancels to rounding and any other dc/dt shows up
 immediately.
 
 Time stepping is fixed-step classical RK4 on a single thread; identical
-inputs give bit-identical outputs. The public right-hand sides, step and
+inputs give bit-identical outputs. The public right-hand side, step and
 pressure take their geometry as :func:`~coho_euler.diagnostics.state_geometry`
 does: a metric profile, an invariant metric, or a built ``problem.geom``.
 """
@@ -123,18 +123,13 @@ class PressureField:
     periodicity_residual: float = 0.0
 
 
-def state_grid(profile: MetricProfile, n: int) -> np.ndarray:
-    """The ``n`` state nodes of :func:`~coho_euler.diagnostics.grid_layout`."""
-    return grid_layout(profile, n)[0]
-
-
 class _Problem:
     """A problem's :class:`GridGeometry`, whose ``r`` holds its nodes: built on
     first use, inside ``integrate`` rather than in a run's set-up, then shared
     with :func:`trajectory_pressures`."""
 
     def __post_init__(self):
-        """A grid problem's v0: (n, d) samples on the n nodes of ``state_grid``."""
+        """A grid problem's v0: (n, d) samples on the n nodes of ``grid_layout``."""
         if self.profile.orbit_space.kind != self.kind:
             raise InputError(f"{type(self).__name__} needs an orbit space of kind {self.kind!r}")
         self.v0 = np.asarray(self.v0, dtype=float)
@@ -239,20 +234,14 @@ def _make_disc(geom: GridGeometry):
     return _DISCS[geom.kind](geom)
 
 
-def homogeneous_rhs(metric, X) -> np.ndarray:
-    """du/dt = -nabla_u u for the orbit problem, as a run evaluates it."""
-    state = ReducedState(0.0, 0.0, X)
-    return _make_disc(state_geometry(state, metric)).rhs(0.0, state.v)[1]
+def rhs(state: ReducedState, geometry):
+    """(dc/dt, dv/dt) of a reduced state, as a run evaluates it.
 
-
-def interval_rhs(state: ReducedState, profile) -> np.ndarray:
-    """Node-decoupled dv/dt = -nabla^r_v v on an interval of orbits."""
-    return _make_disc(state_geometry(state, profile)).rhs(0.0, state.v)[1]
-
-
-def circle_rhs(state: ReducedState, profile):
-    """(dc/dt, dv/dt) for the circle problem."""
-    return _make_disc(state_geometry(state, profile)).rhs(state.c, state.v)
+    dc/dt is 0.0 off the circle. A homogeneous state ``ReducedState(0.0,
+    0.0, x)`` gives du/dt = -nabla_u u; an interval state node-decoupled
+    dv/dt = -nabla^r_v v.
+    """
+    return _make_disc(state_geometry(state, geometry)).rhs(state.c, state.v)
 
 
 def _closure(geom: GridGeometry, v: np.ndarray):

@@ -25,6 +25,7 @@ from coho_euler import (
 )
 from coho_euler.coho_geometry import RoundS3T2Profile, trace_identity_probes
 from coho_euler.config import build_problem, build_solver_config, parse_config_dict
+from coho_euler.diagnostics import grid_layout
 from coho_euler.reduced_euler import trajectory_pressures
 
 from oracles import coordinate_divergence_fd, euler_top_elliptic
@@ -241,9 +242,7 @@ def test_criterion_10_equivariance():
     # reflection r -> pi/2 - r with fibre swap on the round 3-sphere
     prof = RoundS3T2Profile()
     n = 64
-    from coho_euler.reduced_euler import state_grid
-
-    grid = state_grid(prof, n)
+    grid = grid_layout(prof, n)[0]
     v0 = np.column_stack([np.cos(2 * grid), np.cos(4 * grid)])
 
     def reflect(v):

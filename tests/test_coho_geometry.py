@@ -9,9 +9,10 @@ from coho_euler import (
     UnsupportedConfigurationError,
     abelian,
     berger_circle,
+    ReducedState,
     catalog,
-    reconstruct_velocity,
     reductive_split,
+    rhs,
     su2,
     validate_profile,
     warped_torus,
@@ -268,22 +269,27 @@ def test_validate_profile_flags_first_order_collapse():
     assert not report["second_order_collapse_at_r=0"].passed
 
 
-def test_reconstruct_velocity_interval_kills_horizontal(round_s3_t2):
-    h, v = reconstruct_velocity((5.0, np.array([1.0, 2.0])), round_s3_t2, 0.7)
-    assert h == 0.0
-    assert np.allclose(v, [1.0, 2.0])
+def test_velocity_on_interval_has_no_horizontal_part(round_s3_t2):
+    # the horizontal velocity c h0 does not exist on an interval: h0 is refused
+    # there, and so is a state with a nonzero c; the velocity is v alone
+    with pytest.raises(UnsupportedConfigurationError):
+        round_s3_t2.h0_at(0.7)
+    v = np.tile([1.0, 2.0], (8, 1))
+    with pytest.raises(InputError, match="only a circle state"):
+        rhs(ReducedState(0.0, 5.0, v), round_s3_t2)
+    assert np.allclose(ReducedState(0.0, 0.0, v).v, [1.0, 2.0])
 
 
-def test_reconstruct_velocity_circle_constant_profile(flat_torus):
-    h, v = reconstruct_velocity((2.0, np.array([0.0, 0.0])), flat_torus, 0.3)
-    assert abs(h - 2.0) < 1e-15
+def test_horizontal_velocity_on_constant_profile_is_c(flat_torus):
+    # h = c h0(r), and h0 = 1 on a constant profile
+    assert abs(2.0 * flat_torus.h0_at(0.3) - 2.0) < 1e-15
 
 
-def test_reconstruct_velocity_speed_contraction(round_s3_t2):
+def test_velocity_speed_contraction(round_s3_t2):
+    # a purely vertical velocity (c = 0) has speed^2 = g_r(v, v)
     a, b, r = 1.5, -0.7, 0.9
-    h, v = reconstruct_velocity((0.0, np.array([a, b])), round_s3_t2, r)
-    g = round_s3_t2.gram_at(r)
-    speed2 = h * h + v @ g @ v
+    v = np.array([a, b])
+    speed2 = v @ round_s3_t2.gram_at(r) @ v
     want = a * a * np.cos(r) ** 2 + b * b * np.sin(r) ** 2
     assert abs(speed2 - want) < 1e-14
 

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -464,6 +465,42 @@ def test_cli_tabulated_circle_mismatch_is_not_periodic(tmp_path, capsys):
     assert "validation error: tabulated profile is not periodic: the first and last gram" in err
 
 
+PROFILE_CSV = (catalog.example_path("boundary_interval").parent / "boundary_interval_profile.csv").read_bytes()
+ROW_3 = len(b"\n".join(PROFILE_CSV.split(b"\n")[:3])) + 1  # the offset where row 3 starts
+# a profile CSV that cannot be read: (its name, its bytes, or "dir" for a
+# directory and None for no file, its one error line after "profile.csv: ",
+# with {} for the path)
+UNREADABLE_CSV = {
+    "missing": ("missing.csv", None, "no such file {}"),
+    "non-utf8-header": ("prof.csv", PROFILE_CSV.replace(b"g_11", b"g_\xff11", 1),
+                        "cannot read {}: not UTF-8 text: invalid start byte at byte offset 4"),
+    "ff-fe-after-row-2": ("prof.csv", PROFILE_CSV[:ROW_3] + b"\xff\xfe\n" + PROFILE_CSV[ROW_3:],
+                          f"cannot read {{}}: not UTF-8 text: invalid start byte at byte offset {ROW_3}"),
+    "over-long-path": ("x" * 5000, None, f"cannot read {{}}: {os.strerror(errno.ENAMETOOLONG)}"),
+    "directory": ("prof.csv", "dir", "cannot read {}: not a regular file"),
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE_CSV)
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_cli_unreadable_csv_exit_2(tmp_path, capsys, command, case):
+    name, content, message = UNREADABLE_CSV[case]
+    csv = tmp_path / name
+    if content == "dir":
+        csv.mkdir()
+    elif content is not None:
+        csv.write_bytes(content)
+    path = write_cfg(tmp_path, example_raw("boundary_interval", {"profile.csv": name, "solver.t_end": 0.003}))
+    args = [command, "--config", str(path)]
+    if command == "run":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"validation error: profile.csv: {message.format(csv)}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def _not_antisymmetric():
     structure = su2().structure
     structure[0, 1, 2] = 2.0
@@ -496,16 +533,15 @@ def test_validate_and_run_agree(tmp_path, capsys, name, updates):
 
 
 def test_validate_names_an_empty_fixed_subspace(tmp_path, capsys):
-    # an isotropy that fixes no vector of m: the Monte Carlo check has an
-    # action but no fixed subspace to probe it on
+    # an isotropy that fixes no vector of m: validate names the empty fixed subspace
     raw = example_raw("su2_rigid_body", {"isotropy": {"basis": [[0.0, 0.0, 1.0]]},
                                          "metric.gram": [[1.0, 0.0], [0.0, 1.0]],
                                          "initial.x": [1.0, 0.5]})
     assert main(["validate", "--config", str(write_cfg(tmp_path, raw))]) == 2
     out = capsys.readouterr().out
-    assert "PASS  monte_carlo_ad_fixedness: residual=0.000e+00 (tol=1.0e-08) " \
-           "[the fixed subspace is empty]" in out
-    assert "no isotropy action" not in out
+    assert "FAIL  isotropy_fixes_complement: isotropy.basis: the isotropy must fix the whole " \
+           "complement (dim h = 1, dim m0 = 0, dim m = 2)" in out
+    assert "monte_carlo" not in out
 
 
 @pytest.mark.parametrize(

@@ -217,3 +217,64 @@ def test_fuzzed_config_validate_exit_code(fuzz_dir, case):
     path.write_text(json.dumps(case[1]))
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         assert main(["validate", "--config", str(path)]) in (0, 2, 3, 4)
+
+
+# -- fuzzing the tabulated CSV: its bytes end in a documented exit code, never a traceback --
+
+CSV = (catalog.example_path("boundary_interval").parent / "boundary_interval_profile.csv").read_bytes()
+# non-ASCII bytes, whole and cut-off UTF-8 sequences among them, and NUL
+INJECTED = st.sampled_from([b"\xff", b"\xfe", b"\xff\xfe", b"\x80", b"\xc3", b"\xe2\x82", b"\x00",
+                            "é".encode(), "−".encode(), b"\xef\xbb\xbf"])
+
+
+@st.composite
+def mutated_csvs(draw):
+    """The bundled CSV's bytes, truncated, with rows deleted, inserted or
+    swapped, or with bytes of ``INJECTED`` put in."""
+    rows = CSV.split(b"\n")
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["truncate", "delete", "insert", "swap", "inject"]))
+        if op == "truncate":
+            data = b"\n".join(rows)
+            rows = data[: draw(st.integers(0, len(data)))].split(b"\n")
+        elif op == "delete":
+            del rows[draw(st.integers(0, len(rows) - 1))]
+        elif op == "insert":
+            row = draw(st.one_of(st.sampled_from(rows), st.binary(max_size=12)))
+            rows.insert(draw(st.integers(0, len(rows))), row)
+        elif op == "swap":
+            i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            data = b"\n".join(rows)
+            at = draw(st.integers(0, len(data)))
+            rows = (data[:at] + draw(INJECTED) + data[at:]).split(b"\n")
+        if not rows:  # the last row deleted: later draws need one to index
+            rows = [b""]
+    return b"\n".join(rows)
+
+
+def csv_fuzz_case(fuzz_dir, data):
+    """A three-step boundary_interval config in ``fuzz_dir`` on the CSV ``data``."""
+    (fuzz_dir / "fuzzed.csv").write_bytes(data)
+    raw = mutated("boundary_interval", "profile.csv", "fuzzed.csv")
+    raw["solver"]["t_end"] = 3 * raw["solver"]["dt"]
+    path = fuzz_dir / "csv_cfg.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+@settings(FUZZ, max_examples=100)
+@given(data=mutated_csvs())
+def test_fuzzed_csv_validate_exit_code(fuzz_dir, data):
+    path = csv_fuzz_case(fuzz_dir, data)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert main(["validate", "--config", str(path)]) in (0, 2, 3, 4)
+
+
+@settings(FUZZ, max_examples=40)
+@given(data=mutated_csvs())
+def test_fuzzed_csv_run_exit_code(fuzz_dir, data):
+    path = csv_fuzz_case(fuzz_dir, data)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert main(["run", "--config", str(path), "--out", str(fuzz_dir / "out")]) in (0, 2, 3, 4)

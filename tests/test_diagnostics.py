@@ -15,15 +15,14 @@ from coho_euler import (
     ReducedState,
     SolverConfig,
     c1_monitor,
-    circle_rhs,
     conservation_report,
     divergence_residual,
     endpoint_taylor_monitor,
     energy,
-    homogeneous_rhs,
     integrate,
     pointwise_speed,
     pressure_reconstruct,
+    rhs,
     step_rk4,
     warped_torus,
 )
@@ -36,13 +35,13 @@ from coho_euler.diagnostics import (
     GridGeometry,
     RunRecorder,
     chunk_rows,
+    grid_layout,
     grid_rule,
     parity_tolerance,
     write_diagnostics_csv,
     write_snapshot_csv,
 )
 from coho_euler.errors import ConfigError
-from coho_euler.reduced_euler import state_grid
 
 from oracles import conservation_summary
 from recorded_rows import collect_rows, concatenate
@@ -76,7 +75,7 @@ def test_grid_rule_is_one_rule(kind, flat_torus, round_s3_t2, coupled_tabulated)
     few = low - 2 if even else low - 1
     v0 = np.zeros((few, profile.dim))
     messages = set()
-    for build in (lambda: state_grid(profile, few),
+    for build in (lambda: grid_layout(profile, few),
                   lambda: GridGeometry(profile, few),
                   lambda: CircleProblem(profile, 0.0, v0) if kind == "circle"
                   else IntervalProblem(profile, v0)):
@@ -115,7 +114,7 @@ def test_pointwise_speed_examples(round_s3_t2, flat_torus):
     a, b = 1.5, -0.4
     state = interval_state([a, b], n=127)
     j = 63
-    assert abs(state_grid(round_s3_t2, 127)[j] - np.pi / 4) < 1e-12
+    assert abs(grid_layout(round_s3_t2, 127)[0][j] - np.pi / 4) < 1e-12
     want = np.sqrt((a * a + b * b) / 2.0)
     assert abs(pointwise_speed(state, round_s3_t2, j) - want) < 1e-12
 
@@ -143,7 +142,7 @@ def test_c1_monitor_constant_on_steady_run(round_s3_t2):
 
 def test_c1_monitor_constant_under_transport(flat_torus):
     n = 128
-    grid = state_grid(flat_torus, n)
+    grid = grid_layout(flat_torus, n)[0]
     v0 = np.zeros((n, 2))
     v0[:, 0] = np.sin(2 * np.pi * grid)
     prob = CircleProblem(flat_torus, 1.0, v0)
@@ -193,7 +192,7 @@ def test_endpoint_taylor_zero_state(round_s3_t2):
 
 
 def test_endpoint_taylor_flags_odd_parity(round_s3_t2):
-    grid = state_grid(round_s3_t2, 128)
+    grid = grid_layout(round_s3_t2, 128)[0]
     v = np.zeros((128, 2))
     v[:, 0] = grid  # v_1 = r: odd about the left singular endpoint
     state = ReducedState(0.0, 0.0, v)
@@ -224,7 +223,7 @@ def test_conservation_report_steady_run(round_s3_t2):
 
 def test_conservation_report_flags_fault_injection(flat_torus, dcdt_fault):
     n = 32
-    grid = state_grid(flat_torus, n)
+    grid = grid_layout(flat_torus, n)[0]
     v0 = np.zeros((n, 2))
     v0[:, 0] = 0.1 * np.sin(2 * np.pi * grid)
     prob = CircleProblem(flat_torus, 0.5, v0)
@@ -240,7 +239,7 @@ def test_divergence_invariant_under_integration():
     # solenoidality is structural: the residual must not drift with time
     wt = warped_torus(1.0, [[0.0, 0.06, -0.03], [0.1, -0.04, 0.02]])
     n = 128
-    grid = state_grid(wt, n)
+    grid = grid_layout(wt, n)[0]
     v0 = np.zeros((n, 2))
     v0[:, 0] = 0.2 * np.sin(2 * np.pi * grid)
     v0[:, 1] = 0.1 * np.cos(2 * np.pi * grid)
@@ -269,12 +268,12 @@ def test_recorder_rows_match_public_diagnostics(rigid_body_metric, round_s3_t2):
     # boundary or in the final partial chunk
     wt = warped_torus(1.0, [[0.0, 0.04, -0.02], [0.1, 0.02, 0.01]])
     n = 64
-    grid = state_grid(wt, n)
+    grid = grid_layout(wt, n)[0]
     v0 = np.zeros((n, 2))
     v0[:, 0] = 0.2 * np.sin(2 * np.pi * grid)
     v0[:, 1] = 0.1 + 0.05 * np.cos(2 * np.pi * grid)
     v0_interval = np.tile([0.7, -0.4], (64, 1))
-    v0_interval[:, 0] += 0.1 * np.cos(2 * state_grid(round_s3_t2, 64))
+    v0_interval[:, 0] += 0.1 * np.cos(2 * grid_layout(round_s3_t2, 64)[0])
     cases = [
         (CircleProblem(wt, 0.3, v0), wt, 0.6, n * 2),
         (IntervalProblem(round_s3_t2, v0_interval), round_s3_t2, 0.6, 64 * 2),
@@ -317,7 +316,7 @@ def test_failure_mid_chunk_leaves_every_row_evaluated(monkeypatch, dcdt_fault, k
     monkeypatch.setattr(diagnostics, "CHUNK_ROWS", 8)
     wt = warped_torus(1.0, [[0.0, 0.05, -0.03], [0.1, 0.03, 0.02]])
     n, dt, k = 32, 1e-3, 13
-    grid = state_grid(wt, n)
+    grid = grid_layout(wt, n)[0]
     v0 = np.zeros((n, 2))
     v0[:, 0] = 0.3 * np.sin(2 * np.pi * grid)
     v0[:, 1] = 0.2 * np.cos(2 * np.pi * grid)
@@ -480,7 +479,7 @@ def test_discrete_energy_exchange_identity():
     # shape-operator exchange term against the integrated dynamics
     wt = warped_torus(1.0, [[0.0, 0.05, -0.03], [0.1, 0.03, 0.02]])
     n = 128
-    grid = state_grid(wt, n)
+    grid = grid_layout(wt, n)[0]
     v0 = np.zeros((n, 2))
     v0[:, 0] = 0.3 * np.sin(2 * np.pi * grid)
     v0[:, 1] = 0.2 * np.cos(2 * np.pi * grid)
@@ -599,7 +598,7 @@ MALFORMED = {
     "h_samples": ("berger_circle", "h_samples",
                   lambda s, g: divergence_residual(s, g, h_samples=np.ones(5))),
     "c_none": ("berger_circle", "finite horizontal amplitude",
-               lambda s, g: circle_rhs(replace(s, c=None), g)),
+               lambda s, g: rhs(replace(s, c=None), g)),
     "c_off_circle": ("s3_t2_interval", "finite horizontal amplitude",
                      lambda s, g: step_rk4(replace(s, c=0.5), g,
                                            SolverConfig(dt=1e-3, t_end=1e-3))),
@@ -610,7 +609,7 @@ MALFORMED = {
     "orbit_c_off_circle": ("su2_rigid_body", "finite horizontal amplitude",
                            lambda s, g: c1_monitor(replace(s, c=-1.0), g)),
     "orbit_x_on_grid": ("t3_circle", "shape|circle grids need an even N >= 16, got 2",
-                        lambda s, g: homogeneous_rhs(g, s.v[0])),
+                        lambda s, g: rhs(ReducedState(0.0, 0.0, s.v[0]), g)),
 }
 
 

@@ -13,10 +13,10 @@ from coho_euler import (
     check_metric_invariance,
     direct_sum,
     divergence_residual,
-    homogeneous_rhs,
     invariant_connection,
     orbit_volume,
     reductive_split,
+    rhs,
     su2,
 )
 from coho_euler.config import build_problem
@@ -163,17 +163,17 @@ def test_orbit_volume_examples(su2_split):
 
 def test_euler_arnold_steady_cases(su2_split):
     metric = InvariantMetric(su2_split, np.eye(3))
-    assert np.allclose(homogeneous_rhs(metric, [1.0, 0.0, 0.0]), 0.0)
+    assert np.allclose(rhs(ReducedState(0.0, 0.0, [1.0, 0.0, 0.0]), metric)[1], 0.0)
     split = reductive_split(abelian(3), [])
     flat = InvariantMetric(split, np.diag([2.0, 3.0, 4.0]))
-    assert np.allclose(homogeneous_rhs(flat, [1.0, -2.0, 0.5]), 0.0)
+    assert np.allclose(rhs(ReducedState(0.0, 0.0, [1.0, -2.0, 0.5]), flat)[1], 0.0)
 
 
 def test_euler_arnold_matches_oracle_and_rigid_body(su2_split):
     gram = np.diag([1.0, 2.0, 3.0])
     metric = InvariantMetric(su2_split, gram)
     x = np.array([0.0, 1.0, 1.0])
-    got = homogeneous_rhs(metric, x)
+    got = rhs(ReducedState(0.0, 0.0, x), metric)[1]
     want = -koszul_oracle(bracket_tensor(su2_split), gram, x, x)
     assert np.allclose(got, want, atol=1e-14)
     # classical pattern w1' = ((I2 - I3)/I1) w2 w3 (cyclic)
@@ -213,7 +213,7 @@ def test_connection_properties_random_metrics(su2_split, seed):
                 assert abs(resid) < 1e-12
     x = rng.uniform(-1, 1, 3)
     # energy orthogonality: d/dt g(u,u) = 0 pointwise
-    assert abs(homogeneous_rhs(metric, x) @ gram @ x) < 1e-12
+    assert abs(rhs(ReducedState(0.0, 0.0, x), metric)[1] @ gram @ x) < 1e-12
 
 
 @pytest.mark.parametrize("seed", range(3))

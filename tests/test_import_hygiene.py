@@ -1,9 +1,11 @@
-"""The package import and every `coho-euler run` load no module they do not use,
-and the package binds each of its functions to one public name.
+"""The package import and every `coho-euler run` and `validate` load no module
+they do not use, the package depends on numpy alone, and it binds each of its
+functions to one public name.
 
-Watched: scipy (only `validate` may import it), hashlib with OpenSSL's
-`_hashlib` (the config hash uses the built-in SHA-256), `numpy.ma` and
-`numpy.random`. No run loads any of them, `random_fourier` initial data
+Watched: scipy (a test reference only: no module of the package imports it,
+and numpy is its one runtime dependency), hashlib with OpenSSL's `_hashlib`
+(the config hash uses the built-in SHA-256), `numpy.ma` and `numpy.random`.
+No run or `validate` loads any of them, `random_fourier` initial data
 included: its seeded draws come from `numerics.seeded_uniform`, not from
 `numpy.random`, whose import of `secrets` would bring in `hmac` and hashlib.
 
@@ -11,11 +13,13 @@ Each import check runs in a fresh interpreter, since this test process may
 already have imported any of them.
 """
 
+import ast
 import importlib
 import inspect
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,7 +29,8 @@ import pytest
 import coho_euler
 from coho_euler import catalog
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 PROBE = """
 import json, sys
@@ -36,7 +41,7 @@ loaded = lambda: sorted(
 )
 after_import = loaded()
 if len(sys.argv) > 1:
-    code = coho_euler.cli.main(["run", "--config", sys.argv[1], "--out", sys.argv[2]])
+    code = coho_euler.cli.main(sys.argv[1:])
     assert code == 0, code
 print(json.dumps({"after_import": after_import, "after_run": loaded()}))
 """
@@ -71,8 +76,39 @@ def test_package_import_loads_no_scipy():
 def test_run_loads_no_scipy(tmp_path, name):
     # analytic and tabulated profiles and seeded random_fourier data alike
     path = short_config(tmp_path, name, 0.01)
-    mods = watched_modules(path, tmp_path / "out")
+    mods = watched_modules("run", "--config", path, "--out", tmp_path / "out")
     assert mods == {"after_import": [], "after_run": []}
+
+
+@pytest.mark.parametrize("name", catalog.example_names())
+def test_validate_loads_no_scipy(tmp_path, name):
+    # nor any other watched module, as for run
+    path = short_config(tmp_path, name, 0.01)
+    mods = watched_modules("validate", "--config", path)
+    assert mods == {"after_import": [], "after_run": []}
+
+
+def test_no_module_imports_scipy():
+    # lazy imports inside functions included: a process probe only sees the
+    # paths that the bundled examples reach
+    found = []
+    for path in sorted((SRC / "coho_euler").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] == "scipy"]
+    assert found == []
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    names = [re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0] for dep in project["dependencies"]]
+    assert names == ["numpy"]
 
 
 def test_one_public_name_per_function():

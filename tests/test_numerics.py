@@ -123,11 +123,12 @@ def test_seeded_uniform_matches_numpy_full_stream(seed):
     assert seeded_uniform(seed, 32768) == ref.tolist()
 
 
-@pytest.mark.parametrize("dim_h", [1, 3, 8])
+@pytest.mark.parametrize("width", [1, 3, 8])
 @pytest.mark.parametrize("seed", [0, 1, 7919])
-def test_seeded_uniform_rows_match_numpy_array_draws(dim_h, seed):
-    # the Monte Carlo fixedness check reads its samples as rows
+def test_seeded_uniform_rows_match_numpy_array_draws(width, seed):
+    # random_fourier reads one call's draws as rows: they equal a generator's
+    # draws taken row by row
     rng = np.random.default_rng(seed)
-    ref = np.array([rng.uniform(-1.0, 1.0, dim_h) for _ in range(100)])
-    got = np.array(seeded_uniform(seed, 100 * dim_h)).reshape(100, dim_h)
+    ref = np.array([rng.uniform(-1.0, 1.0, width) for _ in range(100)])
+    got = np.array(seeded_uniform(seed, 100 * width)).reshape(100, width)
     assert np.array_equal(got, ref)

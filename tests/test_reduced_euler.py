@@ -13,21 +13,20 @@ from coho_euler import (
     SolverConfig,
     abelian,
     catalog,
-    circle_rhs,
-    homogeneous_rhs,
     integrate,
     invariant_connection,
-    interval_rhs,
     pressure_reconstruct,
     reductive_split,
+    rhs,
     step_rk4,
     su2,
     warped_torus,
 )
 from coho_euler.coho_geometry import BOUNDARY, INTERVAL, OrbitSpace, TabulatedProfile
 from coho_euler.config import build_problem, build_solver_config
+from coho_euler.diagnostics import grid_layout
 from coho_euler.errors import NumericalFailureError
-from coho_euler.reduced_euler import _make_disc, state_grid, trajectory_pressures
+from coho_euler.reduced_euler import _make_disc, trajectory_pressures
 
 from recorded_rows import collect_rows
 
@@ -48,15 +47,15 @@ def su2_const_tabulated(diag=(1.0, 2.0, 3.0), n=33):
 
 def test_circle_grid_constraints(flat_torus):
     with pytest.raises(InputError):
-        state_grid(flat_torus, 15)
+        grid_layout(flat_torus, 15)[0]
     with pytest.raises(InputError):
-        state_grid(flat_torus, 14)
-    grid = state_grid(flat_torus, 16)
+        grid_layout(flat_torus, 14)[0]
+    grid = grid_layout(flat_torus, 16)[0]
     assert grid[0] == 0.0 and grid[-1] < flat_torus.length
 
 
 def test_interval_grid_excludes_singular_endpoints(round_s3_t2):
-    grid = state_grid(round_s3_t2, 128)
+    grid = grid_layout(round_s3_t2, 128)[0]
     assert grid.size == 128
     dr = grid[1] - grid[0]
     assert abs(grid[0] - dr) < 1e-15
@@ -65,7 +64,7 @@ def test_interval_grid_excludes_singular_endpoints(round_s3_t2):
 
 def test_interval_grid_includes_boundary_endpoints():
     prof = su2_const_tabulated()
-    grid = state_grid(prof, 64)
+    grid = grid_layout(prof, 64)[0]
     assert grid[0] == 0.0 and grid[-1] == 1.0
 
 
@@ -98,16 +97,23 @@ def test_reduced_state_rejects_non_finite():
 # -- right-hand sides ----------------------------------------------------------
 
 
+def homogeneous_dudt(metric, x):
+    """du/dt of the orbit problem: ``rhs`` of the homogeneous state x, whose dc/dt is 0."""
+    dc, du = rhs(ReducedState(0.0, 0.0, x), metric)
+    assert dc == 0.0
+    return du
+
+
 def test_homogeneous_rhs_steady_cases(su2_split):
-    assert np.allclose(homogeneous_rhs(InvariantMetric(su2_split, np.eye(3)), [3.0, -1.0, 2.0]), 0.0)
+    assert np.allclose(homogeneous_dudt(InvariantMetric(su2_split, np.eye(3)), [3.0, -1.0, 2.0]), 0.0)
     flat = InvariantMetric(reductive_split(abelian(2), []), np.eye(2))
-    assert np.allclose(homogeneous_rhs(flat, [1.0, 1.0]), 0.0)
+    assert np.allclose(homogeneous_dudt(flat, [1.0, 1.0]), 0.0)
 
 
 def test_homogeneous_rhs_equals_euler_arnold(rigid_body_metric):
     x = np.array([0.0, 1.0, 1.0])
     assert np.allclose(
-        homogeneous_rhs(rigid_body_metric, x), -invariant_connection(rigid_body_metric, x, x)
+        homogeneous_dudt(rigid_body_metric, x), -invariant_connection(rigid_body_metric, x, x)
     )
 
 
@@ -116,23 +122,25 @@ def test_homogeneous_rhs_is_the_run_rhs(rigid_body_metric):
     # invariant_connection is the geometric form, equal to rounding only
     disc = _make_disc(HomogeneousProblem(rigid_body_metric, np.zeros(3)).geom)
     for x in np.random.default_rng(5).normal(size=(200, 3)):
-        assert np.array_equal(homogeneous_rhs(rigid_body_metric, x), disc.rhs(0.0, x)[1])
+        assert np.array_equal(homogeneous_dudt(rigid_body_metric, x), disc.rhs(0.0, x)[1])
 
 
 def test_interval_rhs_abelian_is_steady(round_s3_t2):
     v = np.column_stack([np.full(16, 1.0), np.full(16, 2.0)])
     state = ReducedState(0.0, 0.0, v)
-    assert np.allclose(interval_rhs(state, round_s3_t2), 0.0)
+    assert rhs(state, round_s3_t2)[0] == 0.0
+    assert np.allclose(rhs(state, round_s3_t2)[1], 0.0)
     zero = ReducedState(0.0, 0.0, np.zeros((16, 2)))
-    assert np.allclose(interval_rhs(zero, round_s3_t2), 0.0)
+    assert np.allclose(rhs(zero, round_s3_t2)[1], 0.0)
 
 
 def test_interval_rhs_reduces_to_homogeneous_per_node(rigid_body_metric):
     prof = su2_const_tabulated()
     v = np.tile([0.0, 1.0, 1.0], (16, 1))
     state = ReducedState(0.0, 0.0, v)
-    dv = interval_rhs(state, prof)
-    want = homogeneous_rhs(rigid_body_metric, np.array([0.0, 1.0, 1.0]))
+    dc, dv = rhs(state, prof)
+    assert dc == 0.0
+    want = homogeneous_dudt(rigid_body_metric, np.array([0.0, 1.0, 1.0]))
     for j in range(16):
         assert np.allclose(dv[j], want, atol=1e-12)
 
@@ -140,25 +148,25 @@ def test_interval_rhs_reduces_to_homogeneous_per_node(rigid_body_metric):
 def test_circle_rhs_pure_horizontal_is_steady():
     wt = warped_torus(1.0, [[0.0, 0.2, -0.1]])
     state = ReducedState(0.0, 2.0, np.zeros((64, 1)))
-    dc, dv = circle_rhs(state, wt)
+    dc, dv = rhs(state, wt)
     assert dc == 0.0
     assert np.allclose(dv, 0.0)
 
 
 def test_circle_rhs_constant_state_flat_torus(flat_torus):
     state = ReducedState(0.0, 1.5, np.tile([0.4, -0.2], (32, 1)))
-    dc, dv = circle_rhs(state, flat_torus)
+    dc, dv = rhs(state, flat_torus)
     assert dc == 0.0
     assert np.max(np.abs(dv)) < 1e-13
 
 
 def test_circle_rhs_transport_term(flat_torus):
     n = 256
-    grid = state_grid(flat_torus, n)
+    grid = grid_layout(flat_torus, n)[0]
     v = np.zeros((n, 2))
     v[:, 0] = np.sin(2 * np.pi * grid)
     state = ReducedState(0.0, 1.0, v)
-    dc, dv = circle_rhs(state, flat_torus)
+    dc, dv = rhs(state, flat_torus)
     assert dc == 0.0
     want = -2 * np.pi * np.cos(2 * np.pi * grid)
     assert np.max(np.abs(dv[:, 0] - want)) < 1e-7  # 4th-order stencil floor
@@ -170,7 +178,7 @@ def test_circle_rhs_transport_term(flat_torus):
 
 def test_pressure_closed_form_round_s3_t2(round_s3_t2):
     a, b = 1.0, 2.0
-    grid = state_grid(round_s3_t2, 128)
+    grid = grid_layout(round_s3_t2, 128)[0]
     state = ReducedState(0.0, 0.0, np.tile([a, b], (128, 1)))
     field = pressure_reconstruct(state, round_s3_t2)
     want = -(a * a - b * b) * np.sin(grid) ** 2 / 2.0
@@ -188,7 +196,7 @@ def test_pressure_symmetric_coefficients_cancel(round_s3_t2):
 def test_pressure_pure_horizontal_exact_antiderivative():
     wt = warped_torus(1.0, [[0.0, 0.0, 0.4]])
     n = 256
-    grid = state_grid(wt, n)
+    grid = grid_layout(wt, n)[0]
     c = 1.0
     state = ReducedState(0.0, c, np.zeros((n, 1)))
     field = pressure_reconstruct(state, wt)
@@ -199,7 +207,7 @@ def test_pressure_pure_horizontal_exact_antiderivative():
 
 
 def test_pressure_flags_inconsistent_dcdt(flat_torus, dcdt_fault):
-    grid = state_grid(flat_torus, 32)
+    grid = grid_layout(flat_torus, 32)[0]
     v = np.zeros((32, 2))
     v[:, 0] = np.sin(2 * np.pi * grid)
     state = ReducedState(0.0, 1.0, v)
@@ -213,7 +221,7 @@ def test_pressure_flags_inconsistent_dcdt(flat_torus, dcdt_fault):
 def test_pressure_default_dcdt_is_the_closure():
     # shape-operator coupling makes dc/dt nonzero: a default of 0 broke periodicity
     wt = warped_torus(1.0, [[0.0, 0.1, 0.05], [0.2, -0.1, 0.03]])
-    grid = state_grid(wt, 64)
+    grid = grid_layout(wt, 64)[0]
     v = np.column_stack([np.sin(2 * np.pi * grid), 0.5 * np.cos(2 * np.pi * grid)])
     state = ReducedState(0.0, 0.3, v)
     field = pressure_reconstruct(state, wt)
@@ -277,7 +285,7 @@ def test_integrate_steady_horizontal_circle(flat_torus):
 
 def test_integrate_transport_one_period(flat_torus):
     n = 64
-    grid = state_grid(flat_torus, n)
+    grid = grid_layout(flat_torus, n)[0]
     v0 = np.zeros((n, 2))
     v0[:, 0] = np.sin(2 * np.pi * grid)
     prob = CircleProblem(flat_torus, 1.0, v0)
@@ -344,7 +352,7 @@ def test_integrate_non_finite_failure(su2_split):
 
 def test_integrate_dcdt_fault_injection(flat_torus, dcdt_fault):
     n = 32
-    grid = state_grid(flat_torus, n)
+    grid = grid_layout(flat_torus, n)[0]
     v0 = np.zeros((n, 2))
     v0[:, 0] = 0.1 * np.sin(2 * np.pi * grid)
     prob = CircleProblem(flat_torus, 0.5, v0)

@@ -19,21 +19,19 @@ import pytest
 from coho_euler import (
     c1_monitor,
     catalog,
-    circle_rhs,
     diagnostics,
     divergence_residual,
     endpoint_taylor_monitor,
     energy,
     homogeneous_geometry,
-    homogeneous_rhs,
-    interval_rhs,
     pointwise_speed,
     pressure_reconstruct,
+    rhs,
     step_rk4,
 )
 from coho_euler.cli import run_command
 from coho_euler.config import build_problem, build_solver_config, parse_config_dict
-from coho_euler.reduced_euler import state_grid
+from coho_euler.diagnostics import grid_layout
 
 CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
 
@@ -84,7 +82,7 @@ def test_snapshot_nodes_are_the_layout_nodes(tmp_path, name):
     if cfg.kind == "homogeneous":
         want = np.zeros(1)
     else:
-        want = state_grid(build_problem(cfg).profile, cfg.solver["N"])
+        want = grid_layout(build_problem(cfg).profile, cfg.solver["N"])[0]
     files = sorted((tmp_path / "snapshots").glob("*.csv"))
     assert len(files) == 2
     for path in files:
@@ -114,19 +112,15 @@ def public_calls(problem, config):
         "pointwise_speed": lambda g: pointwise_speed(state, g),
         "c1_monitor": lambda g: c1_monitor(state, g),
         "divergence_residual": lambda g: divergence_residual(state, g),
+        "rhs": lambda g: rhs(state, g),
         "step_rk4": lambda g: step_rk4(state, g, config),
         "pressure_reconstruct": lambda g: pressure_reconstruct(state, g),
     }
     if problem.kind == "homogeneous":
-        calls["homogeneous_rhs"] = lambda g: homogeneous_rhs(g, state.v)
         return calls
     h = np.linspace(0.5, 1.5, len(state.v))
     calls["pointwise_speed_j"] = lambda g: pointwise_speed(state, g, j=3)
     calls["divergence_residual_h"] = lambda g: divergence_residual(state, g, h_samples=h)
-    if problem.kind == "interval":
-        calls["interval_rhs"] = lambda g: interval_rhs(state, g)
-    else:
-        calls["circle_rhs"] = lambda g: circle_rhs(state, g)
     if problem.geom.singular_windows:
         calls["endpoint_taylor_monitor"] = lambda g: endpoint_taylor_monitor([state] * 3, g)
     return calls
