@@ -315,8 +315,12 @@ def load_tabulated_csv(path):
     header = rows.readline().strip()
     if not header or header.split(",")[0].strip().lower() != "r":
         raise InputError(f"{path}: first CSV column must be named 'r'")
+    lines = rows.readlines()
+    # blank lines and "#" comments are all np.loadtxt would skip
+    if not any(line.split("#", 1)[0].strip() for line in lines):
+        raise InputError(f"{path}: no numeric rows below the header")
     try:
-        data = np.loadtxt(rows, delimiter=",", ndmin=2)
+        data = np.loadtxt(lines, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise InputError(f"{path}: could not parse numeric rows: {exc}") from exc
     ncols = data.shape[1]

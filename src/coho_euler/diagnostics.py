@@ -39,9 +39,10 @@ TAYLOR_WINDOW = 6
 GRID_NODES = {CIRCLE: (16, True), INTERVAL: (TAYLOR_WINDOW, False)}
 N_DIV_PROBES = 8
 # the recorder evaluates up to this many buffered states per rows() call,
-# fewer when a state is large: the (T, n, d) temporaries stay near 256 kB
+# fewer when a state is large: its (n, d, T) buffer and each (n, d, T) work
+# array of rows() stay within 128 kB
 CHUNK_ROWS = 512
-CHUNK_VALUES = 32768
+CHUNK_VALUES = 16384
 CSV_BLOCK_ROWS = 512
 # series that are not a field of a row: the recorder fills them itself
 RUN_SERIES = ("t", "p_periodicity", "speed_drift", "envelope_rate")
@@ -195,25 +196,29 @@ class GridGeometry:
     def taylor_fits(self, vs: np.ndarray):
         """(alpha, beta, parity misfit) of each state near the singular endpoints.
 
-        ``vs`` has shape (T, n, d); the results have shapes (T, n_end, d),
-        (T, n_end, d) and (T, n_end).
+        ``vs`` has shape (T, n, d), of any strides; the results have shapes
+        (T, n_end, d), (T, n_end, d) and (T, n_end). Each window is read into
+        one contiguous (T, window, d) block, whose per-state products give
+        the same bits whatever the layout of ``vs``.
         """
         coefs, misfits = [], []
         for win in self.singular_windows:
-            data = vs[:, win["slice"]]
+            data = np.ascontiguousarray(vs[:, win["slice"]])
             coefs.append(win["pinv"] @ data)  # (T, 2, d)
             misfits.append(np.sqrt(np.mean((win["resid"] @ data) ** 2, axis=(1, 2))))
         coef = np.stack(coefs, axis=1)
         return coef[:, :, 0], coef[:, :, 1], np.stack(misfits, axis=1)
 
     def _work(self, T: int) -> np.ndarray:
-        """Four (n, d, T) work arrays for :meth:`rows`, kept between calls.
+        """The two (n, d, T) work arrays of :meth:`rows`, kept between calls.
+
+        They hold G v (then g S v) and S v.
 
         Allocated afresh for every chunk, arrays this large are returned to
         the system when freed and cost a page fault per page the next time.
         """
         if self._work_arrays is None or self._work_arrays.shape[-1] != T:
-            self._work_arrays = np.empty((4, self.n, self.d, T))
+            self._work_arrays = np.empty((2, self.n, self.d, T))
         return self._work_arrays
 
     def rows(self, cs: np.ndarray, vs: np.ndarray) -> dict:
@@ -221,10 +226,12 @@ class GridGeometry:
 
         ``cs`` has shape (T,) and ``vs`` (T, n, d). Runs record exactly these
         values and the public per-state functions return them (T = 1), so
-        the two cannot disagree; each row's bits do not depend on T. Besides
-        the series values the rows hold the speed samples (T, n) and the
-        instantaneous envelope rate, from which the recorder derives its
-        running series.
+        the two cannot disagree; each row's bits do not depend on T. Every
+        contraction runs node-last, on ``vs.transpose(1, 2, 0)``: a ``vs``
+        that is the transposed view of a contiguous (n, d, T) buffer, as the
+        recorder passes, is read in place. Besides the series values the
+        rows hold the speed samples (T, n) and the instantaneous envelope
+        rate, from which the recorder derives its running series.
         """
         if len(cs) == 1:
             # einsum keeps t as its inner loop only while t has two or more
@@ -232,14 +239,11 @@ class GridGeometry:
             return {key: val[:1] for key, val in self.rows(np.repeat(cs, 2),
                                                            np.repeat(vs, 2, axis=0)).items()}
         T = len(cs)
-        vt, gv, gv_rows, Sv = self._work(T)
-        gv_rows = gv_rows.reshape(T, self.n, self.d)
+        gv, Sv = self._work(T)
         # t last: each einsum below runs its inner loop over the T states
-        np.copyto(vt, vs.transpose(1, 2, 0))
+        vt = np.ascontiguousarray(vs.transpose(1, 2, 0))
         np.einsum("jab,jbt->jat", self.gram, vt, out=gv)
-        # summed over a as for one (n, d) state: the reduced axis must be contiguous
-        np.copyto(gv_rows, gv.transpose(2, 0, 1))
-        quad = np.einsum("tja,tja->tj", vs, gv_rows)
+        quad = np.einsum("jat,jat->jt", vt, gv).T
         density = cs[:, None] * self.h0  # h = c h0; h0 is zero on an interval
         density *= density
         density += quad
@@ -254,13 +258,14 @@ class GridGeometry:
                              for b in range(self.d)], axis=0)
             fd_max = _first_max(fd_max, np.abs(cs) * self.fd_h0_max)
         elif self.kind == INTERVAL:
-            # the closures take one BLAS product per state (see Derivative4Interval)
-            fd_max = np.max(_abs(self.deriv(vs.swapaxes(0, 1))), axis=(0, 2))
+            fd_max = np.max(_abs(self.deriv(vt)), axis=(0, 1))
         c1 = max_speed + fd_max
         sv_raw = np.zeros(T)
         if self.has_S:
             np.einsum("jab,jbt->jat", self.S, vt, out=Sv)
-            sv_quad = np.max(np.einsum("jat,jab,jbt->jt", Sv, self.gram, Sv), axis=0)
+            # g(S v, S v) = S v . (g S) v, with g S v written over the spent G v
+            np.einsum("jab,jbt->jat", self.gramS, vt, out=gv)
+            sv_quad = np.max(np.einsum("jat,jat->jt", Sv, gv), axis=0)
             c1 += np.sqrt(_first_max(sv_quad, 0.0))
             sv_raw = np.max(_abs(Sv), axis=(0, 1))
         probes = np.einsum("pa,pat->pt", self.div_forms, vt[self.div_probe_idx])
@@ -447,8 +452,9 @@ class RunReport:
 class RunRecorder:
     """Records one diagnostic row per recorded step, holding one chunk of rows at a time.
 
-    :meth:`record` buffers t, the pressure residual and (c, v). A full chunk
-    is evaluated by one ``rows`` call, folded into the report, handed to
+    :meth:`record` buffers t, the pressure residual and (c, v), v as one
+    column of a node-last (n, d, chunk) buffer. A full chunk is evaluated in
+    place by one ``rows`` call, folded into the report, handed to
     ``sink`` (if any) as a dict of arrays the sink owns, one entry per row
     and keyed by the names of :func:`series_shapes`, and dropped: memory
     does not grow with the run's length. :meth:`finish` flushes the partial
@@ -461,7 +467,8 @@ class RunRecorder:
         self.report = RunReport(kind=geom.kind, n_singular=len(geom.singular_windows))
         self._chunk = chunk_rows(geom.n * geom.d)
         self._ts, self._ps, self._cs = np.empty((3, self._chunk))
-        self._vs = np.empty((self._chunk, geom.n, geom.d))  # a (d,) state fills one node
+        # node-last, one state per column: rows() reads full chunks in place
+        self._vt = np.empty((geom.n, geom.d, self._chunk))
         self._k = 0  # rows buffered
         self._speeds0 = None
         self._lambda_max = 0.0
@@ -469,7 +476,7 @@ class RunRecorder:
     def record(self, t, c, v, p_residual=0.0):
         k = self._k
         self._ts[k], self._ps[k], self._cs[k] = t, p_residual, c
-        self._vs[k] = v
+        self._vt[..., k] = v  # a (d,) state fills node 0
         self._k = k + 1
         if k + 1 == self._chunk:
             self._flush()
@@ -480,7 +487,7 @@ class RunRecorder:
             return
         # a finite state can still overflow its squares (a run failing by overflow)
         with np.errstate(invalid="ignore", over="ignore"):
-            rows = self._geom.rows(self._cs[:k].copy(), self._vs[:k])
+            rows = self._geom.rows(self._cs[:k].copy(), self._vt[..., :k].transpose(2, 0, 1))
             speeds = rows.pop("speeds")
             if self._speeds0 is None:
                 self._speeds0 = speeds[0].copy()

@@ -13,9 +13,12 @@ import numpy as np
 
 from .errors import InputError
 
-# interior 4th-order central stencil and the matching one-sided closures
-_EDGE0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
-_EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
+# the one-sided closures of the 4th-order central stencil at the first two nodes,
+# and their mirror images at the last two, which read the nodes backwards
+_EDGE0 = [w / 12.0 for w in (-25.0, 48.0, -36.0, 16.0, -3.0)]
+_EDGE1 = [w / 12.0 for w in (-3.0, -10.0, 18.0, -6.0, 1.0)]
+_TAIL0 = [-w for w in _EDGE0]
+_TAIL1 = [-w for w in _EDGE1]
 
 
 def _simpson_even(n_nodes: int, dr: float) -> np.ndarray:
@@ -83,7 +86,11 @@ def cumulative_integral(y: np.ndarray, dr: float) -> np.ndarray:
 
 
 class Derivative4Periodic:
-    """4th-order central d/dr on a uniform periodic grid, applied along axis 0."""
+    """4th-order central d/dr on a uniform periodic grid, applied along axis 0.
+
+    Each value is computed elementwise from its own column, so a column's
+    bits do not depend on the layout or the number of columns beside it.
+    """
 
     def __init__(self, n: int, dr: float):
         self.n = n
@@ -93,25 +100,20 @@ class Derivative4Periodic:
         # node j of the padded copy is node j - 2 of f, wrapped
         g = np.concatenate((f[-2:], f, f[:2]))
         n = self.n
-        out = g[:n] - 8.0 * g[1 : n + 1]
+        out = np.multiply(g[1 : n + 1], 8.0)
+        np.subtract(g[:n], out, out=out)
         out += 8.0 * g[3 : n + 3]
         out -= g[4:]
         out *= self._inv
         return out
 
 
-def _stencil_block(block: np.ndarray) -> np.ndarray:
-    """A (5, ...) edge block, contiguous, with the stencil axis second to last.
-
-    A closure applied to it is one BLAS product per trailing (5, d) matrix,
-    so each column's edge value does not depend on how many columns are
-    stacked behind it.
-    """
-    return np.ascontiguousarray(np.moveaxis(block, 0, -2) if block.ndim > 1 else block)
-
-
 class Derivative4Interval:
-    """4th-order d/dr on a closed uniform grid with one-sided closures, along axis 0."""
+    """4th-order d/dr on a closed uniform grid with one-sided closures, along axis 0.
+
+    Each value is computed elementwise from its own column, so a column's
+    bits do not depend on the layout or the number of columns beside it.
+    """
 
     def __init__(self, n: int, dr: float):
         if n < 5:
@@ -121,14 +123,19 @@ class Derivative4Interval:
 
     def __call__(self, f: np.ndarray) -> np.ndarray:
         out = np.empty_like(f)
-        out[2:-2] = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / 12.0
-        head = _stencil_block(f[:5])
-        tail = _stencil_block(f[:-6:-1])
-        out[0] = _EDGE0 @ head
-        out[1] = _EDGE1 @ head
-        out[-1] = -(_EDGE0 @ tail)
-        out[-2] = -(_EDGE1 @ tail)
-        return out * self._inv
+        # (f[:-4] - 8 f[1:-3] + 8 f[3:-1] - f[4:]) / 12, operation for operation
+        mid = out[2:-2]
+        np.multiply(f[1:-3], 8.0, out=mid)
+        np.subtract(f[:-4], mid, out=mid)
+        mid += 8.0 * f[3:-1]
+        mid -= f[4:]
+        mid /= 12.0
+        # the closures, summed term by term
+        back = f[::-1]
+        for row, w, g in ((0, _EDGE0, f), (1, _EDGE1, f), (-1, _TAIL0, back), (-2, _TAIL1, back)):
+            out[row] = w[0] * g[0] + w[1] * g[1] + w[2] * g[2] + w[3] * g[3] + w[4] * g[4]
+        out *= self._inv
+        return out
 
 
 def _solve_tridiagonal(ab: np.ndarray, b: np.ndarray) -> np.ndarray:

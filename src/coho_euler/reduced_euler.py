@@ -321,7 +321,8 @@ def _check_stage(disc, c, v, dt, step, t, c_new, v_new):
     A non-finite stage always poisons the stepped state, so one check per
     step sees every failure. The cold path re-runs the stages from (c, v)
     and names the first non-finite one, or "combine" when all four are
-    finite and only their combination overflowed. Callers step under
+    finite and only their combination overflowed, with the node and
+    coefficient of its first non-finite entry. Callers step under
     ``np.errstate(over="ignore", invalid="ignore")``: the failure record,
     not a numpy warning, reports a non-finite step.
     """
@@ -329,15 +330,18 @@ def _check_stage(disc, c, v, dt, step, t, c_new, v_new):
     if math.isfinite(c_new) and (math.isfinite(v_new.sum()) or np.isfinite(v_new).all()):
         return
     stages = _stages(disc.rhs, c, v, dt)
-    stage = next((i for i, (kc, kv) in enumerate(stages, 1)
-                  if not (math.isfinite(kc) and np.isfinite(kv).all())), "combine")
+    stage, bad_v = next(((i, kv) for i, (kc, kv) in enumerate(stages, 1)
+                         if not (math.isfinite(kc) and np.isfinite(kv).all())), ("combine", v_new))
+    # node by node; a (d,) state is node 0, and a finite v leaves the amplitude c
+    bad = np.flatnonzero(~np.isfinite(bad_v))
+    node, coefficient = divmod(int(bad[0]), bad_v.shape[-1]) if bad.size else (None, "c")
     raise NumericalFailureError(
         "non-finite state from the RK4 combine of four finite stages" if stage == "combine"
         else f"non-finite right-hand side at RK4 stage {stage}",
         kind="non_finite",
         step=step,
         t=t,
-        detail={"stage": stage},
+        detail={"stage": stage, "node": node, "coefficient": coefficient},
     )
 
 

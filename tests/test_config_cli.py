@@ -294,7 +294,9 @@ def test_cli_failing_run_prints_no_runtime_warning(tmp_path):
     )
     assert res.returncode == 3, res.stderr
     assert "RuntimeWarning" not in res.stderr, res.stderr
-    assert json.loads((out / "summary.json").read_text())["failure"]["stage"] == 1
+    failure = json.loads((out / "summary.json").read_text())["failure"]
+    # x1 x2 = 1e400 overflows in dx3/dt: node 0 (the one node), coefficient 2
+    assert (failure["stage"], failure["node"], failure["coefficient"]) == (1, 0, 2)
 
 
 def test_cli_overflowing_rk4_combine_exit_3(tmp_path, capsys):
@@ -307,6 +309,7 @@ def test_cli_overflowing_rk4_combine_exit_3(tmp_path, capsys):
     failure = json.loads((out / "summary.json").read_text())["failure"]
     assert failure["kind"] == "non_finite"
     assert (failure["stage"], failure["step"], failure["t"]) == ("combine", 0, 0.0)
+    assert (failure["node"], failure["coefficient"]) == (0, 0)  # the first entry overflows
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "failed" and (out / "diagnostics.csv").exists()
     assert manifest["snapshots"]

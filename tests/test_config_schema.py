@@ -4,6 +4,7 @@ import io
 import json
 import math
 import shutil
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -262,6 +263,27 @@ def csv_fuzz_case(fuzz_dir, data):
     path = fuzz_dir / "csv_cfg.json"
     path.write_text(json.dumps(raw))
     return path
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("body", ["", "# no samples yet\n", "\n  \n# 0.0,1.0\n"],
+                         ids=["header_only", "comment_only", "blank_and_comment"])
+def test_csv_without_numeric_rows_exit_2(tmp_path, capsys, command, body):
+    # a header with no data rows below it is refused with its own message,
+    # before numpy can warn about an empty input
+    shutil.copy(catalog.example_path("boundary_interval").parent / "boundary_interval_profile.csv",
+                tmp_path)
+    header = CSV.split(b"\n", 1)[0].decode()
+    (tmp_path / "empty.csv").write_text(header + "\n" + body)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(mutated("boundary_interval", "profile.csv", "empty.csv")))
+    args = [command, "--config", str(path)] + (["--out", str(tmp_path / "out")]
+                                               if command == "run" else [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args) == 2
+    captured = capsys.readouterr()
+    assert "empty.csv: no numeric rows below the header" in captured.out + captured.err
 
 
 @settings(FUZZ, max_examples=100)

@@ -275,14 +275,15 @@ def test_recorder_rows_match_public_diagnostics(rigid_body_metric, round_s3_t2):
     v0_interval = np.tile([0.7, -0.4], (64, 1))
     v0_interval[:, 0] += 0.1 * np.cos(2 * grid_layout(round_s3_t2, 64)[0])
     cases = [
-        (CircleProblem(wt, 0.3, v0), wt, 0.6, n * 2),
-        (IntervalProblem(round_s3_t2, v0_interval), round_s3_t2, 0.6, 64 * 2),
-        (HomogeneousProblem(rigid_body_metric, [0.0, 1.0, 1.0]), rigid_body_metric, 1.2, 3),
+        (CircleProblem(wt, 0.3, v0), wt, n * 2),
+        (IntervalProblem(round_s3_t2, v0_interval), round_s3_t2, 64 * 2),
+        (HomogeneousProblem(rigid_body_metric, [0.0, 1.0, 1.0]), rigid_body_metric, 3),
     ]
-    for prob, geometry, t_end, state_values in cases:
-        cfg = SolverConfig(dt=2e-3, t_end=t_end, snapshot_cadence=1)
-        snaps, _, series = collect_rows(prob, cfg)
+    for prob, geometry, state_values in cases:
         chunk = chunk_rows(state_values)
+        dt = 2e-3  # a chunk and a half of steps, then the initial row
+        cfg = SolverConfig(dt=dt, t_end=(chunk + chunk // 2) * dt, snapshot_cadence=1)
+        snaps, _, series = collect_rows(prob, cfg)
         n_rows = len(series["t"])
         assert n_rows == cfg.n_records() == len(snaps)
         assert chunk < n_rows < 2 * chunk  # one full chunk, then a partial one
@@ -362,11 +363,11 @@ def _assert_summary_matches_oracle(report, series):
     assert json.dumps(report.summary, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
-def _short_example(name):
-    """A bundled example cut to 20 steps: (problem, solver config)."""
+def _short_example(name, steps=20):
+    """A bundled example cut to ``steps`` steps: (problem, solver config)."""
     cfg = catalog.load_example(name)
     raw = json.loads(json.dumps(cfg.raw))
-    raw["solver"]["t_end"] = 20 * raw["solver"]["dt"]
+    raw["solver"]["t_end"] = steps * raw["solver"]["dt"]
     cfg = parse_config_dict(raw, cfg.source_path)
     return build_problem(cfg), build_solver_config(cfg)
 
@@ -432,6 +433,31 @@ def test_recorder_memory_does_not_grow_with_rows(rigid_body_metric):
             tracemalloc.stop()
         assert report.rows == rows
     assert peaks[1] - peaks[0] <= 64 * 1024
+
+
+# tracemalloc peaks of a 400-step run, one row per step, measured with
+# numpy 2.4 on CPython 3.11: 772, 654 and 843 kB with the recorder's
+# node-last buffer read in place. A transposed (T, n, d) copy of each chunk
+# raised them to 1027, 906 and 1099 kB, and the (T, n, d) buffer with its
+# (n, d, T) work copies and BLAS edge closures of the earlier recorder to
+# 2521, 1833 and 2683 kB.
+RECORDER_PEAK_KB = {"boundary_interval": 890, "berger_circle": 760, "s3_t2_interval": 970}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDER_PEAK_KB))
+def test_recorder_working_set(name):
+    # a chunk is evaluated where it was buffered: no transposed copy of a
+    # whole chunk, and no temporaries of one per stencil operation
+    problem, config = _short_example(name, steps=400)
+    integrate(problem, config)  # numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        _, report = integrate(problem, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.rows == 401 and report.failure is None
+    assert peak <= RECORDER_PEAK_KB[name] * 1024, peak // 1024
 
 
 def one_node_div_form(split, gram):

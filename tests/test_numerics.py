@@ -91,6 +91,34 @@ def test_periodic_derivative_applies_along_first_axis():
     assert np.max(np.abs(d[:, 0] - 2 * np.pi * np.cos(2 * np.pi * x))) < 1e-2
 
 
+@pytest.mark.parametrize("stencil", [Derivative4Interval, Derivative4Periodic])
+@pytest.mark.parametrize("T", [1, 2, 5, 85])
+def test_stencil_columns_do_not_depend_on_layout(stencil, T):
+    # a column stacked node-first (n, T, d) or node-last (n, d, T) gets the
+    # bits of that column differentiated alone
+    n, d = 64, 3
+    deriv = stencil(n, 0.37 / n)
+    rng = np.random.default_rng(T)
+    f = rng.standard_normal((n, T, d)) * 10.0 ** rng.integers(-3, 4, (n, T, d))
+    node_first = deriv(f)
+    node_last = deriv(np.ascontiguousarray(f.transpose(0, 2, 1)))
+    for t in range(T):
+        for a in range(d):
+            alone = deriv(f[:, t, a].copy())
+            assert np.array_equal(node_first[:, t, a], alone), (t, a)
+            assert np.array_equal(node_last[:, a, t], alone), (t, a)
+
+
+def test_interval_stencil_interior_keeps_its_operation_order():
+    # the interior is the central difference evaluated as one expression,
+    # then scaled by 1 / dr, bit for bit
+    n, dr = 64, 0.37 / 64
+    f = np.random.default_rng(5).standard_normal((n, 3, 85))
+    got = Derivative4Interval(n, dr)(f)
+    want = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / 12.0 * (1.0 / dr)
+    assert np.array_equal(got[2:-2], want)
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 33])
 @pytest.mark.parametrize("seed", range(4))
 def test_tridiagonal_solve_matches_lapack_gtsv(n, seed):

@@ -26,7 +26,7 @@ from coho_euler.coho_geometry import BOUNDARY, INTERVAL, OrbitSpace, TabulatedPr
 from coho_euler.config import build_problem, build_solver_config
 from coho_euler.diagnostics import grid_layout
 from coho_euler.errors import NumericalFailureError
-from coho_euler.reduced_euler import _make_disc, trajectory_pressures
+from coho_euler.reduced_euler import _check_stage, _make_disc, trajectory_pressures
 
 from recorded_rows import collect_rows
 
@@ -348,6 +348,42 @@ def test_integrate_non_finite_failure(su2_split):
     assert failure["kind"] == "non_finite"
     assert failure["stage"] >= 1
     assert failure["t"] == failure["step"] * dt
+    # dx3/dt carries x1 x2, the product that overflows first
+    assert (failure["node"], failure["coefficient"]) == (0, 2)
+
+
+class _FaultyDisc:
+    """A right-hand side that goes non-finite at one RK4 stage, in c or at one entry of v."""
+
+    def __init__(self, stage, entry):
+        self.calls, self.stage, self.entry = 0, stage, entry
+
+    def rhs(self, c, v):
+        self.calls += 1
+        kc, kv = 0.0, np.zeros_like(v)
+        if self.calls == self.stage:
+            if self.entry == "c":
+                kc = np.inf
+            else:
+                kv[self.entry] = np.nan
+        return kc, kv
+
+
+@pytest.mark.parametrize("shape, stage, entry, where", [
+    ((8, 2), 1, (5, 1), (5, 1)),
+    ((8, 2), 3, (2, 0), (2, 0)),
+    ((8, 2), 2, "c", (None, "c")),
+    ((3,), 4, 2, (0, 2)),  # a (d,) state is node 0
+])
+def test_non_finite_failure_names_node_and_coefficient(shape, stage, entry, where):
+    # the cold path names the failing stage and its first non-finite entry;
+    # a NaN stepped amplitude sends the screen there
+    v = np.zeros(shape)
+    with pytest.raises(NumericalFailureError) as exc:
+        _check_stage(_FaultyDisc(stage, entry), 0.0, v, 1e-3, 7, 7e-3, np.nan, v)
+    record = exc.value.record()
+    assert (record["stage"], record["step"]) == (stage, 7)
+    assert (record["node"], record["coefficient"]) == where
 
 
 def test_integrate_dcdt_fault_injection(flat_torus, dcdt_fault):
