@@ -8,9 +8,10 @@ and runs every structural check into one :class:`ValidationReport`: the
 algebra axioms and the reductive split, metric invariance or the profile
 checks, the initial data, and the step count. ``coho-euler run`` refuses a
 config whose report fails before it writes anything; ``coho-euler validate``
-prints the report. Initial data is entered as coefficients (constants,
-polynomials in r, or Fourier modes) so periodicity and endpoint parity can
-be checked symbolically before any discretisation happens.
+prints the same report, so the two commands make exactly the same checks.
+Initial data is entered as coefficients (constants, polynomials in r, or
+Fourier modes) so periodicity and endpoint parity can be checked exactly,
+up to rounding, before any discretisation happens.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ import numpy as np
 
 from . import coho_geometry as cg
 from .coho_geometry import CIRCLE, INTERVAL
-from .diagnostics import GRID_NODES, GridGeometry, grid_layout, grid_rule, parity_tolerance
-from .diagnostics import row_width
+from .diagnostics import GRID_NODES, grid_layout, grid_rule, row_width
 from .errors import ConfigError, ConfigParseError, InputError, UnsupportedConfigurationError
 from .homogeneous_geometry import InvariantMetric, check_metric_invariance
 from .lie_core import LieAlgebraSpec, abelian, reductive_split, su2
@@ -439,27 +439,29 @@ def _fourier_eval(coeffs, r, length):
 
 
 def _check_polynomial_parity(coeff_rows, profile: cg.MetricProfile):
-    """Odd powers about a singular endpoint break smoothness: reject them."""
+    """Odd powers about a singular endpoint break smoothness: reject them.
+
+    The coefficients are re-expanded about each singular endpoint, exactly
+    up to rounding: an odd one passes only within 1e-12 of max(1, b), where b
+    sums the magnitudes of the terms that make it up. About r = 0 they are
+    the given coefficients themselves.
+    """
+    poly = np.polynomial.Polynomial
     left, right = profile.orbit_space.endpoint_kinds
     L = profile.length
+    ends = []  # (endpoint, sign of the distance to it in r, message)
+    if left == cg.SINGULAR:
+        ends.append((0.0, 1.0, "odd powers of r are not smooth at the singular endpoint r = 0"))
+    if right == cg.SINGULAR:
+        ends.append((L, -1.0, "odd powers of (L - r) are not smooth at the singular endpoint "
+                              f"r = {L:g}"))
     for i, row in enumerate(coeff_rows):
-        poly = np.polynomial.Polynomial(np.asarray(row, dtype=float))
-        scale = max(1.0, float(np.max(np.abs(poly.coef))))
-        if left == cg.SINGULAR:
-            odd = poly.coef[1::2]
-            if odd.size and np.max(np.abs(odd)) > 1e-12 * scale:
-                raise ConfigError(
-                    [f"initial.v.coefficients[{i}]: odd powers of r are not smooth "
-                     "at the singular endpoint r = 0"]
-                )
-        if right == cg.SINGULAR:
-            reflected = poly(np.polynomial.Polynomial([L, -1.0]))
-            odd = reflected.coef[1::2]
-            if odd.size and np.max(np.abs(odd)) > 1e-12 * scale:
-                raise ConfigError(
-                    [f"initial.v.coefficients[{i}]: odd powers of (L - r) are not "
-                     f"smooth at the singular endpoint r = {L:g}"]
-                )
+        c = np.asarray(row, dtype=float)
+        for side, sign, what in ends:
+            odd = poly(c)(poly([side, sign])).coef[1::2]
+            bound = poly(np.abs(c))(poly([side, 1.0])).coef[1::2]
+            if np.any(np.abs(odd) > 1e-12 * np.maximum(1.0, bound)):
+                raise ConfigError([f"initial.v.coefficients[{i}]: {what}"])
 
 
 def build_initial_v(cfg: RunConfig, profile: cg.MetricProfile, grid: np.ndarray) -> np.ndarray:
@@ -498,27 +500,14 @@ def build_initial_v(cfg: RunConfig, profile: cg.MetricProfile, grid: np.ndarray)
     return np.column_stack([_fourier_eval(np.r_[0.0, row], grid, profile.length) for row in rows])
 
 
-def _initial_parity(report: ValidationReport, profile, grid, v0):
-    """The numeric parity fit of the initial data at each singular endpoint."""
-    geom = GridGeometry(profile, grid.size)
-    if not geom.singular_windows:
-        return
-    tol = parity_tolerance(geom)
-    misfits = geom.taylor_fits(v0[None])[2][0]
-    for misfit, win in zip(misfits, geom.singular_windows):
-        scale = max(1.0, float(abs(v0[win["slice"]]).max()))
-        report.add(f"initial_parity_at_r={win['side']:g}", misfit / scale, tol)
-
-
-def check_config(cfg: RunConfig, deep: bool = False):
+def check_config(cfg: RunConfig):
     """Build the problem and run every structural check on it.
 
     Returns ``(report, problem)``; ``problem`` is None unless every check
     passed, and ``report.errors()`` then gives the messages ``run`` raises.
-    Checks that stand on others stop where those fail: nothing is built on
-    a failed algebra, and no grid on a profile that is not positive
-    definite. With ``deep`` (``coho-euler validate``) one more check runs:
-    the numeric parity fit of the initial data.
+    ``run`` and ``validate`` both make exactly these checks. Checks that
+    stand on others stop where those fail: nothing is built on a failed
+    algebra, and no grid on a profile that is not positive definite.
     """
     report = ValidationReport()
     builtin = cfg.kind != "homogeneous" and cfg.profile["family"] != "tabulated"
@@ -557,9 +546,6 @@ def check_config(cfg: RunConfig, deep: bool = False):
         except ConfigError as exc:
             for message in exc.messages:
                 report.add_error("initial_data", message)
-        else:
-            if deep:
-                _initial_parity(report, profile, grid, initial)
         d, n_singular = profile.dim, 0
         if cfg.kind == INTERVAL:
             n_singular = profile.orbit_space.endpoint_kinds.count(cg.SINGULAR)

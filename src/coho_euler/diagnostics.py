@@ -329,7 +329,7 @@ def energy(state, geometry) -> float:
 
 def pointwise_speed(state, geometry, j: int | None = None) -> float:
     row, geom = _row(state, geometry)
-    if j is None or geom.kind == "homogeneous":
+    if j is None:
         return float(row["max_speed"])
     if not 0 <= j < geom.n:
         raise InputError(f"grid index {j} out of range [0, {geom.n})")
@@ -348,7 +348,7 @@ def divergence_residual(state, geometry, h_samples=None) -> float:
     """
     # at c = 0 the row's residual is the vertical part alone
     row, geom = _row(state, geometry, c=None if h_samples is None else 0.0)
-    if h_samples is None or geom.kind == "homogeneous":
+    if h_samples is None:
         return float(row["div_residual"])
     h = np.asarray(h_samples, float)
     if h.shape != (geom.n,):

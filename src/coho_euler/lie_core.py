@@ -118,20 +118,15 @@ def validate_structure(alg: LieAlgebraSpec) -> ValidationReport:
 
 @dataclass
 class ReductiveSplit:
-    """An isotropy subalgebra, its orthogonal complement, and the fixed part.
+    """An isotropy subalgebra and its orthogonal complement.
 
     Rows of ``m_basis`` are Q-orthonormal and span the complement of the
-    isotropy; rows of ``m0_basis`` span the subspace of the complement
-    annihilated by every ad(x), x in the isotropy (the isotropy group is
-    assumed connected). ``m0_in_m`` holds the same vectors in complement
-    coordinates.
+    isotropy spanned by the rows of ``h_basis``.
     """
 
     algebra: LieAlgebraSpec
     h_basis: np.ndarray
     m_basis: np.ndarray
-    m0_basis: np.ndarray
-    m0_in_m: np.ndarray
 
     @property
     def dim_h(self) -> int:
@@ -141,26 +136,31 @@ class ReductiveSplit:
     def dim_m(self) -> int:
         return self.m_basis.shape[0]
 
-    @property
-    def dim_m0(self) -> int:
-        return self.m0_basis.shape[0]
-
     def ad_on_m(self, x: np.ndarray) -> np.ndarray:
         """Matrix of (project to complement) . ad(x) in complement coordinates."""
         w = np.einsum("i,bj,ijk->bk", x, self.m_basis, self.algebra.structure)
         return self.m_basis @ self.algebra.Q @ w.T
 
+    def fixed_complement_residual(self) -> float:
+        """Largest singular value of the stacked ``ad_on_m`` of the isotropy basis
+        (0.0 with no isotropy): zero iff the connected isotropy fixes all of m."""
+        if not self.dim_h:
+            return 0.0
+        return float(np.linalg.norm(np.vstack([self.ad_on_m(x) for x in self.h_basis]), 2))
+
     def require_fixed_complement(self):
-        """Refuse a fibre whose isotropy moves part of the complement (m0 != m).
+        """Refuse a fibre whose isotropy moves part of the complement.
 
         Invariant fields carry the algebra bracket only when the isotropy fixes
         the whole complement, as trivial isotropy does; the invariant-field
         connection and every metric profile rest on that.
         """
-        if self.dim_m0 != self.dim_m:
+        residual = self.fixed_complement_residual()
+        if residual > KERNEL_CUTOFF:
             raise UnsupportedConfigurationError(
                 "the isotropy must fix the whole complement "
-                f"(dim h = {self.dim_h}, dim m0 = {self.dim_m0}, dim m = {self.dim_m})"
+                f"(dim h = {self.dim_h}, dim m = {self.dim_m}, "
+                f"residual {residual:.3e} > {KERNEL_CUTOFF:.0e})"
             )
 
     def bracket_on_m(self) -> np.ndarray:
@@ -201,11 +201,10 @@ def _isotropy_closure_residual(alg: LieAlgebraSpec, h_basis, h_on: np.ndarray) -
 
 
 def reductive_split(alg: LieAlgebraSpec, h_basis) -> ReductiveSplit:
-    """Split the algebra into isotropy + Q-orthogonal complement + fixed part.
+    """Split the algebra into the isotropy and its Q-orthogonal complement.
 
-    The fixed part is computed as the joint kernel of the projected
-    ad-action of the isotropy basis, extracted from a stacked SVD with
-    singular values below ``KERNEL_CUTOFF`` treated as zero.
+    Whether the isotropy fixes the complement is a separate question:
+    :meth:`ReductiveSplit.require_fixed_complement` answers it.
     """
     n = alg.dim
     h_rows = [as_float_array(v, (n,), "h_basis vector") for v in h_basis]
@@ -237,18 +236,7 @@ def reductive_split(alg: LieAlgebraSpec, h_basis) -> ReductiveSplit:
             f"complement has dimension {m_basis.shape[0]}, expected {n - h_arr.shape[0]}"
         )
 
-    split = ReductiveSplit(alg, h_arr, m_basis, m_basis.copy(), np.eye(m_basis.shape[0]))
-    if h_arr.shape[0] == 0:
-        return split
-
-    stacked = np.vstack([split.ad_on_m(x) for x in h_arr])
-    _, svals, vt = np.linalg.svd(stacked)
-    cutoff = KERNEL_CUTOFF * max(1.0, float(svals[0]) if svals.size else 1.0)
-    rank = int(np.sum(svals > cutoff))
-    m0_in_m = vt[rank:]
-    split.m0_in_m = m0_in_m
-    split.m0_basis = m0_in_m @ m_basis
-    return split
+    return ReductiveSplit(alg, h_arr, m_basis)
 
 
 def check_reductive_split(split: ReductiveSplit) -> ValidationReport:
@@ -269,11 +257,5 @@ def check_reductive_split(split: ReductiveSplit) -> ValidationReport:
         split.dim_h + split.dim_m == alg.dim,
         f"{split.dim_h} + {split.dim_m} vs {alg.dim}",
     )
-
-    fixed = 0.0
-    if split.dim_m0:
-        for x in split.h_basis:
-            fixed = max(fixed, float(np.max(np.abs(split.ad_on_m(x) @ split.m0_in_m.T))))
-    report.add("fixed_subspace_annihilated", fixed, KERNEL_CUTOFF)
     return report
 

@@ -11,6 +11,7 @@ import pytest
 
 from coho_euler import ConfigError, catalog, su2
 from coho_euler.cli import main
+from coho_euler.coho_geometry import write_tabulated_csv
 from coho_euler.config import build_problem, parse_config, parse_config_dict
 from coho_euler.diagnostics import grid_rule
 
@@ -18,7 +19,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def example_raw(name, updates):
-    raw = json.loads(catalog.example_path(name).read_text())
+    return updated(json.loads(catalog.example_path(name).read_text()), updates)
+
+
+def updated(raw, updates):
+    """``raw`` with each dotted field of ``updates`` set."""
     for key, val in updates.items():
         node = raw
         parts = key.split(".")
@@ -323,7 +328,6 @@ def test_cli_validate_bundled_interval(capsys):
     assert main(["validate", "--config", str(path)]) == 0
     out = capsys.readouterr().out
     assert "volume_collapse_at_r=0" in out
-    assert "initial_parity" in out
     assert "validation passed" in out
 
 
@@ -510,40 +514,87 @@ def _not_antisymmetric():
     return structure.tolist()
 
 
+def abelian_profile_cfg(tmp_path, singular, **updates):
+    """An abelian d = 2 interval on a 201-row table with one singular end:
+    diag(r^2, 1 + r^2) on [0, 1] (``singular`` "left", profile A) or
+    diag((L - r)^2, 1 + r^2) on [0, L = 0.7] ("right", profile B)."""
+    length = 1.0 if singular == "left" else 0.7
+    r = np.linspace(0.0, length, 201)
+    rho, sign = (r, 1.0) if singular == "left" else (length - r, -1.0)
+    gram, prime = np.zeros((2, r.size, 2, 2))
+    gram[:, 0, 0], gram[:, 1, 1] = rho**2, 1.0 + r**2
+    prime[:, 0, 0], prime[:, 1, 1] = 2.0 * sign * rho, 2.0 * r
+    write_tabulated_csv(tmp_path / "prof.csv", r, gram, prime)
+    ends = ["singular", "boundary"] if singular == "left" else ["boundary", "singular"]
+    raw = {"problem": {"kind": "interval"}, "algebra": {"name": "abelian", "dim": 2},
+           "profile": {"family": "tabulated", "length": length, "kind": "interval",
+                       "endpoints": ends, "csv": "prof.csv"},
+           "initial": {"v": {"type": "polynomial", "coefficients": [[0.0], [1.0]]}},
+           "solver": {"N": 16, "dt": 0.001, "t_end": 0.01}}
+    return write_cfg(tmp_path, updated(raw, updates))
+
+
+def v1(coefficients):
+    """Polynomial initial data with first component ``coefficients`` and second 1."""
+    return {"initial.v.coefficients": [list(coefficients), [1.0]]}
+
+
+# sum_k a_k (L - r)^(2k), a = (1.2, 3.4, -5.6, 1000), expanded in powers of r at L = 0.7
+EVEN_AT_L = sum(a * np.polynomial.Polynomial([0.7, -1.0]) ** (2 * k)
+                for k, a in enumerate([1.2, 3.4, -5.6, 1000.0])).coef.tolist()
+
+
 @pytest.mark.parametrize(
-    "name, updates",
+    "name, updates, code",
     [
-        ("boundary_interval", {"algebra": {"structure": _not_antisymmetric(), "Q": EYE3}, "solver.t_end": 0.01}),
-        ("boundary_interval", {"algebra": {"structure": SU2_C, "Q": np.diag([1.0, 2.0, 3.0]).tolist()}, "solver.t_end": 0.01}),
-        ("t3_circle", {"solver.dt": 0.003, "solver.t_end": 0.01}),
-        ("su2_rigid_body", {"initial.x": [1.0], "solver.t_end": 0.01}),
-        ("su2_rigid_body", {"solver.dt": 5e-324, "solver.t_end": 2.0}),
+        ("boundary_interval", {"algebra": {"structure": _not_antisymmetric(), "Q": EYE3}, "solver.t_end": 0.01}, 2),
+        ("boundary_interval", {"algebra": {"structure": SU2_C, "Q": np.diag([1.0, 2.0, 3.0]).tolist()}, "solver.t_end": 0.01}, 2),
+        ("t3_circle", {"solver.dt": 0.003, "solver.t_end": 0.01}, 2),
+        ("su2_rigid_body", {"initial.x": [1.0], "solver.t_end": 0.01}, 2),
+        ("su2_rigid_body", {"solver.dt": 5e-324, "solver.t_end": 2.0}, 2),
         ("su2_rigid_body", {"isotropy": {"basis": [[0.0, 0.0, 1.0]]}, "metric.gram": [[1.0, 0.0], [0.0, 1.0]],
-                            "initial.x": [1.0, 0.5], "solver.t_end": 0.01}),
+                            "initial.x": [1.0, 0.5], "solver.t_end": 0.01}, 2),
+        ("left", v1([0.0, 0.0, 0.0, 0.0, 1000.0]), 0),
+        ("right", v1(EVEN_AT_L), 0),
+        ("left", v1([0.0, 0.5] + [0.0] * 18 + [1e12]), 2),
+        ("left", v1([0.0, 1e-11]), 2),
+        ("left", v1([0.0, 1e-300]), 0),
+        ("right", v1([0.0, 1.0]), 2),
+        ("su2_rigid_body", {"algebra": {"name": "abelian", "dim": 3}, "isotropy": {"basis": [[1.0, 0.0, 0.0]]},
+                            "metric.gram": [[1.0, 0.0], [0.0, 2.0]], "initial.x": [1.0, 0.5],
+                            "solver.t_end": 0.01}, 0),
     ],
     ids=["structure-not-antisymmetric", "Q-not-ad-invariant", "t_end-not-multiple-of-dt", "short-initial-x",
-         "step-count-overflows", "isotropy-moves-complement"],
+         "step-count-overflows", "isotropy-moves-complement", "even-1000r4-at-0", "even-expanded-at-L",
+         "odd-r-under-steep-even-tail", "odd-1e-11r-at-0", "odd-1e-300r-at-0", "odd-r-at-L",
+         "isotropy-fixes-complement"],
 )
-def test_validate_and_run_agree(tmp_path, capsys, name, updates):
-    path = tabulated_cfg(tmp_path, **updates) if name == "boundary_interval" else write_cfg(
-        tmp_path, example_raw(name, updates)
-    )
+def test_validate_and_run_agree(tmp_path, capsys, name, updates, code):
+    if name in ("left", "right"):
+        path = abelian_profile_cfg(tmp_path, name, **updates)
+    elif name == "boundary_interval":
+        path = tabulated_cfg(tmp_path, **updates)
+    else:
+        path = write_cfg(tmp_path, example_raw(name, updates))
     out = tmp_path / "out"
-    assert main(["validate", "--config", str(path)]) == 2
-    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
-    assert not out.exists()
-    assert "validation error: " in capsys.readouterr().err
+    assert main(["validate", "--config", str(path)]) == code
+    assert main(["run", "--config", str(path), "--out", str(out)]) == code
+    if code:
+        assert not out.exists()
+        assert "validation error: " in capsys.readouterr().err
+    else:
+        assert json.loads((out / "summary.json").read_text())["all_ok"]
 
 
 def test_validate_names_an_empty_fixed_subspace(tmp_path, capsys):
-    # an isotropy that fixes no vector of m: validate names the empty fixed subspace
+    # an isotropy that fixes no vector of m: validate names how far it moves m
     raw = example_raw("su2_rigid_body", {"isotropy": {"basis": [[0.0, 0.0, 1.0]]},
                                          "metric.gram": [[1.0, 0.0], [0.0, 1.0]],
                                          "initial.x": [1.0, 0.5]})
     assert main(["validate", "--config", str(write_cfg(tmp_path, raw))]) == 2
     out = capsys.readouterr().out
     assert "FAIL  isotropy_fixes_complement: isotropy.basis: the isotropy must fix the whole " \
-           "complement (dim h = 1, dim m0 = 0, dim m = 2)" in out
+           "complement (dim h = 1, dim m = 2, residual 1.000e+00 > 1e-10)" in out
     assert "monte_carlo" not in out
 
 

@@ -632,6 +632,10 @@ MALFORMED = {
                       lambda s, g: pointwise_speed(replace(s, v=s.v[:2]), g)),
     "orbit_grid": ("su2_rigid_body", "shape",
                    lambda s, g: energy(replace(s, v=s.v[None]), g)),
+    "orbit_j": ("su2_rigid_body", r"grid index 7 out of range \[0, 1\)",
+                lambda s, g: pointwise_speed(s, g, j=7)),
+    "orbit_h_samples": ("su2_rigid_body", r"h_samples has shape \(3,\)",
+                        lambda s, g: divergence_residual(s, g, h_samples=[1, 2, 3])),
     "orbit_c_off_circle": ("su2_rigid_body", "finite horizontal amplitude",
                            lambda s, g: c1_monitor(replace(s, c=-1.0), g)),
     "orbit_x_on_grid": ("t3_circle", "shape|circle grids need an even N >= 16, got 2",

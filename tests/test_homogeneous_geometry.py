@@ -15,6 +15,7 @@ from coho_euler import (
     divergence_residual,
     invariant_connection,
     orbit_volume,
+    pointwise_speed,
     reductive_split,
     rhs,
     su2,
@@ -97,7 +98,7 @@ def test_connection_bilinear(su2_split):
 
 
 def test_unsupported_isotropy_refused():
-    split = reductive_split(su2(), [[0.0, 0.0, 1.0]])  # m0 = {0} != m
+    split = reductive_split(su2(), [[0.0, 0.0, 1.0]])  # ad(e3) rotates all of m
     metric = InvariantMetric(split, np.eye(2))
     with pytest.raises(UnsupportedConfigurationError):
         invariant_connection(metric, [1.0, 0.0], [0.0, 1.0])
@@ -145,7 +146,7 @@ def test_trivially_acting_isotropy_supported():
     # su(2) + R with the R factor as isotropy: ad acts trivially on m = su(2)
     alg = direct_sum(su2(), abelian(1))
     split = reductive_split(alg, [[0.0, 0.0, 0.0, 1.0]])
-    assert split.dim_m0 == split.dim_m == 3
+    assert split.dim_m == 3 and split.fixed_complement_residual() == 0.0
     metric = InvariantMetric(split, np.eye(3))
     got = invariant_connection(metric, [1, 0, 0], [0, 1, 0])
     assert np.allclose(np.abs(got), [0.0, 0.0, 0.5], atol=1e-12)
@@ -221,5 +222,9 @@ def test_invariant_fields_divergence_free(su2_split, seed):
     rng = np.random.default_rng(100 + seed)
     metric = InvariantMetric(su2_split, _random_spd(rng, 3))
     x = rng.uniform(-1, 1, 3)
-    assert abs(divergence_residual(ReducedState(0.0, 0.0, x), metric)) < 1e-10
+    state = ReducedState(0.0, 0.0, x)
+    assert abs(divergence_residual(state, metric)) < 1e-10
     assert np.max(np.abs(GridGeometry(metric).div_forms[0])) < 1e-10
+    # the one orbit is node 0 of a one-node grid, whose derivative is zero
+    assert pointwise_speed(state, metric, j=0) == pointwise_speed(state, metric)
+    assert divergence_residual(state, metric, [2.0]) == divergence_residual(state, metric)

@@ -9,6 +9,7 @@ from scipy.linalg import expm
 from coho_euler import (
     InputError,
     StructureError,
+    UnsupportedConfigurationError,
     abelian,
     bracket,
     direct_sum,
@@ -16,7 +17,7 @@ from coho_euler import (
     su2,
     validate_structure,
 )
-from coho_euler.lie_core import LieAlgebraSpec, check_reductive_split
+from coho_euler.lie_core import KERNEL_CUTOFF, LieAlgebraSpec, check_reductive_split
 
 from oracles import bracket_direct, joint_ad_kernel
 
@@ -134,31 +135,61 @@ def test_jacobi_property_on_accepted_algebras():
 
 def test_split_su2_e3_isotropy():
     split = reductive_split(su2(), [[0.0, 0.0, 1.0]])
-    assert split.dim_h == 1 and split.dim_m == 2 and split.dim_m0 == 0
-    # m is the (e1, e2) plane
+    assert split.dim_h == 1 and split.dim_m == 2
+    # m is the (e1, e2) plane, which ad(e3) rotates: nothing of m is fixed
     assert np.allclose(np.abs(split.m_basis), np.eye(3)[:2])
+    assert split.fixed_complement_residual() == pytest.approx(1.0, rel=1e-14)
     assert check_reductive_split(split).passed
+    with pytest.raises(UnsupportedConfigurationError, match="dim h = 1, dim m = 2"):
+        split.require_fixed_complement()
 
 
 def test_split_abelian_trivial_isotropy():
     split = reductive_split(abelian(2), [])
-    assert split.dim_m == 2 and split.dim_m0 == 2
+    assert split.dim_m == 2 and split.fixed_complement_residual() == 0.0
     assert np.allclose(split.m_basis, np.eye(2))
 
 
 def test_split_su2_plus_r_fixed_subspace():
     alg = direct_sum(su2(), abelian(1))
     split = reductive_split(alg, [[0.0, 0.0, 1.0, 0.0]])
-    assert split.dim_m == 3 and split.dim_m0 == 1
-    # brute-force kernel of the stacked ad matrices agrees with the SVD route
+    assert split.dim_m == 3
+    # the brute-force kernel of the stacked ad matrices is the abelian factor alone,
+    # so the isotropy moves part of m and the split is refused
     kernel = joint_ad_kernel(alg, split.h_basis, split.m_basis)
     assert kernel.shape[0] == 1
-    got = split.m0_basis[0] / np.linalg.norm(split.m0_basis[0])
-    want = (kernel @ split.m_basis)[0]
-    want /= np.linalg.norm(want)
-    assert min(np.linalg.norm(got - want), np.linalg.norm(got + want)) < 1e-10
-    # the fixed direction is the abelian factor
-    assert np.allclose(np.abs(got), [0, 0, 0, 1], atol=1e-10)
+    fixed = (kernel @ split.m_basis)[0]
+    assert np.allclose(np.abs(fixed / np.linalg.norm(fixed)), [0, 0, 0, 1], atol=1e-10)
+    assert split.fixed_complement_residual() > KERNEL_CUTOFF
+    with pytest.raises(UnsupportedConfigurationError):
+        split.require_fixed_complement()
+
+
+# (algebra, isotropy basis, supported): supported iff the isotropy fixes all of m
+SPLITS = {
+    "su2-e3": (su2(), [[0.0, 0.0, 1.0]], False),
+    "su2+R-e3": (direct_sum(su2(), abelian(1)), [[0.0, 0.0, 1.0, 0.0]], False),
+    "su2+R-R": (direct_sum(su2(), abelian(1)), [[0.0, 0.0, 0.0, 1.0]], True),
+    "abelian3-e1": (abelian(3), [[1.0, 0.0, 0.0]], True),
+    "su2+su2-e3-e6": (direct_sum(su2(), su2()), [np.eye(6)[2], np.eye(6)[5]], False),
+    "su2+R-tiny-e3+R": (direct_sum(su2(), abelian(1)), [[0.0, 0.0, 1e-11, 1.0]], True),
+}
+
+
+@pytest.mark.parametrize("case", SPLITS)
+def test_fixed_complement_residual_matches_joint_kernel(case):
+    alg, h_basis, supported = SPLITS[case]
+    split = reductive_split(alg, h_basis)
+    residual = split.fixed_complement_residual()
+    stacked = np.vstack([split.ad_on_m(x) for x in split.h_basis])
+    assert residual == np.linalg.svd(stacked, compute_uv=False)[0]
+    kernel = joint_ad_kernel(alg, split.h_basis, split.m_basis)
+    assert (residual <= KERNEL_CUTOFF) == (kernel.shape[0] == split.dim_m) == supported
+    if supported:
+        split.require_fixed_complement()
+    else:
+        with pytest.raises(UnsupportedConfigurationError, match=re.escape(f"residual {residual:.3e}")):
+            split.require_fixed_complement()
 
 
 def test_split_rejects_non_subalgebra():
@@ -198,28 +229,28 @@ def test_split_rejects_dependent_isotropy_basis():
 
 
 def test_m0_is_fixed_by_group_elements_monte_carlo():
-    # exp(ad x) must fix every m0 vector for x in the isotropy: 100 samples
+    # on a supported split the fixed subspace m0 is all of m: exp(ad x) must fix
+    # every complement vector for x in the isotropy, over 100 samples
     alg = direct_sum(su2(), abelian(1))
-    split = reductive_split(alg, [[0.0, 0.0, 1.0, 0.0]])
+    split = reductive_split(alg, [[0.0, 0.0, 0.0, 1.0]])
     rng = np.random.default_rng(1234)
     worst = 0.0
     for _ in range(100):
-        x = np.zeros(4)
-        x[:3] = 0.0
-        x[2] = rng.uniform(-1.0, 1.0)  # span of the isotropy basis
+        x = rng.uniform(-1.0, 1.0) * split.h_basis[0]  # span of the isotropy basis
         g = expm(alg.ad(x))
-        for v in split.m0_basis:
+        for v in split.m_basis:
             worst = max(worst, float(np.max(np.abs(g @ v - v))))
     assert worst < 1e-8
     # the package checks the infinitesimal action, which this group-level probe confirms
-    assert check_reductive_split(split)["fixed_subspace_annihilated"].passed
-
-
+    assert split.fixed_complement_residual() <= KERNEL_CUTOFF
+    split.require_fixed_complement()
 def test_m0_fixed_under_ad_action_residual(su2_split):
+    # the R factor as isotropy annihilates m = su(2): m0 = m, residual 0
     alg = direct_sum(su2(), abelian(1))
-    split = reductive_split(alg, [[0.0, 0.0, 1.0, 0.0]])
-    assert split.dim_m0 == 1
+    split = reductive_split(alg, [[0.0, 0.0, 0.0, 1.0]])
     for x in split.h_basis:
-        assert np.max(np.abs(split.ad_on_m(x) @ split.m0_in_m.T)) < 1e-10
+        assert np.max(np.abs(split.ad_on_m(x))) < 1e-10
+    assert split.fixed_complement_residual() == 0.0
     assert check_reductive_split(split).passed
     assert check_reductive_split(su2_split).passed
+    assert su2_split.fixed_complement_residual() == 0.0
