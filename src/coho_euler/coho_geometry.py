@@ -68,8 +68,6 @@ class OrbitSpace:
 class MetricProfile:
     """Base class for one-parameter families of invariant orbit metrics."""
 
-    family = "abstract"
-
     def __init__(self, split: ReductiveSplit, orbit_space: OrbitSpace):
         self.split = split
         self.orbit_space = orbit_space
@@ -153,10 +151,6 @@ class MetricProfile:
             )
         return self.volume_at(0.5 * self.length) / self.volume_at(r)
 
-    def h0_prime_at(self, r):
-        # h0' = H h0 since vol * h0 is constant in r
-        return self.mean_curvature_at(r) * self.h0_at(r)
-
 
 def _diagonal_stack(entries) -> np.ndarray:
     """(n, d, d) diagonal matrices from the d arrays of their diagonal entries."""
@@ -171,8 +165,6 @@ class RoundS3T2Profile(MetricProfile):
 
     Orbit space [0, pi/2] with the fibre circles collapsing at either end.
     """
-
-    family = "round_s3_t2"
 
     def __init__(self):
         split = reductive_split(abelian(2), [])
@@ -195,8 +187,6 @@ class FourierDiagonalProfile(MetricProfile):
     so positivity and smooth periodicity hold by construction. Used both for
     flat-torus fibres and for su(2) fibres.
     """
-
-    family = "warped_torus"
 
     def __init__(self, split: ReductiveSplit, length: float, coefficients):
         space = OrbitSpace(CIRCLE, length)
@@ -249,9 +239,7 @@ def berger_circle(length: float, coefficients) -> FourierDiagonalProfile:
     """su(2) fibres with a diagonal left-invariant metric varying over the base."""
     if len(coefficients) != 3:
         raise InputError("su(2) fibres need exactly three diagonal entries")
-    profile = FourierDiagonalProfile(reductive_split(su2(), []), length, coefficients)
-    profile.family = "berger_circle"
-    return profile
+    return FourierDiagonalProfile(reductive_split(su2(), []), length, coefficients)
 
 
 class TabulatedProfile(MetricProfile):
@@ -264,8 +252,6 @@ class TabulatedProfile(MetricProfile):
     differentiating user data numerically would silently degrade every
     conservation diagnostic, so it is never done here.
     """
-
-    family = "tabulated"
 
     def __init__(self, split, orbit_space, r_samples, gram_samples, gram_prime_samples):
         super().__init__(split, orbit_space)
@@ -372,25 +358,24 @@ def trace_identity_probes(profile: MetricProfile, n=PROBE_POINTS) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
+def gram_positivity(profile: MetricProfile, rs: np.ndarray, name: str) -> ValidationReport:
+    """One check ``name``: g_r is positive definite at every radius of ``rs``."""
+    report = ValidationReport()
+    lam_min = np.linalg.eigvalsh(profile.gram_at(rs))[:, 0]
+    j = int(np.argmin(lam_min))
+    report.add_flag(name, lam_min[j] > 0.0, f"min eigenvalue {lam_min[j]:.3e} at r = {rs[j]:.6g}")
+    return report
+
+
 def validate_profile(profile: MetricProfile) -> ValidationReport:
     """Positivity, endpoint collapse, periodicity and parity checks.
 
     Each check samples the profile once on its whole probe array.
     """
-    report = ValidationReport()
     L = profile.length
-
     probes = _probe_grid(profile)
-    lam_min = np.linalg.eigvalsh(profile.gram_at(probes))[:, 0]
-    j = int(np.argmin(lam_min))
-    eigmin, r_worst = lam_min[j], probes[j]
-    spd_ok = eigmin > 0.0
-    report.add_flag(
-        "gram_positive_on_probe_grid",
-        spd_ok,
-        f"min eigenvalue {eigmin:.3e} at r = {r_worst:.6g}",
-    )
-    if not spd_ok:
+    report = gram_positivity(profile, probes, "gram_positive_on_probe_grid")
+    if not report.passed:
         # every later check divides by volumes; report what we have
         return report
 

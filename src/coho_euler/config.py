@@ -5,10 +5,12 @@ a table built from the field specs below, and collects every error with its
 field path. Unknown keys are rejected everywhere; a silently ignored option
 would masquerade as physics. :func:`check_config` then builds the problem
 and runs every structural check into one :class:`ValidationReport`: the
-algebra axioms and the reductive split, metric invariance or the profile
-checks, the initial data, and the step count. ``coho-euler run`` refuses a
-config whose report fails before it writes anything; ``coho-euler validate``
-prints the same report, so the two commands make exactly the same checks.
+algebra axioms, the supported-fibre rule, metric invariance or the profile
+checks (g_r positive on the probes and on the state grid), the initial
+data, and the step count; the reductive split is checked as it is built.
+``coho-euler run`` refuses a config whose report fails before it writes
+anything; ``coho-euler validate`` prints the same report, so the two
+commands make exactly the same checks.
 Initial data is entered as coefficients (constants, polynomials in r, or
 Fourier modes) so periodicity and endpoint parity can be checked exactly,
 up to rounding, before any discretisation happens.
@@ -30,8 +32,7 @@ from .coho_geometry import CIRCLE, INTERVAL
 from .diagnostics import GRID_NODES, grid_layout, grid_rule, row_width
 from .errors import ConfigError, ConfigParseError, InputError, UnsupportedConfigurationError
 from .homogeneous_geometry import InvariantMetric, check_metric_invariance
-from .lie_core import LieAlgebraSpec, abelian, reductive_split, su2
-from .lie_core import check_reductive_split, validate_structure
+from .lie_core import LieAlgebraSpec, abelian, reductive_split, su2, validate_structure
 from .numerics import seeded_uniform
 from .reduced_euler import CircleProblem, HomogeneousProblem, IntervalProblem, SolverConfig
 from .reports import ValidationReport
@@ -507,7 +508,8 @@ def check_config(cfg: RunConfig):
     passed, and ``report.errors()`` then gives the messages ``run`` raises.
     ``run`` and ``validate`` both make exactly these checks. Checks that
     stand on others stop where those fail: nothing is built on a failed
-    algebra, and no grid on a profile that is not positive definite.
+    algebra or split, no grid on a profile that is not positive definite on
+    its probes, and no problem on a state grid where it is not.
     """
     report = ValidationReport()
     builtin = cfg.kind != "homogeneous" and cfg.profile["family"] != "tabulated"
@@ -517,7 +519,6 @@ def check_config(cfg: RunConfig):
     if not report.passed:
         return report, None
     split = profile.split if builtin else reductive_split(algebra, cfg.isotropy)
-    report.extend(check_reductive_split(split), "algebra: {} failed")
     try:
         split.require_fixed_complement()
     except UnsupportedConfigurationError as exc:
@@ -541,6 +542,9 @@ def check_config(cfg: RunConfig):
         if not profile_report["gram_positive_on_probe_grid"].passed:
             return report, None
         grid = grid_layout(profile, int(cfg.solver["N"]))[0]
+        # the run's geometry factors g_r at every state node, not only at the probes
+        report.extend(cg.gram_positivity(profile, grid, "gram_positive_on_state_grid"),
+                      "profile: {} failed")
         try:
             initial = build_initial_v(cfg, profile, grid)
         except ConfigError as exc:

@@ -249,17 +249,12 @@ class GridGeometry:
         density += quad
         speeds = np.sqrt(density)
         max_speed = np.max(speeds, axis=1)
-        # no stencil on one node, no S v at zero S: the zeros they would add
-        # leave every bit of the row as it is
-        fd_max = 0.0
-        if self.kind == CIRCLE:
-            # one (n, T) component at a time keeps the stencil's temporaries small
-            fd_max = np.max([np.max(_abs(self.deriv(vt[:, b])), axis=0)
-                             for b in range(self.d)], axis=0)
-            fd_max = _first_max(fd_max, np.abs(cs) * self.fd_h0_max)
-        elif self.kind == INTERVAL:
-            fd_max = np.max(_abs(self.deriv(vt)), axis=(0, 1))
-        c1 = max_speed + fd_max
+        # one (n, T) component at a time keeps the stencil's temporaries small;
+        # the one-node derivative and fd_h0_max off the circle are zeros, and
+        # like the S v terms skipped at zero S, they leave every bit of the row
+        fd_max = np.max([np.max(_abs(self.deriv(vt[:, b])), axis=0)
+                         for b in range(self.d)], axis=0)
+        c1 = max_speed + _first_max(fd_max, np.abs(cs) * self.fd_h0_max)
         sv_raw = np.zeros(T)
         if self.has_S:
             np.einsum("jab,jbt->jat", self.S, vt, out=Sv)
@@ -368,8 +363,10 @@ def endpoint_taylor_monitor(trajectory, geometry):
     """Fit v_i ~ alpha_i + beta_i rho^2 near each singular endpoint over time.
 
     Returns a dict with arrays ``t``, ``alpha``, ``beta``, ``misfit`` of
-    shapes (T,), (T, n_end, d), (T, n_end, d), (T, n_end), plus a growth
-    flag per the 10x coefficient rule.
+    shapes (T,), (T, n_end, d), (T, n_end, d), (T, n_end), the largest
+    coefficient growth ``max_growth`` and ``bounded``, its 10x rule. The
+    misfit is reported, not judged: odd initial data is refused exactly,
+    from its coefficients, before a run starts.
     """
     states = list(trajectory)
     if not states:
@@ -389,21 +386,7 @@ def endpoint_taylor_monitor(trajectory, geometry):
         "misfit": misfit,
         "max_growth": growth,
         "bounded": growth <= TAYLOR_GROWTH_LIMIT,
-        "parity_tol": parity_tolerance(geom),
     }
-
-
-def parity_tolerance(geom: GridGeometry) -> float:
-    """Separates odd-component misfits from smooth even-data fit residuals.
-
-    Measured on the (1, rho^2) fit over 6 nodes: data with an odd component
-    leaves a residual ~0.06 * window * slope, while smooth even data leaves
-    only the quartic tail ~0.06 * window^4. The window^2.5 cut sits between
-    the two at every desk resolution. Compare against misfits normalised by
-    the data magnitude on the window.
-    """
-    window = TAYLOR_WINDOW * geom.dr
-    return max(0.06 * window**2.5, 1e-9)
 
 
 # -- run report --------------------------------------------------------------

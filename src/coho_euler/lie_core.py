@@ -203,7 +203,10 @@ def _isotropy_closure_residual(alg: LieAlgebraSpec, h_basis, h_on: np.ndarray) -
 def reductive_split(alg: LieAlgebraSpec, h_basis) -> ReductiveSplit:
     """Split the algebra into the isotropy and its Q-orthogonal complement.
 
-    Whether the isotropy fixes the complement is a separate question:
+    The split is checked as it is built: an isotropy basis that is dependent,
+    does not close under the bracket, or spans the whole algebra (leaving m
+    empty) is refused, and m is Q-orthogonal to it by construction. Whether
+    the isotropy fixes the complement is a separate question:
     :meth:`ReductiveSplit.require_fixed_complement` answers it.
     """
     n = alg.dim
@@ -217,6 +220,8 @@ def reductive_split(alg: LieAlgebraSpec, h_basis) -> ReductiveSplit:
         raise StructureError(
             f"isotropy basis does not span a subalgebra (off-span residual {worst:.3e})"
         )
+    if h_arr.shape[0] == n:
+        raise StructureError("isotropy basis spans the whole algebra: the complement m is empty")
 
     if h_arr.shape[0] == 0:
         m_basis = np.eye(n)
@@ -237,25 +242,3 @@ def reductive_split(alg: LieAlgebraSpec, h_basis) -> ReductiveSplit:
         )
 
     return ReductiveSplit(alg, h_arr, m_basis)
-
-
-def check_reductive_split(split: ReductiveSplit) -> ValidationReport:
-    """Residual checks for an existing split (part of every config check)."""
-    alg = split.algebra
-    report = ValidationReport()
-
-    h_on = _q_orthonormalize(split.h_basis, alg.Q, "isotropy basis")
-    worst = _isotropy_closure_residual(alg, split.h_basis, h_on)
-    report.add("isotropy_closed_under_bracket", worst, STRUCTURE_TOL)
-
-    ortho = 0.0
-    if split.dim_h:
-        ortho = float(np.max(np.abs(split.h_basis @ alg.Q @ split.m_basis.T)))
-    report.add("complement_Q_orthogonal", ortho, STRUCTURE_TOL)
-    report.add_flag(
-        "dimensions_add_up",
-        split.dim_h + split.dim_m == alg.dim,
-        f"{split.dim_h} + {split.dim_m} vs {alg.dim}",
-    )
-    return report
-

@@ -191,7 +191,7 @@ def test_trace_identity_on_builtin_families(round_s3_t2):
         for r in trace_identity_probes(prof):
             lnv = np.log(prof.volume_at(r + eps)) - np.log(prof.volume_at(r - eps))
             worst = max(worst, abs(prof.mean_curvature_at(r) + lnv / (2 * eps)))
-        assert worst < 1e-6, prof.family
+        assert worst < 1e-6, type(prof).__name__
 
 
 def test_h0_constant_profile_is_one(flat_torus):
@@ -232,10 +232,6 @@ def test_coordinate_divergence_oracle_fixes_convention():
     for r in np.linspace(0.05, 0.95, 7):
         div = coordinate_divergence_fd(wt, wt.h0_at, r)
         assert abs(div) < 1e-8
-    # and the module's own h' - H h with the analytic derivative is exact
-    for r in np.linspace(0.05, 0.95, 7):
-        resid = wt.h0_prime_at(r) - wt.mean_curvature_at(r) * wt.h0_at(r)
-        assert abs(resid) < 1e-15
 
 
 def test_validate_profile_passes_builtins(round_s3_t2, flat_torus):

@@ -14,6 +14,7 @@ from coho_euler.cli import main
 from coho_euler.coho_geometry import write_tabulated_csv
 from coho_euler.config import build_problem, parse_config, parse_config_dict
 from coho_euler.diagnostics import grid_rule
+from coho_euler.numerics import cubic_spline
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -534,6 +535,22 @@ def abelian_profile_cfg(tmp_path, singular, **updates):
     return write_cfg(tmp_path, updated(raw, updates))
 
 
+def spiked_profile_cfg(tmp_path):
+    """An abelian d = 1 interval with boundary ends whose g_r = 1 dips to -1 at
+    the knot r = 0.4 alone: a state node at N = 6, but between the 512
+    positivity probes, where the dense knots around 0.4 keep the spline at 1."""
+    r = np.unique(np.r_[np.linspace(0.0, 1.0, 201), np.linspace(0.399, 0.401, 201)])
+    g = np.where(r == 0.4, -1.0, 1.0)
+    prime = cubic_spline(r, g, False).derivative()(r)
+    write_tabulated_csv(tmp_path / "prof.csv", r, g[:, None, None], prime[:, None, None])
+    raw = {"problem": {"kind": "interval"}, "algebra": {"name": "abelian", "dim": 1},
+           "profile": {"family": "tabulated", "length": 1.0, "kind": "interval",
+                       "endpoints": ["boundary", "boundary"], "csv": "prof.csv"},
+           "initial": {"v": {"type": "constant", "values": [1.0]}},
+           "solver": {"N": 6, "dt": 0.001, "t_end": 0.01}}
+    return write_cfg(tmp_path, raw)
+
+
 def v1(coefficients):
     """Polynomial initial data with first component ``coefficients`` and second 1."""
     return {"initial.v.coefficients": [list(coefficients), [1.0]]}
@@ -563,15 +580,23 @@ EVEN_AT_L = sum(a * np.polynomial.Polynomial([0.7, -1.0]) ** (2 * k)
         ("su2_rigid_body", {"algebra": {"name": "abelian", "dim": 3}, "isotropy": {"basis": [[1.0, 0.0, 0.0]]},
                             "metric.gram": [[1.0, 0.0], [0.0, 2.0]], "initial.x": [1.0, 0.5],
                             "solver.t_end": 0.01}, 0),
+        ("su2_rigid_body", {"algebra": {"name": "abelian", "dim": 1}, "isotropy": {"basis": [[1.0]]},
+                            "metric.gram": [], "initial.x": [], "solver.t_end": 0.01}, 2),
+        ("su2_rigid_body", {"algebra": {"name": "abelian", "dim": 2}, "isotropy": {"basis": [[1.0, 0.0], [0.0, 1.0]]},
+                            "metric.gram": [], "initial.x": [], "solver.t_end": 0.01}, 2),
+        ("spiked", {}, 2),
     ],
     ids=["structure-not-antisymmetric", "Q-not-ad-invariant", "t_end-not-multiple-of-dt", "short-initial-x",
          "step-count-overflows", "isotropy-moves-complement", "even-1000r4-at-0", "even-expanded-at-L",
          "odd-r-under-steep-even-tail", "odd-1e-11r-at-0", "odd-1e-300r-at-0", "odd-r-at-L",
-         "isotropy-fixes-complement"],
+         "isotropy-fixes-complement", "isotropy-spans-abelian1", "isotropy-spans-abelian2",
+         "gram-negative-at-a-state-node"],
 )
 def test_validate_and_run_agree(tmp_path, capsys, name, updates, code):
     if name in ("left", "right"):
         path = abelian_profile_cfg(tmp_path, name, **updates)
+    elif name == "spiked":
+        path = spiked_profile_cfg(tmp_path)
     elif name == "boundary_interval":
         path = tabulated_cfg(tmp_path, **updates)
     else:

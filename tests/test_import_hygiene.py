@@ -127,3 +127,24 @@ def test_one_public_name_per_function():
                 names.setdefault(obj, set()).add(name)
     assert len(modules) > 10
     assert [sorted(n) for n in names.values() if len(n) > 1] == []
+
+
+def test_no_unused_imports():
+    # a name a module imports must be read in it, in code or in an annotation;
+    # the package's __init__ imports to re-export
+    unused = []
+    for path in sorted((SRC / "coho_euler").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported.setdefault(name, node.lineno)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in read]
+    assert unused == []

@@ -17,7 +17,7 @@ from coho_euler import (
     su2,
     validate_structure,
 )
-from coho_euler.lie_core import KERNEL_CUTOFF, LieAlgebraSpec, check_reductive_split
+from coho_euler.lie_core import KERNEL_CUTOFF, LieAlgebraSpec
 
 from oracles import bracket_direct, joint_ad_kernel
 
@@ -139,9 +139,16 @@ def test_split_su2_e3_isotropy():
     # m is the (e1, e2) plane, which ad(e3) rotates: nothing of m is fixed
     assert np.allclose(np.abs(split.m_basis), np.eye(3)[:2])
     assert split.fixed_complement_residual() == pytest.approx(1.0, rel=1e-14)
-    assert check_reductive_split(split).passed
+    assert_split_complementary(split)
     with pytest.raises(UnsupportedConfigurationError, match="dim h = 1, dim m = 2"):
         split.require_fixed_complement()
+
+
+def assert_split_complementary(split):
+    """m is Q-orthogonal to h, and dim h + dim m = dim g."""
+    alg = split.algebra
+    assert np.max(np.abs(split.h_basis @ alg.Q @ split.m_basis.T), initial=0.0) < 1e-12
+    assert split.dim_h + split.dim_m == alg.dim
 
 
 def test_split_abelian_trivial_isotropy():
@@ -197,8 +204,14 @@ def test_split_rejects_non_subalgebra():
         reductive_split(su2(), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 
+def test_split_rejects_isotropy_spanning_the_algebra():
+    # su2 is a subalgebra of itself, but its empty complement carries no reduced state
+    with pytest.raises(StructureError, match="spans the whole algebra: the complement m is empty"):
+        reductive_split(su2(), np.eye(3))
+
+
 def _closure_residual_reference(alg, h_basis):
-    """The off-span residual as reductive_split and check_reductive_split each computed it."""
+    """The off-span residual as reductive_split computes it."""
     h_on = np.linalg.qr(np.asarray(h_basis, dtype=float).T)[0].T  # Q = identity here
     worst = 0.0
     for i in range(len(h_basis)):
@@ -215,12 +228,10 @@ def test_isotropy_closure_residual_is_shared():
     want = _closure_residual_reference(alg, h_basis)
     with pytest.raises(StructureError, match=re.escape(f"off-span residual {want:.3e}")):
         reductive_split(alg, h_basis)
-    split = reductive_split(alg, h_basis[:1])
-    split.h_basis = h_basis  # a split whose isotropy does not close
-    got = check_reductive_split(split)["isotropy_closed_under_bracket"]
-    assert got.residual == pytest.approx(want, rel=1e-14) and not got.passed
-    closed = reductive_split(direct_sum(su2(), su2()), [np.eye(6)[2], np.eye(6)[5]])
-    assert check_reductive_split(closed)["isotropy_closed_under_bracket"].residual == 0.0
+    # a closed isotropy has residual zero, and the split accepts it
+    alg, closed = direct_sum(su2(), su2()), [np.eye(6)[2], np.eye(6)[5]]
+    assert _closure_residual_reference(alg, closed) == 0.0
+    assert_split_complementary(reductive_split(alg, closed))
 
 
 def test_split_rejects_dependent_isotropy_basis():
@@ -251,6 +262,6 @@ def test_m0_fixed_under_ad_action_residual(su2_split):
     for x in split.h_basis:
         assert np.max(np.abs(split.ad_on_m(x))) < 1e-10
     assert split.fixed_complement_residual() == 0.0
-    assert check_reductive_split(split).passed
-    assert check_reductive_split(su2_split).passed
+    assert_split_complementary(split)
+    assert_split_complementary(su2_split)
     assert su2_split.fixed_complement_residual() == 0.0
