@@ -45,9 +45,6 @@ from .lie_core import (
     validate_structure,
 )
 from .reduced_euler import (
-    CircleProblem,
-    HomogeneousProblem,
-    IntervalProblem,
     PressureField,
     ReducedState,
     SolverConfig,

@@ -32,7 +32,7 @@ def _json_dump(obj, path: Path):
 
 
 def run_command(cfg: RunConfig, out_dir: Path) -> int:
-    problem = build_problem(cfg)
+    state, geom = build_problem(cfg)
     solver = build_solver_config(cfg)
 
     try:
@@ -46,14 +46,15 @@ def run_command(cfg: RunConfig, out_dir: Path) -> int:
     try:
         # the run streams its rows into diagnostics.csv as it records them
         with open(out_dir / "diagnostics.csv", "w", encoding="utf-8", newline="\n") as diag:
-            snapshots, report = integrate(problem, solver, partial(write_diagnostics_csv, diag))
-        pressures = trajectory_pressures(problem, snapshots)
+            snapshots, report = integrate(state, geom, solver,
+                                          partial(write_diagnostics_csv, diag))
+        pressures = trajectory_pressures(snapshots, geom)
 
         manifest_snaps = []
-        for i, (state, pressure) in enumerate(zip(snapshots, pressures)):
+        for i, (snap, pressure) in enumerate(zip(snapshots, pressures)):
             fname = f"snapshots/snapshot_{i:06d}.csv"
-            write_snapshot_csv(out_dir / fname, state, problem.geom, pressure.samples)
-            manifest_snaps.append({"file": fname, "t": float(state.t)})
+            write_snapshot_csv(out_dir / fname, snap, geom, pressure.samples)
+            manifest_snaps.append({"file": fname, "t": float(snap.t)})
 
         _json_dump(report.summary, out_dir / "summary.json")
         manifest = {
@@ -91,7 +92,7 @@ def run_command(cfg: RunConfig, out_dir: Path) -> int:
 def validate_command(cfg: RunConfig) -> int:
     """Print one line per check of ``config.check_config``, the checks ``run``
     makes before it steps; no stepping."""
-    report, _ = check_config(cfg)
+    report = check_config(cfg)[0]
     for line in report.lines():
         print(line)
     print("validation " + ("passed" if report.passed else "FAILED"))

@@ -135,12 +135,13 @@ class MetricProfile:
         return H if np.ndim(r) else float(H)
 
     def volume_at(self, r):
-        det = np.linalg.det(self.gram_at(r))
-        bad = det.reshape(-1) <= 0.0
+        g = self.gram_at(r)
+        # positive definite: every eigenvalue, not only the determinant, is positive
+        bad = np.linalg.eigvalsh(g)[..., 0].reshape(-1) <= 0.0
         if np.any(bad):
             r_bad = np.reshape(r, -1)[bad][0]
             raise InputError(f"orbit metric is not positive definite at r = {r_bad}")
-        vol = np.sqrt(det)
+        vol = np.sqrt(np.linalg.det(g))
         return vol if np.ndim(r) else float(vol)
 
     def h0_at(self, r):

@@ -3,14 +3,14 @@
 :func:`parse_config_dict` walks the schema of the config's ``problem.kind``,
 a table built from the field specs below, and collects every error with its
 field path. Unknown keys are rejected everywhere; a silently ignored option
-would masquerade as physics. :func:`check_config` then builds the problem
-and runs every structural check into one :class:`ValidationReport`: the
-algebra axioms, the supported-fibre rule, metric invariance or the profile
-checks (g_r positive on the probes and on the state grid), the initial
-data, and the step count; the reductive split is checked as it is built.
-``coho-euler run`` refuses a config whose report fails before it writes
-anything; ``coho-euler validate`` prints the same report, so the two
-commands make exactly the same checks.
+would masquerade as physics. :func:`check_config` then builds the initial
+state on its metric or profile and runs every structural check into one
+:class:`ValidationReport`: the algebra axioms, the supported-fibre rule,
+metric invariance or the profile checks (g_r positive on the probes and on
+the state grid), the initial data, and the step count; the reductive split
+is checked as it is built. ``coho-euler run`` refuses a config whose report
+fails before it writes anything; ``coho-euler validate`` prints the same
+report, so the two commands make exactly the same checks.
 Initial data is entered as coefficients (constants, polynomials in r, or
 Fourier modes) so periodicity and endpoint parity can be checked exactly,
 up to rounding, before any discretisation happens.
@@ -29,12 +29,12 @@ import numpy as np
 
 from . import coho_geometry as cg
 from .coho_geometry import CIRCLE, INTERVAL
-from .diagnostics import GRID_NODES, grid_layout, grid_rule, row_width
+from .diagnostics import GRID_NODES, grid_layout, grid_rule, row_width, state_geometry
 from .errors import ConfigError, ConfigParseError, InputError, UnsupportedConfigurationError
 from .homogeneous_geometry import InvariantMetric, check_metric_invariance
 from .lie_core import LieAlgebraSpec, abelian, reductive_split, su2, validate_structure
 from .numerics import seeded_uniform
-from .reduced_euler import CircleProblem, HomogeneousProblem, IntervalProblem, SolverConfig
+from .reduced_euler import ReducedState, SolverConfig
 from .reports import ValidationReport
 
 # hashlib is heavy to load: it maps OpenSSL's libcrypto for one digest.
@@ -108,17 +108,22 @@ class Str:
 class Numbers:
     """A list of finite numbers nested ``depth`` lists deep, one message per
     list; ``shape`` adds "rectangular" (rows of equal length at every depth),
-    "square", or "rows" (no empty row)."""
+    "square", or "rows" (no empty row). ``most`` caps the length of the list,
+    then of each row, and so on: lengths that size an allocation."""
 
     depth: int = 1
     shape: str = ""
+    most: tuple = ()
 
     def check(self, value, path, errors):
         if not isinstance(value, list):
             errors.append(f"{path}: expected a list")
             return
+        if self.most and len(value) > self.most[0]:
+            errors.append(f"{path}: must have at most {self.most[0]} entries, got {len(value)}")
+            return
         n_errors = len(errors)
-        inner = Numbers(self.depth - 1) if self.depth > 1 else NUMBER
+        inner = Numbers(self.depth - 1, most=self.most[1:]) if self.depth > 1 else NUMBER
         for i, item in enumerate(value):
             inner.check(item, f"{path}[{i}]", errors)
             if len(errors) > n_errors:
@@ -203,7 +208,8 @@ OUTPUT = Obj({"directory": Str("a path"), "snapshot_cadence": COUNT,
               "diagnostics_cadence": COUNT}, ())
 # the top-level seed enters the config hash (and manifest.json's config echo) and nothing else
 COMMON = {"output": OUTPUT, "seed": Int(0, bound="expected a non-negative integer")}
-FOURIER = {"length": POSITIVE, "fourier": Numbers(2)}
+# one entry per fibre dimension, each [a0, a1, b1, ...] up to MAX_MODES modes
+FOURIER = {"length": POSITIVE, "fourier": Numbers(2, most=(MAX_DIM, 2 * MAX_MODES + 1))}
 FAMILIES = {"round_s3_t2": {}, "warped_torus": FOURIER, "berger_circle": FOURIER}
 TABULATED = {"family": None, "length": POSITIVE, "kind": None, "csv": Str("a file name"),
              "endpoints": None}  # kind and endpoints: see _tabulated_rule
@@ -242,7 +248,8 @@ def _algebra_rule(alg, errors):
 
 ALGEBRA = Obj({"name": Str("'su2' or 'abelian'", ("su2", "abelian")),
                "dim": Int(1, "a positive integer", high=MAX_DIM),
-               "structure": Numbers(3, "rectangular"), "Q": Numbers(2, "rectangular")},
+               "structure": Numbers(3, "rectangular", (MAX_DIM,)),
+               "Q": Numbers(2, "rectangular", (MAX_DIM,))},
               (), _algebra_rule)
 
 
@@ -502,14 +509,15 @@ def build_initial_v(cfg: RunConfig, profile: cg.MetricProfile, grid: np.ndarray)
 
 
 def check_config(cfg: RunConfig):
-    """Build the problem and run every structural check on it.
+    """Build the initial state and its geometry source, and run every structural check.
 
-    Returns ``(report, problem)``; ``problem`` is None unless every check
-    passed, and ``report.errors()`` then gives the messages ``run`` raises.
-    ``run`` and ``validate`` both make exactly these checks. Checks that
-    stand on others stop where those fail: nothing is built on a failed
-    algebra or split, no grid on a profile that is not positive definite on
-    its probes, and no problem on a state grid where it is not.
+    Returns ``(report, state, source)``: the initial :class:`ReducedState`
+    and the invariant metric or metric profile it lives on, both None
+    unless every check passed; ``report.errors()`` then gives the messages
+    ``run`` raises. ``run`` and ``validate`` both make exactly these checks.
+    Checks that stand on others stop where those fail: nothing is built on a
+    failed algebra or split, no grid on a profile that is not positive
+    definite on its probes, and no state on a state grid where it is not.
     """
     report = ValidationReport()
     builtin = cfg.kind != "homogeneous" and cfg.profile["family"] != "tabulated"
@@ -517,18 +525,18 @@ def check_config(cfg: RunConfig):
     algebra = profile.split.algebra if builtin else build_algebra(cfg)
     report.extend(validate_structure(algebra), "algebra: {} failed")
     if not report.passed:
-        return report, None
+        return report, None, None
     split = profile.split if builtin else reductive_split(algebra, cfg.isotropy)
     try:
         split.require_fixed_complement()
     except UnsupportedConfigurationError as exc:
         report.add_error("isotropy_fixes_complement", f"isotropy.basis: {exc}")
-        return report, None
+        return report, None, None
     report.add_flag("isotropy_fixes_complement", True)
 
     if cfg.kind == "homogeneous":
-        metric = InvariantMetric(split, np.asarray(cfg.metric_gram, dtype=float))
-        report.extend(check_metric_invariance(metric),
+        source = InvariantMetric(split, np.asarray(cfg.metric_gram, dtype=float))
+        report.extend(check_metric_invariance(source),
                       "metric.gram: not invariant under the isotropy action")
         initial = np.asarray(cfg.initial["x"], dtype=float)
         if initial.shape != (split.dim_m,):
@@ -537,10 +545,11 @@ def check_config(cfg: RunConfig):
     else:
         if profile is None:
             profile = build_profile(cfg, split)
+        source = profile
         profile_report = cg.validate_profile(profile)
         report.extend(profile_report, "profile: {} failed")
         if not profile_report["gram_positive_on_probe_grid"].passed:
-            return report, None
+            return report, None, None
         grid = grid_layout(profile, int(cfg.solver["N"]))[0]
         # the run's geometry factors g_r at every state node, not only at the probes
         report.extend(cg.gram_positivity(profile, grid, "gram_positive_on_state_grid"),
@@ -566,23 +575,21 @@ def check_config(cfg: RunConfig):
                 f"the budget of {MAX_RECORDED_VALUES} values; raise the cadence or shorten "
                 "solver.t_end"))
     if not report.passed:
-        return report, None
-    if cfg.kind == "homogeneous":
-        return report, HomogeneousProblem(metric, initial)
-    if cfg.kind == INTERVAL:
-        return report, IntervalProblem(profile, initial)
-    return report, CircleProblem(profile, float(cfg.initial["c"]), initial)
+        return report, None, None
+    # only a circle config has an initial amplitude c
+    return report, ReducedState(0.0, float(cfg.initial.get("c", 0.0)), initial), source
 
 
 def build_problem(cfg: RunConfig):
-    """Turn a parsed config into a runnable problem.
+    """Turn a parsed config into a run's ``(state, geom)``: the initial state and
+    its one :class:`~coho_euler.diagnostics.GridGeometry`, built by ``state_geometry``.
 
     Raises ConfigError naming every failed check of :func:`check_config`.
     """
-    report, problem = check_config(cfg)
-    if problem is None:
+    report, state, source = check_config(cfg)
+    if state is None:
         raise ConfigError(report.errors())
-    return problem
+    return state, state_geometry(state, source)
 
 
 def build_solver_config(cfg: RunConfig) -> SolverConfig:

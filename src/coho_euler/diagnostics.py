@@ -123,6 +123,7 @@ class GridGeometry:
             self.weights = self.vol = np.ones(1)
             self.deriv = np.zeros_like
             self.gram = geometry.gram[None]
+            self.gamma = connection_tensors(self.split, self.gram)
             self.S = np.zeros((1, self.d, self.d))
             self.rho = np.zeros(1)
         else:
@@ -130,8 +131,6 @@ class GridGeometry:
         self.trace_S = np.trace(self.S, axis1=1, axis2=2)
         self.gramS = np.einsum("jab,jbc->jac", self.gram, self.S)
         self.has_S = bool(np.max(np.abs(self.S)) > 0.0)
-        # the run's one connection tensor: the step and the divergence probes read it
-        self.gamma = connection_tensors(self.split, self.gram)
         self.has_gamma = bool(np.max(np.abs(self.gamma)) > 0.0)
 
         # h = c h0: only a circle carries a horizontal field, so h0 and every
@@ -179,6 +178,9 @@ class GridGeometry:
         else:
             self.deriv = Derivative4Interval(self.n, self.dr)
         self.gram = profile.gram_at(r)
+        # the run's one connection tensor, read by the step and the divergence probes;
+        # it refuses a g_r that is not positive definite before anything factors one
+        self.gamma = connection_tensors(self.split, self.gram)
         self.gram_prime = profile.gram_prime_at(r)
         self.S = -0.5 * np.linalg.solve(self.gram, self.gram_prime)
         self.vol = np.sqrt(np.linalg.det(self.gram))
@@ -287,9 +289,10 @@ def state_geometry(state, geometry) -> GridGeometry:
     """The :class:`GridGeometry` of a reduced state, checked against the state.
 
     ``geometry`` is a metric profile, whose geometry is built on ``len(state.v)``
-    nodes, an invariant metric (homogeneous states) or a built geometry such
-    as ``problem.geom``, which is returned as it is. v must have shape (n, d),
-    or (d,) on the one-node geometry, and c is zero off the circle.
+    nodes, an invariant metric (homogeneous states) or a built geometry, such
+    as the one ``config.build_problem`` returns for a run, which is returned
+    as it is. v must have shape (n, d), or (d,) on the one-node geometry, and
+    c is zero off the circle.
     """
     if isinstance(geometry, GridGeometry):
         geom = geometry
@@ -326,6 +329,8 @@ def pointwise_speed(state, geometry, j: int | None = None) -> float:
     row, geom = _row(state, geometry)
     if j is None:
         return float(row["max_speed"])
+    if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
+        raise InputError(f"grid index must be an integer, got {j!r}")
     if not 0 <= j < geom.n:
         raise InputError(f"grid index {j} out of range [0, {geom.n})")
     return float(row["speeds"][j])

@@ -15,31 +15,29 @@ periodicity residual cancels to rounding and any other dc/dt shows up
 immediately.
 
 Time stepping is fixed-step classical RK4 on a single thread; identical
-inputs give bit-identical outputs. The public right-hand side, step and
-pressure take their geometry as :func:`~coho_euler.diagnostics.state_geometry`
-does: a metric profile, an invariant metric, or a built ``problem.geom``.
+inputs give bit-identical outputs. A run, like the public right-hand side,
+step and pressure, takes a state and its geometry as
+:func:`~coho_euler.diagnostics.state_geometry` does: a metric profile, an
+invariant metric, or a built :class:`~coho_euler.diagnostics.GridGeometry`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
-from .coho_geometry import CIRCLE, INTERVAL, MetricProfile
+from .coho_geometry import CIRCLE, INTERVAL
 from .diagnostics import (
     PERIODICITY_TOL,
     GridGeometry,
     RunRecorder,
     conservation_report,
-    grid_layout,
     state_geometry,
 )
 from .errors import InputError, NumericalFailureError
-from .homogeneous_geometry import InvariantMetric
-from .numerics import as_float_array, cumulative_integral
+from .numerics import cumulative_integral
 
 CFL_EPS = 1e-12
 
@@ -121,61 +119,6 @@ class PressureField:
 
     samples: np.ndarray
     periodicity_residual: float = 0.0
-
-
-class _Problem:
-    """A problem's :class:`GridGeometry`, whose ``r`` holds its nodes: built on
-    first use, inside ``integrate`` rather than in a run's set-up, then shared
-    with :func:`trajectory_pressures`."""
-
-    def __post_init__(self):
-        """A grid problem's v0: (n, d) samples on the n nodes of ``grid_layout``."""
-        if self.profile.orbit_space.kind != self.kind:
-            raise InputError(f"{type(self).__name__} needs an orbit space of kind {self.kind!r}")
-        self.v0 = np.asarray(self.v0, dtype=float)
-        if self.v0.ndim != 2 or self.v0.shape[1] != self.profile.dim:
-            raise InputError(f"v0 must have shape (n, {self.profile.dim})")
-        grid_layout(self.profile, self.v0.shape[0])  # refuses a node count off the rule
-
-    @cached_property
-    def geom(self) -> GridGeometry:
-        if self.kind == "homogeneous":
-            return GridGeometry(self.metric)
-        return GridGeometry(self.profile, self.v0.shape[0])
-
-
-@dataclass
-class HomogeneousProblem(_Problem):
-    metric: InvariantMetric
-    x0: np.ndarray
-    kind: str = field(default="homogeneous", init=False)
-
-    def __post_init__(self):
-        self.x0 = as_float_array(self.x0, (self.metric.split.dim_m,), "x0")
-
-    def initial_state(self) -> ReducedState:
-        return ReducedState(0.0, 0.0, self.x0.copy())
-
-
-@dataclass
-class IntervalProblem(_Problem):
-    profile: MetricProfile
-    v0: np.ndarray
-    kind: str = field(default="interval", init=False)
-
-    def initial_state(self) -> ReducedState:
-        return ReducedState(0.0, 0.0, self.v0.copy())
-
-
-@dataclass
-class CircleProblem(_Problem):
-    profile: MetricProfile
-    c0: float
-    v0: np.ndarray
-    kind: str = field(default="circle", init=False)
-
-    def initial_state(self) -> ReducedState:
-        return ReducedState(0.0, self.c0, self.v0.copy())
 
 
 # -- right-hand sides ---------------------------------------------------------
@@ -298,9 +241,13 @@ def pressure_reconstruct(state: ReducedState, geometry, check: bool = True) -> P
     return PressureField(cumulative_integral(pprime, geom.dr), residual)
 
 
-def trajectory_pressures(problem, snapshots) -> list[PressureField]:
-    """Pressure fields for a trajectory, on the geometry its run used, unchecked."""
-    return [pressure_reconstruct(s, problem.geom, check=False) for s in snapshots]
+def trajectory_pressures(trajectory, geometry) -> list[PressureField]:
+    """Pressure fields for a trajectory on the geometry its run used, unchecked."""
+    fields = []
+    for s in trajectory:  # a geometry built for the first state serves the rest
+        geometry = state_geometry(s, geometry)
+        fields.append(pressure_reconstruct(s, geometry, check=False))
+    return fields
 
 
 # -- time stepping ------------------------------------------------------------
@@ -379,8 +326,11 @@ def step_rk4(state: ReducedState, geometry, config: SolverConfig) -> ReducedStat
     return ReducedState(state.t + config.dt, c_new, v_new)
 
 
-def integrate(problem, config: SolverConfig, sink=None):
-    """Run the problem to t_end; returns (snapshots, report).
+def integrate(state: ReducedState, geometry, config: SolverConfig, sink=None):
+    """Run a state on its geometry for t_end; returns (snapshots, report).
+
+    The clock starts at ``state.t``, as in :func:`step_rk4`, and the first
+    snapshot is ``state`` itself.
 
     Each chunk of diagnostic rows is folded into the report and handed to
     ``sink``, if given (see :class:`~coho_euler.diagnostics.RunRecorder`).
@@ -395,16 +345,15 @@ def integrate(problem, config: SolverConfig, sink=None):
         snap_every = max(1, int(round(1.0 / dt)))
     diag_every = config.diagnostics_cadence
 
-    state = problem.initial_state()
-    geom = problem.geom
+    geom = state_geometry(state, geometry)
     disc = _make_disc(geom)
     recorder = RunRecorder(geom, sink)
-    c, v = state.c, state.v
+    t0, c, v = state.t, state.c, state.v
 
     def record_with_pressure_watchdog(n, cc, vv):
         # the state after n steps; the offending row is recorded before
         # raising: failures leave a diagnostic tail, never a silent exit
-        t = n * dt
+        t = t0 + n * dt
         residual = _pressure_gradient(geom, cc, vv)[1] if geom.kind == CIRCLE else 0.0
         recorder.record(t, cc, vv, residual)
         if residual > PERIODICITY_TOL:
@@ -412,7 +361,7 @@ def integrate(problem, config: SolverConfig, sink=None):
 
     snapshots = []
     failure = None
-    t_now = 0.0
+    t_now = t0
     with np.errstate(over="ignore", invalid="ignore"):  # see _check_stage
         try:
             record_with_pressure_watchdog(0, c, v)
@@ -420,7 +369,7 @@ def integrate(problem, config: SolverConfig, sink=None):
             for step in range(n_steps):
                 _cfl_check(disc, config, c, step, t_now)
                 c, v = _rk4(disc, c, v, dt, step, t_now)
-                t_now = (step + 1) * dt
+                t_now = t0 + (step + 1) * dt
                 last = step + 1 == n_steps
                 if (step + 1) % diag_every == 0 or last:
                     record_with_pressure_watchdog(step + 1, c, v)

@@ -10,8 +10,8 @@ def concatenate(chunks):
     return {key: np.concatenate([chunk[key] for chunk in chunks]) for key in chunks[0]}
 
 
-def collect_rows(problem, config):
+def collect_rows(state, geometry, config):
     """(snapshots, report, series) of a run; ``series`` maps each name to every row's values."""
     chunks = []
-    snapshots, report = integrate(problem, config, chunks.append)
+    snapshots, report = integrate(state, geometry, config, chunks.append)
     return snapshots, report, concatenate(chunks)

@@ -14,9 +14,7 @@ import numpy as np
 import pytest
 
 from coho_euler import (
-    CircleProblem,
-    HomogeneousProblem,
-    IntervalProblem,
+    ReducedState,
     SolverConfig,
     berger_circle,
     catalog,
@@ -51,11 +49,11 @@ def load_modified(name, **solver_updates):
 @pytest.fixture(scope="session")
 def su2_run():
     cfg = catalog.load_example("su2_rigid_body")
-    problem = build_problem(cfg)
+    state, geom = build_problem(cfg)
     solver = build_solver_config(cfg)
     solver.snapshot_cadence = 100  # states every 0.1 time units
     t0 = time.perf_counter()
-    snapshots, _, series = collect_rows(problem, solver)
+    snapshots, _, series = collect_rows(state, geom, solver)
     runtime = time.perf_counter() - t0
     return snapshots, series, runtime
 
@@ -63,9 +61,9 @@ def su2_run():
 @pytest.fixture(scope="session")
 def berger_run():
     cfg = catalog.load_example("berger_circle")
-    problem = build_problem(cfg)
-    snapshots, report, series = collect_rows(problem, build_solver_config(cfg))
-    return problem, snapshots, report, series
+    state, geom = build_problem(cfg)
+    snapshots, report, series = collect_rows(state, geom, build_solver_config(cfg))
+    return geom, snapshots, report, series
 
 
 def test_criterion_1_rigid_body_conservation(su2_run):
@@ -95,13 +93,13 @@ def test_criterion_2_euler_top_oracle(su2_run):
 
 def test_criterion_3_interval_steadiness():
     cfg = catalog.load_example("s3_t2_interval")
-    problem = build_problem(cfg)
-    snapshots, _, series = collect_rows(problem, build_solver_config(cfg))
+    state, geom = build_problem(cfg)
+    snapshots, _, series = collect_rows(state, geom, build_solver_config(cfg))
     v0 = snapshots[0].v
     v_dev = max(float(np.max(np.abs(s.v - v0))) for s in snapshots)
     speed_drift = float(np.max(series["speed_drift"]))
-    pressure = trajectory_pressures(problem, snapshots)[-1]
-    grid = problem.geom.r
+    pressure = trajectory_pressures(snapshots, geom)[-1]
+    grid = geom.r
     want = -(1.0**2 - 2.0**2) * np.sin(grid) ** 2 / 2.0
     want -= want[0]
     p_err = float(np.max(np.abs(pressure.samples - want)))
@@ -115,7 +113,7 @@ def test_criterion_3_interval_steadiness():
 
 def test_criterion_4_convention_resolution():
     cfg = catalog.load_example("boundary_interval")
-    tabulated = build_problem(cfg).profile
+    tabulated = build_problem(cfg)[1].profile
     profiles = [
         RoundS3T2Profile(),
         warped_torus(1.0, [[0.0, 0.2, -0.1], [0.1, 0.1, 0.05]]),
@@ -145,8 +143,7 @@ def test_criterion_4_convention_resolution():
 
 def test_criterion_5_transport_exactness():
     cfg = catalog.load_example("t3_circle")
-    problem = build_problem(cfg)
-    snapshots, report = integrate(problem, build_solver_config(cfg))
+    snapshots, report = integrate(*build_problem(cfg), build_solver_config(cfg))
     err = float(np.max(np.abs(snapshots[-1].v - snapshots[0].v)))
     drift = report.summary["energy"]["max_rel_drift"]
     criterion(
@@ -186,8 +183,7 @@ def test_criterion_8_global_regularity_witness():
     ok = True
     for name in catalog.example_names():
         cfg = load_modified(name, t_end=100.0, _diag_cadence=10)
-        problem = build_problem(cfg)
-        _, report = integrate(problem, build_solver_config(cfg))
+        _, report = integrate(*build_problem(cfg), build_solver_config(cfg))
         growth = report.summary["c1_monitor"]["growth_factor"]
         ok &= report.failure is None and growth < 10.0
         details.append(f"{name}:{growth:.2f}")
@@ -199,16 +195,17 @@ def test_criterion_8_global_regularity_witness():
     )
 
 
-def _final_state(problem, dt, t_end):
-    snaps, _ = integrate(problem, SolverConfig(dt=dt, t_end=t_end, snapshot_cadence=10**9))
+def _final_state(start, dt, t_end):
+    """The last state of a run from ``start``, an (initial state, geometry) pair."""
+    snaps, _ = integrate(*start, SolverConfig(dt=dt, t_end=t_end, snapshot_cadence=10**9))
     s = snaps[-1]
     return s.c, s.v
 
 
-def _observed_order(make_problem, dts, t_end):
+def _observed_order(make_start, dts, t_end):
     finals = []
     for dt in dts:
-        c, v = _final_state(make_problem(), dt, t_end)
+        c, v = _final_state(make_start(), dt, t_end)
         finals.append(np.concatenate([[c], v.ravel()]))
     e1 = float(np.max(np.abs(finals[0] - finals[1])))
     e2 = float(np.max(np.abs(finals[1] - finals[2])))
@@ -249,29 +246,27 @@ def test_criterion_10_equivariance():
         return v[::-1, ::-1].copy()
 
     solver = SolverConfig(dt=1e-3, t_end=10.0)
-    probA = IntervalProblem(prof, v0)
-    snapsA, _ = integrate(probA, solver)
-    probB = IntervalProblem(prof, reflect(v0))
-    snapsB, _ = integrate(probB, solver)
+    snapsA, _ = integrate(ReducedState(0.0, 0.0, v0), prof, solver)
+    snapsB, _ = integrate(ReducedState(0.0, 0.0, reflect(v0)), prof, solver)
     dev_reflect = float(np.max(np.abs(reflect(snapsA[-1].v) - snapsB[-1].v)))
     # the reflected pressure agrees up to the gauge constant; the two
     # cumulative-integration routes differ by quadrature error only
-    pA = trajectory_pressures(probA, snapsA)[-1].samples
-    pB = trajectory_pressures(probB, snapsB)[-1].samples
+    pA = trajectory_pressures(snapsA, prof)[-1].samples
+    pB = trajectory_pressures(snapsB, prof)[-1].samples
     p_map = pA[::-1] - pB
     dev_pressure = float(np.max(np.abs(p_map - p_map[0])))
 
     # half-period translation on the flat 3-torus
     cfg = load_modified("t3_circle", t_end=10.0)
-    probC = build_problem(cfg)
-    shift = probC.v0.shape[0] // 2
+    stateC, geom = build_problem(cfg)
+    shift = stateC.v.shape[0] // 2
 
     def translate(v):
         return np.roll(v, shift, axis=0)
 
-    snapsC, _ = integrate(probC, build_solver_config(cfg))
-    probD = CircleProblem(probC.profile, probC.c0, translate(probC.v0))
-    snapsD, _ = integrate(probD, build_solver_config(cfg))
+    stateD = ReducedState(0.0, stateC.c, translate(stateC.v))
+    snapsC, _ = integrate(stateC, geom, build_solver_config(cfg))
+    snapsD, _ = integrate(stateD, geom, build_solver_config(cfg))
     dev_translate = float(np.max(np.abs(translate(snapsC[-1].v) - snapsD[-1].v)))
 
     criterion(
@@ -331,7 +326,7 @@ def test_criterion_12_spatial_self_convergence():
     finals = {}
     for n in (32, 64, 128, 256):
         cfg = load_modified("berger_circle", N=n, dt=5e-4, t_end=1.0, _diag_cadence=2000)
-        snaps, report = integrate(build_problem(cfg), build_solver_config(cfg))
+        snaps, report = integrate(*build_problem(cfg), build_solver_config(cfg))
         assert report.failure is None and snaps[-1].t == 1.0
         finals[n] = snaps[-1]
     ref = finals[256]

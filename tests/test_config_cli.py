@@ -23,14 +23,20 @@ def example_raw(name, updates):
     return updated(json.loads(catalog.example_path(name).read_text()), updates)
 
 
+DELETE = object()  # an update that removes its field
+
+
 def updated(raw, updates):
-    """``raw`` with each dotted field of ``updates`` set."""
+    """``raw`` with each dotted field of ``updates`` set, or removed if DELETE."""
     for key, val in updates.items():
         node = raw
         parts = key.split(".")
         for p in parts[:-1]:
             node = node.setdefault(p, {})
-        node[parts[-1]] = val
+        if val is DELETE:
+            del node[parts[-1]]
+        else:
+            node[parts[-1]] = val
     return raw
 
 
@@ -50,8 +56,8 @@ def test_parse_bundled_t3():
 def test_all_bundled_examples_build():
     for name in catalog.example_names():
         cfg = catalog.load_example(name)
-        problem = build_problem(cfg)
-        assert problem.kind == cfg.kind
+        geom = build_problem(cfg)[1]
+        assert geom.kind == cfg.kind
 
 
 def test_odd_grid_size_rejected():
@@ -97,8 +103,8 @@ def test_odd_polynomial_parity_rejected():
 def test_constant_polynomial_accepted_on_interval():
     raw = json.loads(catalog.example_path("s3_t2_interval").read_text())
     raw["initial"]["v"] = {"type": "polynomial", "coefficients": [[1.0], [2.0]]}
-    problem = build_problem(parse_config_dict(raw))
-    assert np.allclose(problem.v0, [1.0, 2.0])
+    state = build_problem(parse_config_dict(raw))[0]
+    assert np.allclose(state.v, [1.0, 2.0])
 
 
 def test_algebra_forbidden_for_builtin_families():
@@ -109,8 +115,8 @@ def test_algebra_forbidden_for_builtin_families():
 
 def test_random_fourier_is_seed_deterministic():
     raw = t3_raw(**{"initial.v": {"type": "random_fourier", "seed": 5, "modes": 2, "amplitude": 0.1}})
-    a = build_problem(parse_config_dict(raw)).v0
-    b = build_problem(parse_config_dict(raw)).v0
+    a = build_problem(parse_config_dict(raw))[0].v
+    b = build_problem(parse_config_dict(raw))[0].v
     assert np.array_equal(a, b)
 
 
@@ -556,6 +562,15 @@ def v1(coefficients):
     return {"initial.v.coefficients": [list(coefficients), [1.0]]}
 
 
+# fibres one past the size caps, otherwise valid: d = 17 warped-torus entries,
+# one Fourier entry of 1025 modes, and a d = 17 structure+Q algebra
+BIG_TORUS = {"profile.fourier": [[0.0]] * 17,
+             "initial.v": {"type": "constant", "values": [0.0] * 17}}
+LONG_ENTRY = {"profile.fourier": [[0.0] * (2 * 1025 + 1), [0.0]]}
+BIG_ALGEBRA = {"algebra": {"structure": np.zeros((17, 17, 17)).tolist(), "Q": np.eye(17).tolist()},
+               "metric.gram": np.eye(17).tolist(), "initial.x": [1.0] + [0.0] * 16}
+
+
 # sum_k a_k (L - r)^(2k), a = (1.2, 3.4, -5.6, 1000), expanded in powers of r at L = 0.7
 EVEN_AT_L = sum(a * np.polynomial.Polynomial([0.7, -1.0]) ** (2 * k)
                 for k, a in enumerate([1.2, 3.4, -5.6, 1000.0])).coef.tolist()
@@ -585,12 +600,23 @@ EVEN_AT_L = sum(a * np.polynomial.Polynomial([0.7, -1.0]) ** (2 * k)
         ("su2_rigid_body", {"algebra": {"name": "abelian", "dim": 2}, "isotropy": {"basis": [[1.0, 0.0], [0.0, 1.0]]},
                             "metric.gram": [], "initial.x": [], "solver.t_end": 0.01}, 2),
         ("spiked", {}, 2),
+        ("t3_circle", {**BIG_TORUS, "solver.t_end": 0.01}, 2),
+        ("t3_circle", {**LONG_ENTRY, "solver.t_end": 0.01}, 2),
+        ("su2_rigid_body", {**BIG_ALGEBRA, "solver.t_end": 0.01}, 2),
+        ("s3_t2_interval", {"initial.v": {"type": "polynomial", "coefficients": [[1.0]]},
+                            "solver.t_end": 0.01}, 2),
+        ("t3_circle", {"initial.v": {"type": "fourier", "coefficients": [[0.0]]},
+                       "solver.t_end": 0.01}, 2),
+        ("t3_circle", {"initial.v.coefficients": [[0.0, 1.0], [0.0]], "solver.t_end": 0.01}, 2),
+        ("boundary_interval", {"algebra": DELETE, "solver.t_end": 0.01}, 2),
     ],
     ids=["structure-not-antisymmetric", "Q-not-ad-invariant", "t_end-not-multiple-of-dt", "short-initial-x",
          "step-count-overflows", "isotropy-moves-complement", "even-1000r4-at-0", "even-expanded-at-L",
          "odd-r-under-steep-even-tail", "odd-1e-11r-at-0", "odd-1e-300r-at-0", "odd-r-at-L",
          "isotropy-fixes-complement", "isotropy-spans-abelian1", "isotropy-spans-abelian2",
-         "gram-negative-at-a-state-node"],
+         "gram-negative-at-a-state-node", "warped-torus-17-entries", "fourier-entry-past-1024-modes",
+         "structure-Q-17-rows", "polynomial-rows-short", "fourier-rows-short",
+         "fourier-row-even-length", "tabulated-without-algebra"],
 )
 def test_validate_and_run_agree(tmp_path, capsys, name, updates, code):
     if name in ("left", "right"):

@@ -62,6 +62,9 @@ PINNED = [
      ["algebra.dim: expected a positive integer"]),
     ("su2_rigid_body", "algebra", {"name": "abelian", "dim": 17},
      ["algebra.dim: must be at most 16, got 17"]),
+    ("su2_rigid_body", "algebra", {"structure": [[[0.0] * 17] * 17] * 17, "Q": [[0.0] * 17] * 17},
+     ["algebra.structure: must have at most 16 entries, got 17",
+      "algebra.Q: must have at most 16 entries, got 17"]),
     ("su2_rigid_body", "algebra", {"structure": [[[1.0, "a"]]], "Q": EYE3},
      ["algebra.structure[0][0][1]: expected a finite number"]),
     ("su2_rigid_body", "algebra", {"structure": SU2_C, "Q": [[1.0], [0.0, 1.0], [0.0, 0.0, 1.0]]},
@@ -87,6 +90,10 @@ PINNED = [
     ("berger_circle", "profile.length", -1.0, ["profile.length: must be positive"]),
     ("berger_circle", "profile.family", "hyperbolic", ["profile.family: unknown family 'hyperbolic'"]),
     ("t3_circle", "profile.fourier", [[0.0], "x"], ["profile.fourier[1]: expected a list"]),
+    ("t3_circle", "profile.fourier", [[0.0]] * 17,
+     ["profile.fourier: must have at most 16 entries, got 17"]),
+    ("berger_circle", "profile.fourier", [[0.0] * 2051, [0.0], [0.0]],
+     ["profile.fourier[0]: must have at most 2049 entries, got 2051"]),
     ("boundary_interval", "profile.kind", "circle",
      ["profile.kind: must match problem.kind", "profile.endpoints: not allowed on a circle"]),
     ("boundary_interval", "profile.kind", "disk", ["profile.kind: expected 'interval' or 'circle'"]),

@@ -7,10 +7,7 @@ import pytest
 from scipy.linalg import eigh
 
 from coho_euler import (
-    CircleProblem,
-    HomogeneousProblem,
     InputError,
-    IntervalProblem,
     InvariantMetric,
     ReducedState,
     SolverConfig,
@@ -26,9 +23,9 @@ from coho_euler import (
     step_rk4,
     warped_torus,
 )
-from coho_euler import LieAlgebraSpec, catalog, diagnostics, reductive_split
+from coho_euler import LieAlgebraSpec, abelian, catalog, diagnostics, reductive_split, su2
 from coho_euler.config import build_problem, build_solver_config, check_config, parse_config_dict
-from coho_euler.coho_geometry import BOUNDARY, INTERVAL, OrbitSpace, TabulatedProfile
+from coho_euler.coho_geometry import BOUNDARY, CIRCLE, INTERVAL, OrbitSpace, TabulatedProfile
 from coho_euler.diagnostics import (
     GRID_NODES,
     PERIODICITY_TOL,
@@ -37,6 +34,7 @@ from coho_euler.diagnostics import (
     chunk_rows,
     grid_layout,
     grid_rule,
+    state_geometry,
     write_diagnostics_csv,
     write_snapshot_csv,
 )
@@ -76,8 +74,8 @@ def test_grid_rule_is_one_rule(kind, flat_torus, round_s3_t2, coupled_tabulated)
     messages = set()
     for build in (lambda: grid_layout(profile, few),
                   lambda: GridGeometry(profile, few),
-                  lambda: CircleProblem(profile, 0.0, v0) if kind == "circle"
-                  else IntervalProblem(profile, v0)):
+                  lambda: integrate(ReducedState(0.0, 0.0, v0), profile,
+                                    SolverConfig(dt=1e-3, t_end=1e-3))):
         with pytest.raises(InputError) as exc:
             build()
         messages.add(str(exc.value))
@@ -133,8 +131,8 @@ def test_c1_monitor_zero_state(round_s3_t2):
 
 
 def test_c1_monitor_constant_on_steady_run(round_s3_t2):
-    prob = IntervalProblem(round_s3_t2, np.tile([1.0, 2.0], (64, 1)))
-    series = collect_rows(prob, SolverConfig(dt=1e-2, t_end=1.0))[2]
+    state = interval_state([1.0, 2.0], n=64)
+    series = collect_rows(state, round_s3_t2, SolverConfig(dt=1e-2, t_end=1.0))[2]
     c1 = np.asarray(series["c1_monitor"])
     assert np.max(np.abs(c1 - c1[0])) < 1e-10
 
@@ -144,8 +142,8 @@ def test_c1_monitor_constant_under_transport(flat_torus):
     grid = grid_layout(flat_torus, n)[0]
     v0 = np.zeros((n, 2))
     v0[:, 0] = np.sin(2 * np.pi * grid)
-    prob = CircleProblem(flat_torus, 1.0, v0)
-    series = collect_rows(prob, SolverConfig(dt=1e-3, t_end=1.0))[2]
+    state = ReducedState(0.0, 1.0, v0)
+    series = collect_rows(state, flat_torus, SolverConfig(dt=1e-3, t_end=1.0))[2]
     c1 = np.asarray(series["c1_monitor"])
     # sup-over-grid of a sliding profile wobbles by O((pi/N)^2) between nodes
     assert np.max(np.abs(c1 - c1[0])) / c1[0] < 1e-3
@@ -174,8 +172,8 @@ def test_divergence_residual_detects_constant_h():
 
 
 def test_endpoint_taylor_steady(round_s3_t2):
-    prob = IntervalProblem(round_s3_t2, np.tile([1.0, 2.0], (64, 1)))
-    snaps, _ = integrate(prob, SolverConfig(dt=1e-2, t_end=1.0))
+    state = interval_state([1.0, 2.0], n=64)
+    snaps, _ = integrate(state, round_s3_t2, SolverConfig(dt=1e-2, t_end=1.0))
     mon = endpoint_taylor_monitor(snaps, round_s3_t2)
     assert np.max(np.abs(mon["alpha"] - mon["alpha"][0])) < 1e-12
     assert np.max(np.abs(mon["beta"] - mon["beta"][0])) < 1e-12
@@ -210,8 +208,8 @@ def test_endpoint_taylor_needs_singular_endpoint(flat_torus):
 
 
 def test_conservation_report_steady_run(round_s3_t2):
-    prob = IntervalProblem(round_s3_t2, np.tile([1.0, 2.0], (32, 1)))
-    _, report = integrate(prob, SolverConfig(dt=1e-2, t_end=1.0))
+    state = interval_state([1.0, 2.0], n=32)
+    _, report = integrate(state, round_s3_t2, SolverConfig(dt=1e-2, t_end=1.0))
     s = report.summary
     assert s["energy"]["max_rel_drift"] == 0.0
     assert s["pointwise_speed"]["max_drift"] == 0.0
@@ -224,9 +222,9 @@ def test_conservation_report_flags_fault_injection(flat_torus, dcdt_fault):
     grid = grid_layout(flat_torus, n)[0]
     v0 = np.zeros((n, 2))
     v0[:, 0] = 0.1 * np.sin(2 * np.pi * grid)
-    prob = CircleProblem(flat_torus, 0.5, v0)
     dcdt_fault(1.0)
-    _, report = integrate(prob, SolverConfig(dt=1e-3, t_end=0.1))
+    _, report = integrate(ReducedState(0.0, 0.5, v0), flat_torus,
+                          SolverConfig(dt=1e-3, t_end=0.1))
     s = report.summary
     assert report.failure is not None
     assert not s["pressure_periodicity"]["ok"]
@@ -241,8 +239,8 @@ def test_divergence_invariant_under_integration():
     v0 = np.zeros((n, 2))
     v0[:, 0] = 0.2 * np.sin(2 * np.pi * grid)
     v0[:, 1] = 0.1 * np.cos(2 * np.pi * grid)
-    prob = CircleProblem(wt, 0.4, v0)
-    series = collect_rows(prob, SolverConfig(dt=2e-3, t_end=1.0))[2]
+    state = ReducedState(0.0, 0.4, v0)
+    series = collect_rows(state, wt, SolverConfig(dt=2e-3, t_end=1.0))[2]
     res = np.asarray(series["div_residual"])
     assert np.max(res) < 1e-8
     assert np.max(np.abs(res - res[0])) < 1e-8
@@ -273,15 +271,15 @@ def test_recorder_rows_match_public_diagnostics(rigid_body_metric, round_s3_t2):
     v0_interval = np.tile([0.7, -0.4], (64, 1))
     v0_interval[:, 0] += 0.1 * np.cos(2 * grid_layout(round_s3_t2, 64)[0])
     cases = [
-        (CircleProblem(wt, 0.3, v0), wt, n * 2),
-        (IntervalProblem(round_s3_t2, v0_interval), round_s3_t2, 64 * 2),
-        (HomogeneousProblem(rigid_body_metric, [0.0, 1.0, 1.0]), rigid_body_metric, 3),
+        (ReducedState(0.0, 0.3, v0), wt, n * 2),
+        (ReducedState(0.0, 0.0, v0_interval), round_s3_t2, 64 * 2),
+        (ReducedState(0.0, 0.0, [0.0, 1.0, 1.0]), rigid_body_metric, 3),
     ]
-    for prob, geometry, state_values in cases:
+    for state, geometry, state_values in cases:
         chunk = chunk_rows(state_values)
         dt = 2e-3  # a chunk and a half of steps, then the initial row
         cfg = SolverConfig(dt=dt, t_end=(chunk + chunk // 2) * dt, snapshot_cadence=1)
-        snaps, _, series = collect_rows(prob, cfg)
+        snaps, _, series = collect_rows(state, geometry, cfg)
         n_rows = len(series["t"])
         assert n_rows == cfg.n_records() == len(snaps)
         assert chunk < n_rows < 2 * chunk  # one full chunk, then a partial one
@@ -294,11 +292,10 @@ def test_recorder_rows_match_public_diagnostics(rigid_body_metric, round_s3_t2):
 def test_rows_bits_do_not_depend_on_stack_size(name):
     # a row evaluated inside a stack of T states equals the row of that
     # state alone, for every T the recorder can hand over
-    problem = check_config(catalog.load_example(name))[1]
-    geom = problem.geom
+    state, geom = build_problem(catalog.load_example(name))
     rng = np.random.default_rng(1)
     chunk = chunk_rows(geom.n * geom.d)
-    vs = problem.v0 * (1.0 + 0.1 * rng.standard_normal((chunk, geom.n, geom.d)))
+    vs = state.v * (1.0 + 0.1 * rng.standard_normal((chunk, geom.n, geom.d)))
     cs = rng.uniform(-1.0, 1.0, chunk)
     alone = [geom.rows(cs[t : t + 1], vs[t : t + 1]) for t in range(chunk)]
     for T in sorted({2, 3, 5, chunk - 1, chunk}):
@@ -319,9 +316,9 @@ def test_failure_mid_chunk_leaves_every_row_evaluated(monkeypatch, dcdt_fault, k
     v0 = np.zeros((n, 2))
     v0[:, 0] = 0.3 * np.sin(2 * np.pi * grid)
     v0[:, 1] = 0.2 * np.cos(2 * np.pi * grid)
-    prob = CircleProblem(wt, 0.4, v0)
+    state = ReducedState(0.0, 0.4, v0)
     dcdt_fault(1e-12)
-    _, ref, ref_series = collect_rows(prob, SolverConfig(dt=dt, t_end=20 * dt))
+    _, ref, ref_series = collect_rows(state, wt, SolverConfig(dt=dt, t_end=20 * dt))
     assert ref.failure is None
     if kind == "cfl":
         # |c| still grows here: a guard between rows k - 1 and k trips at row k
@@ -338,7 +335,7 @@ def test_failure_mid_chunk_leaves_every_row_evaluated(monkeypatch, dcdt_fault, k
         offset = 1e-12 * PERIODICITY_TOL / np.sqrt(np.max(p[:k]) * p[k])
         dcdt_fault(offset)
         cfg = SolverConfig(dt=dt, t_end=20 * dt, snapshot_cadence=1)
-    snaps, report, s = collect_rows(prob, cfg)
+    snaps, report, s = collect_rows(state, wt, cfg)
     assert report.failure["kind"] == kind
     assert {len(val) for val in s.values()} == {k + 1}
     assert s["t"][-1] == k * dt == report.failure["t"]
@@ -362,23 +359,23 @@ def _assert_summary_matches_oracle(report, series):
 
 
 def _short_example(name, steps=20):
-    """A bundled example cut to ``steps`` steps: (problem, solver config)."""
+    """A bundled example cut to ``steps`` steps: (state, geometry, solver config)."""
     cfg = catalog.load_example(name)
     raw = json.loads(json.dumps(cfg.raw))
     raw["solver"]["t_end"] = steps * raw["solver"]["dt"]
     cfg = parse_config_dict(raw, cfg.source_path)
-    return build_problem(cfg), build_solver_config(cfg)
+    return *build_problem(cfg), build_solver_config(cfg)
 
 
 FAILING_RUNS = {
-    "cfl": lambda ft, rb: (CircleProblem(ft, 100.0, np.zeros((32, 2))),
+    "cfl": lambda ft, rb: (ReducedState(0.0, 100.0, np.zeros((32, 2))), ft,
                            SolverConfig(dt=1e-3, t_end=1.0)),
-    "pressure_periodicity": lambda ft, rb: (CircleProblem(ft, 0.5, np.zeros((32, 2))),
+    "pressure_periodicity": lambda ft, rb: (ReducedState(0.0, 0.5, np.zeros((32, 2))), ft,
                                             SolverConfig(dt=1e-3, t_end=1.0)),
-    "non_finite": lambda ft, rb: (HomogeneousProblem(rb, [1e200, 1e200, 0.0]),
+    "non_finite": lambda ft, rb: (ReducedState(0.0, 0.0, [1e200, 1e200, 0.0]), rb,
                                   SolverConfig(dt=1e-3, t_end=1.0)),
     # the four stages are finite and their combination overflows
-    "overflowing_combine": lambda ft, rb: (HomogeneousProblem(rb, [1e154, 1e154, 1e154]),
+    "overflowing_combine": lambda ft, rb: (ReducedState(0.0, 0.0, [1e154, 1e154, 1e154]), rb,
                                            SolverConfig(dt=1e-300, t_end=1e-300)),
 }
 
@@ -393,10 +390,10 @@ def test_folded_summary_matches_array_oracle(monkeypatch, flat_torus, rigid_body
     if case in FAILING_RUNS:
         if case == "pressure_periodicity":
             dcdt_fault(1.0)
-        problem, config = FAILING_RUNS[case](flat_torus, rigid_body_metric)
+        state, geometry, config = FAILING_RUNS[case](flat_torus, rigid_body_metric)
     else:
-        problem, config = _short_example(case)
-    _, report, series = collect_rows(problem, config)
+        state, geometry, config = _short_example(case)
+    _, report, series = collect_rows(state, geometry, config)
     assert (report.failure is None) == (case not in FAILING_RUNS)
     _assert_summary_matches_oracle(report, series)
 
@@ -419,13 +416,13 @@ def test_recorder_memory_does_not_grow_with_rows(rigid_body_metric):
     # the recorder holds one chunk of rows whatever the run's length; the
     # 15000 more rows of the longer run, at 11 float64 values each, would
     # take 1.3 MB if they were kept
-    prob = HomogeneousProblem(rigid_body_metric, [0.4, 0.4, 0.4])
-    integrate(prob, SolverConfig(dt=1e-3, t_end=1e-2))  # numpy's first-call allocations
+    state, geom = ReducedState(0.0, 0.0, [0.4, 0.4, 0.4]), GridGeometry(rigid_body_metric)
+    integrate(state, geom, SolverConfig(dt=1e-3, t_end=1e-2))  # numpy's first-call allocations
     peaks = []
     for rows in (5001, 20001):
         tracemalloc.start()
         try:
-            _, report = integrate(prob, SolverConfig(dt=1e-3, t_end=(rows - 1) * 1e-3))
+            _, report = integrate(state, geom, SolverConfig(dt=1e-3, t_end=(rows - 1) * 1e-3))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -446,11 +443,11 @@ RECORDER_PEAK_KB = {"boundary_interval": 890, "berger_circle": 760, "s3_t2_inter
 def test_recorder_working_set(name):
     # a chunk is evaluated where it was buffered: no transposed copy of a
     # whole chunk, and no temporaries of one per stencil operation
-    problem, config = _short_example(name, steps=400)
-    integrate(problem, config)  # numpy's first-call allocations
+    state, geom, config = _short_example(name, steps=400)
+    integrate(state, geom, config)  # numpy's first-call allocations
     tracemalloc.start()
     try:
-        _, report = integrate(problem, config)
+        _, report = integrate(state, geom, config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -507,9 +504,9 @@ def test_discrete_energy_exchange_identity():
     v0 = np.zeros((n, 2))
     v0[:, 0] = 0.3 * np.sin(2 * np.pi * grid)
     v0[:, 1] = 0.2 * np.cos(2 * np.pi * grid)
-    prob = CircleProblem(wt, 0.4, v0)
     dt = 1e-4
-    snaps, _ = integrate(prob, SolverConfig(dt=dt, t_end=10 * dt, snapshot_cadence=1))
+    snaps, _ = integrate(ReducedState(0.0, 0.4, v0), wt,
+                         SolverConfig(dt=dt, t_end=10 * dt, snapshot_cadence=1))
     geom = GridGeometry(wt, n)
 
     def vG(state):
@@ -529,8 +526,8 @@ def test_discrete_energy_exchange_identity():
 
 
 def test_report_series_aligned_even_after_failure(flat_torus):
-    prob = CircleProblem(flat_torus, 5.0, np.zeros((32, 2)))  # CFL violation
-    series = collect_rows(prob, SolverConfig(dt=0.05, t_end=1.0))[2]
+    state = ReducedState(0.0, 5.0, np.zeros((32, 2)))  # CFL violation
+    series = collect_rows(state, flat_torus, SolverConfig(dt=0.05, t_end=1.0))[2]
     lengths = {len(v) for v in series.values()}
     assert len(lengths) == 1
     for key, vals in series.items():
@@ -545,7 +542,7 @@ def write_diagnostics(path, series):
 
 def test_diagnostics_csv_roundtrip(tmp_path, monkeypatch, round_s3_t2):
     monkeypatch.setattr(diagnostics, "CHUNK_ROWS", 3)
-    prob = IntervalProblem(round_s3_t2, np.tile([1.0, 2.0], (32, 1)))
+    state = interval_state([1.0, 2.0], n=32)
     path = tmp_path / "diag.csv"
     chunks = []
 
@@ -554,7 +551,7 @@ def test_diagnostics_csv_roundtrip(tmp_path, monkeypatch, round_s3_t2):
         write_diagnostics_csv(fh, rows)
 
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        integrate(prob, SolverConfig(dt=1e-2, t_end=0.1), sink)
+        integrate(state, round_s3_t2, SolverConfig(dt=1e-2, t_end=0.1), sink)
     series = concatenate(chunks)
     assert len(chunks) == 4
     lines = path.read_text().splitlines()
@@ -613,7 +610,7 @@ def test_csv_writers_match_fstring_format(tmp_path, coupled_tabulated, rigid_bod
 
 
 # malformed input to a public per-state function, each with a metric profile
-# or invariant metric and with the problem's built geometry:
+# or invariant metric and with the run's built geometry:
 # (example, what the InputError says, call)
 MALFORMED = {
     "v_width": ("berger_circle", "shape", lambda s, g: energy(replace(s, v=s.v[:, :2]), g)),
@@ -632,6 +629,12 @@ MALFORMED = {
                    lambda s, g: energy(replace(s, v=s.v[None]), g)),
     "orbit_j": ("su2_rigid_body", r"grid index 7 out of range \[0, 1\)",
                 lambda s, g: pointwise_speed(s, g, j=7)),
+    "j_bool": ("berger_circle", "grid index must be an integer, got True",
+               lambda s, g: pointwise_speed(s, g, j=True)),
+    "j_str": ("berger_circle", "grid index must be an integer, got '3'",
+              lambda s, g: pointwise_speed(s, g, j="3")),
+    "j_float": ("berger_circle", "grid index must be an integer, got 1.5",
+                lambda s, g: pointwise_speed(s, g, j=1.5)),
     "orbit_h_samples": ("su2_rigid_body", r"h_samples has shape \(3,\)",
                         lambda s, g: divergence_residual(s, g, h_samples=[1, 2, 3])),
     "orbit_c_off_circle": ("su2_rigid_body", "finite horizontal amplitude",
@@ -645,10 +648,29 @@ MALFORMED = {
 @pytest.mark.parametrize("case", MALFORMED)
 def test_malformed_public_input_raises_input_error(case, built):
     name, message, call = MALFORMED[case]
-    problem = build_problem(catalog.load_example(name))
-    if built:
-        geometry = problem.geom
-    else:
-        geometry = problem.metric if problem.kind == "homogeneous" else problem.profile
+    _, state, source = check_config(catalog.load_example(name))
+    geometry = state_geometry(state, source) if built else source
     with pytest.raises(InputError, match=message):
-        call(problem.initial_state(), geometry)
+        call(state, geometry)
+
+
+@pytest.mark.parametrize("algebra, diag", [(abelian(2), (-1.0, -1.0)), (su2(), (1.0, -1.0, -1.0))],
+                         ids=["minus-identity", "two-negative-entries"])
+def test_indefinite_profile_raises_input_error(algebra, diag):
+    # det g = 1 at every radius: only the eigenvalues show that g is not
+    # positive definite, before any Cholesky factor or volume is taken
+    r = np.linspace(0.0, 1.0, 9)
+    gram = np.tile(np.diag(diag), (r.size, 1, 1))
+    profile = TabulatedProfile(reductive_split(algebra, []), OrbitSpace(CIRCLE, 1.0), r, gram,
+                               np.zeros_like(gram))
+    state = ReducedState(0.0, 0.5, np.ones((16, len(diag))))
+    config = SolverConfig(dt=1e-3, t_end=1e-3)
+    calls = (lambda: GridGeometry(profile, 16), lambda: profile.volume_at(0.3),
+             lambda: profile.volume_at(r), lambda: profile.h0_at(0.3),
+             lambda: energy(state, profile), lambda: rhs(state, profile),
+             lambda: step_rk4(state, profile, config),
+             lambda: pressure_reconstruct(state, profile),
+             lambda: integrate(state, profile, config))
+    for call in calls:
+        with pytest.raises(InputError, match="not positive definite"):
+            call()

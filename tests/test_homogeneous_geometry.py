@@ -117,8 +117,8 @@ def koszul_per_node(split, gram):
     "name", ["berger_circle", "t3_circle", "boundary_interval", "s3_t2_interval"]
 )
 def test_stacked_connection_equals_per_node(name):
-    problem = build_problem(catalog.load_example(name))
-    profile, n = problem.profile, len(problem.v0)
+    state, geom = build_problem(catalog.load_example(name))
+    profile, n = geom.profile, len(state.v)
     grams = GridGeometry(profile, n).gram
     stacked = connection_tensors(profile.split, grams)
     assert stacked.shape == (n,) + (profile.dim,) * 3

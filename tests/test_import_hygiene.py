@@ -148,3 +148,25 @@ def test_no_unused_imports():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in read]
     assert unused == []
+
+
+# the public per-state functions README lists, and the run engine's two
+PER_STATE = {
+    "diagnostics": ("energy", "pointwise_speed", "c1_monitor", "divergence_residual",
+                    "endpoint_taylor_monitor"),
+    "reduced_euler": ("rhs", "step_rk4", "pressure_reconstruct", "integrate",
+                      "trajectory_pressures"),
+}
+
+
+def test_per_state_functions_take_a_state_and_its_geometry():
+    # a run is an initial state on a geometry: every function of a state or a
+    # trajectory takes it first and its geometry second, never a wrapper of both
+    wrong = []
+    for module_name, names in PER_STATE.items():
+        module = importlib.import_module(f"coho_euler.{module_name}")
+        for name in names:
+            first, second = list(inspect.signature(getattr(module, name)).parameters)[:2]
+            if first not in ("state", "trajectory") or second != "geometry":
+                wrong.append(f"{module_name}.{name}({first}, {second}, ...)")
+    assert wrong == []

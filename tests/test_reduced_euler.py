@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 from coho_euler import (
-    CircleProblem,
-    HomogeneousProblem,
     InputError,
-    IntervalProblem,
     InvariantMetric,
     ReducedState,
     SolverConfig,
@@ -24,7 +21,7 @@ from coho_euler import (
 )
 from coho_euler.coho_geometry import BOUNDARY, INTERVAL, OrbitSpace, TabulatedProfile
 from coho_euler.config import build_problem, build_solver_config
-from coho_euler.diagnostics import grid_layout
+from coho_euler.diagnostics import GridGeometry, grid_layout
 from coho_euler.errors import NumericalFailureError
 from coho_euler.reduced_euler import _check_stage, _make_disc, trajectory_pressures
 
@@ -120,7 +117,7 @@ def test_homogeneous_rhs_equals_euler_arnold(rigid_body_metric):
 def test_homogeneous_rhs_is_the_run_rhs(rigid_body_metric):
     # bit-equal to the right-hand side a run steps with; -nabla_x x from
     # invariant_connection is the geometric form, equal to rounding only
-    disc = _make_disc(HomogeneousProblem(rigid_body_metric, np.zeros(3)).geom)
+    disc = _make_disc(GridGeometry(rigid_body_metric))
     for x in np.random.default_rng(5).normal(size=(200, 3)):
         assert np.array_equal(homogeneous_dudt(rigid_body_metric, x), disc.rhs(0.0, x)[1])
 
@@ -225,7 +222,7 @@ def test_pressure_default_dcdt_is_the_closure():
     v = np.column_stack([np.sin(2 * np.pi * grid), 0.5 * np.cos(2 * np.pi * grid)])
     state = ReducedState(0.0, 0.3, v)
     field = pressure_reconstruct(state, wt)
-    want = trajectory_pressures(CircleProblem(wt, 0.3, v), [state])[0]
+    want = trajectory_pressures([state], wt)[0]
     assert np.array_equal(field.samples, want.samples)
     assert field.periodicity_residual == want.periodicity_residual
 
@@ -253,8 +250,8 @@ def test_step_rk4_order_four_homogeneous(rigid_body_metric):
     x0 = np.array([1.0, 1.0, 1.0]) / np.sqrt(6)
 
     def run(dt):
-        prob = HomogeneousProblem(rigid_body_metric, x0)
-        snaps, _ = integrate(prob, SolverConfig(dt=dt, t_end=1.0, snapshot_cadence=10**9))
+        snaps, _ = integrate(ReducedState(0.0, 0.0, x0), rigid_body_metric,
+                             SolverConfig(dt=dt, t_end=1.0, snapshot_cadence=10**9))
         return snaps[-1].v
 
     ref = run(1.0 / 512)
@@ -266,19 +263,30 @@ def test_step_rk4_order_four_homogeneous(rigid_body_metric):
 # -- integrate -----------------------------------------------------------------
 
 
+def test_integrate_continues_from_the_state_time(rigid_body_metric):
+    # a run's clock starts at its state's t: one step from t = 0.25 lands where step_rk4 does
+    state = ReducedState(0.25, 0.0, np.array([1.0, 1.0, 1.0]) / np.sqrt(6))
+    cfg = SolverConfig(dt=0.25, t_end=0.25)
+    snaps, report = integrate(state, rigid_body_metric, cfg)
+    stepped = step_rk4(state, rigid_body_metric, cfg)
+    assert snaps[0] is state
+    assert snaps[-1].t == stepped.t == report.t_final == 0.5
+    assert np.array_equal(snaps[-1].v, stepped.v)
+
+
 def test_integrate_interval_steady(round_s3_t2):
     v0 = np.tile([1.0, 2.0], (32, 1))
-    prob = IntervalProblem(round_s3_t2, v0)
-    snaps, report = integrate(prob, SolverConfig(dt=1e-2, t_end=1.0))
+    snaps, report = integrate(ReducedState(0.0, 0.0, v0), round_s3_t2,
+                              SolverConfig(dt=1e-2, t_end=1.0))
     assert np.array_equal(snaps[-1].v, v0)
     assert report.summary["pointwise_speed"]["max_drift"] == 0.0
     assert report.failure is None
 
 
 def test_integrate_steady_horizontal_circle(flat_torus):
-    prob = CircleProblem(flat_torus, 3.0, np.zeros((32, 2)))
+    state = ReducedState(0.0, 3.0, np.zeros((32, 2)))
     # CFL guard: |h| = 3 needs dt below 0.5 * dr / 3
-    snaps, report = integrate(prob, SolverConfig(dt=5e-3, t_end=0.5))
+    snaps, report = integrate(state, flat_torus, SolverConfig(dt=5e-3, t_end=0.5))
     assert snaps[-1].c == 3.0
     assert report.failure is None
 
@@ -288,27 +296,19 @@ def test_integrate_transport_one_period(flat_torus):
     grid = grid_layout(flat_torus, n)[0]
     v0 = np.zeros((n, 2))
     v0[:, 0] = np.sin(2 * np.pi * grid)
-    prob = CircleProblem(flat_torus, 1.0, v0)
-    snaps, report = integrate(prob, SolverConfig(dt=2e-3, t_end=1.0))
+    snaps, report = integrate(ReducedState(0.0, 1.0, v0), flat_torus,
+                              SolverConfig(dt=2e-3, t_end=1.0))
     assert np.max(np.abs(snaps[-1].v - v0)) < 2e-5  # N=64 stencil floor
     assert report.summary["energy"]["max_rel_drift"] < 1e-6
     assert report.failure is None
 
 
 def test_integrate_cfl_failure(flat_torus):
-    prob = CircleProblem(flat_torus, 5.0, np.zeros((32, 2)))
-    snaps, report = integrate(prob, SolverConfig(dt=0.05, t_end=1.0))
+    state = ReducedState(0.0, 5.0, np.zeros((32, 2)))
+    snaps, report = integrate(state, flat_torus, SolverConfig(dt=0.05, t_end=1.0))
     assert report.failure is not None
     assert report.failure["kind"] == "cfl"
     assert len(snaps) >= 1  # partial trajectory preserved
-
-
-def _started_from_negated(problem, state):
-    if problem.kind == "homogeneous":
-        return dataclasses.replace(problem, x0=-state.v)
-    if problem.kind == "circle":
-        return dataclasses.replace(problem, c0=-state.c, v0=-state.v)
-    return dataclasses.replace(problem, v0=-state.v)
 
 
 @pytest.mark.parametrize("name", catalog.example_names())
@@ -323,13 +323,14 @@ def test_time_reversal_round_trip(name):
     order bug or a recorder that mutates the state.
     """
     cfg = catalog.load_example(name)
-    problem = build_problem(cfg)
+    start, geom = build_problem(cfg)
     solver = dataclasses.replace(build_solver_config(cfg), t_end=1.0)
-    start = problem.initial_state()
-    snaps, report = integrate(problem, solver)
+    # a copy runs, so that a run mutating its state cannot move the start
+    snaps, report = integrate(ReducedState(0.0, start.c, start.v.copy()), geom, solver)
     assert report.failure is None
     assert snaps[-1].t == 1.0
-    back, report = integrate(_started_from_negated(problem, snaps[-1]), solver)
+    negated = ReducedState(0.0, -snaps[-1].c, -snaps[-1].v)
+    back, report = integrate(negated, geom, solver)
     assert report.failure is None
     end = back[-1]
     c0, c_end = start.c or 0.0, end.c or 0.0
@@ -340,9 +341,9 @@ def test_time_reversal_round_trip(name):
 
 def test_integrate_non_finite_failure(su2_split):
     metric = InvariantMetric(su2_split, np.diag([1.0, 2.0, 3.0]))
-    prob = HomogeneousProblem(metric, np.array([1e200, 1e200, 0.0]))
+    state = ReducedState(0.0, 0.0, np.array([1e200, 1e200, 0.0]))
     dt = 1e-3
-    snaps, report = integrate(prob, SolverConfig(dt=dt, t_end=1.0))
+    snaps, report = integrate(state, metric, SolverConfig(dt=dt, t_end=1.0))
     failure = report.failure
     assert failure is not None
     assert failure["kind"] == "non_finite"
@@ -391,10 +392,9 @@ def test_integrate_dcdt_fault_injection(flat_torus, dcdt_fault):
     grid = grid_layout(flat_torus, n)[0]
     v0 = np.zeros((n, 2))
     v0[:, 0] = 0.1 * np.sin(2 * np.pi * grid)
-    prob = CircleProblem(flat_torus, 0.5, v0)
     dcdt_fault(1.0)
     cfg = SolverConfig(dt=1e-3, t_end=0.1)
-    snaps, report = integrate(prob, cfg)
+    snaps, report = integrate(ReducedState(0.0, 0.5, v0), flat_torus, cfg)
     assert report.failure is not None
     assert report.failure["kind"] == "pressure_periodicity"
 
@@ -403,13 +403,14 @@ def test_integrate_dcdt_fault_injection(flat_torus, dcdt_fault):
 def test_failed_run_snapshot_times_increase(flat_torus, rigid_body_metric, dcdt_fault, kind):
     # every step is snapshotted, so the failing state may already be the last snapshot
     if kind == "cfl":
-        prob = CircleProblem(flat_torus, 100.0, np.zeros((32, 2)))
+        state, geometry = ReducedState(0.0, 100.0, np.zeros((32, 2))), flat_torus
     elif kind == "non_finite":
-        prob = HomogeneousProblem(rigid_body_metric, [1e200, 1e200, 0.0])
+        state, geometry = ReducedState(0.0, 0.0, [1e200, 1e200, 0.0]), rigid_body_metric
     else:
         dcdt_fault(1.0)
-        prob = CircleProblem(flat_torus, 0.5, np.zeros((32, 2)))
-    snaps, report = integrate(prob, SolverConfig(dt=1e-3, t_end=1.0, snapshot_cadence=1))
+        state, geometry = ReducedState(0.0, 0.5, np.zeros((32, 2))), flat_torus
+    snaps, report = integrate(state, geometry,
+                              SolverConfig(dt=1e-3, t_end=1.0, snapshot_cadence=1))
     assert report.failure["kind"] == kind
     times = [s.t for s in snaps]
     assert times[-1] == report.failure["t"]
@@ -417,23 +418,22 @@ def test_failed_run_snapshot_times_increase(flat_torus, rigid_body_metric, dcdt_
 
 
 def test_integrate_records_diagnostics_each_step(flat_torus):
-    prob = CircleProblem(flat_torus, 1.0, np.zeros((32, 2)))
-    series = collect_rows(prob, SolverConfig(dt=1e-2, t_end=0.1))[2]
+    state = ReducedState(0.0, 1.0, np.zeros((32, 2)))
+    series = collect_rows(state, flat_torus, SolverConfig(dt=1e-2, t_end=0.1))[2]
     assert len(series["t"]) == 11
     assert np.allclose(np.diff(series["t"]), 1e-2)
 
 
 def test_trajectory_pressures_match_public_op(round_s3_t2, rigid_body_metric):
     v0 = np.tile([1.0, 2.0], (32, 1))
-    prob = IntervalProblem(round_s3_t2, v0)
-    snaps, _ = integrate(prob, SolverConfig(dt=1e-2, t_end=0.1))
-    fields = trajectory_pressures(prob, snaps)
+    snaps, _ = integrate(ReducedState(0.0, 0.0, v0), round_s3_t2, SolverConfig(dt=1e-2, t_end=0.1))
+    fields = trajectory_pressures(snaps, round_s3_t2)
     direct = pressure_reconstruct(snaps[-1], round_s3_t2)
     assert np.allclose(fields[-1].samples, direct.samples)
 
-    prob = HomogeneousProblem(rigid_body_metric, [0.0, 1.0, 1.0])
-    snaps, _ = integrate(prob, SolverConfig(dt=1e-2, t_end=0.1))
-    fields = trajectory_pressures(prob, snaps)
+    state = ReducedState(0.0, 0.0, [0.0, 1.0, 1.0])
+    snaps, _ = integrate(state, rigid_body_metric, SolverConfig(dt=1e-2, t_end=0.1))
+    fields = trajectory_pressures(snaps, rigid_body_metric)
     direct = pressure_reconstruct(snaps[-1], rigid_body_metric)
     assert np.array_equal(fields[-1].samples, direct.samples)
     assert direct.periodicity_residual == fields[-1].periodicity_residual == 0.0

@@ -1,8 +1,8 @@
 """How a run is put together: one geometry per run, and traceable layers.
 
-A run builds its problem's geometry once and shares it between the step,
-the recorder and the pressures; a public per-state function given that
-geometry builds none. perfbench's tracer wraps the layers of a run by name,
+A run builds its initial state's geometry once and shares it between the
+step, the recorder and the pressures; a public per-state function given
+that geometry builds none. perfbench's tracer wraps the layers of a run by name,
 so a rename or a fused-away layer must fail here rather than turn that
 layer silently into "absent" in the trace.
 """
@@ -30,8 +30,8 @@ from coho_euler import (
     step_rk4,
 )
 from coho_euler.cli import run_command
-from coho_euler.config import build_problem, build_solver_config, parse_config_dict
-from coho_euler.diagnostics import grid_layout
+from coho_euler.config import build_problem, build_solver_config, check_config, parse_config_dict
+from coho_euler.diagnostics import grid_layout, state_geometry
 
 CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
 
@@ -82,7 +82,7 @@ def test_snapshot_nodes_are_the_layout_nodes(tmp_path, name):
     if cfg.kind == "homogeneous":
         want = np.zeros(1)
     else:
-        want = grid_layout(build_problem(cfg).profile, cfg.solver["N"])[0]
+        want = grid_layout(build_problem(cfg)[1].profile, cfg.solver["N"])[0]
     files = sorted((tmp_path / "snapshots").glob("*.csv"))
     assert len(files) == 2
     for path in files:
@@ -104,9 +104,8 @@ def test_perfbench_trace_targets_resolve():
     assert child.resolve("coho_euler.reduced_euler", "integrate") is not None
 
 
-def public_calls(problem, config):
-    """Each public per-state function on the problem's initial state, by name."""
-    state = problem.initial_state()
+def public_calls(state, geom, config):
+    """Each public per-state function on a run's initial state, by name."""
     calls = {
         "energy": lambda g: energy(state, g),
         "pointwise_speed": lambda g: pointwise_speed(state, g),
@@ -116,12 +115,12 @@ def public_calls(problem, config):
         "step_rk4": lambda g: step_rk4(state, g, config),
         "pressure_reconstruct": lambda g: pressure_reconstruct(state, g),
     }
-    if problem.kind == "homogeneous":
+    if geom.kind == "homogeneous":
         return calls
     h = np.linspace(0.5, 1.5, len(state.v))
     calls["pointwise_speed_j"] = lambda g: pointwise_speed(state, g, j=3)
     calls["divergence_residual_h"] = lambda g: divergence_residual(state, g, h_samples=h)
-    if problem.geom.singular_windows:
+    if geom.singular_windows:
         calls["endpoint_taylor_monitor"] = lambda g: endpoint_taylor_monitor([state] * 3, g)
     return calls
 
@@ -142,11 +141,10 @@ def bits(x):
 @pytest.mark.parametrize("name", catalog.example_names())
 def test_public_calls_reuse_a_built_geometry(monkeypatch, name):
     cfg = catalog.load_example(name)
-    problem = build_problem(cfg)
-    calls = public_calls(problem, build_solver_config(cfg))
-    source = problem.metric if problem.kind == "homogeneous" else problem.profile
+    _, state, source = check_config(cfg)
+    geom = state_geometry(state, source)
+    calls = public_calls(state, geom, build_solver_config(cfg))
     want = {key: bits(call(source)) for key, call in calls.items()}
-    geom = problem.geom
 
     builds = []
     init = diagnostics.GridGeometry.__init__
