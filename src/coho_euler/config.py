@@ -208,15 +208,17 @@ OUTPUT = Obj({"directory": Str("a path"), "snapshot_cadence": COUNT,
               "diagnostics_cadence": COUNT}, ())
 # the top-level seed enters the config hash (and manifest.json's config echo) and nothing else
 COMMON = {"output": OUTPUT, "seed": Int(0, bound="expected a non-negative integer")}
-# one entry per fibre dimension, each [a0, a1, b1, ...] up to MAX_MODES modes
-FOURIER = {"length": POSITIVE, "fourier": Numbers(2, most=(MAX_DIM, 2 * MAX_MODES + 1))}
+# one list per fibre dimension, each [a0, a1, b1, ...] up to MAX_MODES modes (or as
+# many polynomial coefficients): caps every coefficient list of a profile or initial data
+COEFFICIENTS = (MAX_DIM, 2 * MAX_MODES + 1)
+FOURIER = {"length": POSITIVE, "fourier": Numbers(2, most=COEFFICIENTS)}
 FAMILIES = {"round_s3_t2": {}, "warped_torus": FOURIER, "berger_circle": FOURIER}
 TABULATED = {"family": None, "length": POSITIVE, "kind": None, "csv": Str("a file name"),
              "endpoints": None}  # kind and endpoints: see _tabulated_rule
 VTYPES = {
     "constant": {"values": Numbers()},
-    "polynomial": {"coefficients": Numbers(2, "rows")},
-    "fourier": {"coefficients": Numbers(2)},
+    "polynomial": {"coefficients": Numbers(2, "rows", COEFFICIENTS)},
+    "fourier": {"coefficients": Numbers(2, most=COEFFICIENTS)},
     "random_fourier": {"seed": Int(0, "a non-negative integer"),
                        "modes": Int(1, "a positive integer", high=MAX_MODES),
                        "amplitude": NUMBER},
@@ -555,7 +557,9 @@ def check_config(cfg: RunConfig):
         report.extend(cg.gram_positivity(profile, grid, "gram_positive_on_state_grid"),
                       "profile: {} failed")
         try:
-            initial = build_initial_v(cfg, profile, grid)
+            # initial data past the float range is inf, which ReducedState refuses
+            with np.errstate(over="ignore", invalid="ignore"):
+                initial = build_initial_v(cfg, profile, grid)
         except ConfigError as exc:
             for message in exc.messages:
                 report.add_error("initial_data", message)

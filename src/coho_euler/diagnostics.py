@@ -291,15 +291,18 @@ def state_geometry(state, geometry) -> GridGeometry:
     ``geometry`` is a metric profile, whose geometry is built on ``len(state.v)``
     nodes, an invariant metric (homogeneous states) or a built geometry, such
     as the one ``config.build_problem`` returns for a run, which is returned
-    as it is. v must have shape (n, d), or (d,) on the one-node geometry, and
-    c is zero off the circle.
+    as it is; anything else is an InputError. v must have shape (n, d), or
+    (d,) on the one-node geometry, and c is zero off the circle.
     """
     if isinstance(geometry, GridGeometry):
         geom = geometry
     elif isinstance(geometry, InvariantMetric):
         geom = GridGeometry(geometry)
-    else:
+    elif isinstance(geometry, MetricProfile):
         geom = GridGeometry(geometry, len(state.v))
+    else:
+        raise InputError("a geometry is a metric profile, an invariant metric or a "
+                         f"GridGeometry; got {type(geometry).__name__}")
     shape = (geom.d,) if geom.kind == "homogeneous" else (geom.n, geom.d)
     if np.shape(state.v) != shape:
         raise InputError(f"state v has shape {np.shape(state.v)}, the geometry needs {shape}")

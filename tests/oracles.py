@@ -52,6 +52,22 @@ def koszul_oracle(bracket_coeffs, gram, X, Y):
     return np.linalg.solve(gram, rhs)
 
 
+def casimir(gram, bracket, v):
+    """The coadjoint Casimir of m = g v at each node, from g and the bracket alone.
+
+    C = m^T K^-1 m with the Killing form K_ab = sum_cd B[a,c,d] B[b,d,c] of
+    the bracket B on m, or |m|^2 where K vanishes (an abelian fibre). A
+    reduced flow carries it, dC/dt + h dC/dr = 0: C is conserved at each
+    node of an interval or a single orbit, and int C vol dr on a circle.
+    ``gram`` is (n, d, d) and ``v`` (..., n, d); returns (..., n).
+    """
+    m = np.einsum("jab,...jb->...ja", gram, v)
+    K = np.einsum("acd,bdc->ab", bracket, bracket)
+    if not np.any(K):
+        return np.sum(m * m, axis=-1)
+    return np.einsum("...ja,ab,...jb->...j", m, np.linalg.inv(K), m)
+
+
 def joint_ad_kernel(alg, h_basis, m_basis, tol=1e-10):
     """Fixed subspace by brute force: eigen-decompose the stacked Gram matrix."""
     rows = []

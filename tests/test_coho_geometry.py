@@ -23,6 +23,7 @@ from coho_euler.coho_geometry import (
     INTERVAL,
     SINGULAR,
     FD_STEP,
+    FourierDiagonalProfile,
     OrbitSpace,
     RoundS3T2Profile,
     TabulatedProfile,
@@ -234,11 +235,38 @@ def test_coordinate_divergence_oracle_fixes_convention():
         assert abs(div) < 1e-8
 
 
+BERGER = [[0.0, 0.04, 0.0], [0.26, -0.03, 0.02], [0.47, 0.03, -0.02]]
+
+
 def test_validate_profile_passes_builtins(round_s3_t2, flat_torus):
     assert validate_profile(round_s3_t2).passed
     assert validate_profile(flat_torus).passed
-    bc = berger_circle(1.0, [[0.0, 0.04, 0.0], [0.26, -0.03, 0.02], [0.47, 0.03, -0.02]])
-    assert validate_profile(bc).passed
+    assert validate_profile(berger_circle(1.0, BERGER)).passed
+
+
+class _Stretched(FourierDiagonalProfile):
+    """A Fourier family sampled with a period of L (1 + 1e-6): not periodic on [0, L]."""
+
+    def _phases(self, entry, r):
+        return super()._phases(entry, r / (1.0 + 1e-6))
+
+
+@pytest.mark.parametrize("shift", [0.0, 15.0])
+def test_periodicity_reads_the_same_in_any_units(shift):
+    # every log-entry raised by 15 scales g by e^15: the same flow in other
+    # units, periodic up to rounding at g's scale; a wrong period still fails
+    coefficients = [[a0 + shift, *rest] for a0, *rest in BERGER]
+    profile = berger_circle(1.0, coefficients)
+    assert validate_profile(profile)["periodicity"].passed
+    assert not validate_profile(_Stretched(profile.split, 1.0, coefficients))["periodicity"].passed
+
+
+def test_overflowing_gram_is_refused_by_name():
+    # e^710 overflows a float: positivity names the radius, without a numpy
+    # warning (a RuntimeWarning from coho_euler fails this suite)
+    report = validate_profile(berger_circle(1.0, [[710.0, 0.04, 0.0], *BERGER[1:]]))
+    assert not report.passed
+    assert "g_r is not finite at r = 0]" in report["gram_positive_on_probe_grid"].line()
 
 
 def test_validate_profile_flags_missing_collapse():

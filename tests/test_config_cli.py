@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,32 +17,9 @@ from coho_euler.config import build_problem, parse_config, parse_config_dict
 from coho_euler.diagnostics import grid_rule
 from coho_euler.numerics import cubic_spline
 
+from bundled import DELETE, EYE3, SU2_C, variant
+
 SRC = Path(__file__).resolve().parent.parent / "src"
-
-
-def example_raw(name, updates):
-    return updated(json.loads(catalog.example_path(name).read_text()), updates)
-
-
-DELETE = object()  # an update that removes its field
-
-
-def updated(raw, updates):
-    """``raw`` with each dotted field of ``updates`` set, or removed if DELETE."""
-    for key, val in updates.items():
-        node = raw
-        parts = key.split(".")
-        for p in parts[:-1]:
-            node = node.setdefault(p, {})
-        if val is DELETE:
-            del node[parts[-1]]
-        else:
-            node[parts[-1]] = val
-    return raw
-
-
-def t3_raw(**updates):
-    return example_raw("t3_circle", updates)
 
 
 # -- parsing -------------------------------------------------------------------
@@ -62,59 +40,54 @@ def test_all_bundled_examples_build():
 
 def test_odd_grid_size_rejected():
     with pytest.raises(ConfigError, match="solver.N"):
-        parse_config_dict(t3_raw(**{"solver.N": 15}))
+        parse_config_dict(variant("t3_circle", {"solver.N": 15}))
 
 
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="viscosity"):
-        parse_config_dict(t3_raw(viscosity=0.1))
+        parse_config_dict(variant("t3_circle", {"viscosity": 0.1}))
     with pytest.raises(ConfigError, match="solver.fancy"):
-        parse_config_dict(t3_raw(**{"solver.fancy": True}))
+        parse_config_dict(variant("t3_circle", {"solver.fancy": True}))
 
 
 def test_missing_required_key():
-    raw = t3_raw()
-    del raw["solver"]["dt"]
     with pytest.raises(ConfigError, match="solver.dt"):
-        parse_config_dict(raw)
+        parse_config_dict(variant("t3_circle", {"solver.dt": DELETE}))
 
 
 def test_polynomial_rejected_on_circle():
-    raw = t3_raw(**{"initial.v": {"type": "polynomial", "coefficients": [[0.0, 1.0], [0.0]]}})
+    raw = variant("t3_circle", {"initial.v": {"type": "polynomial", "coefficients": [[0.0, 1.0], [0.0]]}})
     with pytest.raises(ConfigError, match="not periodic"):
         parse_config_dict(raw)
 
 
 def test_fourier_rejected_on_interval():
-    raw = json.loads(catalog.example_path("s3_t2_interval").read_text())
-    raw["initial"]["v"] = {"type": "fourier", "coefficients": [[0.0, 1.0, 0.0], [0.0]]}
+    raw = variant("s3_t2_interval", {"initial.v": {"type": "fourier", "coefficients": [[0.0, 1.0, 0.0], [0.0]]}})
     with pytest.raises(ConfigError, match="circle-only|fourier"):
         parse_config_dict(raw)
 
 
 def test_odd_polynomial_parity_rejected():
-    raw = json.loads(catalog.example_path("s3_t2_interval").read_text())
-    raw["initial"]["v"] = {"type": "polynomial", "coefficients": [[0.0, 1.0], [0.5]]}
-    cfg = parse_config_dict(raw)
+    cfg = variant("s3_t2_interval", {"initial.v": {"type": "polynomial", "coefficients": [[0.0, 1.0], [0.5]]}},
+                  parse=True)
     with pytest.raises(ConfigError, match="odd powers"):
         build_problem(cfg)
 
 
 def test_constant_polynomial_accepted_on_interval():
-    raw = json.loads(catalog.example_path("s3_t2_interval").read_text())
-    raw["initial"]["v"] = {"type": "polynomial", "coefficients": [[1.0], [2.0]]}
-    state = build_problem(parse_config_dict(raw))[0]
+    v = {"type": "polynomial", "coefficients": [[1.0], [2.0]]}
+    state = build_problem(variant("s3_t2_interval", {"initial.v": v}, parse=True))[0]
     assert np.allclose(state.v, [1.0, 2.0])
 
 
 def test_algebra_forbidden_for_builtin_families():
-    raw = t3_raw(algebra={"name": "abelian", "dim": 2})
+    raw = variant("t3_circle", {"algebra": {"name": "abelian", "dim": 2}})
     with pytest.raises(ConfigError, match="algebra"):
         parse_config_dict(raw)
 
 
 def test_random_fourier_is_seed_deterministic():
-    raw = t3_raw(**{"initial.v": {"type": "random_fourier", "seed": 5, "modes": 2, "amplitude": 0.1}})
+    raw = variant("t3_circle", {"initial.v": {"type": "random_fourier", "seed": 5, "modes": 2, "amplitude": 0.1}})
     a = build_problem(parse_config_dict(raw))[0].v
     b = build_problem(parse_config_dict(raw))[0].v
     assert np.array_equal(a, b)
@@ -124,19 +97,13 @@ def test_random_fourier_is_seed_deterministic():
 def test_config_hash_is_hashlib_sha256(name):
     # manifest.json's config_hash: the built-in digest must equal hashlib's
     if name == "non_ascii_directory":
-        cfg = parse_config_dict(t3_raw(**{"output.directory": "résultats/流体 ☃"}))
+        cfg = parse_config_dict(variant("t3_circle", {"output.directory": "résultats/流体 ☃"}))
     else:
         cfg = catalog.load_example(name)
     assert cfg.hash() == hashlib.sha256(cfg.canonical_json().encode()).hexdigest()
 
 
 # -- CLI -----------------------------------------------------------------------
-
-
-def write_cfg(tmp_path, raw, name="cfg.json"):
-    path = tmp_path / name
-    path.write_text(json.dumps(raw))
-    return path
 
 
 def test_cli_examples_list(capsys):
@@ -186,25 +153,22 @@ def test_cli_deeply_nested_config_exit_4(tmp_path, capsys):
 
 def test_random_fourier_seed_of_4299_digits_runs(tmp_path):
     # the largest integer literal json reads is still a valid seed
-    raw = example_raw("berger_circle", {"initial.v.seed": int("7" * 4299), "solver.t_end": 0.01})
-    assert main(["run", "--config", str(write_cfg(tmp_path, raw)),
-                 "--out", str(tmp_path / "o")]) == 0
+    path = variant("berger_circle", {"initial.v.seed": int("7" * 4299), "solver.t_end": 0.01}, write_to=tmp_path)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
 
 
 def test_cli_validation_error_exit_2(tmp_path, capsys):
     # solver.N below the grid rule of a circle, a singular and a boundary interval
     for name, n in (("t3_circle", 15), ("t3_circle", 14), ("s3_t2_interval", 5),
                     ("boundary_interval", 5)):
-        raw = example_raw(name, {"solver.N": n})
-        path = write_cfg(tmp_path, raw)
+        path = variant(name, {"solver.N": n}, write_to=tmp_path)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert f"solver.N: {grid_rule(raw['problem']['kind'])}, got {n}" in err
+        assert f"solver.N: {grid_rule(variant(name)['problem']['kind'])}, got {n}" in err
 
 
 def test_cli_run_success_and_artifacts(tmp_path, capsys):
-    raw = t3_raw(**{"solver.t_end": 0.05, "solver.dt": 0.001})
-    path = write_cfg(tmp_path, raw)
+    path = variant("t3_circle", {"solver.t_end": 0.05, "solver.dt": 0.001}, write_to=tmp_path)
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     assert (out / "diagnostics.csv").exists()
@@ -219,8 +183,7 @@ def test_cli_run_success_and_artifacts(tmp_path, capsys):
 
 
 def test_cli_rerun_byte_identical(tmp_path):
-    raw = t3_raw(**{"solver.t_end": 0.05, "solver.dt": 0.001})
-    path = write_cfg(tmp_path, raw)
+    path = variant("t3_circle", {"solver.t_end": 0.05, "solver.dt": 0.001}, write_to=tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["run", "--config", str(path), "--out", str(out1)]) == 0
     assert main(["run", "--config", str(path), "--out", str(out2)]) == 0
@@ -230,15 +193,9 @@ def test_cli_rerun_byte_identical(tmp_path):
         assert snap.read_bytes() == (out2 / "snapshots" / snap.name).read_bytes()
 
 
-def short_su2_cfg(tmp_path, **updates):
-    """A 5-step su2_rigid_body config written to tmp_path/configs/cfg.json."""
-    (tmp_path / "configs").mkdir(exist_ok=True)
-    raw = example_raw("su2_rigid_body", {"solver.t_end": 0.005, **updates})
-    return write_cfg(tmp_path / "configs", raw)
-
-
 def test_cli_relative_output_directory_is_under_the_working_directory(tmp_path, monkeypatch):
-    path = short_su2_cfg(tmp_path, **{"output.directory": "runs/su2"})
+    path = variant("su2_rigid_body", {"solver.t_end": 0.005, "output.directory": "runs/su2"},
+                   write_to=tmp_path / "configs")
     work = tmp_path / "work"
     work.mkdir()
     monkeypatch.chdir(work)
@@ -248,7 +205,7 @@ def test_cli_relative_output_directory_is_under_the_working_directory(tmp_path, 
 
 
 def test_cli_default_output_directory_is_named_by_the_config_hash(tmp_path, monkeypatch):
-    path = short_su2_cfg(tmp_path)
+    path = variant("su2_rigid_body", {"solver.t_end": 0.005}, write_to=tmp_path / "configs")
     monkeypatch.chdir(tmp_path)
     assert main(["run", "--config", str(path)]) == 0
     out = tmp_path / f"coho_euler_run_{parse_config(path).hash()[:8]}"
@@ -257,7 +214,7 @@ def test_cli_default_output_directory_is_named_by_the_config_hash(tmp_path, monk
 
 @pytest.mark.parametrize("under", [False, True])
 def test_cli_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, under):
-    path = short_su2_cfg(tmp_path)
+    path = variant("su2_rigid_body", {"solver.t_end": 0.005}, write_to=tmp_path / "configs")
     blocker = tmp_path / "blocker"
     blocker.write_text("a regular file\n")
     out = blocker / "sub" if under else blocker
@@ -270,7 +227,7 @@ def test_cli_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, under):
 
 @pytest.mark.parametrize("artifact", ["diagnostics.csv", "snapshots/snapshot_000000.csv"])
 def test_cli_unwritable_artifact_exits_2(tmp_path, capsys, artifact):
-    path = short_su2_cfg(tmp_path)
+    path = variant("su2_rigid_body", {"solver.t_end": 0.005}, write_to=tmp_path / "configs")
     out = tmp_path / "out"
     (out / artifact).mkdir(parents=True)  # a directory where the artifact goes
     assert main(["run", "--config", str(path), "--out", str(out)]) == 2
@@ -280,9 +237,8 @@ def test_cli_unwritable_artifact_exits_2(tmp_path, capsys, artifact):
 
 
 def test_cli_numerical_failure_exit_3(tmp_path, capsys, dcdt_fault):
-    raw = t3_raw(**{"solver.t_end": 0.05})
+    path = variant("t3_circle", {"solver.t_end": 0.05}, write_to=tmp_path)
     dcdt_fault(1.0)
-    path = write_cfg(tmp_path, raw)
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 3
     # partial artifacts preserved with the failure recorded
@@ -295,13 +251,14 @@ def test_cli_numerical_failure_exit_3(tmp_path, capsys, dcdt_fault):
 def test_cli_failing_run_prints_no_runtime_warning(tmp_path):
     # a fresh process, where no pytest warning filter applies: the failure
     # record reports the non-finite stage, and numpy stays silent
-    raw = example_raw("su2_rigid_body", {"initial.x": [1e200, 1e200, 0.0], "solver.t_end": 1.0})
+    path = variant("su2_rigid_body", {"initial.x": [1e200, 1e200, 0.0], "solver.t_end": 1.0},
+                   write_to=tmp_path)
     out = tmp_path / "out"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     res = subprocess.run(
         [sys.executable, "-m", "coho_euler.cli", "run",
-         "--config", str(write_cfg(tmp_path, raw)), "--out", str(out)],
+         "--config", str(path), "--out", str(out)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert res.returncode == 3, res.stderr
@@ -314,10 +271,10 @@ def test_cli_failing_run_prints_no_runtime_warning(tmp_path):
 def test_cli_overflowing_rk4_combine_exit_3(tmp_path, capsys):
     # all four stages are finite, but k1 + 2 k2 + 2 k3 + k4 overflows: the
     # stepped-state screen names the combine and the run keeps its artifacts
-    raw = example_raw("su2_rigid_body", {"initial.x": [1e154, 1e154, 1e154],
-                                         "solver.dt": 1e-300, "solver.t_end": 1e-300})
+    path = variant("su2_rigid_body", {"initial.x": [1e154, 1e154, 1e154],
+                                      "solver.dt": 1e-300, "solver.t_end": 1e-300}, write_to=tmp_path)
     out = tmp_path / "out"
-    assert main(["run", "--config", str(write_cfg(tmp_path, raw)), "--out", str(out)]) == 3
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 3
     failure = json.loads((out / "summary.json").read_text())["failure"]
     assert failure["kind"] == "non_finite"
     assert (failure["stage"], failure["step"], failure["t"]) == ("combine", 0, 0.0)
@@ -368,7 +325,7 @@ def test_cli_validate_non_spd_tabulated_names_r(tmp_path, capsys):
         "initial": {"v": {"type": "constant", "values": [1.0]}},
         "solver": {"N": 16, "dt": 0.001, "t_end": 0.01},
     }
-    path = write_cfg(tmp_path, raw)
+    path = variant(raw, write_to=tmp_path)
     assert main(["validate", "--config", str(path)]) == 2
     out = capsys.readouterr().out
     assert "FAIL" in out and "gram_positive_on_probe_grid" in out
@@ -377,10 +334,6 @@ def test_cli_validate_non_spd_tabulated_names_r(tmp_path, capsys):
 
 def fourier_v(coefficients):
     return {"type": "fourier", "coefficients": coefficients}
-
-
-SU2_C = su2().structure.tolist()
-EYE3 = np.eye(3).tolist()
 
 
 @pytest.mark.parametrize(
@@ -420,7 +373,7 @@ EYE3 = np.eye(3).tolist()
     ids=lambda case: ",".join(f"{k}={v!r}" for k, v in case.items()) if isinstance(case, dict) else case,
 )
 def test_cli_malformed_config_exit_2(tmp_path, capsys, name, updates):
-    path = write_cfg(tmp_path, example_raw(name, updates))
+    path = variant(name, updates, write_to=tmp_path)
     assert main(["validate", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "validation error: " in err
@@ -431,7 +384,7 @@ def test_ragged_algebra_names_field_path(field):
     algebra = {"structure": SU2_C, "Q": EYE3}
     algebra[field] = [row[:2] if i == 2 else row for i, row in enumerate(algebra[field])]
     with pytest.raises(ConfigError) as exc:
-        parse_config_dict(example_raw("su2_rigid_body", {"algebra": algebra}))
+        parse_config_dict(variant("su2_rigid_body", {"algebra": algebra}))
     assert any(m.startswith(f"algebra.{field}: ") for m in exc.value.messages)
 
 
@@ -445,8 +398,7 @@ def tabulated_cfg(tmp_path, cell=None, **updates):
         cells[column] = text
         lines[row] = ",".join(cells)
     (tmp_path / "prof.csv").write_text("\n".join(lines) + "\n")
-    raw = example_raw("boundary_interval", {"profile.csv": "prof.csv", **updates})
-    return write_cfg(tmp_path, raw)
+    return variant("boundary_interval", {"profile.csv": "prof.csv", **updates}, write_to=tmp_path)
 
 
 @pytest.mark.parametrize(
@@ -468,12 +420,8 @@ def test_cli_non_finite_tabulated_samples_exit_2(tmp_path, capsys, command, cell
 
 def test_cli_tabulated_circle_mismatch_is_not_periodic(tmp_path, capsys):
     # the bundled interval profile read as a circle: its first and last rows differ
-    path = tabulated_cfg(
-        tmp_path, **{"problem.kind": "circle", "profile.kind": "circle", "initial.c": 0.0}
-    )
-    raw = json.loads(path.read_text())
-    del raw["profile"]["endpoints"]
-    path.write_text(json.dumps(raw))
+    path = tabulated_cfg(tmp_path, **{"problem.kind": "circle", "profile.kind": "circle",
+                                      "profile.endpoints": DELETE, "initial.c": 0.0})
     assert main(["validate", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "validation error: tabulated profile is not periodic: the first and last gram" in err
@@ -504,7 +452,7 @@ def test_cli_unreadable_csv_exit_2(tmp_path, capsys, command, case):
         csv.mkdir()
     elif content is not None:
         csv.write_bytes(content)
-    path = write_cfg(tmp_path, example_raw("boundary_interval", {"profile.csv": name, "solver.t_end": 0.003}))
+    path = variant("boundary_interval", {"profile.csv": name, "solver.t_end": 0.003}, write_to=tmp_path)
     args = [command, "--config", str(path)]
     if command == "run":
         args += ["--out", str(tmp_path / "out")]
@@ -538,7 +486,7 @@ def abelian_profile_cfg(tmp_path, singular, **updates):
                        "endpoints": ends, "csv": "prof.csv"},
            "initial": {"v": {"type": "polynomial", "coefficients": [[0.0], [1.0]]}},
            "solver": {"N": 16, "dt": 0.001, "t_end": 0.01}}
-    return write_cfg(tmp_path, updated(raw, updates))
+    return variant(raw, updates, write_to=tmp_path)
 
 
 def spiked_profile_cfg(tmp_path):
@@ -554,7 +502,7 @@ def spiked_profile_cfg(tmp_path):
                        "endpoints": ["boundary", "boundary"], "csv": "prof.csv"},
            "initial": {"v": {"type": "constant", "values": [1.0]}},
            "solver": {"N": 6, "dt": 0.001, "t_end": 0.01}}
-    return write_cfg(tmp_path, raw)
+    return variant(raw, write_to=tmp_path)
 
 
 def v1(coefficients):
@@ -569,6 +517,13 @@ BIG_TORUS = {"profile.fourier": [[0.0]] * 17,
 LONG_ENTRY = {"profile.fourier": [[0.0] * (2 * 1025 + 1), [0.0]]}
 BIG_ALGEBRA = {"algebra": {"structure": np.zeros((17, 17, 17)).tolist(), "Q": np.eye(17).tolist()},
                "metric.gram": np.eye(17).tolist(), "initial.x": [1.0] + [0.0] * 16}
+
+
+# berger_circle in other units: every log-entry raised by 15 scales g by e^15,
+# and v by e^-7.5 keeps the flow's speeds
+OTHER_UNITS = {"profile.fourier": [[a0 + 15.0, *rest] for a0, *rest in
+                                   variant("berger_circle")["profile"]["fourier"]],
+               "initial.v.amplitude": 0.08 * np.exp(-7.5)}
 
 
 # sum_k a_k (L - r)^(2k), a = (1.2, 3.4, -5.6, 1000), expanded in powers of r at L = 0.7
@@ -609,6 +564,13 @@ EVEN_AT_L = sum(a * np.polynomial.Polynomial([0.7, -1.0]) ** (2 * k)
                        "solver.t_end": 0.01}, 2),
         ("t3_circle", {"initial.v.coefficients": [[0.0, 1.0], [0.0]], "solver.t_end": 0.01}, 2),
         ("boundary_interval", {"algebra": DELETE, "solver.t_end": 0.01}, 2),
+        ("s3_t2_interval", {"initial.v": {"type": "polynomial", "coefficients": [[1.0] + [0.0] * 2049, [1.0]]},
+                            "solver.t_end": 0.01}, 2),
+        ("t3_circle", {"initial.v.coefficients": [[0.0] * 2051, [0.0]], "solver.t_end": 0.01}, 2),
+        ("berger_circle", {**OTHER_UNITS, "solver.t_end": 0.01}, 0),
+        ("berger_circle", {"profile.fourier": [[710.0, 0.04, 0.0], [0.0], [0.0]], "solver.t_end": 0.01}, 2),
+        ("berger_circle", {"profile.fourier": [[709.0, 0.04, 0.0], [1.0], [0.0]], "solver.t_end": 0.01}, 2),
+        ("left", v1([0.0, 0.0, 1e308, 0.0, 1e308]), 2),
     ],
     ids=["structure-not-antisymmetric", "Q-not-ad-invariant", "t_end-not-multiple-of-dt", "short-initial-x",
          "step-count-overflows", "isotropy-moves-complement", "even-1000r4-at-0", "even-expanded-at-L",
@@ -616,20 +578,22 @@ EVEN_AT_L = sum(a * np.polynomial.Polynomial([0.7, -1.0]) ** (2 * k)
          "isotropy-fixes-complement", "isotropy-spans-abelian1", "isotropy-spans-abelian2",
          "gram-negative-at-a-state-node", "warped-torus-17-entries", "fourier-entry-past-1024-modes",
          "structure-Q-17-rows", "polynomial-rows-short", "fourier-rows-short",
-         "fourier-row-even-length", "tabulated-without-algebra"],
+         "fourier-row-even-length", "tabulated-without-algebra", "polynomial-row-past-2049-entries",
+         "fourier-row-past-2049-entries", "berger-in-other-units", "log-entry-overflows",
+         "volume-overflows", "polynomial-overflows"],
 )
 def test_validate_and_run_agree(tmp_path, capsys, name, updates, code):
     if name in ("left", "right"):
         path = abelian_profile_cfg(tmp_path, name, **updates)
     elif name == "spiked":
         path = spiked_profile_cfg(tmp_path)
-    elif name == "boundary_interval":
-        path = tabulated_cfg(tmp_path, **updates)
     else:
-        path = write_cfg(tmp_path, example_raw(name, updates))
+        path = variant(name, updates, write_to=tmp_path)
     out = tmp_path / "out"
-    assert main(["validate", "--config", str(path)]) == code
-    assert main(["run", "--config", str(path), "--out", str(out)]) == code
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's warnings included: none may reach stderr
+        assert main(["validate", "--config", str(path)]) == code
+        assert main(["run", "--config", str(path), "--out", str(out)]) == code
     if code:
         assert not out.exists()
         assert "validation error: " in capsys.readouterr().err
@@ -639,10 +603,10 @@ def test_validate_and_run_agree(tmp_path, capsys, name, updates, code):
 
 def test_validate_names_an_empty_fixed_subspace(tmp_path, capsys):
     # an isotropy that fixes no vector of m: validate names how far it moves m
-    raw = example_raw("su2_rigid_body", {"isotropy": {"basis": [[0.0, 0.0, 1.0]]},
-                                         "metric.gram": [[1.0, 0.0], [0.0, 1.0]],
-                                         "initial.x": [1.0, 0.5]})
-    assert main(["validate", "--config", str(write_cfg(tmp_path, raw))]) == 2
+    path = variant("su2_rigid_body", {"isotropy": {"basis": [[0.0, 0.0, 1.0]]},
+                                      "metric.gram": [[1.0, 0.0], [0.0, 1.0]],
+                                      "initial.x": [1.0, 0.5]}, write_to=tmp_path)
+    assert main(["validate", "--config", str(path)]) == 2
     out = capsys.readouterr().out
     assert "FAIL  isotropy_fixes_complement: isotropy.basis: the isotropy must fix the whole " \
            "complement (dim h = 1, dim m = 2, residual 1.000e+00 > 1e-10)" in out
@@ -660,7 +624,7 @@ def test_validate_names_an_empty_fixed_subspace(tmp_path, capsys):
     ids=["homogeneous", "interval", "interval-cadence-2"],
 )
 def test_recorded_rows_budget_exits_2(tmp_path, capsys, name, updates, rows, width):
-    path = write_cfg(tmp_path, example_raw(name, updates))
+    path = variant(name, updates, write_to=tmp_path)
     out = tmp_path / "out"
     assert main(["validate", "--config", str(path)]) == 2
     assert main(["run", "--config", str(path), "--out", str(out)]) == 2
@@ -682,6 +646,6 @@ def test_recorded_rows_budget_exits_2(tmp_path, capsys, name, updates, rows, wid
     ids=["homogeneous", "interval", "interval-cadence-2"],
 )
 def test_recorded_rows_budget_admits_the_limit(tmp_path, capsys, name, updates):
-    path = write_cfg(tmp_path, example_raw(name, updates))
+    path = variant(name, updates, write_to=tmp_path)
     assert main(["validate", "--config", str(path)]) == 0
     assert "recorded_rows" not in capsys.readouterr().out

@@ -11,28 +11,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from coho_euler import CohoEulerError, ConfigError, catalog, su2
+from coho_euler import CohoEulerError, ConfigError, catalog
 from coho_euler.cli import main
 from coho_euler.config import check_config, parse_config_dict
 
-DELETE = object()
-SU2_C = su2().structure.tolist()
-EYE3 = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+from bundled import DELETE, EYE3, SU2_C, variant
+
 nan, inf = math.nan, math.inf
-
-
-def mutated(name, path, value):
-    """A bundled config with one dotted field set to ``value`` (or deleted)."""
-    raw = json.loads(catalog.example_path(name).read_text())
-    *parents, leaf = path.split(".")
-    node = raw
-    for key in parents:
-        node = node[key]
-    if value is DELETE:
-        del node[leaf]
-    else:
-        node[leaf] = value
-    return raw
 
 
 # One mutation of one bundled config per case, with the exact message list.
@@ -115,6 +100,10 @@ PINNED = [
       "got 'spline'"]),
     ("s3_t2_interval", "initial.v", {"type": "random_fourier", "seed": 1, "modes": 2, "amplitude": 0.1},
      ["initial.v.type: random_fourier is circle-only"]),
+    ("s3_t2_interval", "initial.v", {"type": "polynomial", "coefficients": [[0.0] * 2050, [1.0]]},
+     ["initial.v.coefficients[0]: must have at most 2049 entries, got 2050"]),
+    ("t3_circle", "initial.v.coefficients", [[0.0] * 2051, [0.0]],
+     ["initial.v.coefficients[0]: must have at most 2049 entries, got 2051"]),
     ("berger_circle", "initial.v.modes", 0, ["initial.v.modes: expected a positive integer"]),
     ("berger_circle", "initial.v.modes", 1025, ["initial.v.modes: must be at most 1024, got 1025"]),
     ("berger_circle", "initial.v.seed", -1, ["initial.v.seed: expected a non-negative integer"]),
@@ -148,7 +137,7 @@ PINNED = [
 )
 def test_parse_messages_pinned(name, path, value, messages):
     with pytest.raises(ConfigError) as exc:
-        parse_config_dict(mutated(name, path, value))
+        parse_config_dict(variant(name, {path: value}))
     assert exc.value.messages == messages
 
 
@@ -177,7 +166,7 @@ def _slots(node):
 @st.composite
 def mutated_configs(draw):
     name = draw(st.sampled_from(catalog.example_names()))
-    raw = json.loads(catalog.example_path(name).read_text())
+    raw = variant(name)
     for _ in range(draw(st.integers(1, 3))):
         node, key = draw(st.sampled_from(list(_slots(raw))))
         value = node[key]
@@ -265,11 +254,8 @@ def mutated_csvs(draw):
 def csv_fuzz_case(fuzz_dir, data):
     """A three-step boundary_interval config in ``fuzz_dir`` on the CSV ``data``."""
     (fuzz_dir / "fuzzed.csv").write_bytes(data)
-    raw = mutated("boundary_interval", "profile.csv", "fuzzed.csv")
-    raw["solver"]["t_end"] = 3 * raw["solver"]["dt"]
-    path = fuzz_dir / "csv_cfg.json"
-    path.write_text(json.dumps(raw))
-    return path
+    return variant("boundary_interval", {"profile.csv": "fuzzed.csv", "solver.t_end": 0.003},
+                   write_to=fuzz_dir)
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -278,12 +264,9 @@ def csv_fuzz_case(fuzz_dir, data):
 def test_csv_without_numeric_rows_exit_2(tmp_path, capsys, command, body):
     # a header with no data rows below it is refused with its own message,
     # before numpy can warn about an empty input
-    shutil.copy(catalog.example_path("boundary_interval").parent / "boundary_interval_profile.csv",
-                tmp_path)
     header = CSV.split(b"\n", 1)[0].decode()
     (tmp_path / "empty.csv").write_text(header + "\n" + body)
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(mutated("boundary_interval", "profile.csv", "empty.csv")))
+    path = variant("boundary_interval", {"profile.csv": "empty.csv"}, write_to=tmp_path)
     args = [command, "--config", str(path)] + (["--out", str(tmp_path / "out")]
                                                if command == "run" else [])
     with warnings.catch_warnings():

@@ -24,7 +24,7 @@ from coho_euler import (
     warped_torus,
 )
 from coho_euler import LieAlgebraSpec, abelian, catalog, diagnostics, reductive_split, su2
-from coho_euler.config import build_problem, build_solver_config, check_config, parse_config_dict
+from coho_euler.config import build_problem, build_solver_config, check_config
 from coho_euler.coho_geometry import BOUNDARY, CIRCLE, INTERVAL, OrbitSpace, TabulatedProfile
 from coho_euler.diagnostics import (
     GRID_NODES,
@@ -40,6 +40,7 @@ from coho_euler.diagnostics import (
 )
 from coho_euler.errors import ConfigError
 
+from bundled import variant
 from oracles import conservation_summary
 from recorded_rows import collect_rows, concatenate
 
@@ -360,10 +361,7 @@ def _assert_summary_matches_oracle(report, series):
 
 def _short_example(name, steps=20):
     """A bundled example cut to ``steps`` steps: (state, geometry, solver config)."""
-    cfg = catalog.load_example(name)
-    raw = json.loads(json.dumps(cfg.raw))
-    raw["solver"]["t_end"] = steps * raw["solver"]["dt"]
-    cfg = parse_config_dict(raw, cfg.source_path)
+    cfg = variant(name, {"solver.t_end": steps * 1e-3}, parse=True)  # every bundled dt is 1e-3
     return *build_problem(cfg), build_solver_config(cfg)
 
 
@@ -641,6 +639,13 @@ MALFORMED = {
                            lambda s, g: c1_monitor(replace(s, c=-1.0), g)),
     "orbit_x_on_grid": ("t3_circle", "shape|circle grids need an even N >= 16, got 2",
                         lambda s, g: rhs(ReducedState(0.0, 0.0, s.v[0]), g)),
+    # not a geometry at all
+    "geometry_none": ("berger_circle", "or a GridGeometry; got NoneType",
+                      lambda s, g: energy(s, None)),
+    "geometry_str": ("berger_circle", "or a GridGeometry; got str",
+                     lambda s, g: energy(s, "berger")),
+    "geometry_int": ("berger_circle", "or a GridGeometry; got int",
+                     lambda s, g: energy(s, 3)),
 }
 
 

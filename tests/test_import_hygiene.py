@@ -29,6 +29,8 @@ import pytest
 import coho_euler
 from coho_euler import catalog
 
+from bundled import variant
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
@@ -54,18 +56,8 @@ def watched_modules(*args):
         [sys.executable, "-c", PROBE, *map(str, args)],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
+    assert out.stderr == "", out.stderr  # no warning reaches a user's terminal
     return json.loads(out.stdout.strip().splitlines()[-1])
-
-
-def short_config(tmp_path, name, t_end):
-    src = catalog.example_path(name)
-    raw = json.loads(src.read_text())
-    raw["solver"]["t_end"] = t_end
-    if "csv" in raw.get("profile", {}):
-        raw["profile"]["csv"] = str(src.parent / raw["profile"]["csv"])
-    path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(raw))
-    return path
 
 
 def test_package_import_loads_no_scipy():
@@ -75,7 +67,7 @@ def test_package_import_loads_no_scipy():
 @pytest.mark.parametrize("name", catalog.example_names())
 def test_run_loads_no_scipy(tmp_path, name):
     # analytic and tabulated profiles and seeded random_fourier data alike
-    path = short_config(tmp_path, name, 0.01)
+    path = variant(name, {"solver.t_end": 0.01}, write_to=tmp_path)
     mods = watched_modules("run", "--config", path, "--out", tmp_path / "out")
     assert mods == {"after_import": [], "after_run": []}
 
@@ -83,7 +75,7 @@ def test_run_loads_no_scipy(tmp_path, name):
 @pytest.mark.parametrize("name", catalog.example_names())
 def test_validate_loads_no_scipy(tmp_path, name):
     # nor any other watched module, as for run
-    path = short_config(tmp_path, name, 0.01)
+    path = variant(name, {"solver.t_end": 0.01}, write_to=tmp_path)
     mods = watched_modules("validate", "--config", path)
     assert mods == {"after_import": [], "after_run": []}
 

@@ -9,7 +9,6 @@ layer silently into "absent" in the trace.
 
 import dataclasses
 import importlib.util
-import json
 import sys
 from pathlib import Path
 
@@ -30,23 +29,18 @@ from coho_euler import (
     step_rk4,
 )
 from coho_euler.cli import run_command
-from coho_euler.config import build_problem, build_solver_config, check_config, parse_config_dict
+from coho_euler.config import build_problem, build_solver_config, check_config
 from coho_euler.diagnostics import grid_layout, state_geometry
 
+from bundled import variant
+
 CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
-
-
-def short_run_config(name):
-    """A bundled example cut to five steps."""
-    cfg = catalog.load_example(name)
-    raw = json.loads(json.dumps(cfg.raw))
-    raw["solver"]["t_end"] = 5 * raw["solver"]["dt"]
-    return parse_config_dict(raw, cfg.source_path)
+FIVE_STEPS = {"solver.t_end": 0.005}  # every bundled dt is 1e-3
 
 
 @pytest.mark.parametrize("name", catalog.example_names())
 def test_one_geometry_per_run(monkeypatch, tmp_path, name):
-    cfg = short_run_config(name)
+    cfg = variant(name, FIVE_STEPS, parse=True)
 
     calls = {"geometry": 0, "gamma": 0}
     init = diagnostics.GridGeometry.__init__
@@ -77,7 +71,7 @@ def test_one_geometry_per_run(monkeypatch, tmp_path, name):
 def test_snapshot_nodes_are_the_layout_nodes(tmp_path, name):
     # the r column is the geometry's nodes, which grid_layout places: bit for
     # bit on a grid example, and 0 on the homogeneous one
-    cfg = short_run_config(name)
+    cfg = variant(name, FIVE_STEPS, parse=True)
     assert run_command(cfg, tmp_path) == 0
     if cfg.kind == "homogeneous":
         want = np.zeros(1)
