@@ -206,32 +206,30 @@ class FourierDiagonalProfile(MetricProfile):
                 )
             self.coefficients.append(arr)
 
-    def _phases(self, entry, r):
-        """The log-entry and its r-derivative at each radius of r."""
-        a0 = entry[0]
-        ks = np.arange(1, (entry.size - 1) // 2 + 1)
+    def _phases(self, r):
+        """(log-entry, r-derivative) of each entry at each radius; one cos and sin for all."""
+        ks = np.arange(1, max(e.size for e in self.coefficients) // 2 + 1)
         ang = 2.0 * np.pi * ks * r[:, None] / self.length
-        a = entry[1::2]
-        b = entry[2::2]
-        phi = a0 + np.sum(a * np.cos(ang), axis=1) + np.sum(b * np.sin(ang), axis=1)
-        dphi = np.sum(
-            (2.0 * np.pi * ks / self.length) * (-a * np.sin(ang) + b * np.cos(ang)), axis=1
-        )
-        return phi, dphi
+        cos, sin = np.cos(ang), np.sin(ang)
+        phases = []
+        for entry in self.coefficients:
+            k = entry.size // 2
+            c, s = cos[:, :k], sin[:, :k]
+            a, b = entry[1::2], entry[2::2]
+            phi = entry[0] + np.sum(a * c, axis=1) + np.sum(b * s, axis=1)
+            dphi = np.sum((2.0 * np.pi * ks[:k] / self.length) * (-a * s + b * c), axis=1)
+            phases.append((phi, dphi))
+        return phases
 
     # a log-entry past ~709 overflows to an inf entry, which gram_positivity
     # refuses by name; numpy's overflow warning would only repeat it
     def _gram(self, r):
         with np.errstate(over="ignore"):
-            return _diagonal_stack([np.exp(self._phases(e, r)[0]) for e in self.coefficients])
+            return _diagonal_stack([np.exp(phi) for phi, _ in self._phases(r)])
 
     def _gram_prime(self, r):
-        vals = []
         with np.errstate(over="ignore", invalid="ignore"):
-            for e in self.coefficients:
-                phi, dphi = self._phases(e, r)
-                vals.append(np.exp(phi) * dphi)
-        return _diagonal_stack(vals)
+            return _diagonal_stack([np.exp(phi) * dphi for phi, dphi in self._phases(r)])
 
 
 def warped_torus(length: float, coefficients) -> FourierDiagonalProfile:

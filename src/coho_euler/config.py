@@ -195,7 +195,7 @@ class Union:
 # -- the schema of each problem kind -------------------------------------------
 
 NUMBER, POSITIVE, COUNT = Num(), Num(positive=True), Int(1, "a positive integer")
-# caps on the integers that size allocations: Gamma holds N * dim**3 floats
+# caps on integers that size allocations: a bracketed fibre's Gamma holds N * dim**3 floats
 MAX_DIM, MAX_N, MAX_MODES = 16, 4096, 1024
 # recorded rows times the values of a row: bounds the size of a run's diagnostics.csv
 MAX_RECORDED_VALUES = 25_000_000

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .coho_geometry import CIRCLE, INTERVAL, SINGULAR, MetricProfile
 from .errors import ConfigError, InputError
-from .homogeneous_geometry import InvariantMetric, connection_tensors, divergence_forms
+from .homogeneous_geometry import InvariantMetric, check_grams, connection_tensors
 from .numerics import (
     Derivative4Interval,
     Derivative4Periodic,
@@ -37,7 +38,6 @@ TAYLOR_WINDOW = 6
 # the node-count rule of a state grid on each orbit space: (fewest nodes, even only);
 # an interval grid holds at least one endpoint Taylor window
 GRID_NODES = {CIRCLE: (16, True), INTERVAL: (TAYLOR_WINDOW, False)}
-N_DIV_PROBES = 8
 # the recorder evaluates up to this many buffered states per rows() call,
 # fewer when a state is large: its (n, d, T) buffer and each (n, d, T) work
 # array of rows() stay within 128 kB
@@ -113,17 +113,24 @@ class GridGeometry:
     weight and volume, zero S, h0 and h0', and a zero derivative. Everything
     downstream is plain numpy on the precomputed arrays, so repeated
     evaluation is cheap and bit-stable.
+
+    The fibre's bracket B fixes what needs no metric: the divergence form
+    d_b = -tr(ad_{e_b}), one d-vector for every node, and whether the
+    connection stack :attr:`gamma` is nonzero at all. That stack is built
+    on its first read, and only a right-hand side reads it.
     """
 
     def __init__(self, geometry, n=None):
         self.split = geometry.split
         self.d = self.split.dim_m
+        bracket = self.split.bracket_on_m()
+        self.has_gamma = bool(np.any(bracket))
+        self.div_form = -np.einsum("baa->b", bracket)
         if isinstance(geometry, InvariantMetric):
             self.profile, self.kind, self.r, self.n = None, "homogeneous", np.zeros(1), 1
             self.weights = self.vol = np.ones(1)
             self.deriv = np.zeros_like
             self.gram = geometry.gram[None]
-            self.gamma = connection_tensors(self.split, self.gram)
             self.S = np.zeros((1, self.d, self.d))
             self.rho = np.zeros(1)
         else:
@@ -131,7 +138,6 @@ class GridGeometry:
         self.trace_S = np.trace(self.S, axis1=1, axis2=2)
         self.gramS = np.einsum("jab,jbc->jac", self.gram, self.S)
         self.has_S = bool(np.max(np.abs(self.S)) > 0.0)
-        self.has_gamma = bool(np.max(np.abs(self.gamma)) > 0.0)
 
         # h = c h0: only a circle carries a horizontal field, so h0 and every
         # constant below are zero on the other kinds
@@ -149,13 +155,6 @@ class GridGeometry:
         self.envelope_rate_unit = float(np.max(self.h0 * self.rho))
         self.wvol = self.weights * self.vol
         self._work_arrays = None
-
-        # the rounded probe indices are sorted: dropping repeats needs no np.unique,
-        # whose masked-array check loads numpy.ma
-        probe_idx = np.linspace(0, self.n - 1, N_DIV_PROBES).round().astype(int)
-        probe_idx = probe_idx[np.r_[True, np.diff(probe_idx) > 0]]
-        self.div_probe_idx = probe_idx
-        self.div_forms = divergence_forms(self.gamma[probe_idx])
 
         self.singular_windows = []
         if self.kind == INTERVAL:
@@ -178,13 +177,17 @@ class GridGeometry:
         else:
             self.deriv = Derivative4Interval(self.n, self.dr)
         self.gram = profile.gram_at(r)
-        # the run's one connection tensor, read by the step and the divergence probes;
-        # it refuses a g_r that is not positive definite before anything factors one
-        self.gamma = connection_tensors(self.split, self.gram)
+        # a g_r that is not positive definite is refused before anything factors one
+        check_grams(self.gram)
         self.gram_prime = profile.gram_prime_at(r)
         self.S = -0.5 * np.linalg.solve(self.gram, self.gram_prime)
         self.vol = np.sqrt(np.linalg.det(self.gram))
         self.rho = _generalized_spectral_radius(-0.5 * self.gram_prime, self.gram)
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        """Gamma[j,a,b,c] of the Levi-Civita connection at each node, built once."""
+        return connection_tensors(self.split, self.gram)
 
     def _taylor_window(self, side, sl):
         rho = np.abs(self.r[sl] - side)
@@ -265,7 +268,7 @@ class GridGeometry:
             sv_quad = np.max(np.einsum("jat,jat->jt", Sv, gv), axis=0)
             c1 += np.sqrt(_first_max(sv_quad, 0.0))
             sv_raw = np.max(_abs(Sv), axis=(0, 1))
-        probes = np.einsum("pa,pat->pt", self.div_forms, vt[self.div_probe_idx])
+        div = np.einsum("a,jat->jt", self.div_form, vt)
         density *= self.wvol
         rows = {
             "E": 0.5 * np.sum(density, axis=1),
@@ -274,7 +277,7 @@ class GridGeometry:
             "c1_monitor": c1,
             "c1_sv_raw": sv_raw,
             "div_residual": _first_max(
-                np.abs(cs) * self.fd_div_floor, np.max(np.abs(probes), axis=0)
+                np.abs(cs) * self.fd_div_floor, np.max(_abs(div), axis=0)
             ),
             "max_vertical": np.max(quad, axis=1),
             "speeds": speeds,

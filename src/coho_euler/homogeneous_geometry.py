@@ -28,7 +28,7 @@ from .reports import ValidationReport
 INVARIANCE_TOL = 1e-10
 
 
-def _check_grams(grams: np.ndarray) -> None:
+def check_grams(grams: np.ndarray) -> None:
     """Raise unless every matrix of the (n, m, m) stack is symmetric positive definite."""
     if not np.all(np.isfinite(grams)):
         raise InputError("gram contains non-finite entries")
@@ -46,13 +46,17 @@ def connection_tensors(split: ReductiveSplit, grams: np.ndarray) -> np.ndarray:
     fix the whole complement.
     """
     split.require_fixed_complement()
-    _check_grams(grams)
+    check_grams(grams)
     n, m = grams.shape[:2]
     G1 = np.einsum("abd,jdc->jabc", split.bracket_on_m(), grams)
-    # K[a,b,c] = <[a,b],c> - <[b,c],a> + <[c,a],b>
-    K = G1 - np.einsum("jbca->jabc", G1) + np.einsum("jcab->jabc", G1)
-    rhs = K.reshape(n, m * m, m).swapaxes(1, 2)
-    return 0.5 * np.linalg.solve(grams, rhs).swapaxes(1, 2).reshape(n, m, m, m)
+    # K[a,b,c] = <[a,b],c> - <[b,c],a> + <[c,a],b>, summed in place: at most
+    # two stacks of n m^3 floats are alive at once
+    K = G1 - np.einsum("jbca->jabc", G1)
+    K += np.einsum("jcab->jabc", G1)
+    del G1
+    gamma = np.linalg.solve(grams, K.reshape(n, m * m, m).swapaxes(1, 2))
+    gamma *= 0.5
+    return gamma.swapaxes(1, 2).reshape(n, m, m, m)
 
 
 @dataclass
@@ -65,7 +69,7 @@ class InvariantMetric:
     def __post_init__(self):
         m = self.split.dim_m
         self.gram = as_float_array(self.gram, (m, m), "gram")
-        _check_grams(self.gram[None])
+        check_grams(self.gram[None])
 
     def connection_tensor(self) -> np.ndarray:
         """Gamma[a,b,c] with nabla_{e_a} e_b = sum_c Gamma[a,b,c] e_c."""
@@ -97,14 +101,4 @@ def orbit_volume(metric: InvariantMetric) -> float:
     if det <= 0.0:
         raise InputError("gram matrix has non-positive determinant")
     return float(np.sqrt(det))
-
-
-def divergence_forms(gamma: np.ndarray) -> np.ndarray:
-    """Row vectors d with div(X) = d . X for invariant fields, one per Gamma[j].
-
-    The trace of Z -> nabla_Z X, which needs no basis: d_b = Gamma[a,b,a]
-    = -tr(ad_{e_b}) for every metric. Identically zero for unimodular
-    (e.g. compact) groups, so this is a runtime zero-witness.
-    """
-    return np.einsum("jaba->jb", gamma)
 

@@ -61,8 +61,8 @@ class SolverConfig:
             raise InputError("dt must be a positive real")
         if not (self.t_end > 0 and np.isfinite(self.t_end)):
             raise InputError("t_end must be a positive real")
-        if not (self.cfl_guard > 0):
-            raise InputError("cfl_guard must be positive")
+        if not (self.cfl_guard > 0 and np.isfinite(self.cfl_guard)):
+            raise InputError("cfl_guard must be a positive real")
         if self.snapshot_cadence is not None and not _is_positive_int(self.snapshot_cadence):
             raise InputError("snapshot_cadence must be a positive integer or None")
         if not _is_positive_int(self.diagnostics_cadence):
@@ -125,7 +125,7 @@ class PressureField:
 
 
 class _Disc:
-    """The right-hand side on a geometry, whose Gamma it reads; one subclass per kind."""
+    """The right-hand side on a geometry, whose Gamma only a step reads; one subclass per kind."""
 
     def __init__(self, geom: GridGeometry):
         self.geom = geom

@@ -247,8 +247,8 @@ def test_validate_profile_passes_builtins(round_s3_t2, flat_torus):
 class _Stretched(FourierDiagonalProfile):
     """A Fourier family sampled with a period of L (1 + 1e-6): not periodic on [0, L]."""
 
-    def _phases(self, entry, r):
-        return super()._phases(entry, r / (1.0 + 1e-6))
+    def _phases(self, r):
+        return super()._phases(r / (1.0 + 1e-6))
 
 
 @pytest.mark.parametrize("shift", [0.0, 15.0])

@@ -453,13 +453,15 @@ def test_recorder_working_set(name):
     assert peak <= RECORDER_PEAK_KB[name] * 1024, peak // 1024
 
 
-def one_node_div_form(split, gram):
-    return GridGeometry(InvariantMetric(split, gram)).div_forms[0]
+def gamma_trace(geom):
+    """Gamma[j,a,b,a] at each node: the divergence form read off the connection."""
+    return np.einsum("jaba->jb", geom.gamma)
 
 
-def test_div_forms_match_per_probe_divergence_form(su2_split):
+def test_div_form_is_minus_trace_ad_at_every_node(su2_split):
     # the divergence form is -tr(ad_{e_b}) whatever the metric: zero on su2,
-    # (-2, 0, 0) on the non-unimodular [e1, e2] = e2, [e1, e3] = e3
+    # (-2, 0, 0) on the non-unimodular [e1, e2] = e2, [e1, e3] = e3; the trace
+    # of the connection agrees with it at every node, and rows read it there
     rng = np.random.default_rng(3)
 
     def random_spd():
@@ -467,7 +469,9 @@ def test_div_forms_match_per_probe_divergence_form(su2_split):
         return a @ a.T + 0.5 * np.eye(3)
 
     for _ in range(50):
-        assert np.max(np.abs(one_node_div_form(su2_split, random_spd()))) <= 1e-14
+        geom = GridGeometry(InvariantMetric(su2_split, random_spd()))
+        assert np.array_equal(geom.div_form, np.zeros(3))
+        assert np.max(np.abs(gamma_trace(geom))) <= 1e-14
     structure = np.zeros((3, 3, 3))
     structure[0, 1, 1] = structure[0, 2, 2] = 1.0
     structure[1, 0, 1] = structure[2, 0, 2] = -1.0
@@ -481,15 +485,18 @@ def test_div_forms_match_per_probe_divergence_form(su2_split):
     space = OrbitSpace(INTERVAL, 1.0, (BOUNDARY, BOUNDARY))
     profile = TabulatedProfile(split, space, r, gram, prime)
     geom = GridGeometry(profile, 40)
-    want = np.array([one_node_div_form(split, geom.gram[j])
-                     for j in geom.div_probe_idx])
-    assert len(want) == diagnostics.N_DIV_PROBES
-    assert np.array_equal(geom.div_forms, want)
     oracle = -np.array([np.trace(split.ad_on_m(e)) for e in np.eye(3)])
     assert np.array_equal(oracle, [-2.0, 0.0, 0.0])
-    assert np.max(np.abs(geom.div_forms - oracle)) <= 1e-13
+    assert np.array_equal(geom.div_form, oracle)
+    assert np.max(np.abs(gamma_trace(geom) - oracle)) <= 1e-13
     for _ in range(50):
-        assert np.max(np.abs(one_node_div_form(split, random_spd()) - oracle)) <= 1e-13
+        one_node = GridGeometry(InvariantMetric(split, random_spd()))
+        assert np.array_equal(one_node.div_form, oracle)
+        assert np.max(np.abs(gamma_trace(one_node) - oracle)) <= 1e-13
+    # a field that is nonzero at one node only, which no fixed probe set need hold
+    v = np.zeros((geom.n, 3))
+    v[5, 0] = 0.25
+    assert divergence_residual(ReducedState(0.0, 0.0, v), geom) == 0.5
 
 
 def test_discrete_energy_exchange_identity():
@@ -670,7 +677,9 @@ def test_indefinite_profile_raises_input_error(algebra, diag):
                                np.zeros_like(gram))
     state = ReducedState(0.0, 0.5, np.ones((16, len(diag))))
     config = SolverConfig(dt=1e-3, t_end=1e-3)
-    calls = (lambda: GridGeometry(profile, 16), lambda: profile.volume_at(0.3),
+    # an abelian fibre builds no connection: the grid itself checks g_r at every node
+    calls = (lambda: GridGeometry(profile, 16), lambda: state_geometry(state, profile),
+             lambda: profile.volume_at(0.3),
              lambda: profile.volume_at(r), lambda: profile.h0_at(0.3),
              lambda: energy(state, profile), lambda: rhs(state, profile),
              lambda: step_rk4(state, profile, config),

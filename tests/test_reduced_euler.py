@@ -76,6 +76,8 @@ def test_solver_config_validation():
         {"dt": 0.01, "t_end": 0.1, "diagnostics_cadence": 0},
         {"dt": 0.01, "t_end": 0.1, "diagnostics_cadence": 1.5},
         {"dt": 0.01, "t_end": 0.1, "diagnostics_cadence": None},
+        {"dt": 0.01, "t_end": 0.1, "cfl_guard": np.inf},
+        {"dt": 0.01, "t_end": 0.1, "cfl_guard": np.nan},
     ]
     for kwargs in bad:
         with pytest.raises(InputError):
