@@ -27,6 +27,7 @@ from .errors import (
     StructureError,
     UnsupportedConfigurationError,
 )
+from .homogeneous_geometry import check_grams
 from .lie_core import ReductiveSplit, abelian, reductive_split, su2
 from .numerics import cubic_spline
 from .reports import ValidationReport
@@ -127,22 +128,20 @@ class MetricProfile:
         return self._sample(self._gram_prime, r)
 
     def shape_operator_at(self, r) -> np.ndarray:
-        g, gp = self.gram_at(r), self.gram_prime_at(r)
-        return -0.5 * np.linalg.solve(g, gp)
+        rs = np.atleast_1d(r)
+        g = self.gram_at(rs)
+        check_grams(g, rs)
+        S = -0.5 * np.linalg.solve(g, self.gram_prime_at(rs))
+        return S if np.ndim(r) else S[0]
 
     def mean_curvature_at(self, r):
         H = np.trace(self.shape_operator_at(r), axis1=-2, axis2=-1)
         return H if np.ndim(r) else float(H)
 
     def volume_at(self, r):
-        g = self.gram_at(r)
-        # positive definite: every eigenvalue, not only the determinant, is positive
-        bad = np.linalg.eigvalsh(g)[..., 0].reshape(-1) <= 0.0
-        if np.any(bad):
-            r_bad = np.reshape(r, -1)[bad][0]
-            raise InputError(f"orbit metric is not positive definite at r = {r_bad}")
-        vol = np.sqrt(np.linalg.det(g))
-        return vol if np.ndim(r) else float(vol)
+        rs = np.atleast_1d(r)
+        vol = np.sqrt(check_grams(self.gram_at(rs), rs)[1])
+        return vol if np.ndim(r) else float(vol[0])
 
     def h0_at(self, r):
         if self.orbit_space.kind != CIRCLE:
@@ -207,29 +206,32 @@ class FourierDiagonalProfile(MetricProfile):
             self.coefficients.append(arr)
 
     def _phases(self, r):
-        """(log-entry, r-derivative) of each entry at each radius; one cos and sin for all."""
+        """cos and sin of every mode's phase 2 pi k r / L at each radius, as (n, k) arrays."""
         ks = np.arange(1, max(e.size for e in self.coefficients) // 2 + 1)
         ang = 2.0 * np.pi * ks * r[:, None] / self.length
-        cos, sin = np.cos(ang), np.sin(ang)
-        phases = []
-        for entry in self.coefficients:
-            k = entry.size // 2
-            c, s = cos[:, :k], sin[:, :k]
-            a, b = entry[1::2], entry[2::2]
-            phi = entry[0] + np.sum(a * c, axis=1) + np.sum(b * s, axis=1)
-            dphi = np.sum((2.0 * np.pi * ks[:k] / self.length) * (-a * s + b * c), axis=1)
-            phases.append((phi, dphi))
-        return phases
+        return np.cos(ang), np.sin(ang)
 
-    # a log-entry past ~709 overflows to an inf entry, which gram_positivity
-    # refuses by name; numpy's overflow warning would only repeat it
+    def _entries(self, r, prime):
+        """Each entry exp(phi) at each radius, or with ``prime`` its r-derivative exp(phi) phi'."""
+        cos, sin = self._phases(r)
+        entries = []
+        # a log-entry past ~709 overflows to an inf entry, which check_grams
+        # refuses by name; numpy's overflow warning would only repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for e in self.coefficients:
+                k = e.size // 2
+                a, b, c, s = e[1::2], e[2::2], cos[:, :k], sin[:, :k]
+                entries.append(np.exp(e[0] + np.sum(a * c, axis=1) + np.sum(b * s, axis=1)))
+                if prime:
+                    entries[-1] *= np.sum((2.0 * np.pi * np.arange(1, k + 1) / self.length)
+                                          * (-a * s + b * c), axis=1)
+        return _diagonal_stack(entries)
+
     def _gram(self, r):
-        with np.errstate(over="ignore"):
-            return _diagonal_stack([np.exp(phi) for phi, _ in self._phases(r)])
+        return self._entries(r, False)
 
     def _gram_prime(self, r):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _diagonal_stack([np.exp(phi) * dphi for phi, dphi in self._phases(r)])
+        return self._entries(r, True)
 
 
 def warped_torus(length: float, coefficients) -> FourierDiagonalProfile:
@@ -362,16 +364,15 @@ def trace_identity_probes(profile: MetricProfile, n=PROBE_POINTS) -> np.ndarray:
 
 
 def gram_positivity(profile: MetricProfile, rs: np.ndarray, name: str) -> ValidationReport:
-    """One check ``name``: g_r is finite and positive definite at every radius of ``rs``."""
+    """One check ``name``: g_r passes :func:`check_grams` at every radius of ``rs``."""
     report = ValidationReport()
-    g = profile.gram_at(rs)
-    infinite = ~np.isfinite(g).all(axis=(1, 2))
-    if np.any(infinite):
-        report.add_flag(name, False, f"g_r is not finite at r = {rs[np.argmax(infinite)]:.6g}")
-        return report
-    lam_min = np.linalg.eigvalsh(g)[:, 0]
-    j = int(np.argmin(lam_min))
-    report.add_flag(name, lam_min[j] > 0.0, f"min eigenvalue {lam_min[j]:.3e} at r = {rs[j]:.6g}")
+    try:
+        lam_min = check_grams(profile.gram_at(rs), rs)[0]
+    except InputError as exc:
+        report.add_flag(name, False, str(exc))
+    else:
+        j = int(np.argmin(lam_min))
+        report.add_flag(name, True, f"min eigenvalue {lam_min[j]:.3e} at r = {rs[j]:.6g}")
     return report
 
 
@@ -414,8 +415,9 @@ def validate_profile(profile: MetricProfile) -> ValidationReport:
         for side, kind in zip((0.0, L), profile.orbit_space.endpoint_kinds):
             tag = f"r={side:g}"
             eps = L * np.geomspace(1e-2, 1e-8, 13)
-            vols = profile.volume_at(side + eps if side == 0.0 else side - eps)
+            rs = side + eps if side == 0.0 else side - eps
             if kind == SINGULAR:
+                vols = profile.volume_at(rs)
                 collapsing = np.all(np.diff(vols) < 0) and vols[-1] < 1e-6
                 report.add_flag(
                     f"volume_collapse_at_{tag}",
@@ -423,12 +425,8 @@ def validate_profile(profile: MetricProfile) -> ValidationReport:
                     f"closest sample {vols[-1]:.3e}",
                 )
                 report.extend(_parity_check(profile, side, tag))
-            else:
-                report.add_flag(
-                    f"volume_positive_at_{tag}",
-                    bool(np.all(vols > 0)),
-                    f"closest sample {vols[-1]:.3e}",
-                )
+            else:  # g_r stays positive definite, and its volume positive, up to the end
+                report.extend(gram_positivity(profile, rs, f"volume_positive_at_{tag}"))
 
     if isinstance(profile, TabulatedProfile):
         dg = profile._g_spline.derivative()(probes)
@@ -445,20 +443,11 @@ def _parity_check(profile, side, tag) -> ValidationReport:
     r1 = side + eps if side == 0.0 else side - eps
     r2 = side + eps / 2 if side == 0.0 else side - eps / 2
     g1, g2 = np.diagonal(profile.gram_at(np.array([r1, r2])), axis1=1, axis2=2)
-    scale = float(np.max(g1))
-    worst = 0.0
-    found = False
-    for i, (a, b) in enumerate(zip(g1, g2)):
-        if a > 1e-2 * scale:
-            continue  # non-collapsing direction
-        found = True
-        ratio1 = a / eps**2
-        ratio2 = b / (eps / 2) ** 2
-        worst = max(worst, abs(ratio1 - ratio2) / max(abs(ratio2), 1e-30))
-    if found:
-        report.add(f"second_order_collapse_at_{tag}", worst, 5e-2)
+    collapsing = ~(g1 > 1e-2 * float(np.max(g1)))  # the other directions keep their size
+    name = f"second_order_collapse_at_{tag}"
+    if collapsing.any():
+        ratio1, ratio2 = g1[collapsing] / eps**2, g2[collapsing] / (eps / 2) ** 2
+        report.add(name, np.max(np.abs(ratio1 - ratio2) / np.maximum(np.abs(ratio2), 1e-30)), 5e-2)
     else:
-        report.add_flag(
-            f"second_order_collapse_at_{tag}", False, "no collapsing entry found"
-        )
+        report.add_flag(name, False, "no collapsing entry found")
     return report

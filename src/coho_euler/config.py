@@ -3,14 +3,15 @@
 :func:`parse_config_dict` walks the schema of the config's ``problem.kind``,
 a table built from the field specs below, and collects every error with its
 field path. Unknown keys are rejected everywhere; a silently ignored option
-would masquerade as physics. :func:`check_config` then builds the initial
-state on its metric or profile and runs every structural check into one
+would masquerade as physics. :func:`check_config` then builds the run's
+geometry and initial state and runs every structural check into one
 :class:`ValidationReport`: the algebra axioms, the supported-fibre rule,
-metric invariance or the profile checks (g_r positive on the probes and on
-the state grid), the initial data, and the step count; the reductive split
-is checked as it is built. ``coho-euler run`` refuses a config whose report
-fails before it writes anything; ``coho-euler validate`` prints the same
-report, so the two commands make exactly the same checks.
+metric invariance or the profile checks (g_r positive on the probes, and on
+the state grid as the geometry factors it), the initial data, and the step
+count; the reductive split is checked as it is built. ``coho-euler run``
+refuses a config whose report fails before it writes anything;
+``coho-euler validate`` prints the same report, so the two commands make
+exactly the same checks.
 Initial data is entered as coefficients (constants, polynomials in r, or
 Fourier modes) so periodicity and endpoint parity can be checked exactly,
 up to rounding, before any discretisation happens.
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import coho_geometry as cg
 from .coho_geometry import CIRCLE, INTERVAL
-from .diagnostics import GRID_NODES, grid_layout, grid_rule, row_width, state_geometry
+from .diagnostics import GRID_NODES, GridGeometry, grid_rule, row_width
 from .errors import ConfigError, ConfigParseError, InputError, UnsupportedConfigurationError
 from .homogeneous_geometry import InvariantMetric, check_metric_invariance
 from .lie_core import LieAlgebraSpec, abelian, reductive_split, su2, validate_structure
@@ -484,18 +485,15 @@ def build_initial_v(cfg: RunConfig, profile: cg.MetricProfile, grid: np.ndarray)
         if vals.shape != (d,):
             raise ConfigError([f"initial.v.values: expected {d} entries"])
         return np.tile(vals, (n, 1))
+    rows = vinit.get("coefficients")
+    if rows is not None and len(rows) != d:
+        raise ConfigError([f"initial.v.coefficients: expected {d} rows"])
     if vtype == "polynomial":
-        rows = vinit["coefficients"]
-        if len(rows) != d:
-            raise ConfigError([f"initial.v.coefficients: expected {d} rows"])
         _check_polynomial_parity(rows, profile)
         return np.column_stack(
             [np.polynomial.polynomial.polyval(grid, np.asarray(row, float)) for row in rows]
         )
     if vtype == "fourier":
-        rows = vinit["coefficients"]
-        if len(rows) != d:
-            raise ConfigError([f"initial.v.coefficients: expected {d} rows"])
         for i, row in enumerate(rows):
             if len(row) % 2 == 0:
                 raise ConfigError(
@@ -511,15 +509,15 @@ def build_initial_v(cfg: RunConfig, profile: cg.MetricProfile, grid: np.ndarray)
 
 
 def check_config(cfg: RunConfig):
-    """Build the initial state and its geometry source, and run every structural check.
+    """Build the run's geometry and initial state, and run every structural check.
 
-    Returns ``(report, state, source)``: the initial :class:`ReducedState`
-    and the invariant metric or metric profile it lives on, both None
+    Returns ``(report, state, geom)``: the initial :class:`ReducedState` and
+    the run's one :class:`~coho_euler.diagnostics.GridGeometry`, both None
     unless every check passed; ``report.errors()`` then gives the messages
     ``run`` raises. ``run`` and ``validate`` both make exactly these checks.
     Checks that stand on others stop where those fail: nothing is built on a
-    failed algebra or split, no grid on a profile that is not positive
-    definite on its probes, and no state on a state grid where it is not.
+    failed algebra or split, no geometry on a profile that fails a check, and
+    no state where ``check_grams`` refuses the geometry's g_r at a node.
     """
     report = ValidationReport()
     builtin = cfg.kind != "homogeneous" and cfg.profile["family"] != "tabulated"
@@ -536,36 +534,42 @@ def check_config(cfg: RunConfig):
         return report, None, None
     report.add_flag("isotropy_fixes_complement", True)
 
+    geom, d, n_singular = None, split.dim_m, 0
     if cfg.kind == "homogeneous":
-        source = InvariantMetric(split, np.asarray(cfg.metric_gram, dtype=float))
-        report.extend(check_metric_invariance(source),
-                      "metric.gram: not invariant under the isotropy action")
+        try:
+            metric = InvariantMetric(split, np.asarray(cfg.metric_gram, dtype=float))
+        except InputError as exc:
+            report.add_error("metric_gram", f"metric.gram: {exc}")
+        else:
+            report.extend(check_metric_invariance(metric),
+                          "metric.gram: not invariant under the isotropy action")
+            geom = GridGeometry(metric)
         initial = np.asarray(cfg.initial["x"], dtype=float)
-        if initial.shape != (split.dim_m,):
-            report.add_error("initial_data", f"initial.x: expected {split.dim_m} entries")
-        d, n_singular = split.dim_m, 0
+        if initial.shape != (d,):
+            report.add_error("initial_data", f"initial.x: expected {d} entries")
     else:
         if profile is None:
             profile = build_profile(cfg, split)
-        source = profile
         profile_report = cg.validate_profile(profile)
         report.extend(profile_report, "profile: {} failed")
-        if not profile_report["gram_positive_on_probe_grid"].passed:
-            return report, None, None
-        grid = grid_layout(profile, int(cfg.solver["N"]))[0]
-        # the run's geometry factors g_r at every state node, not only at the probes
-        report.extend(cg.gram_positivity(profile, grid, "gram_positive_on_state_grid"),
-                      "profile: {} failed")
-        try:
-            # initial data past the float range is inf, which ReducedState refuses
-            with np.errstate(over="ignore", invalid="ignore"):
-                initial = build_initial_v(cfg, profile, grid)
-        except ConfigError as exc:
-            for message in exc.messages:
-                report.add_error("initial_data", message)
-        d, n_singular = profile.dim, 0
+        if profile_report.passed:
+            try:
+                # the run factors g_r at every state node, not only at the probes
+                geom = GridGeometry(profile, int(cfg.solver["N"]))
+            except InputError as exc:
+                report.add_flag("gram_positive_on_state_grid", False, str(exc))
+            else:
+                report.add_flag("gram_positive_on_state_grid", True)
         if cfg.kind == INTERVAL:
             n_singular = profile.orbit_space.endpoint_kinds.count(cg.SINGULAR)
+        if geom is not None:
+            try:
+                # initial data past the float range is inf, which ReducedState refuses
+                with np.errstate(over="ignore", invalid="ignore"):
+                    initial = build_initial_v(cfg, profile, geom.r)
+            except ConfigError as exc:
+                for message in exc.messages:
+                    report.add_error("initial_data", message)
 
     try:
         rows = build_solver_config(cfg).n_records()
@@ -581,19 +585,18 @@ def check_config(cfg: RunConfig):
     if not report.passed:
         return report, None, None
     # only a circle config has an initial amplitude c
-    return report, ReducedState(0.0, float(cfg.initial.get("c", 0.0)), initial), source
+    return report, ReducedState(0.0, float(cfg.initial.get("c", 0.0)), initial), geom
 
 
 def build_problem(cfg: RunConfig):
     """Turn a parsed config into a run's ``(state, geom)``: the initial state and
-    its one :class:`~coho_euler.diagnostics.GridGeometry`, built by ``state_geometry``.
-
-    Raises ConfigError naming every failed check of :func:`check_config`.
+    its one :class:`~coho_euler.diagnostics.GridGeometry`, both built by
+    :func:`check_config`. Raises ConfigError naming every failed check.
     """
-    report, state, source = check_config(cfg)
+    report, state, geom = check_config(cfg)
     if state is None:
         raise ConfigError(report.errors())
-    return state, state_geometry(state, source)
+    return state, geom
 
 
 def build_solver_config(cfg: RunConfig) -> SolverConfig:

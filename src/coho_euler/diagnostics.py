@@ -51,18 +51,6 @@ PEAK_SERIES = ("speed_drift", "c1_monitor", "c1_sv_raw", "div_residual", "p_peri
                "parity_misfit")
 
 
-def _generalized_spectral_radius(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Largest |lambda| of a x = lambda b x for each (symmetric a, SPD b) in the stacks.
-
-    Whitening by the Cholesky factor b = L L^T turns the pencil into the
-    symmetric matrix L^-1 a L^-T with the same eigenvalues.
-    """
-    chol = np.linalg.cholesky(b)
-    half = np.linalg.solve(chol, a)  # L^-1 a
-    whitened = np.linalg.solve(chol, half.swapaxes(1, 2))  # L^-1 a L^-T, as a is symmetric
-    return np.max(np.abs(np.linalg.eigvalsh(whitened)), axis=1)
-
-
 def _abs(a: np.ndarray) -> np.ndarray:
     """|a| in place: a chunk's temporaries are large."""
     return np.abs(a, out=a)
@@ -133,8 +121,23 @@ class GridGeometry:
             self.gram = geometry.gram[None]
             self.S = np.zeros((1, self.d, self.d))
             self.rho = np.zeros(1)
-        else:
-            self._sample_profile(geometry, n)
+        else:  # nodes, quadrature, stencil and the per-node metric of a profile
+            self.profile, self.kind = geometry, geometry.orbit_space.kind
+            r, self.weights, self.dr = grid_layout(geometry, n)
+            self.r, self.n = r, r.size
+            stencil = Derivative4Periodic if self.kind == CIRCLE else Derivative4Interval
+            self.deriv = stencil(self.n, self.dr)
+            self.gram = geometry.gram_at(r)
+            # the one test of g_r, before anything factors it; its factors are reused
+            _, det, chol = check_grams(self.gram, r)
+            self.gram_prime = geometry.gram_prime_at(r)
+            self.S = -0.5 * np.linalg.solve(self.gram, self.gram_prime)
+            self.vol = np.sqrt(det)
+            # rho, the largest |lambda| of -g'/2 x = lambda g x: whitening by g = L L^T
+            # gives the symmetric L^-1 (-g'/2) L^-T, with the same eigenvalues
+            half = np.linalg.solve(chol, -0.5 * self.gram_prime)
+            whitened = np.linalg.solve(chol, half.swapaxes(1, 2))  # as g' is symmetric
+            self.rho = np.max(np.abs(np.linalg.eigvalsh(whitened)), axis=1)
         self.trace_S = np.trace(self.S, axis1=1, axis2=2)
         self.gramS = np.einsum("jab,jbc->jac", self.gram, self.S)
         self.has_S = bool(np.max(np.abs(self.S)) > 0.0)
@@ -165,24 +168,6 @@ class GridGeometry:
                 self.singular_windows.append(
                     self._taylor_window(self.profile.length, slice(self.n - TAYLOR_WINDOW, self.n))
                 )
-
-    def _sample_profile(self, profile: MetricProfile, n: int):
-        """Nodes, quadrature, stencil and the per-node metric of a profile."""
-        self.profile = profile
-        self.kind = profile.orbit_space.kind
-        r, self.weights, self.dr = grid_layout(profile, n)
-        self.r, self.n = r, r.size
-        if self.kind == CIRCLE:
-            self.deriv = Derivative4Periodic(self.n, self.dr)
-        else:
-            self.deriv = Derivative4Interval(self.n, self.dr)
-        self.gram = profile.gram_at(r)
-        # a g_r that is not positive definite is refused before anything factors one
-        check_grams(self.gram)
-        self.gram_prime = profile.gram_prime_at(r)
-        self.S = -0.5 * np.linalg.solve(self.gram, self.gram_prime)
-        self.vol = np.sqrt(np.linalg.det(self.gram))
-        self.rho = _generalized_spectral_radius(-0.5 * self.gram_prime, self.gram)
 
     @cached_property
     def gamma(self) -> np.ndarray:
@@ -299,10 +284,8 @@ def state_geometry(state, geometry) -> GridGeometry:
     """
     if isinstance(geometry, GridGeometry):
         geom = geometry
-    elif isinstance(geometry, InvariantMetric):
-        geom = GridGeometry(geometry)
-    elif isinstance(geometry, MetricProfile):
-        geom = GridGeometry(geometry, len(state.v))
+    elif isinstance(geometry, (InvariantMetric, MetricProfile)):
+        geom = GridGeometry(geometry, len(state.v))  # the one-node geometry takes no n
     else:
         raise InputError("a geometry is a metric profile, an invariant metric or a "
                          f"GridGeometry; got {type(geometry).__name__}")

@@ -28,22 +28,53 @@ from .reports import ValidationReport
 INVARIANCE_TOL = 1e-10
 
 
-def check_grams(grams: np.ndarray) -> None:
-    """Raise unless every matrix of the (n, m, m) stack is symmetric positive definite."""
-    if not np.all(np.isfinite(grams)):
-        raise InputError("gram contains non-finite entries")
+def _has_cholesky(gram: np.ndarray) -> bool:
+    try:
+        return np.linalg.cholesky(gram) is not None
+    except np.linalg.LinAlgError:
+        return False
+
+
+def check_grams(grams: np.ndarray, r=None):
+    """The one positive-definiteness test of an (n, m, m) stack of Gram matrices.
+
+    ``eigvalsh`` can round positive a g_r that is singular to rounding, on
+    which a factorization then fails. So each matrix must be finite and
+    symmetric, with every eigenvalue > 0, an LU determinant > 0 (so every
+    ``solve`` succeeds) and a Cholesky factor (rho's whitening). An
+    InputError names the first failing node, by its radius in ``r`` if given.
+    Returns the least eigenvalues, the determinants and the Cholesky factors.
+    """
+    at = (lambda j: f"r = {r[j]:.6g}") if r is not None else "node {}".format
+    finite = np.isfinite(grams).all(axis=(1, 2))
+    if not finite.all():
+        raise InputError(f"g_r is not finite at {at(np.argmin(finite))}")
     if np.max(np.abs(grams - grams.swapaxes(1, 2))) > 1e-12:
         raise StructureError("gram matrix is not symmetric")
-    if np.min(np.linalg.eigvalsh(grams)) <= 0.0:
-        raise InputError("gram matrix is not positive definite")
+    lam = np.linalg.eigvalsh(grams)[:, 0]
+    # det > 0 judges what det's warnings would say; a det past the float range
+    # is inf, whose volume the profile checks refuse by name
+    with np.errstate(all="ignore"):
+        det = np.linalg.det(grams)
+    try:
+        chol, factored = np.linalg.cholesky(grams), np.ones(len(grams), bool)
+    except np.linalg.LinAlgError:
+        chol, factored = None, np.array([_has_cholesky(g) for g in grams])
+    ok = (lam > 0.0) & (det > 0.0) & factored
+    if not ok.all():
+        j = int(np.argmin(ok))
+        no_factor = "" if factored[j] else ", no Cholesky factor"
+        raise InputError(f"g_r is not positive definite at {at(j)} (min eigenvalue "
+                         f"{lam[j]:.3e}, LU determinant {det[j]:.3e}{no_factor})")
+    return lam, det, chol
 
 
 def connection_tensors(split: ReductiveSplit, grams: np.ndarray) -> np.ndarray:
     """Gamma[j,a,b,c] for an (n, m, m) stack of Gram matrices, in one pass.
 
     nabla_{e_a} e_b = sum_c Gamma[j,a,b,c] e_c under the metric grams[j].
-    Every matrix must be symmetric positive definite, and the isotropy must
-    fix the whole complement.
+    Every matrix must pass :func:`check_grams`, and the isotropy must fix the
+    whole complement.
     """
     split.require_fixed_complement()
     check_grams(grams)
@@ -97,8 +128,4 @@ def invariant_connection(metric: InvariantMetric, X, Y) -> np.ndarray:
 
 def orbit_volume(metric: InvariantMetric) -> float:
     """Orbit volume relative to the reference density of the complement basis."""
-    det = float(np.linalg.det(metric.gram))
-    if det <= 0.0:
-        raise InputError("gram matrix has non-positive determinant")
-    return float(np.sqrt(det))
-
+    return float(np.sqrt(np.linalg.det(metric.gram)))

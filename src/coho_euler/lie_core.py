@@ -49,12 +49,6 @@ class LieAlgebraSpec:
                 raise StructureError(str(exc)) from exc
             raise
 
-    def ad(self, x: np.ndarray) -> np.ndarray:
-        """Matrix of ad(x): y -> [x, y] in the algebra basis."""
-        x = as_float_array(x, (self.dim,), "x")
-        # (ad x)_{k j} = sum_i x_i C[i, j, k]
-        return np.einsum("i,ijk->kj", x, self.structure)
-
 
 def bracket(alg: LieAlgebraSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The Lie bracket [x, y] in basis coordinates."""

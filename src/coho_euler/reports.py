@@ -74,5 +74,8 @@ class ValidationReport:
         return [c for c in self.checks if not c.passed]
 
     def errors(self) -> list[str]:
-        """The config errors behind the failed checks, each once, in order."""
-        return list(dict.fromkeys(c.error or f"{c.name} failed" for c in self.failures()))
+        """The config errors behind the failed checks, each once, in order, with their details."""
+        return list(dict.fromkeys(
+            (c.error or f"{c.name} failed")
+            + (f": {c.detail}" if c.detail not in ("", c.error) else "")
+            for c in self.failures()))

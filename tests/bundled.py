@@ -6,12 +6,16 @@ from pathlib import Path
 
 import numpy as np
 
-from coho_euler import catalog, su2
-from coho_euler.config import parse_config_dict
+from coho_euler import InvariantMetric, catalog, su2
+from coho_euler.config import check_config, parse_config_dict
 
 DELETE = object()  # an update value that removes its field
 SU2_C = su2().structure.tolist()
 EYE3 = np.eye(3).tolist()
+# Gram matrices that eigvalsh rounds positive and a factorization refuses: LU
+# finds the su(2) one singular, and the d = 2 one has no Cholesky factor
+LU_SINGULAR_SU2 = [[0.042, -0.042, -0.179], [-0.042, 0.042, 0.179], [-0.179, 0.179, 0.763]]
+NO_CHOLESKY_2 = [[1.0 + 2.0**-52, 1.0], [1.0, 1.0]]
 
 
 def variant(source, updates=None, *, parse=False, write_to=None):
@@ -48,3 +52,12 @@ def variant(source, updates=None, *, parse=False, write_to=None):
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(raw))
     return out
+
+
+def initial_problem(name):
+    """A bundled example's ``(state, geom, source)``: its initial state, the
+    run's geometry that ``check_config`` builds, and the invariant metric or
+    metric profile that geometry is built from."""
+    _, state, geom = check_config(catalog.load_example(name))
+    source = geom.profile if geom.profile is not None else InvariantMetric(geom.split, geom.gram[0])
+    return state, geom, source

@@ -26,6 +26,12 @@ def bracket_direct(C, x, y):
     return out
 
 
+def ad_direct(C, x):
+    """Matrix of ad(x): y -> [x, y]; column j is [x, e_j] by direct summation."""
+    n = len(x)
+    return np.column_stack([bracket_direct(C, x, e) for e in np.eye(n)])
+
+
 def koszul_oracle(bracket_coeffs, gram, X, Y):
     """Invariant-field connection by evaluating the Koszul formula per basis Z.
 
@@ -72,7 +78,7 @@ def joint_ad_kernel(alg, h_basis, m_basis, tol=1e-10):
     """Fixed subspace by brute force: eigen-decompose the stacked Gram matrix."""
     rows = []
     for x in h_basis:
-        adx = alg.ad(np.asarray(x, float))
+        adx = ad_direct(alg.structure, np.asarray(x, float))
         for mb in np.asarray(m_basis, float):
             w = adx @ mb
             # coefficients of the orthogonal projection onto span(m_basis)

@@ -17,7 +17,7 @@ from coho_euler.config import build_problem, parse_config, parse_config_dict
 from coho_euler.diagnostics import grid_rule
 from coho_euler.numerics import cubic_spline
 
-from bundled import DELETE, EYE3, SU2_C, variant
+from bundled import DELETE, EYE3, LU_SINGULAR_SU2, NO_CHOLESKY_2, SU2_C, variant
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -505,6 +505,20 @@ def spiked_profile_cfg(tmp_path):
     return variant(raw, write_to=tmp_path)
 
 
+def rank_one_profile_cfg(tmp_path):
+    """An abelian d = 2 interval with boundary ends whose g_r is the constant
+    NO_CHOLESKY_2, with g' = 0: positive to eigvalsh, with no Cholesky factor."""
+    r = np.linspace(0.0, 1.0, 11)
+    g = np.tile(NO_CHOLESKY_2, (r.size, 1, 1))
+    write_tabulated_csv(tmp_path / "prof.csv", r, g, np.zeros_like(g))
+    raw = {"problem": {"kind": "interval"}, "algebra": {"name": "abelian", "dim": 2},
+           "profile": {"family": "tabulated", "length": 1.0, "kind": "interval",
+                       "endpoints": ["boundary", "boundary"], "csv": "prof.csv"},
+           "initial": {"v": {"type": "constant", "values": [1.0, 0.5]}},
+           "solver": {"N": 16, "dt": 0.001, "t_end": 0.01}}
+    return variant(raw, write_to=tmp_path)
+
+
 def v1(coefficients):
     """Polynomial initial data with first component ``coefficients`` and second 1."""
     return {"initial.v.coefficients": [list(coefficients), [1.0]]}
@@ -571,6 +585,8 @@ EVEN_AT_L = sum(a * np.polynomial.Polynomial([0.7, -1.0]) ** (2 * k)
         ("berger_circle", {"profile.fourier": [[710.0, 0.04, 0.0], [0.0], [0.0]], "solver.t_end": 0.01}, 2),
         ("berger_circle", {"profile.fourier": [[709.0, 0.04, 0.0], [1.0], [0.0]], "solver.t_end": 0.01}, 2),
         ("left", v1([0.0, 0.0, 1e308, 0.0, 1e308]), 2),
+        ("su2_rigid_body", {"metric.gram": LU_SINGULAR_SU2, "solver.t_end": 0.01}, 2),
+        ("rank_one", {}, 2),
     ],
     ids=["structure-not-antisymmetric", "Q-not-ad-invariant", "t_end-not-multiple-of-dt", "short-initial-x",
          "step-count-overflows", "isotropy-moves-complement", "even-1000r4-at-0", "even-expanded-at-L",
@@ -580,13 +596,15 @@ EVEN_AT_L = sum(a * np.polynomial.Polynomial([0.7, -1.0]) ** (2 * k)
          "structure-Q-17-rows", "polynomial-rows-short", "fourier-rows-short",
          "fourier-row-even-length", "tabulated-without-algebra", "polynomial-row-past-2049-entries",
          "fourier-row-past-2049-entries", "berger-in-other-units", "log-entry-overflows",
-         "volume-overflows", "polynomial-overflows"],
+         "volume-overflows", "polynomial-overflows", "gram-lu-singular", "gram-without-cholesky"],
 )
 def test_validate_and_run_agree(tmp_path, capsys, name, updates, code):
     if name in ("left", "right"):
         path = abelian_profile_cfg(tmp_path, name, **updates)
     elif name == "spiked":
         path = spiked_profile_cfg(tmp_path)
+    elif name == "rank_one":
+        path = rank_one_profile_cfg(tmp_path)
     else:
         path = variant(name, updates, write_to=tmp_path)
     out = tmp_path / "out"
@@ -599,6 +617,24 @@ def test_validate_and_run_agree(tmp_path, capsys, name, updates, code):
         assert "validation error: " in capsys.readouterr().err
     else:
         assert json.loads((out / "summary.json").read_text())["all_ok"]
+
+
+@pytest.mark.parametrize("name, message", [
+    ("su2_rigid_body", "metric.gram: g_r is not positive definite at node 0 (min eigenvalue "),
+    ("rank_one", "profile: gram_positive_on_probe_grid failed: g_r is not positive definite at "
+                 "r = 0.000976562 (min eigenvalue "),
+], ids=["gram-lu-singular", "gram-without-cholesky"])
+def test_gram_singular_to_rounding_is_named(tmp_path, capsys, name, message):
+    # validate's FAIL line and run's error name the first node at which a
+    # factorization of g_r fails; the rounding-sized numbers after it are not pinned
+    if name == "rank_one":
+        path = rank_one_profile_cfg(tmp_path)
+    else:
+        path = variant(name, {"metric.gram": LU_SINGULAR_SU2}, write_to=tmp_path)
+    assert main(["validate", "--config", str(path)]) == 2
+    assert message.split("failed: ")[-1] in capsys.readouterr().out
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"validation error: {message}")
 
 
 def test_validate_names_an_empty_fixed_subspace(tmp_path, capsys):

@@ -24,7 +24,7 @@ from coho_euler import (
     warped_torus,
 )
 from coho_euler import LieAlgebraSpec, abelian, catalog, diagnostics, reductive_split, su2
-from coho_euler.config import build_problem, build_solver_config, check_config
+from coho_euler.config import build_problem, build_solver_config
 from coho_euler.coho_geometry import BOUNDARY, CIRCLE, INTERVAL, OrbitSpace, TabulatedProfile
 from coho_euler.diagnostics import (
     GRID_NODES,
@@ -40,7 +40,7 @@ from coho_euler.diagnostics import (
 )
 from coho_euler.errors import ConfigError
 
-from bundled import variant
+from bundled import initial_problem, variant
 from oracles import conservation_summary
 from recorded_rows import collect_rows, concatenate
 
@@ -660,8 +660,8 @@ MALFORMED = {
 @pytest.mark.parametrize("case", MALFORMED)
 def test_malformed_public_input_raises_input_error(case, built):
     name, message, call = MALFORMED[case]
-    _, state, source = check_config(catalog.load_example(name))
-    geometry = state_geometry(state, source) if built else source
+    state, geom, source = initial_problem(name)
+    geometry = geom if built else source
     with pytest.raises(InputError, match=message):
         call(state, geometry)
 

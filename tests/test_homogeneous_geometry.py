@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coho_euler import (
     InputError,
@@ -20,10 +22,12 @@ from coho_euler import (
     rhs,
     su2,
 )
+from coho_euler.coho_geometry import CIRCLE, OrbitSpace, TabulatedProfile
 from coho_euler.config import build_problem
-from coho_euler.diagnostics import GridGeometry
-from coho_euler.homogeneous_geometry import connection_tensors
+from coho_euler.diagnostics import GridGeometry, state_geometry
+from coho_euler.homogeneous_geometry import check_grams, connection_tensors
 
+from bundled import LU_SINGULAR_SU2, NO_CHOLESKY_2
 from oracles import koszul_oracle
 
 
@@ -228,3 +232,43 @@ def test_invariant_fields_divergence_free(su2_split, seed):
     # the one orbit is node 0 of a one-node grid, whose derivative is zero
     assert pointwise_speed(state, metric, j=0) == pointwise_speed(state, metric)
     assert divergence_residual(state, metric, [2.0]) == divergence_residual(state, metric)
+
+
+@pytest.mark.parametrize("algebra, gram", [(su2(), LU_SINGULAR_SU2), (abelian(2), NO_CHOLESKY_2)],
+                         ids=["su2-lu-singular", "abelian2-no-cholesky"])
+def test_gram_singular_to_rounding_raises_input_error(algebra, gram):
+    # eigvalsh calls g positive; the geometry's factorizations do not, so every
+    # entry point refuses g by name rather than with numpy's LinAlgError
+    g = np.array(gram)
+    assert np.linalg.eigvalsh(g)[0] > 0.0
+    split = reductive_split(algebra, [])
+    r = np.linspace(0.0, 1.0, 9)
+    table = np.tile(g, (r.size, 1, 1))
+    profile = TabulatedProfile(split, OrbitSpace(CIRCLE, 1.0), r, table, np.zeros_like(table))
+    state = ReducedState(0.0, 0.0, np.ones((16, len(g))))
+    for call in (lambda: state_geometry(state, profile), lambda: InvariantMetric(split, g),
+                 lambda: connection_tensors(split, g[None])):
+        with pytest.raises(InputError, match="not positive definite"):
+            call()
+
+
+@st.composite
+def nearly_rank_one(draw):
+    """u u^T plus a diagonal of 0 to 3e-16, for d from 2 to 4."""
+    d = draw(st.integers(2, 4))
+    u = draw(st.lists(st.floats(-10.0, 10.0), min_size=d, max_size=d))
+    diagonal = draw(st.lists(st.floats(0.0, 3e-16), min_size=d, max_size=d))
+    return np.outer(u, u) + np.diag(diagonal)
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=nearly_rank_one())
+def test_check_grams_accepts_only_what_factors(g):
+    # a matrix the test accepts is one every factorization of the geometry takes
+    try:
+        check_grams(g[None])
+    except InputError:
+        return
+    np.linalg.cholesky(g)
+    assert np.linalg.det(g) > 0.0
+    np.linalg.solve(g, np.ones(len(g)))

@@ -29,10 +29,10 @@ from coho_euler import (
     step_rk4,
 )
 from coho_euler.cli import run_command
-from coho_euler.config import build_problem, build_solver_config, check_config
-from coho_euler.diagnostics import grid_layout, state_geometry
+from coho_euler.config import build_problem, build_solver_config
+from coho_euler.diagnostics import grid_layout
 
-from bundled import variant
+from bundled import initial_problem, variant
 
 CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
 FIVE_STEPS = {"solver.t_end": 0.005}  # every bundled dt is 1e-3
@@ -135,8 +135,7 @@ def bits(x):
 @pytest.mark.parametrize("name", catalog.example_names())
 def test_public_calls_reuse_a_built_geometry(monkeypatch, name):
     cfg = catalog.load_example(name)
-    _, state, source = check_config(cfg)
-    geom = state_geometry(state, source)
+    state, geom, source = initial_problem(name)
     calls = public_calls(state, geom, build_solver_config(cfg))
     want = {key: bits(call(source)) for key, call in calls.items()}
 
