@@ -26,8 +26,11 @@ EXIT_PARSE = 4
 
 
 def _json_dump(obj, path: Path):
+    # a failed run's summary can hold non-finite floats, which strict JSON writes
+    # as the strings "NaN", "Infinity" and "-Infinity": parse_constant makes them
+    obj = json.loads(json.dumps(obj), parse_constant=str)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

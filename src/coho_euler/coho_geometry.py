@@ -74,12 +74,9 @@ class MetricProfile:
         self.orbit_space = orbit_space
         split.require_fixed_complement()
 
-    # subclasses provide these two on a 1-d array of already-reduced radii,
-    # as (n, d, d) stacks
-    def _gram(self, r: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _gram_prime(self, r: np.ndarray) -> np.ndarray:
+    def _grams(self, r: np.ndarray):
+        """(g_r, g_r') at a 1-d array of already-reduced radii, as two (n, d, d)
+        stacks sampled in one pass; each family provides it."""
         raise NotImplementedError
 
     @property
@@ -115,23 +112,28 @@ class MetricProfile:
                 raise DomainError(f"coordinate at or beyond the singular endpoint r = {L}")
         return rs if rs.ndim else float(rs)
 
-    def _sample(self, sampler, r):
-        out = sampler(np.atleast_1d(self.reduce(r)))
-        return out if np.ndim(r) else out[0]
-
     # every accessor takes a radius, or a 1-d array of radii for a stack, and
-    # samples through _gram/_gram_prime; a radius is an array of one
+    # samples through _grams; a radius is an array of one
+    def _grams_at(self, r):
+        g, gp = self._grams(np.atleast_1d(self.reduce(r)))
+        return (g, gp) if np.ndim(r) else (g[0], gp[0])
+
     def gram_at(self, r) -> np.ndarray:
-        return self._sample(self._gram, r)
+        return self._grams_at(r)[0]
 
     def gram_prime_at(self, r) -> np.ndarray:
-        return self._sample(self._gram_prime, r)
+        return self._grams_at(r)[1]
+
+    def metric_at(self, rs: np.ndarray):
+        """(g, g', S, vol, chol) at a 1-d array of radii: the one place S = -1/2 g^-1 g'
+        and vol = sqrt(det g) are formed, after the one :func:`check_grams` test of g,
+        whose Cholesky factors ``chol`` it hands on."""
+        g, gp = self._grams_at(rs)
+        _, det, chol = check_grams(g, rs)
+        return g, gp, -0.5 * np.linalg.solve(g, gp), np.sqrt(det), chol
 
     def shape_operator_at(self, r) -> np.ndarray:
-        rs = np.atleast_1d(r)
-        g = self.gram_at(rs)
-        check_grams(g, rs)
-        S = -0.5 * np.linalg.solve(g, self.gram_prime_at(rs))
+        S = self.metric_at(np.atleast_1d(r))[2]
         return S if np.ndim(r) else S[0]
 
     def mean_curvature_at(self, r):
@@ -139,8 +141,7 @@ class MetricProfile:
         return H if np.ndim(r) else float(H)
 
     def volume_at(self, r):
-        rs = np.atleast_1d(r)
-        vol = np.sqrt(check_grams(self.gram_at(rs), rs)[1])
+        vol = self.metric_at(np.atleast_1d(r))[3]
         return vol if np.ndim(r) else float(vol[0])
 
     def h0_at(self, r):
@@ -171,13 +172,10 @@ class RoundS3T2Profile(MetricProfile):
         space = OrbitSpace(INTERVAL, np.pi / 2.0, (SINGULAR, SINGULAR))
         super().__init__(split, space)
 
-    def _gram(self, r):
+    def _grams(self, r):
         c, s = np.cos(r), np.sin(r)
-        return _diagonal_stack([c * c, s * s])
-
-    def _gram_prime(self, r):
         s2 = np.sin(2.0 * r)
-        return _diagonal_stack([-s2, s2])
+        return _diagonal_stack([c * c, s * s]), _diagonal_stack([-s2, s2])
 
 
 class FourierDiagonalProfile(MetricProfile):
@@ -211,10 +209,10 @@ class FourierDiagonalProfile(MetricProfile):
         ang = 2.0 * np.pi * ks * r[:, None] / self.length
         return np.cos(ang), np.sin(ang)
 
-    def _entries(self, r, prime):
-        """Each entry exp(phi) at each radius, or with ``prime`` its r-derivative exp(phi) phi'."""
+    def _grams(self, r):
+        """Each entry exp(phi) and its r-derivative exp(phi) phi', which reuses exp(phi)."""
         cos, sin = self._phases(r)
-        entries = []
+        entries, primes = [], []
         # a log-entry past ~709 overflows to an inf entry, which check_grams
         # refuses by name; numpy's overflow warning would only repeat it
         with np.errstate(over="ignore", invalid="ignore"):
@@ -222,16 +220,9 @@ class FourierDiagonalProfile(MetricProfile):
                 k = e.size // 2
                 a, b, c, s = e[1::2], e[2::2], cos[:, :k], sin[:, :k]
                 entries.append(np.exp(e[0] + np.sum(a * c, axis=1) + np.sum(b * s, axis=1)))
-                if prime:
-                    entries[-1] *= np.sum((2.0 * np.pi * np.arange(1, k + 1) / self.length)
-                                          * (-a * s + b * c), axis=1)
-        return _diagonal_stack(entries)
-
-    def _gram(self, r):
-        return self._entries(r, False)
-
-    def _gram_prime(self, r):
-        return self._entries(r, True)
+                primes.append(entries[-1] * np.sum((2.0 * np.pi * np.arange(1, k + 1) / self.length)
+                                                   * (-a * s + b * c), axis=1))
+        return _diagonal_stack(entries), _diagonal_stack(primes)
 
 
 def warped_torus(length: float, coefficients) -> FourierDiagonalProfile:
@@ -285,13 +276,9 @@ class TabulatedProfile(MetricProfile):
         self._gp_spline = cubic_spline(r, gp, periodic)
         self.r_samples = r
 
-    def _gram(self, r):
-        g = self._g_spline(r)
-        return 0.5 * (g + g.swapaxes(1, 2))
-
-    def _gram_prime(self, r):
-        gp = self._gp_spline(r)
-        return 0.5 * (gp + gp.swapaxes(1, 2))
+    def _grams(self, r):
+        g, gp = self._g_spline(r), self._gp_spline(r)
+        return 0.5 * (g + g.swapaxes(1, 2)), 0.5 * (gp + gp.swapaxes(1, 2))
 
 
 def load_tabulated_csv(path):
@@ -403,7 +390,7 @@ def validate_profile(profile: MetricProfile) -> ValidationReport:
 
     if profile.orbit_space.kind == CIRCLE:
         ends = np.array([0.0, L])  # not reduced, which would map L to 0
-        g, gp = profile._gram(ends), profile._gram_prime(ends)
+        g, gp = profile._grams(ends)
         # rounding grows with the entries, so each gap is relative to max(1,
         # the largest entry it compares) and a metric in other units reads the
         # same; g' = g (ln g)' rounds at g's scale even where it vanishes

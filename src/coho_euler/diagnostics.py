@@ -18,10 +18,11 @@ import numpy as np
 
 from .coho_geometry import CIRCLE, INTERVAL, SINGULAR, MetricProfile
 from .errors import ConfigError, InputError
-from .homogeneous_geometry import InvariantMetric, check_grams, connection_tensors
+from .homogeneous_geometry import InvariantMetric, connection_tensors
 from .numerics import (
     Derivative4Interval,
     Derivative4Periodic,
+    as_float_array,
     simpson_weights_closed,
     simpson_weights_periodic,
 )
@@ -127,12 +128,7 @@ class GridGeometry:
             self.r, self.n = r, r.size
             stencil = Derivative4Periodic if self.kind == CIRCLE else Derivative4Interval
             self.deriv = stencil(self.n, self.dr)
-            self.gram = geometry.gram_at(r)
-            # the one test of g_r, before anything factors it; its factors are reused
-            _, det, chol = check_grams(self.gram, r)
-            self.gram_prime = geometry.gram_prime_at(r)
-            self.S = -0.5 * np.linalg.solve(self.gram, self.gram_prime)
-            self.vol = np.sqrt(det)
+            self.gram, self.gram_prime, self.S, self.vol, chol = geometry.metric_at(r)
             # rho, the largest |lambda| of -g'/2 x = lambda g x: whitening by g = L L^T
             # gives the symmetric L^-1 (-g'/2) L^-T, with the same eigenvalues
             half = np.linalg.solve(chol, -0.5 * self.gram_prime)
@@ -339,9 +335,7 @@ def divergence_residual(state, geometry, h_samples=None) -> float:
     row, geom = _row(state, geometry, c=None if h_samples is None else 0.0)
     if h_samples is None:
         return float(row["div_residual"])
-    h = np.asarray(h_samples, float)
-    if h.shape != (geom.n,):
-        raise InputError(f"h_samples has shape {h.shape}, the grid needs ({geom.n},)")
+    h = as_float_array(h_samples, (geom.n,), "h_samples")
     res_h = float(np.max(np.abs(geom.deriv(h) - geom.trace_S * h)))
     return max(res_h, float(row["div_residual"]))
 

@@ -327,8 +327,11 @@ def seeded_uniform(seed: int, count: int) -> list[float]:
 
 
 def as_float_array(x, shape=None, name="array") -> np.ndarray:
-    """Coerce to a float ndarray, rejecting non-finite entries."""
-    a = np.asarray(x, dtype=float)
+    """Coerce to a float ndarray, rejecting non-numeric and non-finite entries."""
+    try:
+        a = np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{name} is not an array of real numbers") from exc
     if shape is not None and a.shape != tuple(shape):
         raise InputError(f"{name} has shape {a.shape}, expected {tuple(shape)}")
     if not np.all(np.isfinite(a)):

@@ -37,7 +37,7 @@ from .diagnostics import (
     state_geometry,
 )
 from .errors import InputError, NumericalFailureError
-from .numerics import cumulative_integral
+from .numerics import as_float_array, cumulative_integral
 
 CFL_EPS = 1e-12
 
@@ -87,10 +87,11 @@ class SolverConfig:
 class ReducedState:
     """Reduced velocity at one instant.
 
-    ``c`` is the finite horizontal amplitude, 0.0 off the circle; ``v``
-    holds the vertical coefficients per node, (n, d), or the single
-    coefficient vector (d,) of a homogeneous run. The nodes are not part of
-    the state: its geometry places them (see ``state_geometry``).
+    ``t`` is a finite time and ``c`` the finite horizontal amplitude, 0.0
+    off the circle, both floats; ``v`` holds the vertical coefficients per
+    node, (n, d), or the single coefficient vector (d,) of a homogeneous
+    run. The nodes are not part of the state: its geometry places them (see
+    ``state_geometry``).
     """
 
     t: float
@@ -98,19 +99,21 @@ class ReducedState:
     v: np.ndarray
 
     def __post_init__(self):
-        self.v = np.asarray(self.v, dtype=float)
+        self.v = as_float_array(self.v, name="state coefficients v")
         if self.v.ndim == 0:
             raise InputError("state coefficients v must have shape (n, d) or (d,)")
-        if not np.all(np.isfinite(self.v)):
-            raise InputError("state coefficients contain non-finite entries")
-        c = self.c
-        try:
-            self.c = float(c)
-            finite = math.isfinite(self.c)
-        except (TypeError, ValueError):
-            finite = False
-        if not finite:
-            raise InputError(f"a reduced state needs a finite horizontal amplitude c, got {c}")
+        self.t = _finite_real(self.t, "time t")
+        self.c = _finite_real(self.c, "horizontal amplitude c")
+
+
+def _finite_real(x, what: str) -> float:
+    """``x`` as a float; a string, a non-real or a non-finite value is an InputError."""
+    try:
+        if not isinstance(x, (str, bytes)) and math.isfinite(value := float(x)):
+            return value
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InputError(f"a reduced state needs a finite {what}, got {x}")
 
 
 @dataclass

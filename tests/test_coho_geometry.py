@@ -32,6 +32,7 @@ from coho_euler.coho_geometry import (
     trace_identity_probes,
     write_tabulated_csv,
 )
+from coho_euler.diagnostics import GridGeometry
 from coho_euler.numerics import cubic_spline
 
 from oracles import coordinate_divergence_fd, h0_by_ode
@@ -115,11 +116,20 @@ def test_sampler_matches_scalar_accessors_bitwise(name, coupled_tabulated):
     if prof.orbit_space.kind == CIRCLE:
         probes = np.concatenate([probes, probes - prof.length, probes + 3 * prof.length])
     reduced = prof.reduce(probes)
-    for sampler, scalar in ((prof._gram, prof.gram_at), (prof._gram_prime, prof.gram_prime_at)):
-        batched = sampler(reduced)
+    for batched, scalar in zip(prof._grams(reduced), (prof.gram_at, prof.gram_prime_at)):
         assert batched.shape == (probes.size, prof.dim, prof.dim)
         assert np.array_equal(batched, np.array([scalar(r) for r in probes]))
         assert np.array_equal(batched, scalar(probes))
+
+
+@pytest.mark.parametrize("name", SAMPLED_PROFILES)
+def test_grid_geometry_matches_profile_accessors_bitwise(name, coupled_tabulated):
+    prof = sampled_profile(name, coupled_tabulated)
+    geom = GridGeometry(prof, 16)
+    pairs = ((geom.gram, prof.gram_at), (geom.gram_prime, prof.gram_prime_at),
+             (geom.S, prof.shape_operator_at), (geom.vol, prof.volume_at))
+    for built, accessor in pairs:
+        assert np.array_equal(built, accessor(geom.r))
 
 
 def test_sampler_raises_at_or_beyond_singular_endpoints(round_s3_t2, coupled_tabulated):
@@ -429,7 +439,7 @@ def test_spline_matches_scipy_on_tabulated_circle(coupled_tabulated):
         # the constant terms are the samples but the last, which equals the first
         y = np.concatenate([spline.c[-1], spline.c[-1][:1]])
         assert_spline_matches_scipy(r, y, True, probes)
-    ends = prof._gram(np.array([0.0, prof.length]))
+    ends = prof._grams(np.array([0.0, prof.length]))[0]
     assert np.array_equal(ends[0], ends[1])
 
 

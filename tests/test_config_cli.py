@@ -263,9 +263,16 @@ def test_cli_failing_run_prints_no_runtime_warning(tmp_path):
     )
     assert res.returncode == 3, res.stderr
     assert "RuntimeWarning" not in res.stderr, res.stderr
-    failure = json.loads((out / "summary.json").read_text())["failure"]
+    # strict JSON: the overflowed values are the strings "NaN" and "Infinity"
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=_no_constant)
+    assert (summary["energy"]["initial"], summary["energy"]["max_rel_drift"]) == ("Infinity", "NaN")
+    failure = summary["failure"]
     # x1 x2 = 1e400 overflows in dx3/dt: node 0 (the one node), coefficient 2
     assert (failure["stage"], failure["node"], failure["coefficient"]) == (1, 0, 2)
+
+
+def _no_constant(name):
+    raise ValueError(f"summary.json holds the bare constant {name}, which is not JSON")
 
 
 def test_cli_overflowing_rk4_combine_exit_3(tmp_path, capsys):

@@ -623,8 +623,14 @@ MALFORMED = {
                 lambda s, g: pressure_reconstruct(replace(s, v=s.v[:10]), g)),
     "h_samples": ("berger_circle", "h_samples",
                   lambda s, g: divergence_residual(s, g, h_samples=np.ones(5))),
+    "h_samples_nan": ("berger_circle", "h_samples contains non-finite entries",
+                      lambda s, g: divergence_residual(s, g, h_samples=np.full(len(s.v), np.nan))),
     "c_none": ("berger_circle", "finite horizontal amplitude",
                lambda s, g: rhs(replace(s, c=None), g)),
+    "t_str": ("su2_rigid_body", "finite time t, got x",
+              lambda s, g: integrate(replace(s, t="x"), g, SolverConfig(dt=1e-3, t_end=1e-3))),
+    "t_inf": ("berger_circle", "finite time t, got inf",
+              lambda s, g: integrate(replace(s, t=np.inf), g, SolverConfig(dt=1e-3, t_end=1e-3))),
     "c_off_circle": ("s3_t2_interval", "finite horizontal amplitude",
                      lambda s, g: step_rk4(replace(s, c=0.5), g,
                                            SolverConfig(dt=1e-3, t_end=1e-3))),

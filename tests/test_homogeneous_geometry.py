@@ -26,6 +26,7 @@ from coho_euler.coho_geometry import CIRCLE, OrbitSpace, TabulatedProfile
 from coho_euler.config import build_problem
 from coho_euler.diagnostics import GridGeometry, state_geometry
 from coho_euler.homogeneous_geometry import check_grams, connection_tensors
+from coho_euler.lie_core import LieAlgebraSpec
 
 from bundled import LU_SINGULAR_SU2, NO_CHOLESKY_2
 from oracles import koszul_oracle
@@ -129,6 +130,29 @@ def test_stacked_connection_equals_per_node(name):
     for j, g in enumerate(grams):
         assert np.array_equal(stacked[j], InvariantMetric(profile.split, g).connection_tensor())
         assert np.array_equal(stacked[j], koszul_per_node(profile.split, g))
+
+
+# an array argument whose entries are not numbers, at each public entry point
+# that coerces one: (the InputError's array name, call on su(2))
+NOT_NUMBERS = {
+    "structure": ("structure", lambda split: LieAlgebraSpec(3, "abc", np.eye(3))),
+    "Q": ("Q", lambda split: LieAlgebraSpec(3, su2().structure, [[1.0, 0, 0], [0, 1.0], [0, 0, 1.0]])),
+    "bracket": ("x", lambda split: bracket(su2(), ["a", "b", "c"], [0.0, 1.0, 0.0])),
+    "h_basis": ("h_basis vector", lambda split: reductive_split(su2(), "ab")),
+    "gram": ("gram", lambda split: InvariantMetric(split, "abc")),
+    "connection": ("Y", lambda split: invariant_connection(InvariantMetric(split, np.eye(3)),
+                                                          [1.0, 0.0, 0.0], [1j, 0.0, 0.0])),
+    "state_v": ("state coefficients v", lambda split: ReducedState(0.0, 0.0, ["a", "b", "c"])),
+    "h_samples": ("h_samples", lambda split: divergence_residual(
+        ReducedState(0.0, 0.0, np.ones(3)), InvariantMetric(split, np.eye(3)), h_samples=["a"])),
+}
+
+
+@pytest.mark.parametrize("case", NOT_NUMBERS)
+def test_entries_that_are_not_numbers_raise_input_error(case, su2_split):
+    name, call = NOT_NUMBERS[case]
+    with pytest.raises(InputError, match=f"^{name} is not an array of real numbers$"):
+        call(su2_split)
 
 
 def test_stacked_connection_checks_every_matrix(su2_split):
