@@ -31,7 +31,8 @@ import numpy as np
 from . import coho_geometry as cg
 from .coho_geometry import CIRCLE, INTERVAL
 from .diagnostics import GRID_NODES, GridGeometry, grid_rule, row_width
-from .errors import ConfigError, ConfigParseError, InputError, UnsupportedConfigurationError
+from .errors import (ConfigError, ConfigParseError, InputError, StructureError,
+                     UnsupportedConfigurationError)
 from .homogeneous_geometry import InvariantMetric, check_metric_invariance
 from .lie_core import LieAlgebraSpec, abelian, reductive_split, su2, validate_structure
 from .numerics import seeded_uniform
@@ -526,7 +527,11 @@ def check_config(cfg: RunConfig):
     report.extend(validate_structure(algebra), "algebra: {} failed")
     if not report.passed:
         return report, None, None
-    split = profile.split if builtin else reductive_split(algebra, cfg.isotropy)
+    try:
+        split = profile.split if builtin else reductive_split(algebra, cfg.isotropy)
+    except (InputError, StructureError) as exc:
+        report.add_error("isotropy_basis", f"isotropy.basis: {exc}")
+        return report, None, None
     try:
         split.require_fixed_complement()
     except UnsupportedConfigurationError as exc:
@@ -538,7 +543,7 @@ def check_config(cfg: RunConfig):
     if cfg.kind == "homogeneous":
         try:
             metric = InvariantMetric(split, np.asarray(cfg.metric_gram, dtype=float))
-        except InputError as exc:
+        except (InputError, StructureError) as exc:
             report.add_error("metric_gram", f"metric.gram: {exc}")
         else:
             report.extend(check_metric_invariance(metric),

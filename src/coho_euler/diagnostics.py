@@ -492,9 +492,10 @@ class RunRecorder:
         if report.kind == CIRCLE:
             peaks["c_margin"] = rows["c"] ** 2 - report.c_bound
             mv, mv0 = rows["max_vertical"], first["max_vertical"]
-            # the envelope ratio, or the largest vertical speed of a state starting at rest
+            # the envelope ratio; a state starting at rest reads 1 while it stays
+            # at rest and inf once it moves (NaN included)
             peaks["envelope"] = (mv / (mv0 * np.exp(2.0 * rows["t"] * rows["envelope_rate"]))
-                                 if mv0 > 1e-30 else mv)
+                                 if mv0 > 1e-30 else np.where(mv <= 1e-25, 1.0, np.inf))
         if report.n_singular:
             peaks["alpha"], peaks["beta"] = _growth_ratios(rows["alpha"], rows["beta"],
                                                            first["alpha"], first["beta"])
@@ -507,87 +508,48 @@ class RunRecorder:
         return self.report
 
 
+def _claim(value, limit, value_key, limit_key="tol", /, **values) -> dict:
+    """One summary flag: ``value`` against its ``limit``, with the block's other values.
+
+    A NaN value fails its flag, as every comparison with NaN is False.
+    """
+    return {**values, value_key: value, limit_key: limit, "ok": bool(value <= limit)}
+
+
 def conservation_report(report: RunReport) -> dict:
     """Summarise drifts and bound margins; attach pass/fail flags.
 
-    Non-finite values (possible after an overflow failure) simply fail
-    their flags; comparisons with NaN are already False.
+    Every flag is a :func:`_claim`; non-finite values (possible after an
+    overflow failure) simply fail theirs.
     """
     if not report.rows:
         raise InputError("cannot summarise an empty run report")
-    first, peaks = report.first, report.peaks
-    e_scale = max(abs(float(first["E"])), 1e-30)
-    energy_drift = float(peaks["energy"]) / e_scale
+    first = report.first
+    peaks = {key: float(val) for key, val in report.peaks.items()}
+    energy_drift = peaks["energy"] / max(abs(float(first["E"])), 1e-30)
     summary = {
         "kind": report.kind,
         "t_final": report.t_final,
-        "energy": {
-            "initial": float(first["E"]),
-            "max_rel_drift": energy_drift,
-            "tol": ENERGY_DRIFT_TOL,
-            "ok": bool(energy_drift <= ENERGY_DRIFT_TOL),
-        },
+        "energy": _claim(energy_drift, ENERGY_DRIFT_TOL, "max_rel_drift",
+                         initial=float(first["E"])),
     }
-
     if report.kind in ("homogeneous", "interval"):
-        drift = float(peaks["speed_drift"])
-        summary["pointwise_speed"] = {
-            "max_drift": drift,
-            "tol": SPEED_DRIFT_TOL,
-            "ok": bool(drift <= SPEED_DRIFT_TOL),
-        }
-
+        summary["pointwise_speed"] = _claim(peaks["speed_drift"], SPEED_DRIFT_TOL, "max_drift")
     if report.kind == "circle":  # the recorder sets a circle's c_bound
-        margin = float(peaks["c_margin"])
-        summary["c_bound"] = {
-            "bound": report.c_bound,
-            "max_margin": margin,
-            "tol": C_BOUND_MARGIN,
-            "ok": bool(margin <= C_BOUND_MARGIN),
-        }
-        if first["max_vertical"] > 1e-30:
-            ratio = float(peaks["envelope"])
-        else:
-            ratio = 1.0 if float(peaks["envelope"]) <= 1e-25 else np.inf
-        summary["max_principle"] = {
-            "max_ratio": ratio,
-            "tol": ENVELOPE_FACTOR,
-            "ok": bool(ratio <= ENVELOPE_FACTOR),
-        }
-
+        summary["c_bound"] = _claim(peaks["c_margin"], C_BOUND_MARGIN, "max_margin",
+                                    bound=report.c_bound)
+        summary["max_principle"] = _claim(peaks["envelope"], ENVELOPE_FACTOR, "max_ratio")
     c1_0 = float(first["c1_monitor"])
-    growth = float(peaks["c1_monitor"]) / max(abs(c1_0), 1e-12)
-    summary["c1_monitor"] = {
-        "initial": c1_0,
-        "max": float(peaks["c1_monitor"]),
-        "max_sv_raw": float(peaks["c1_sv_raw"]),
-        "growth_factor": growth,
-        "limit": C1_GROWTH_LIMIT,
-        "ok": bool(growth <= C1_GROWTH_LIMIT),
-    }
-
-    div_max = float(peaks["div_residual"])
-    summary["divergence"] = {
-        "max_residual": div_max,
-        "tol": DIV_RESIDUAL_TOL,
-        "ok": bool(div_max <= DIV_RESIDUAL_TOL),
-    }
-
-    p_max = float(peaks["p_periodicity"])
-    summary["pressure_periodicity"] = {
-        "max_residual": p_max,
-        "tol": PERIODICITY_TOL,
-        "ok": bool(p_max <= PERIODICITY_TOL),
-    }
-
+    summary["c1_monitor"] = _claim(
+        peaks["c1_monitor"] / max(abs(c1_0), 1e-12), C1_GROWTH_LIMIT, "growth_factor", "limit",
+        initial=c1_0, max=peaks["c1_monitor"], max_sv_raw=peaks["c1_sv_raw"])
+    summary["divergence"] = _claim(peaks["div_residual"], DIV_RESIDUAL_TOL, "max_residual")
+    summary["pressure_periodicity"] = _claim(peaks["p_periodicity"], PERIODICITY_TOL,
+                                             "max_residual")
     if report.n_singular:
-        growth = max(float(peaks["alpha"]), float(peaks["beta"]))
-        summary["endpoint_taylor"] = {
-            "max_growth": growth,
-            "limit": TAYLOR_GROWTH_LIMIT,
-            "max_parity_misfit": float(peaks["parity_misfit"]),
-            "ok": bool(growth <= TAYLOR_GROWTH_LIMIT),
-        }
+        summary["endpoint_taylor"] = _claim(
+            max(peaks["alpha"], peaks["beta"]), TAYLOR_GROWTH_LIMIT, "max_growth", "limit",
+            max_parity_misfit=peaks["parity_misfit"])
 
     if report.failure is not None:
         summary["failure"] = report.failure

@@ -327,8 +327,15 @@ def seeded_uniform(seed: int, count: int) -> list[float]:
 
 
 def as_float_array(x, shape=None, name="array") -> np.ndarray:
-    """Coerce to a float ndarray, rejecting non-numeric and non-finite entries."""
+    """Coerce to a float ndarray, rejecting non-numeric and non-finite entries.
+
+    A string is not a number, even one that spells a number.
+    """
     try:
+        raw = np.asarray(x)
+        if raw.dtype.kind in "SU" or raw.dtype == object and any(
+                isinstance(e, (str, bytes)) for e in raw.flat):
+            raise TypeError("string entries")
         a = np.asarray(x, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{name} is not an array of real numbers") from exc

@@ -245,11 +245,17 @@ def pressure_reconstruct(state: ReducedState, geometry, check: bool = True) -> P
 
 
 def trajectory_pressures(trajectory, geometry) -> list[PressureField]:
-    """Pressure fields for a trajectory on the geometry its run used, unchecked."""
+    """Pressure fields for a trajectory on the geometry its run used, unchecked.
+
+    A failed run's last states can overflow the pressure as they overflowed
+    the run: as in ``integrate``, the failure record, not a numpy warning,
+    reports it.
+    """
     fields = []
-    for s in trajectory:  # a geometry built for the first state serves the rest
-        geometry = state_geometry(s, geometry)
-        fields.append(pressure_reconstruct(s, geometry, check=False))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in trajectory:  # a geometry built for the first state serves the rest
+            geometry = state_geometry(s, geometry)
+            fields.append(pressure_reconstruct(s, geometry, check=False))
     return fields
 
 

@@ -271,6 +271,30 @@ def test_cli_failing_run_prints_no_runtime_warning(tmp_path):
     assert (failure["stage"], failure["node"], failure["coefficient"]) == (1, 0, 2)
 
 
+# failed runs whose last states overflow the pressure reconstructed after the
+# run, each cut to 5 steps: (example, updates, failure kind)
+OVERFLOWING_RUNS = {
+    "boundary-v-1e154": ("boundary_interval", {"initial.v.values": [1e154] * 3}, "non_finite"),
+    "t3-c-1e200": ("t3_circle", {"initial.c": 1e200}, "cfl"),
+    "berger-c-1e154": ("berger_circle", {"initial.c": 1e154}, "cfl"),
+    "berger-c-1e300": ("berger_circle", {"initial.c": 1e300}, "cfl"),
+}
+
+
+@pytest.mark.parametrize("case", OVERFLOWING_RUNS)
+def test_cli_overflowing_pressures_print_no_warning(tmp_path, capsys, case):
+    name, updates, kind = OVERFLOWING_RUNS[case]
+    path = variant(name, {**updates, "solver.t_end": 0.005}, write_to=tmp_path)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's warnings included: none may reach stderr
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 3
+    assert "Warning" not in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["failure"]["kind"] == kind
+    assert not summary["all_ok"]
+
+
 def _no_constant(name):
     raise ValueError(f"summary.json holds the bare constant {name}, which is not JSON")
 
@@ -552,6 +576,23 @@ EVEN_AT_L = sum(a * np.polynomial.Polynomial([0.7, -1.0]) ** (2 * k)
                 for k, a in enumerate([1.2, 3.4, -5.6, 1000.0])).coef.tolist()
 
 
+# the failed check of validate for a refusal raised as the fibre or the metric is
+# built, by case id below: a FAIL line that names the field, not a bare error
+SPANS_ALL = ("FAIL  isotropy_basis: isotropy.basis: isotropy basis spans the whole algebra: "
+             "the complement m is empty")
+FAIL_LINES = {
+    "isotropy-spans-abelian1": SPANS_ALL,
+    "isotropy-spans-abelian2": SPANS_ALL,
+    "gram-not-symmetric": "FAIL  metric_gram: metric.gram: gram matrix is not symmetric",
+    "isotropy-dependent": "FAIL  isotropy_basis: isotropy.basis: isotropy basis vectors are "
+                          "linearly dependent (vector 1)",
+    "isotropy-row-short": "FAIL  isotropy_basis: isotropy.basis: h_basis vector has shape (2,), "
+                          "expected (3,)",
+    "isotropy-not-closed": "FAIL  isotropy_basis: isotropy.basis: isotropy basis does not span "
+                           "a subalgebra (off-span residual ",
+}
+
+
 @pytest.mark.parametrize(
     "name, updates, code",
     [
@@ -594,6 +635,13 @@ EVEN_AT_L = sum(a * np.polynomial.Polynomial([0.7, -1.0]) ** (2 * k)
         ("left", v1([0.0, 0.0, 1e308, 0.0, 1e308]), 2),
         ("su2_rigid_body", {"metric.gram": LU_SINGULAR_SU2, "solver.t_end": 0.01}, 2),
         ("rank_one", {}, 2),
+        ("su2_rigid_body", {"metric.gram": [[1.0, 0.5, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]],
+                            "solver.t_end": 0.01}, 2),
+        ("boundary_interval", {"isotropy": {"basis": [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]},
+                               "solver.t_end": 0.01}, 2),
+        ("boundary_interval", {"isotropy": {"basis": [[1.0, 0.0]]}, "solver.t_end": 0.01}, 2),
+        ("boundary_interval", {"isotropy": {"basis": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]},
+                               "solver.t_end": 0.01}, 2),
     ],
     ids=["structure-not-antisymmetric", "Q-not-ad-invariant", "t_end-not-multiple-of-dt", "short-initial-x",
          "step-count-overflows", "isotropy-moves-complement", "even-1000r4-at-0", "even-expanded-at-L",
@@ -603,9 +651,10 @@ EVEN_AT_L = sum(a * np.polynomial.Polynomial([0.7, -1.0]) ** (2 * k)
          "structure-Q-17-rows", "polynomial-rows-short", "fourier-rows-short",
          "fourier-row-even-length", "tabulated-without-algebra", "polynomial-row-past-2049-entries",
          "fourier-row-past-2049-entries", "berger-in-other-units", "log-entry-overflows",
-         "volume-overflows", "polynomial-overflows", "gram-lu-singular", "gram-without-cholesky"],
+         "volume-overflows", "polynomial-overflows", "gram-lu-singular", "gram-without-cholesky",
+         "gram-not-symmetric", "isotropy-dependent", "isotropy-row-short", "isotropy-not-closed"],
 )
-def test_validate_and_run_agree(tmp_path, capsys, name, updates, code):
+def test_validate_and_run_agree(request, tmp_path, capsys, name, updates, code):
     if name in ("left", "right"):
         path = abelian_profile_cfg(tmp_path, name, **updates)
     elif name == "spiked":
@@ -618,10 +667,13 @@ def test_validate_and_run_agree(tmp_path, capsys, name, updates, code):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy's warnings included: none may reach stderr
         assert main(["validate", "--config", str(path)]) == code
+        validated = capsys.readouterr()
         assert main(["run", "--config", str(path), "--out", str(out)]) == code
+    if request.node.callspec.id in FAIL_LINES:
+        assert FAIL_LINES[request.node.callspec.id] in validated.out
     if code:
         assert not out.exists()
-        assert "validation error: " in capsys.readouterr().err
+        assert "validation error: " in validated.err + capsys.readouterr().err
     else:
         assert json.loads((out / "summary.json").read_text())["all_ok"]
 

@@ -410,6 +410,31 @@ def test_folded_summary_takes_overflow_in_a_later_chunk(monkeypatch, rigid_body_
     _assert_summary_matches_oracle(report, series)
 
 
+def test_rest_state_circle_run_reads_max_ratio_one(flat_torus):
+    # v = 0 with c != 0 stays at rest: the maximum principle reads 1, not a ratio
+    state = ReducedState(0.0, 0.5, np.zeros((32, 2)))
+    _, report, series = collect_rows(state, flat_torus, SolverConfig(dt=1e-3, t_end=2e-2))
+    assert np.max(series["max_vertical"]) == 0.0
+    assert report.summary["max_principle"] == {"max_ratio": 1.0, "tol": 1.05, "ok": True}
+    assert report.summary["all_ok"]
+    _assert_summary_matches_oracle(report, series)
+
+
+def test_rest_state_that_moves_reads_max_ratio_inf(monkeypatch, flat_torus):
+    # rows fed to the recorder directly: at rest in the first chunk, moving
+    # in a later one, so the fold sees the first row's rest in a later chunk
+    monkeypatch.setattr(diagnostics, "CHUNK_ROWS", 3)
+    chunks = []
+    recorder = RunRecorder(GridGeometry(flat_torus, 32), chunks.append)
+    for i in range(7):  # v = 0 in the first four rows, then 1e-10 on every node
+        recorder.record(0.1 * i, 0.5, np.full((32, 2), 1e-10 if i > 3 else 0.0))
+    report = recorder.finish()
+    conservation_report(report)
+    assert report.summary["max_principle"] == {"max_ratio": np.inf, "tol": 1.05, "ok": False}
+    assert not report.summary["all_ok"]
+    _assert_summary_matches_oracle(report, concatenate(chunks))
+
+
 def test_recorder_memory_does_not_grow_with_rows(rigid_body_metric):
     # the recorder holds one chunk of rows whatever the run's length; the
     # 15000 more rows of the longer run, at 11 float64 values each, would
@@ -619,6 +644,8 @@ def test_csv_writers_match_fstring_format(tmp_path, coupled_tabulated, rigid_bod
 # (example, what the InputError says, call)
 MALFORMED = {
     "v_width": ("berger_circle", "shape", lambda s, g: energy(replace(s, v=s.v[:, :2]), g)),
+    "v_str": ("berger_circle", "state coefficients v is not an array of real numbers",
+              lambda s, g: energy(replace(s, v=s.v.astype(str)), g)),
     "v_nodes": ("berger_circle", "shape|circle grids need an even N >= 16, got 10",
                 lambda s, g: pressure_reconstruct(replace(s, v=s.v[:10]), g)),
     "h_samples": ("berger_circle", "h_samples",

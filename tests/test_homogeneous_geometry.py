@@ -140,6 +140,9 @@ NOT_NUMBERS = {
     "bracket": ("x", lambda split: bracket(su2(), ["a", "b", "c"], [0.0, 1.0, 0.0])),
     "h_basis": ("h_basis vector", lambda split: reductive_split(su2(), "ab")),
     "gram": ("gram", lambda split: InvariantMetric(split, "abc")),
+    # strings that spell numbers are not numbers either
+    "gram_str": ("gram", lambda split: InvariantMetric(split, [["1", "0", "0"], ["0", "2", "0"],
+                                                               ["0", "0", "3"]])),
     "connection": ("Y", lambda split: invariant_connection(InvariantMetric(split, np.eye(3)),
                                                           [1.0, 0.0, 0.0], [1j, 0.0, 0.0])),
     "state_v": ("state coefficients v", lambda split: ReducedState(0.0, 0.0, ["a", "b", "c"])),
