@@ -353,11 +353,8 @@ def trace_identity_probes(profile: MetricProfile, n=PROBE_POINTS) -> np.ndarray:
 def gram_positivity(profile: MetricProfile, rs: np.ndarray, name: str) -> ValidationReport:
     """One check ``name``: g_r passes :func:`check_grams` at every radius of ``rs``."""
     report = ValidationReport()
-    try:
-        lam_min = check_grams(profile.gram_at(rs), rs)[0]
-    except InputError as exc:
-        report.add_flag(name, False, str(exc))
-    else:
+    lam_min = report.attempt(name, None, lambda: check_grams(profile.gram_at(rs), rs)[0])
+    if lam_min is not None:
         j = int(np.argmin(lam_min))
         report.add_flag(name, True, f"min eigenvalue {lam_min[j]:.3e} at r = {rs[j]:.6g}")
     return report
@@ -383,10 +380,15 @@ def validate_profile(profile: MetricProfile) -> ValidationReport:
     # A volume past the float range is inf, and the residual then nan, which
     # fails the check by name without a numpy warning.
     rs = trace_identity_probes(profile)
-    with np.errstate(over="ignore", invalid="ignore"):
-        lnv = np.log(profile.volume_at(rs + FD_STEP)) - np.log(profile.volume_at(rs - FD_STEP))
-        worst = np.max(np.abs(profile.mean_curvature_at(rs) + lnv / (2 * FD_STEP)))
-    report.add("mean_curvature_trace_identity", worst, 1e-6)
+
+    def trace_residual():
+        with np.errstate(over="ignore", invalid="ignore"):
+            lnv = np.log(profile.volume_at(rs + FD_STEP)) - np.log(profile.volume_at(rs - FD_STEP))
+            return np.max(np.abs(profile.mean_curvature_at(rs) + lnv / (2 * FD_STEP)))
+
+    worst = report.attempt("mean_curvature_trace_identity", None, trace_residual)
+    if worst is not None:
+        report.add("mean_curvature_trace_identity", worst, 1e-6)
 
     if profile.orbit_space.kind == CIRCLE:
         ends = np.array([0.0, L])  # not reduced, which would map L to 0
@@ -404,13 +406,11 @@ def validate_profile(profile: MetricProfile) -> ValidationReport:
             eps = L * np.geomspace(1e-2, 1e-8, 13)
             rs = side + eps if side == 0.0 else side - eps
             if kind == SINGULAR:
-                vols = profile.volume_at(rs)
-                collapsing = np.all(np.diff(vols) < 0) and vols[-1] < 1e-6
-                report.add_flag(
-                    f"volume_collapse_at_{tag}",
-                    bool(collapsing),
-                    f"closest sample {vols[-1]:.3e}",
-                )
+                name = f"volume_collapse_at_{tag}"
+                vols = report.attempt(name, None, profile.volume_at, rs)
+                if vols is not None:
+                    collapsing = np.all(np.diff(vols) < 0) and vols[-1] < 1e-6
+                    report.add_flag(name, bool(collapsing), f"closest sample {vols[-1]:.3e}")
                 report.extend(_parity_check(profile, side, tag))
             else:  # g_r stays positive definite, and its volume positive, up to the end
                 report.extend(gram_positivity(profile, rs, f"volume_positive_at_{tag}"))

@@ -29,10 +29,9 @@ from typing import Callable
 import numpy as np
 
 from . import coho_geometry as cg
-from .coho_geometry import CIRCLE, INTERVAL
+from .coho_geometry import BOUNDARY, CIRCLE, INTERVAL, SINGULAR
 from .diagnostics import GRID_NODES, GridGeometry, grid_rule, row_width
-from .errors import (ConfigError, ConfigParseError, InputError, StructureError,
-                     UnsupportedConfigurationError)
+from .errors import ConfigError, ConfigParseError
 from .homogeneous_geometry import InvariantMetric, check_metric_invariance
 from .lie_core import LieAlgebraSpec, abelian, reductive_split, su2, validate_structure
 from .numerics import seeded_uniform
@@ -217,6 +216,7 @@ FOURIER = {"length": POSITIVE, "fourier": Numbers(2, most=COEFFICIENTS)}
 FAMILIES = {"round_s3_t2": {}, "warped_torus": FOURIER, "berger_circle": FOURIER}
 TABULATED = {"family": None, "length": POSITIVE, "kind": None, "csv": Str("a file name"),
              "endpoints": None}  # kind and endpoints: see _tabulated_rule
+ENDPOINTS = [[left, right] for left in (SINGULAR, BOUNDARY) for right in (SINGULAR, BOUNDARY)]
 VTYPES = {
     "constant": {"values": Numbers()},
     "polynomial": {"coefficients": Numbers(2, "rows", COEFFICIENTS)},
@@ -277,8 +277,8 @@ def _tabulated_rule(kind):
             errors.append("profile.kind: must match problem.kind")
         if pkind == INTERVAL and "endpoints" not in p:
             errors.append("profile.endpoints: required for tabulated interval profiles")
-        if "endpoints" in p and not isinstance(p["endpoints"], list):
-            errors.append("profile.endpoints: expected a list")
+        if "endpoints" in p and p["endpoints"] not in ENDPOINTS:
+            errors.append("profile.endpoints: expected two of 'singular' and 'boundary'")
         if pkind == CIRCLE and "endpoints" in p:
             errors.append("profile.endpoints: not allowed on a circle")
 
@@ -515,37 +515,36 @@ def check_config(cfg: RunConfig):
     Returns ``(report, state, geom)``: the initial :class:`ReducedState` and
     the run's one :class:`~coho_euler.diagnostics.GridGeometry`, both None
     unless every check passed; ``report.errors()`` then gives the messages
-    ``run`` raises. ``run`` and ``validate`` both make exactly these checks.
+    ``run`` raises. ``run`` and ``validate`` both make exactly these checks, and
+    each step's refusal is its failed check (``ValidationReport.attempt``).
     Checks that stand on others stop where those fail: nothing is built on a
     failed algebra or split, no geometry on a profile that fails a check, and
     no state where ``check_grams`` refuses the geometry's g_r at a node.
     """
     report = ValidationReport()
-    builtin = cfg.kind != "homogeneous" and cfg.profile["family"] != "tabulated"
-    profile = build_profile(cfg) if builtin else None
-    algebra = profile.split.algebra if builtin else build_algebra(cfg)
-    report.extend(validate_structure(algebra), "algebra: {} failed")
+    if cfg.kind == "homogeneous" or cfg.profile["family"] == "tabulated":
+        profile, algebra = None, report.attempt("algebra", "algebra", build_algebra, cfg)
+    else:  # a built-in family fixes its fibre
+        profile = report.attempt("profile_fourier", "profile.fourier", build_profile, cfg)
+        algebra = None if profile is None else profile.split.algebra
+    if algebra is not None:
+        report.extend(validate_structure(algebra), "algebra: {} failed")
     if not report.passed:
         return report, None, None
-    try:
-        split = profile.split if builtin else reductive_split(algebra, cfg.isotropy)
-    except (InputError, StructureError) as exc:
-        report.add_error("isotropy_basis", f"isotropy.basis: {exc}")
-        return report, None, None
-    try:
-        split.require_fixed_complement()
-    except UnsupportedConfigurationError as exc:
-        report.add_error("isotropy_fixes_complement", f"isotropy.basis: {exc}")
+    split = profile.split if profile is not None else report.attempt(
+        "isotropy_basis", "isotropy.basis", reductive_split, algebra, cfg.isotropy)
+    if split is not None:
+        report.attempt("isotropy_fixes_complement", "isotropy.basis",
+                       split.require_fixed_complement)
+    if not report.passed:
         return report, None, None
     report.add_flag("isotropy_fixes_complement", True)
 
     geom, d, n_singular = None, split.dim_m, 0
     if cfg.kind == "homogeneous":
-        try:
-            metric = InvariantMetric(split, np.asarray(cfg.metric_gram, dtype=float))
-        except (InputError, StructureError) as exc:
-            report.add_error("metric_gram", f"metric.gram: {exc}")
-        else:
+        metric = report.attempt("metric_gram", "metric.gram", InvariantMetric, split,
+                                np.asarray(cfg.metric_gram, dtype=float))
+        if metric is not None:
             report.extend(check_metric_invariance(metric),
                           "metric.gram: not invariant under the isotropy action")
             geom = GridGeometry(metric)
@@ -554,43 +553,38 @@ def check_config(cfg: RunConfig):
             report.add_error("initial_data", f"initial.x: expected {d} entries")
     else:
         if profile is None:
-            profile = build_profile(cfg, split)
+            profile = report.attempt("profile_csv", "profile.csv", build_profile, cfg, split)
+            if profile is None:
+                return report, None, None
         profile_report = cg.validate_profile(profile)
         report.extend(profile_report, "profile: {} failed")
         if profile_report.passed:
-            try:
-                # the run factors g_r at every state node, not only at the probes
-                geom = GridGeometry(profile, int(cfg.solver["N"]))
-            except InputError as exc:
-                report.add_flag("gram_positive_on_state_grid", False, str(exc))
-            else:
+            # the run factors g_r at every state node, not only at the probes
+            geom = report.attempt("gram_positive_on_state_grid", "profile", GridGeometry,
+                                  profile, int(cfg.solver["N"]))
+            if geom is not None:
                 report.add_flag("gram_positive_on_state_grid", True)
         if cfg.kind == INTERVAL:
             n_singular = profile.orbit_space.endpoint_kinds.count(cg.SINGULAR)
         if geom is not None:
-            try:
-                # initial data past the float range is inf, which ReducedState refuses
-                with np.errstate(over="ignore", invalid="ignore"):
-                    initial = build_initial_v(cfg, profile, geom.r)
-            except ConfigError as exc:
-                for message in exc.messages:
-                    report.add_error("initial_data", message)
+            # initial data past the float range is inf, which ReducedState refuses
+            with np.errstate(over="ignore", invalid="ignore"):
+                initial = report.attempt("initial_data", "initial.v", build_initial_v,
+                                         cfg, profile, geom.r)
 
-    try:
-        rows = build_solver_config(cfg).n_records()
-    except InputError as exc:
-        report.add_error("time_steps", str(exc))
-    else:
-        width = row_width(d, n_singular)
-        if rows * width > MAX_RECORDED_VALUES:
-            report.add_error("recorded_rows", (
-                f"output.diagnostics_cadence: {rows} recorded rows of {width} values exceed "
-                f"the budget of {MAX_RECORDED_VALUES} values; raise the cadence or shorten "
-                "solver.t_end"))
+    rows = report.attempt("time_steps", "solver", lambda: build_solver_config(cfg).n_records())
+    width = row_width(d, n_singular)
+    if rows is not None and rows * width > MAX_RECORDED_VALUES:
+        report.add_error("recorded_rows", (
+            f"output.diagnostics_cadence: {rows} recorded rows of {width} values exceed "
+            f"the budget of {MAX_RECORDED_VALUES} values; raise the cadence or shorten "
+            "solver.t_end"))
     if not report.passed:
         return report, None, None
     # only a circle config has an initial amplitude c
-    return report, ReducedState(0.0, float(cfg.initial.get("c", 0.0)), initial), geom
+    state = report.attempt("initial_data", "initial", ReducedState, 0.0,
+                           float(cfg.initial.get("c", 0.0)), initial)
+    return report, state, None if state is None else geom
 
 
 def build_problem(cfg: RunConfig):

@@ -337,7 +337,7 @@ def as_float_array(x, shape=None, name="array") -> np.ndarray:
                 isinstance(e, (str, bytes)) for e in raw.flat):
             raise TypeError("string entries")
         a = np.asarray(x, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{name} is not an array of real numbers") from exc
     if shape is not None and a.shape != tuple(shape):
         raise InputError(f"{name} has shape {a.shape}, expected {tuple(shape)}")

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from .errors import CohoEulerError, ConfigError
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -51,6 +53,19 @@ class ValidationReport:
     def add_error(self, name, message):
         # A failed check on the input's shape: no residual, only a message.
         self.checks.append(CheckResult(name, None, 0.0, False, message, message))
+
+    def attempt(self, name, field, build, *args):
+        """``build(*args)``; if it raises a CohoEulerError, None, with the failed check
+        ``name`` recorded as ``field: message`` (a ConfigError's messages name their
+        own fields) or, with no field, as a failed flag whose detail is the message."""
+        try:
+            return build(*args)
+        except CohoEulerError as exc:
+            if not field:  # the report's reader names the field
+                return self.add_flag(name, False, str(exc))
+            messages = exc.messages if isinstance(exc, ConfigError) else [f"{field}: {exc}"]
+            for message in messages:
+                self.add_error(name, message)
 
     def extend(self, other: "ValidationReport", error: str = ""):
         """Append ``other``'s checks; ``error`` words their failures, formatted with the name."""

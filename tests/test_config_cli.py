@@ -403,11 +403,21 @@ def fourier_v(coefficients):
     ],
     ids=lambda case: ",".join(f"{k}={v!r}" for k, v in case.items()) if isinstance(case, dict) else case,
 )
-def test_cli_malformed_config_exit_2(tmp_path, capsys, name, updates):
+def test_cli_malformed_config_exit_2(request, tmp_path, capsys, name, updates):
     path = variant(name, updates, write_to=tmp_path)
     assert main(["validate", "--config", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert "validation error: " in err
+    captured = capsys.readouterr()
+    if request.node.callspec.id in MALFORMED_FAIL_LINES:  # refused as the geometry is built
+        assert MALFORMED_FAIL_LINES[request.node.callspec.id] in captured.out
+        assert captured.err == ""
+    else:  # refused as the config is parsed
+        assert "validation error: " in captured.err
+
+
+# the failed check of validate for a case above that parses
+MALFORMED_FAIL_LINES = {
+    "boundary_interval-profile.csv='missing.csv'": "FAIL  profile_csv: profile.csv: no such file ",
+}
 
 
 @pytest.mark.parametrize("field", ["structure", "Q"])
@@ -444,9 +454,14 @@ def test_cli_non_finite_tabulated_samples_exit_2(tmp_path, capsys, command, cell
     if command == "run":
         args += ["--out", str(tmp_path / "out")]
     assert main(args) == 2
-    err = capsys.readouterr().err
-    assert f"validation error: tabulated samples must be finite: {table} has a non-finite entry" in err
-    assert "periodic" not in err
+    captured = capsys.readouterr()
+    message = f"profile.csv: tabulated samples must be finite: {table} has a non-finite entry"
+    if command == "run":
+        assert captured.err == f"validation error: {message}\n"
+    else:
+        assert f"FAIL  profile_csv: {message}\nvalidation FAILED\n" in captured.out
+        assert captured.err == ""
+    assert "periodic" not in captured.out + captured.err
 
 
 def test_cli_tabulated_circle_mismatch_is_not_periodic(tmp_path, capsys):
@@ -454,8 +469,10 @@ def test_cli_tabulated_circle_mismatch_is_not_periodic(tmp_path, capsys):
     path = tabulated_cfg(tmp_path, **{"problem.kind": "circle", "profile.kind": "circle",
                                       "profile.endpoints": DELETE, "initial.c": 0.0})
     assert main(["validate", "--config", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert "validation error: tabulated profile is not periodic: the first and last gram" in err
+    captured = capsys.readouterr()
+    assert ("FAIL  profile_csv: profile.csv: tabulated profile is not periodic: the first and "
+            "last gram samples differ\n") in captured.out
+    assert captured.err == ""
 
 
 PROFILE_CSV = (catalog.example_path("boundary_interval").parent / "boundary_interval_profile.csv").read_bytes()
@@ -489,8 +506,85 @@ def test_cli_unreadable_csv_exit_2(tmp_path, capsys, command, case):
         args += ["--out", str(tmp_path / "out")]
     assert main(args) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"validation error: profile.csv: {message.format(csv)}\n"
-    assert captured.out == ""
+    message = f"profile.csv: {message.format(csv)}"
+    if command == "run":
+        assert (captured.out, captured.err) == ("", f"validation error: {message}\n")
+    else:  # every check line before it passed
+        lines = captured.out.splitlines()
+        assert lines[-2:] == [f"FAIL  profile_csv: {message}", "validation FAILED"]
+        assert all(line.startswith("PASS  ") for line in lines[:-2])
+        assert captured.err == ""
+    assert not (tmp_path / "out").exists()
+
+
+ODD_LIST = "each Fourier entry must be a finite odd-length list [a0, a1, b1, a2, b2, ...]"
+NOT_PD = "g_r is not positive definite at r = "
+# a config that parses, refused as its fibre or geometry is built: (its config
+# in tmp_path, the start of validate's FAIL line, the start of run's message)
+NAMED_REFUSALS = {
+    "berger-even-entry": (
+        lambda tmp: variant("berger_circle", {"profile.fourier": [[0.0, 1.0], [0.0], [0.0]]},
+                            write_to=tmp),
+        f"FAIL  profile_fourier: profile.fourier: {ODD_LIST}", f"profile.fourier: {ODD_LIST}"),
+    "t3-even-entry": (
+        lambda tmp: variant("t3_circle", {"profile.fourier": [[0.0, 1.0], [0.0]]}, write_to=tmp),
+        f"FAIL  profile_fourier: profile.fourier: {ODD_LIST}", f"profile.fourier: {ODD_LIST}"),
+    "berger-two-entries": (
+        lambda tmp: variant("berger_circle", {"profile.fourier": [[0.0], [0.0]]}, write_to=tmp),
+        "FAIL  profile_fourier: profile.fourier: su(2) fibres need exactly three diagonal entries",
+        "profile.fourier: su(2) fibres need exactly three diagonal entries"),
+    "warped-torus-no-entry": (
+        lambda tmp: variant("t3_circle", {"profile.fourier": []}, write_to=tmp),
+        "FAIL  profile_fourier: profile.fourier: algebra dimension must be >= 1, got 0",
+        "profile.fourier: algebra dimension must be >= 1, got 0"),
+    "csv-d-not-algebra": (
+        lambda tmp: tabulated_cfg(tmp, **{"algebra": {"name": "abelian", "dim": 2},
+                                          "initial.v.values": [1.0, 0.0]}),
+        "FAIL  profile_csv: profile.csv: tabulated gram arrays must have shape (n, d, d)",
+        "profile.csv: tabulated gram arrays must have shape (n, d, d)"),
+    "csv-short-of-L": (
+        lambda tmp: tabulated_cfg(tmp, **{"profile.length": 2.0}),
+        "FAIL  profile_csv: profile.csv: tabulated samples must cover [0, L] inclusive",
+        "profile.csv: tabulated samples must cover [0, L] inclusive"),
+    "structure-shape-not-Q": (
+        lambda tmp: variant("su2_rigid_body", {"algebra": {"structure": np.zeros((2, 2, 2)).tolist(),
+                                                           "Q": EYE3}}, write_to=tmp),
+        "FAIL  algebra: algebra: structure has shape (2, 2, 2), expected (3, 3, 3)",
+        "algebra: structure has shape (2, 2, 2), expected (3, 3, 3)"),
+    # g_11 = -0.001 at r = 0 only: g_r fails first at r = FD_STEP, in the trace identity
+    "trace-identity-sample": (
+        lambda tmp: tabulated_cfg(tmp, (1, 1, "-0.001")),
+        f"FAIL  mean_curvature_trace_identity: residual=1.000e+00 (tol=1.0e+00) [{NOT_PD}1e-05 ",
+        f"profile: mean_curvature_trace_identity failed: {NOT_PD}1e-05 "),
+    # g_11 = r^2 - 1e-12 is positive at every probe of the positivity and trace
+    # checks, and not at the smallest radii of the volume-collapse check
+    "volume-collapse-sample": (
+        lambda tmp: abelian_profile_cfg(tmp, "left", gap=1e-12),
+        f"FAIL  volume_collapse_at_r=0: residual=1.000e+00 (tol=1.0e+00) [{NOT_PD}",
+        f"profile: volume_collapse_at_r=0 failed: {NOT_PD}"),
+    # polynomial initial data past the float range: the initial state refuses it
+    "initial-state-overflows": (
+        lambda tmp: abelian_profile_cfg(tmp, "left", **v1([0.0, 0.0, 1e308, 0.0, 1e308])),
+        "FAIL  initial_data: initial: state coefficients v contains non-finite entries",
+        "initial: state coefficients v contains non-finite entries"),
+}
+
+
+@pytest.mark.parametrize("case", NAMED_REFUSALS)
+def test_refusal_is_a_named_check(tmp_path, capsys, case):
+    # validate prints the refusal as a failed check, run as its error, and neither
+    # prints a bare error line
+    make, fail_line, message = NAMED_REFUSALS[case]
+    path = make(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate", "--config", str(path)]) == 2
+        validated = capsys.readouterr()
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        ran = capsys.readouterr()
+    assert any(line.startswith(fail_line) for line in validated.out.splitlines())
+    assert validated.out.endswith("validation FAILED\n") and validated.err == ""
+    assert f"\nvalidation error: {message}" in "\n" + ran.err and ran.out == ""
     assert not (tmp_path / "out").exists()
 
 
@@ -500,15 +594,16 @@ def _not_antisymmetric():
     return structure.tolist()
 
 
-def abelian_profile_cfg(tmp_path, singular, **updates):
+def abelian_profile_cfg(tmp_path, singular, gap=0.0, **updates):
     """An abelian d = 2 interval on a 201-row table with one singular end:
     diag(r^2, 1 + r^2) on [0, 1] (``singular`` "left", profile A) or
-    diag((L - r)^2, 1 + r^2) on [0, L = 0.7] ("right", profile B)."""
+    diag((L - r)^2, 1 + r^2) on [0, L = 0.7] ("right", profile B), with ``gap``
+    taken off the collapsing entry."""
     length = 1.0 if singular == "left" else 0.7
     r = np.linspace(0.0, length, 201)
     rho, sign = (r, 1.0) if singular == "left" else (length - r, -1.0)
     gram, prime = np.zeros((2, r.size, 2, 2))
-    gram[:, 0, 0], gram[:, 1, 1] = rho**2, 1.0 + r**2
+    gram[:, 0, 0], gram[:, 1, 1] = rho**2 - gap, 1.0 + r**2
     prime[:, 0, 0], prime[:, 1, 1] = 2.0 * sign * rho, 2.0 * r
     write_tabulated_csv(tmp_path / "prof.csv", r, gram, prime)
     ends = ["singular", "boundary"] if singular == "left" else ["boundary", "singular"]

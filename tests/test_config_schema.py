@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from coho_euler import CohoEulerError, ConfigError, catalog
+from coho_euler import ConfigError, catalog
 from coho_euler.cli import main
 from coho_euler.config import check_config, parse_config_dict
 
@@ -85,6 +85,12 @@ PINNED = [
     ("boundary_interval", "profile.endpoints", DELETE,
      ["profile.endpoints: required for tabulated interval profiles"]),
     ("boundary_interval", "profile.csv", 3, ["profile.csv: expected a file name"]),
+    ("boundary_interval", "profile.endpoints", ["boundary"],
+     ["profile.endpoints: expected two of 'singular' and 'boundary'"]),
+    ("boundary_interval", "profile.endpoints", ["boundary", "weird"],
+     ["profile.endpoints: expected two of 'singular' and 'boundary'"]),
+    ("boundary_interval", "profile.endpoints", [1, 2],
+     ["profile.endpoints: expected two of 'singular' and 'boundary'"]),
     # initial.v: one case or more per type tag
     ("boundary_interval", "initial.v.type", "fourier",
      ["initial.v.values: unknown key", "initial.v.coefficients: missing required key",
@@ -141,7 +147,7 @@ def test_parse_messages_pinned(name, path, value, messages):
     assert exc.value.messages == messages
 
 
-# -- fuzzing: mutated bundled configs end in a CohoEulerError, never a traceback --
+# -- fuzzing: mutated bundled configs end in a documented refusal, never a traceback --
 
 NON_FINITE = st.sampled_from([nan, inf, -inf])
 # integers stay at or below 8, under every bundled grid size, so nothing drawn allocates much
@@ -193,11 +199,16 @@ FUZZ = settings(max_examples=150, derandomize=True, deadline=None,
 @FUZZ
 @given(mutated_configs())
 def test_fuzzed_config_raises_only_package_errors(case):
+    # a parse may refuse a config; the check pass records every later refusal as a check
     name, raw = case
     try:
-        check_config(parse_config_dict(raw, source_path=catalog.example_path(name)))
-    except CohoEulerError:
-        pass
+        cfg = parse_config_dict(raw, source_path=catalog.example_path(name))
+    except ConfigError:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report, state, geom = check_config(cfg)
+    assert (state is None) == (geom is None) == (not report.passed)
 
 
 @pytest.fixture(scope="module")
@@ -214,6 +225,26 @@ def test_fuzzed_config_validate_exit_code(fuzz_dir, case):
     path.write_text(json.dumps(case[1]))
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         assert main(["validate", "--config", str(path)]) in (0, 2, 3, 4)
+
+
+def few_steps(raw):
+    """``raw`` with ``solver.t_end`` three steps of its ``solver.dt``, where that is a
+    positive number: a run of any fuzzed config is short."""
+    solver = raw.get("solver")
+    dt = solver.get("dt") if isinstance(solver, dict) else None
+    if isinstance(dt, (int, float)) and not isinstance(dt, bool) and 0 < dt < inf:
+        solver["t_end"] = 3 * dt
+    return raw
+
+
+@FUZZ
+@given(case=mutated_configs())
+def test_fuzzed_config_run_exit_code(fuzz_dir, case):
+    path = fuzz_dir / "cfg.json"
+    path.write_text(json.dumps(few_steps(case[1])))
+    with warnings.catch_warnings(), redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        warnings.simplefilter("error")  # numpy's warnings included
+        assert main(["run", "--config", str(path), "--out", str(fuzz_dir / "run")]) in (0, 2, 3, 4)
 
 
 # -- fuzzing the tabulated CSV: its bytes end in a documented exit code, never a traceback --

@@ -143,6 +143,9 @@ NOT_NUMBERS = {
     # strings that spell numbers are not numbers either
     "gram_str": ("gram", lambda split: InvariantMetric(split, [["1", "0", "0"], ["0", "2", "0"],
                                                                ["0", "0", "3"]])),
+    # an int past the float range is no real number numpy can hold
+    "gram_int_overflow": ("gram", lambda split: InvariantMetric(
+        split, [[10**400, 0, 0], [0, 1, 0], [0, 0, 1]])),
     "connection": ("Y", lambda split: invariant_connection(InvariantMetric(split, np.eye(3)),
                                                           [1.0, 0.0, 0.0], [1j, 0.0, 0.0])),
     "state_v": ("state coefficients v", lambda split: ReducedState(0.0, 0.0, ["a", "b", "c"])),
