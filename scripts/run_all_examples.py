@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run every bundled example and print a one-line conservation summary each.
+"""Run and validate every bundled example; exit with the worst exit code of either.
 
 Each example's artifacts, and its ``validate`` output as ``validate.txt``, go
 to ``<output_root>/<name>``, so two roots compare with ``diff -r``.
@@ -25,7 +25,7 @@ def main():
         print(f"== {name} -> {out}")
         codes[name] = run_command(cfg, out)
         with redirect_stdout(io.StringIO()) as checks:
-            validate_command(cfg)
+            codes[name] = max(codes[name], validate_command(cfg))
         out.mkdir(parents=True, exist_ok=True)
         (out / "validate.txt").write_text(checks.getvalue(), encoding="utf-8")
     print()

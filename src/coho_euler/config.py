@@ -528,7 +528,7 @@ def check_config(cfg: RunConfig):
         profile = report.attempt("profile_fourier", "profile.fourier", build_profile, cfg)
         algebra = None if profile is None else profile.split.algebra
     if algebra is not None:
-        report.extend(validate_structure(algebra), "algebra: {} failed")
+        report.extend(validate_structure(algebra), "algebra")
     if not report.passed:
         return report, None, None
     split = profile.split if profile is not None else report.attempt(
@@ -545,8 +545,7 @@ def check_config(cfg: RunConfig):
         metric = report.attempt("metric_gram", "metric.gram", InvariantMetric, split,
                                 np.asarray(cfg.metric_gram, dtype=float))
         if metric is not None:
-            report.extend(check_metric_invariance(metric),
-                          "metric.gram: not invariant under the isotropy action")
+            report.extend(check_metric_invariance(metric), "metric.gram")
             geom = GridGeometry(metric)
         initial = np.asarray(cfg.initial["x"], dtype=float)
         if initial.shape != (d,):
@@ -557,7 +556,7 @@ def check_config(cfg: RunConfig):
             if profile is None:
                 return report, None, None
         profile_report = cg.validate_profile(profile)
-        report.extend(profile_report, "profile: {} failed")
+        report.extend(profile_report, "profile")
         if profile_report.passed:
             # the run factors g_r at every state node, not only at the probes
             geom = report.attempt("gram_positive_on_state_grid", "profile", GridGeometry,

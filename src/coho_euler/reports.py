@@ -9,27 +9,28 @@ from .errors import CohoEulerError, ConfigError
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One named check; ``error`` is the config error its failure stands for.
+    """One named check and its finding: ``residual=… (tol=…)`` for a residual
+    check, the detail alone for a yes/no check or a refusal of the input.
 
-    A check on the input's shape has no residual (None): its line is its
-    message.
+    ``field`` is the config field a failure refuses; it is empty where the
+    finding names its own field. Only a residual check has a ``residual``.
     """
 
     name: str
-    residual: float | None
-    tol: float
     passed: bool
-    detail: str = ""
-    error: str = ""
+    finding: str = ""
+    field: str = ""
+    residual: float | None = None
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        if self.residual is None:
-            return f"{status}  {self.name}: {self.detail}"
-        msg = f"{status}  {self.name}: residual={self.residual:.3e} (tol={self.tol:.1e})"
-        if self.detail:
-            msg += f" [{self.detail}]"
-        return msg
+        return f"{status}  {self.name}" + (f": {self.finding}" if self.finding else "")
+
+    def refusal(self) -> str:
+        """The config error this check's failure stands for."""
+        if not self.field:
+            return self.finding
+        return f"{self.field}: {self.name} failed" + (f": {self.finding}" if self.finding else "")
 
 
 @dataclass
@@ -40,19 +41,16 @@ class ValidationReport:
 
     def add(self, name, residual, tol, detail=""):
         residual = float(residual)
-        self.checks.append(
-            CheckResult(name, residual, float(tol), residual < tol, detail)
-        )
+        finding = f"residual={residual:.3e} (tol={tol:.1e})" + (f" [{detail}]" if detail else "")
+        self.checks.append(CheckResult(name, residual < tol, finding, residual=residual))
 
     def add_flag(self, name, passed, detail=""):
         # For yes/no checks with no meaningful residual.
-        self.checks.append(
-            CheckResult(name, 0.0 if passed else 1.0, 1.0, bool(passed), detail)
-        )
+        self.checks.append(CheckResult(name, bool(passed), detail))
 
     def add_error(self, name, message):
-        # A failed check on the input's shape: no residual, only a message.
-        self.checks.append(CheckResult(name, None, 0.0, False, message, message))
+        # A failed check on the input's shape: its message names its field.
+        self.checks.append(CheckResult(name, False, message))
 
     def attempt(self, name, field, build, *args):
         """``build(*args)``; if it raises a CohoEulerError, None, with the failed check
@@ -67,10 +65,9 @@ class ValidationReport:
             for message in messages:
                 self.add_error(name, message)
 
-    def extend(self, other: "ValidationReport", error: str = ""):
-        """Append ``other``'s checks; ``error`` words their failures, formatted with the name."""
-        for c in other.checks:
-            self.checks.append(replace(c, error=error.format(c.name)) if error else c)
+    def extend(self, other: "ValidationReport", field: str = ""):
+        """Append ``other``'s checks, each refused under the config ``field``."""
+        self.checks += [replace(c, field=field) for c in other.checks]
 
     @property
     def passed(self) -> bool:
@@ -89,8 +86,5 @@ class ValidationReport:
         return [c for c in self.checks if not c.passed]
 
     def errors(self) -> list[str]:
-        """The config errors behind the failed checks, each once, in order, with their details."""
-        return list(dict.fromkeys(
-            (c.error or f"{c.name} failed")
-            + (f": {c.detail}" if c.detail not in ("", c.error) else "")
-            for c in self.failures()))
+        """The refusals of the failed checks, each once, in order."""
+        return list(dict.fromkeys(c.refusal() for c in self.failures()))

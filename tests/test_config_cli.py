@@ -2,6 +2,7 @@ import errno
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -327,10 +328,14 @@ def test_cli_validate_bundled_interval(capsys):
 
 
 def test_every_bundled_example_validates(capsys):
+    # one line per check, a yes/no check with no residual, then the verdict
     for name in catalog.example_names():
-        path = catalog.example_path(name)
-        assert main(["validate", "--config", str(path)]) == 0, name
-    capsys.readouterr()
+        assert main(["validate", "--config", str(catalog.example_path(name))]) == 0, name
+        *checks, verdict = capsys.readouterr().out.splitlines()
+        assert verdict == "validation passed"
+        for line in checks:
+            assert re.fullmatch(r"(PASS|FAIL)  \S+(: .+)?", line), line
+            assert "(tol=1.0e+00)" not in line, line
 
 
 def test_cli_bundled_su2_reference_run(tmp_path):
@@ -410,6 +415,8 @@ def test_cli_malformed_config_exit_2(request, tmp_path, capsys, name, updates):
     if request.node.callspec.id in MALFORMED_FAIL_LINES:  # refused as the geometry is built
         assert MALFORMED_FAIL_LINES[request.node.callspec.id] in captured.out
         assert captured.err == ""
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert_run_gives_each_finding(captured.out, capsys.readouterr().err)
     else:  # refused as the config is parsed
         assert "validation error: " in captured.err
 
@@ -517,10 +524,21 @@ def test_cli_unreadable_csv_exit_2(tmp_path, capsys, command, case):
     assert not (tmp_path / "out").exists()
 
 
+def assert_run_gives_each_finding(validated, ran):
+    """Each finding of a FAIL line in ``validate``'s stdout ends a refusal in
+    ``run``'s stderr."""
+    refusals = [line for line in ran.splitlines() if line.startswith("validation error: ")]
+    for line in validated.splitlines():
+        if line.startswith("FAIL  "):
+            finding = line.partition(": ")[2]
+            assert any(refusal.endswith(finding) for refusal in refusals), line
+
+
 ODD_LIST = "each Fourier entry must be a finite odd-length list [a0, a1, b1, a2, b2, ...]"
 NOT_PD = "g_r is not positive definite at r = "
 # a config that parses, refused as its fibre or geometry is built: (its config
-# in tmp_path, the start of validate's FAIL line, the start of run's message)
+# in tmp_path, the start of validate's FAIL line, the start of each of run's
+# messages)
 NAMED_REFUSALS = {
     "berger-even-entry": (
         lambda tmp: variant("berger_circle", {"profile.fourier": [[0.0, 1.0], [0.0], [0.0]]},
@@ -551,17 +569,27 @@ NAMED_REFUSALS = {
                                                            "Q": EYE3}}, write_to=tmp),
         "FAIL  algebra: algebra: structure has shape (2, 2, 2), expected (3, 3, 3)",
         "algebra: structure has shape (2, 2, 2), expected (3, 3, 3)"),
-    # g_11 = -0.001 at r = 0 only: g_r fails first at r = FD_STEP, in the trace identity
+    # g_11 = -0.001 at r = 0 only: g_r fails first at r = FD_STEP, in the trace
+    # identity, and the tabulated g' no longer matches the spline's
     "trace-identity-sample": (
         lambda tmp: tabulated_cfg(tmp, (1, 1, "-0.001")),
-        f"FAIL  mean_curvature_trace_identity: residual=1.000e+00 (tol=1.0e+00) [{NOT_PD}1e-05 ",
-        f"profile: mean_curvature_trace_identity failed: {NOT_PD}1e-05 "),
+        f"FAIL  mean_curvature_trace_identity: {NOT_PD}1e-05 ",
+        f"profile: mean_curvature_trace_identity failed: {NOT_PD}1e-05 ",
+        "profile: tabulated_derivative_consistency failed: residual=5.934e+01 (tol=1.0e-06)"),
     # g_11 = r^2 - 1e-12 is positive at every probe of the positivity and trace
     # checks, and not at the smallest radii of the volume-collapse check
     "volume-collapse-sample": (
         lambda tmp: abelian_profile_cfg(tmp, "left", gap=1e-12),
-        f"FAIL  volume_collapse_at_r=0: residual=1.000e+00 (tol=1.0e+00) [{NOT_PD}",
+        f"FAIL  volume_collapse_at_r=0: {NOT_PD}",
         f"profile: volume_collapse_at_r=0 failed: {NOT_PD}"),
+    # C^3_12 = 2 breaks antisymmetry, and with it the Jacobi identity and Q's invariance
+    "structure-not-antisymmetric": (
+        lambda tmp: variant("su2_rigid_body", {"algebra": {"structure": _not_antisymmetric(),
+                                                           "Q": EYE3}}, write_to=tmp),
+        "FAIL  antisymmetry: residual=1.000e+00 (tol=1.0e-12)",
+        "algebra: antisymmetry failed: residual=1.000e+00 (tol=1.0e-12)",
+        "algebra: jacobi_identity failed: residual=1.000e+00 (tol=1.0e-12)",
+        "algebra: ad_invariance failed: residual=1.000e+00 (tol=1.0e-12)"),
     # polynomial initial data past the float range: the initial state refuses it
     "initial-state-overflows": (
         lambda tmp: abelian_profile_cfg(tmp, "left", **v1([0.0, 0.0, 1e308, 0.0, 1e308])),
@@ -574,7 +602,7 @@ NAMED_REFUSALS = {
 def test_refusal_is_a_named_check(tmp_path, capsys, case):
     # validate prints the refusal as a failed check, run as its error, and neither
     # prints a bare error line
-    make, fail_line, message = NAMED_REFUSALS[case]
+    make, fail_line, *messages = NAMED_REFUSALS[case]
     path = make(tmp_path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -584,7 +612,10 @@ def test_refusal_is_a_named_check(tmp_path, capsys, case):
         ran = capsys.readouterr()
     assert any(line.startswith(fail_line) for line in validated.out.splitlines())
     assert validated.out.endswith("validation FAILED\n") and validated.err == ""
-    assert f"\nvalidation error: {message}" in "\n" + ran.err and ran.out == ""
+    for message in messages:
+        assert f"\nvalidation error: {message}" in "\n" + ran.err
+    assert ran.out == ""
+    assert_run_gives_each_finding(validated.out, ran.err)
     assert not (tmp_path / "out").exists()
 
 
@@ -764,11 +795,13 @@ def test_validate_and_run_agree(request, tmp_path, capsys, name, updates, code):
         assert main(["validate", "--config", str(path)]) == code
         validated = capsys.readouterr()
         assert main(["run", "--config", str(path), "--out", str(out)]) == code
+        ran = capsys.readouterr()
     if request.node.callspec.id in FAIL_LINES:
         assert FAIL_LINES[request.node.callspec.id] in validated.out
     if code:
         assert not out.exists()
-        assert "validation error: " in validated.err + capsys.readouterr().err
+        assert "validation error: " in validated.err + ran.err
+        assert_run_gives_each_finding(validated.out, ran.err)
     else:
         assert json.loads((out / "summary.json").read_text())["all_ok"]
 
