@@ -114,8 +114,10 @@ def validate_structure(alg: LieAlgebraSpec) -> ValidationReport:
 class ReductiveSplit:
     """An isotropy subalgebra and its orthogonal complement.
 
-    Rows of ``m_basis`` are Q-orthonormal and span the complement of the
-    isotropy spanned by the rows of ``h_basis``.
+    Rows of ``h_basis`` and of ``m_basis`` are Q-orthonormal bases of the
+    isotropy and of its complement m. Gram matrices, initial data and
+    tabulated g_r are read in the ``m_basis`` rows: e_1..e_n for a named
+    algebra with no isotropy.
     """
 
     algebra: LieAlgebraSpec
@@ -164,31 +166,38 @@ class ReductiveSplit:
         return np.einsum("abk,kl,cl->abc", full, Q, M)
 
 
-def _q_orthonormalize(vectors: np.ndarray, Q: np.ndarray, label: str) -> np.ndarray:
-    """Modified Gram-Schmidt in the Q inner product; rejects dependent input."""
+def _q_orthonormalize(vectors: np.ndarray, Q: np.ndarray, required: int) -> np.ndarray:
+    """Modified Gram-Schmidt in the Q inner product: a vector that drops out
+    adds no row, and is refused among the first ``required`` (the isotropy).
+
+    Each vector is orthogonalised twice: one pass leaves a residual of norm
+    delta off by about eps/delta from orthogonal, which a nearly dependent
+    candidate would carry into its row.
+    """
     out = []
-    for k, v in enumerate(vectors):
-        w = v.astype(float).copy()
+    for k, w in enumerate(vectors):
         norm0 = float(np.sqrt(max(w @ Q @ w, 0.0)))
-        for u in out:
-            w = w - (u @ Q @ w) * u
+        for _ in range(2):
+            for u in out:
+                w = w - (u @ Q @ w) * u
         norm = float(np.sqrt(max(w @ Q @ w, 0.0)))
-        if norm <= 1e-10 * max(norm0, 1.0):
-            raise InputError(f"{label} vectors are linearly dependent (vector {k})")
-        out.append(w / norm)
-    return np.array(out) if out else np.zeros((0, Q.shape[0]))
+        if norm > 1e-10 * max(norm0, 1.0):
+            out.append(w / norm)
+        elif k < required:
+            raise InputError(f"isotropy basis vectors are linearly dependent (vector {k})")
+    return np.array(out)
 
 
-def _isotropy_closure_residual(alg: LieAlgebraSpec, h_basis, h_on: np.ndarray) -> float:
+def _isotropy_closure_residual(alg: LieAlgebraSpec, h_on: np.ndarray) -> float:
     """Largest Q-norm of the part of a bracket [h_i, h_j] off the isotropy span.
 
-    ``h_on`` is a Q-orthonormal basis of that span; zero means the isotropy
-    closes under the bracket.
+    ``h_on`` is a Q-orthonormal basis of that span, so the caller's scale
+    does not enter; zero means the isotropy closes under the bracket.
     """
     worst = 0.0
-    for i in range(len(h_basis)):
-        for j in range(i + 1, len(h_basis)):
-            b = bracket(alg, h_basis[i], h_basis[j])
+    for i in range(len(h_on)):
+        for j in range(i + 1, len(h_on)):
+            b = bracket(alg, h_on[i], h_on[j])
             resid = b - h_on.T @ (h_on @ alg.Q @ b)
             worst = max(worst, float(np.sqrt(max(resid @ alg.Q @ resid, 0.0))))
     return worst
@@ -197,42 +206,24 @@ def _isotropy_closure_residual(alg: LieAlgebraSpec, h_basis, h_on: np.ndarray) -
 def reductive_split(alg: LieAlgebraSpec, h_basis) -> ReductiveSplit:
     """Split the algebra into the isotropy and its Q-orthogonal complement.
 
-    The split is checked as it is built: an isotropy basis that is dependent,
-    does not close under the bracket, or spans the whole algebra (leaving m
-    empty) is refused, and m is Q-orthogonal to it by construction. Whether
+    One Gram-Schmidt pass in Q over the isotropy basis, then e_1..e_n, gives
+    both bases. An isotropy basis that is dependent, does not close under the
+    bracket, or spans the whole algebra (leaving m empty) is refused. Whether
     the isotropy fixes the complement is a separate question:
     :meth:`ReductiveSplit.require_fixed_complement` answers it.
     """
     n = alg.dim
     h_rows = [as_float_array(v, (n,), "h_basis vector") for v in h_basis]
-    h_arr = np.array(h_rows) if h_rows else np.zeros((0, n))
-    h_on = _q_orthonormalize(h_arr, alg.Q, "isotropy basis")
+    rows = _q_orthonormalize(np.vstack([*h_rows, np.eye(n)]), alg.Q, len(h_rows))
+    h_on, m_basis = rows[:len(h_rows)], rows[len(h_rows):]
 
-    # isotropy must close under the bracket
-    worst = _isotropy_closure_residual(alg, h_arr, h_on)
+    worst = _isotropy_closure_residual(alg, h_on)
     if worst >= STRUCTURE_TOL:
         raise StructureError(
             f"isotropy basis does not span a subalgebra (off-span residual {worst:.3e})"
         )
-    if h_arr.shape[0] == n:
+    if not len(m_basis):
         raise StructureError("isotropy basis spans the whole algebra: the complement m is empty")
-
-    if h_arr.shape[0] == 0:
-        m_basis = np.eye(n)
-    else:
-        rows = []
-        for cand in np.eye(n):
-            w = cand.copy()
-            w = w - h_on.T @ (h_on @ alg.Q @ w)
-            for u in rows:
-                w = w - (u @ alg.Q @ w) * u
-            norm = float(np.sqrt(max(w @ alg.Q @ w, 0.0)))
-            if norm > 1e-8:
-                rows.append(w / norm)
-        m_basis = np.array(rows)
-    if m_basis.shape[0] + h_arr.shape[0] != n:
-        raise StructureError(
-            f"complement has dimension {m_basis.shape[0]}, expected {n - h_arr.shape[0]}"
-        )
-
-    return ReductiveSplit(alg, h_arr, m_basis)
+    if len(rows) != n:
+        raise StructureError(f"complement has dimension {len(m_basis)}, expected {n - len(h_on)}")
+    return ReductiveSplit(alg, h_on, m_basis)

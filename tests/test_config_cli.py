@@ -348,6 +348,32 @@ def test_cli_bundled_su2_reference_run(tmp_path):
     assert summary["all_ok"]
 
 
+def final_snapshot(out):
+    """The coefficients of the last snapshot a run wrote to ``out``."""
+    name = json.loads((out / "manifest.json").read_text())["snapshots"][-1]["file"]
+    return np.loadtxt(out / name, delimiter=",", skiprows=1)
+
+
+def test_cli_custom_q_runs_the_same_flow(tmp_path, capsys):
+    # su(2) given by its structure constants under Q = 2I: its complement rows
+    # are e_i / sqrt(2), so the gram is G / 2 and the state sqrt(2) x
+    shipped = variant("su2_rigid_body")
+    gram, x = np.array(shipped["metric"]["gram"]), np.array(shipped["initial"]["x"])
+    named = variant("su2_rigid_body", {"solver.t_end": 1.0}, write_to=tmp_path / "named")
+    custom = variant("su2_rigid_body", {"solver.t_end": 1.0,
+                                        "algebra": {"structure": SU2_C, "Q": (2.0 * np.eye(3)).tolist()},
+                                        "metric.gram": (gram / 2.0).tolist(),
+                                        "initial.x": (np.sqrt(2.0) * x).tolist()},
+                     write_to=tmp_path / "custom")
+    assert main(["validate", "--config", str(custom)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "validation passed"
+    for path in (named, custom):
+        assert main(["run", "--config", str(path), "--out", str(path.parent / "out")]) == 0
+    want = final_snapshot(named.parent / "out")[1:4]
+    got = final_snapshot(custom.parent / "out")[1:4] / np.sqrt(2.0)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_cli_validate_non_spd_tabulated_names_r(tmp_path, capsys):
     rows = ["r,g_11,gp_11"]
     for r in np.linspace(0.0, 1.0, 17):

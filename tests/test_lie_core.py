@@ -180,6 +180,9 @@ SPLITS = {
     "abelian3-e1": (abelian(3), [[1.0, 0.0, 0.0]], True),
     "su2+su2-e3-e6": (direct_sum(su2(), su2()), [np.eye(6)[2], np.eye(6)[5]], False),
     "su2+R-tiny-e3+R": (direct_sum(su2(), abelian(1)), [[0.0, 0.0, 1e-11, 1.0]], True),
+    # nearly a basis vector: one orthogonalisation pass would leave m overlapping h
+    "abelian3-e1+tiny-e2": (abelian(3), [[1.0, 1e-9, 0.0]], True),
+    "su2+R-e3+tiny-R": (direct_sum(su2(), abelian(1)), [[0.0, 0.0, 1.0, 1e-9]], False),
 }
 
 
@@ -187,6 +190,7 @@ SPLITS = {
 def test_fixed_complement_residual_matches_joint_kernel(case):
     alg, h_basis, supported = SPLITS[case]
     split = reductive_split(alg, h_basis)
+    assert_split_complementary(split)
     residual = split.fixed_complement_residual()
     stacked = np.vstack([split.ad_on_m(x) for x in split.h_basis])
     assert residual == np.linalg.svd(stacked, compute_uv=False)[0]
@@ -211,27 +215,79 @@ def test_split_rejects_isotropy_spanning_the_algebra():
 
 
 def _closure_residual_reference(alg, h_basis):
-    """The off-span residual as reductive_split computes it."""
+    """The off-span residual as reductive_split computes it: brackets of the
+    orthonormal isotropy rows, so that the caller's scale does not enter."""
     h_on = np.linalg.qr(np.asarray(h_basis, dtype=float).T)[0].T  # Q = identity here
     worst = 0.0
-    for i in range(len(h_basis)):
-        for j in range(i + 1, len(h_basis)):
-            b = bracket(alg, h_basis[i], h_basis[j])
+    for i in range(len(h_on)):
+        for j in range(i + 1, len(h_on)):
+            b = bracket(alg, h_on[i], h_on[j])
             resid = b - h_on.T @ (h_on @ alg.Q @ b)
             worst = max(worst, float(np.sqrt(max(resid @ alg.Q @ resid, 0.0))))
     return worst
 
 
 def test_isotropy_closure_residual_is_shared():
+    # [e1, (0.3, 0.6, 0.2)] leaves su(2) by the same residual at every scale
     alg = su2()
-    h_basis = np.array([[1.0, 0.0, 0.0], [0.3, 0.6, 0.2]])
-    want = _closure_residual_reference(alg, h_basis)
-    with pytest.raises(StructureError, match=re.escape(f"off-span residual {want:.3e}")):
-        reductive_split(alg, h_basis)
+    for scale in (1.0, 100.0, 1e3, 1e6):
+        h_basis = scale * np.array([[1.0, 0.0, 0.0], [0.3, 0.6, 0.2]])
+        want = f"{_closure_residual_reference(alg, h_basis):.3e}"
+        assert want == "1.000e+00"
+        with pytest.raises(StructureError, match=re.escape(f"off-span residual {want}")):
+            reductive_split(alg, h_basis)
     # a closed isotropy has residual zero, and the split accepts it
     alg, closed = direct_sum(su2(), su2()), [np.eye(6)[2], np.eye(6)[5]]
     assert _closure_residual_reference(alg, closed) == 0.0
     assert_split_complementary(reductive_split(alg, closed))
+
+
+@pytest.mark.parametrize("scale", [1.0, 100.0, 1e3, 1e6])
+def test_isotropy_closure_check_is_scale_free(scale):
+    # a rotated basis of the first su(2) of su(2)+su(2) closes at every scale
+    alg = direct_sum(su2(), su2())
+    rotation = np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)))[0]
+    split = reductive_split(alg, np.hstack([scale * rotation, np.zeros((3, 3))]))
+    assert split.dim_m == 3
+    assert_split_complementary(split)
+    split.require_fixed_complement()
+
+
+def with_q(alg, Q):
+    """``alg`` with its inner product replaced by the ad-invariant ``Q``."""
+    alg = LieAlgebraSpec(alg.dim, alg.structure, Q)
+    assert validate_structure(alg).passed
+    return alg
+
+
+# (algebra with an ad-invariant Q, isotropy basis): Q = I, scaled, and with a free centre
+Q_SPLITS = {
+    "su2-I": (su2(), []),
+    "su2-2I": (with_q(su2(), 2.0 * np.eye(3)), []),
+    "su2-I/4": (with_q(su2(), 0.25 * np.eye(3)), []),
+    "su2+R-3335": (with_q(direct_sum(su2(), abelian(1)), np.diag([3.0, 3.0, 3.0, 5.0])), []),
+    "su2+R-3335-e4": (with_q(direct_sum(su2(), abelian(1)), np.diag([3.0, 3.0, 3.0, 5.0])),
+                      [[0.0, 0.0, 0.0, 1.0]]),
+    "R2-offdiag": (with_q(abelian(2), np.array([[2.0, 0.5], [0.5, 1.0]])), []),
+}
+
+
+@pytest.mark.parametrize("case", Q_SPLITS)
+def test_bracket_on_m_is_the_bracket_of_m_basis(case):
+    # B[a, b] are the m_basis coordinates of the m-part of [m_a, m_b], for every Q
+    alg, h_basis = Q_SPLITS[case]
+    split = reductive_split(alg, h_basis)
+    M, B = split.m_basis, split.bracket_on_m()
+    assert np.allclose(M @ alg.Q @ M.T, np.eye(split.dim_m), rtol=0.0, atol=1e-15)
+    if not h_basis:
+        # with no isotropy the rows are L^-1 for the Cholesky factor Q = L L^T
+        assert np.allclose(M, np.linalg.inv(np.linalg.cholesky(alg.Q)), rtol=0.0, atol=1e-15)
+    worst = max(
+        float(np.max(np.abs(M @ alg.Q @ (bracket(alg, M[a], M[b]) - B[a, b] @ M))))
+        for a in range(split.dim_m)
+        for b in range(split.dim_m)
+    )
+    assert worst <= 1e-14
 
 
 def test_split_rejects_dependent_isotropy_basis():

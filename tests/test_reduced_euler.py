@@ -6,6 +6,7 @@ import pytest
 from coho_euler import (
     InputError,
     InvariantMetric,
+    LieAlgebraSpec,
     ReducedState,
     SolverConfig,
     abelian,
@@ -122,6 +123,17 @@ def test_homogeneous_rhs_is_the_run_rhs(rigid_body_metric):
     disc = _make_disc(GridGeometry(rigid_body_metric))
     for x in np.random.default_rng(5).normal(size=(200, 3)):
         assert np.array_equal(homogeneous_dudt(rigid_body_metric, x), disc.rhs(0.0, x)[1])
+
+
+@pytest.mark.parametrize("scale", [2.0, 0.25])
+def test_homogeneous_flow_does_not_depend_on_q(scale):
+    # su(2) under Q = scale * I: the same flow read in the Q-orthonormal rows M
+    G, x = np.diag([1.0, 2.0, 3.0]), np.array([1.0, 0.5, -0.3])
+    want = homogeneous_dudt(InvariantMetric(reductive_split(su2(), []), G), x)
+    split = reductive_split(LieAlgebraSpec(3, su2().structure, scale * np.eye(3)), [])
+    M = split.m_basis
+    got = homogeneous_dudt(InvariantMetric(split, M @ G @ M.T), np.linalg.solve(M.T, x)) @ M
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_interval_rhs_abelian_is_steady(round_s3_t2):
