@@ -29,7 +29,7 @@ from .errors import (
 )
 from .homogeneous_geometry import check_grams
 from .lie_core import ReductiveSplit, abelian, reductive_split, su2
-from .numerics import cubic_spline
+from .numerics import as_float_array, as_list, as_real, cubic_spline
 from .reports import ValidationReport
 
 INTERVAL = "interval"
@@ -52,14 +52,13 @@ class OrbitSpace:
     def __post_init__(self):
         if self.kind not in (INTERVAL, CIRCLE):
             raise InputError(f"unknown orbit-space kind {self.kind!r}")
-        if not (np.isfinite(self.length) and self.length > 0):
-            raise InputError("orbit-space length must be a positive real")
+        as_real(self.length, "orbit-space length", positive=True)
         if self.kind == CIRCLE:
             if self.endpoint_kinds is not None:
                 raise InputError("a circle orbit space has no endpoint kinds")
         else:
             kinds = self.endpoint_kinds
-            if kinds is None or len(kinds) != 2:
+            if kinds is None or len(as_list(kinds, "endpoint kinds")) != 2:
                 raise InputError("an interval orbit space needs two endpoint kinds")
             for k in kinds:
                 if k not in (SINGULAR, BOUNDARY):
@@ -90,10 +89,12 @@ class MetricProfile:
     def reduce(self, r):
         """Map r (a radius or a 1-d array of radii) into the domain.
 
-        Raises :class:`DomainError` if any radius is not finite, lies outside
-        an interval, or lies at or beyond a singular endpoint.
+        Raises :class:`InputError` for an argument that is neither, and :class:`DomainError` if
+        any radius is not finite, lies outside an interval, or is at or beyond a singular endpoint.
         """
-        rs = np.asarray(r, dtype=float)
+        rs = as_float_array(r, name="r", finite=False)
+        if rs.ndim > 1:
+            raise InputError(f"r must be a radius or a 1-d array of radii, got shape {rs.shape}")
         flat = rs.reshape(-1)
         L = self.orbit_space.length
         bad = ~np.isfinite(flat)
@@ -189,19 +190,13 @@ class FourierDiagonalProfile(MetricProfile):
     def __init__(self, split: ReductiveSplit, length: float, coefficients):
         space = OrbitSpace(CIRCLE, length)
         super().__init__(split, space)
+        coefficients = as_list(coefficients, "Fourier coefficients")
         if len(coefficients) != split.dim_m:
-            raise InputError(
-                f"need {split.dim_m} coefficient lists, got {len(coefficients)}"
-            )
-        self.coefficients = []
-        for entry in coefficients:
-            arr = np.asarray(entry, dtype=float)
-            if arr.ndim != 1 or arr.size % 2 == 0 or not np.all(np.isfinite(arr)):
-                raise InputError(
-                    "each Fourier entry must be a finite odd-length list "
-                    "[a0, a1, b1, a2, b2, ...]"
-                )
-            self.coefficients.append(arr)
+            raise InputError(f"need {split.dim_m} coefficient lists, got {len(coefficients)}")
+        self.coefficients = [as_float_array(entry, name="Fourier entry") for entry in coefficients]
+        if any(arr.ndim != 1 or arr.size % 2 == 0 for arr in self.coefficients):
+            raise InputError("each Fourier entry must be a finite odd-length list "
+                             "[a0, a1, b1, a2, b2, ...]")
 
     def _phases(self, r):
         """cos and sin of every mode's phase 2 pi k r / L at each radius, as (n, k) arrays."""
@@ -227,13 +222,14 @@ class FourierDiagonalProfile(MetricProfile):
 
 def warped_torus(length: float, coefficients) -> FourierDiagonalProfile:
     """Flat-torus fibres: abelian algebra, one circle per diagonal entry."""
+    coefficients = as_list(coefficients, "Fourier coefficients")
     split = reductive_split(abelian(len(coefficients)), [])
     return FourierDiagonalProfile(split, length, coefficients)
 
 
 def berger_circle(length: float, coefficients) -> FourierDiagonalProfile:
     """su(2) fibres with a diagonal left-invariant metric varying over the base."""
-    if len(coefficients) != 3:
+    if len(as_list(coefficients, "Fourier coefficients")) != 3:
         raise InputError("su(2) fibres need exactly three diagonal entries")
     return FourierDiagonalProfile(reductive_split(su2(), []), length, coefficients)
 
@@ -251,13 +247,9 @@ class TabulatedProfile(MetricProfile):
 
     def __init__(self, split, orbit_space, r_samples, gram_samples, gram_prime_samples):
         super().__init__(split, orbit_space)
-        r = np.asarray(r_samples, dtype=float)
-        g = np.asarray(gram_samples, dtype=float)
-        gp = np.asarray(gram_prime_samples, dtype=float)
+        r, g, gp = (as_float_array(table, name=f"tabulated {name}") for name, table in
+                    (("r", r_samples), ("gram", gram_samples), ("gram'", gram_prime_samples)))
         d = split.dim_m
-        for name, table in (("r", r), ("gram", g), ("gram'", gp)):
-            if not np.all(np.isfinite(table)):
-                raise InputError(f"tabulated samples must be finite: {name} has a non-finite entry")
         if r.ndim != 1 or r.size < 4 or np.any(np.diff(r) <= 0):
             raise InputError("tabulated r samples must be strictly increasing, >= 4")
         if g.shape != (r.size, d, d) or gp.shape != g.shape:
@@ -333,17 +325,15 @@ def write_tabulated_csv(path, r, gram, gram_prime):
 
 
 def _probe_grid(profile: MetricProfile, n=PROBE_POINTS) -> np.ndarray:
-    L = profile.length
-    if profile.orbit_space.kind == CIRCLE:
-        return L * np.arange(n) / n
-    return L * (np.arange(n) + 0.5) / n
+    offset = 0.0 if profile.orbit_space.kind == CIRCLE else 0.5
+    return profile.length * (np.arange(n) + offset) / n
 
 
 def trace_identity_probes(profile: MetricProfile, n=PROBE_POINTS) -> np.ndarray:
-    """Probe locations for the mean-curvature trace identity."""
-    L = profile.length
+    """Probe locations for the mean-curvature trace identity: on a circle, the probe grid."""
     if profile.orbit_space.kind == CIRCLE:
-        return L * np.arange(n) / n
+        return _probe_grid(profile, n)
+    L = profile.length
     left, right = profile.orbit_space.endpoint_kinds
     lo = 0.05 * L if left == SINGULAR else 2 * FD_STEP
     hi = 0.95 * L if right == SINGULAR else L - 2 * FD_STEP

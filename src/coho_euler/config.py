@@ -549,7 +549,7 @@ def check_config(cfg: RunConfig):
             geom = GridGeometry(metric)
         initial = np.asarray(cfg.initial["x"], dtype=float)
         if initial.shape != (d,):
-            report.add_error("initial_data", f"initial.x: expected {d} entries")
+            report.add_flag("initial_data", False, f"initial.x: expected {d} entries")
     else:
         if profile is None:
             profile = report.attempt("profile_csv", "profile.csv", build_profile, cfg, split)
@@ -574,7 +574,7 @@ def check_config(cfg: RunConfig):
     rows = report.attempt("time_steps", "solver", lambda: build_solver_config(cfg).n_records())
     width = row_width(d, n_singular)
     if rows is not None and rows * width > MAX_RECORDED_VALUES:
-        report.add_error("recorded_rows", (
+        report.add_flag("recorded_rows", False, (
             f"output.diagnostics_cadence: {rows} recorded rows of {width} values exceed "
             f"the budget of {MAX_RECORDED_VALUES} values; raise the cadence or shorten "
             "solver.t_end"))

@@ -22,6 +22,7 @@ from .homogeneous_geometry import InvariantMetric, connection_tensors
 from .numerics import (
     Derivative4Interval,
     Derivative4Periodic,
+    as_count,
     as_float_array,
     simpson_weights_closed,
     simpson_weights_periodic,
@@ -79,6 +80,7 @@ def grid_layout(profile: MetricProfile, n: int):
     """
     kind = profile.orbit_space.kind
     low, even = GRID_NODES[kind]
+    n = as_count(n, "node count n")
     if n < low or (even and n % 2):
         raise InputError(f"{grid_rule(kind)}, got {n}")
     L = profile.length
@@ -174,8 +176,7 @@ class GridGeometry:
         rho = np.abs(self.r[sl] - side)
         A = np.column_stack([np.ones_like(rho), rho**2])
         pinv = np.linalg.pinv(A)
-        resid_proj = np.eye(rho.size) - A @ pinv
-        return {"side": side, "slice": sl, "pinv": pinv, "resid": resid_proj, "rho": rho}
+        return {"slice": sl, "pinv": pinv, "resid": np.eye(rho.size) - A @ pinv}
 
     # -- per-state evaluation ------------------------------------------------
 
@@ -314,8 +315,7 @@ def pointwise_speed(state, geometry, j: int | None = None) -> float:
     row, geom = _row(state, geometry)
     if j is None:
         return float(row["max_speed"])
-    if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
-        raise InputError(f"grid index must be an integer, got {j!r}")
+    j = as_count(j, "grid index")
     if not 0 <= j < geom.n:
         raise InputError(f"grid index {j} out of range [0, {geom.n})")
     return float(row["speeds"][j])

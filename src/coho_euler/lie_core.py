@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, StructureError, UnsupportedConfigurationError
-from .numerics import as_float_array
+from .numerics import as_count, as_float_array, as_list
 from .reports import ValidationReport
 
 STRUCTURE_TOL = 1e-12
@@ -37,17 +37,12 @@ class LieAlgebraSpec:
     Q: np.ndarray
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise InputError(f"algebra dimension must be >= 1, got {self.dim}")
-        n = self.dim
+        self.dim = n = as_count(self.dim, "algebra dimension", 1)
         self.structure = as_float_array(self.structure, (n, n, n), "structure")
-        try:
-            self.Q = as_float_array(self.Q, (n, n), "Q")
-        except InputError as exc:
+        self.Q = as_float_array(self.Q, name="Q")
+        if self.Q.shape != (n, n):
             # a C/Q shape mismatch is a structural inconsistency, not bad data
-            if "shape" in str(exc):
-                raise StructureError(str(exc)) from exc
-            raise
+            raise StructureError(f"Q has shape {self.Q.shape}, expected {(n, n)}")
 
 
 def bracket(alg: LieAlgebraSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -68,6 +63,7 @@ def su2() -> LieAlgebraSpec:
 
 def abelian(dim: int) -> LieAlgebraSpec:
     """R^dim with vanishing bracket."""
+    dim = as_count(dim, "algebra dimension", 1)
     return LieAlgebraSpec(dim, np.zeros((dim, dim, dim)), np.eye(dim))
 
 
@@ -213,7 +209,7 @@ def reductive_split(alg: LieAlgebraSpec, h_basis) -> ReductiveSplit:
     :meth:`ReductiveSplit.require_fixed_complement` answers it.
     """
     n = alg.dim
-    h_rows = [as_float_array(v, (n,), "h_basis vector") for v in h_basis]
+    h_rows = [as_float_array(v, (n,), "h_basis vector") for v in as_list(h_basis, "h_basis")]
     rows = _q_orthonormalize(np.vstack([*h_rows, np.eye(n)]), alg.Q, len(h_rows))
     h_on, m_basis = rows[:len(h_rows)], rows[len(h_rows):]
 

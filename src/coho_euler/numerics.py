@@ -1,4 +1,4 @@
-"""Quadrature weights, finite-difference stencils, the cubic spline and seeded draws.
+"""Quadrature, stencils, the cubic spline, seeded draws and the one reading of caller numbers.
 
 Everything here is deterministic: weight vectors are built once, and all
 reductions go through numpy's fixed-order pairwise summation, so identical
@@ -326,21 +326,51 @@ def seeded_uniform(seed: int, count: int) -> list[float]:
     return out
 
 
-def as_float_array(x, shape=None, name="array") -> np.ndarray:
-    """Coerce to a float ndarray, rejecting non-numeric and non-finite entries.
+def as_float_array(x, shape=None, name="array", finite=True) -> np.ndarray:
+    """Coerce to a float ndarray, rejecting non-numeric and, unless not
+    ``finite``, non-finite entries; a real scalar is the 0-d case.
 
-    A string is not a number, even one that spells a number.
+    A string is not a number, even one that spells a number, and a complex
+    array is not real: numpy would drop its imaginary part with a warning.
     """
     try:
         raw = np.asarray(x)
-        if raw.dtype.kind in "SU" or raw.dtype == object and any(
+        if raw.dtype.kind in "SUc" or raw.dtype == object and any(
                 isinstance(e, (str, bytes)) for e in raw.flat):
-            raise TypeError("string entries")
+            raise TypeError("string or complex entries")
         a = np.asarray(x, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{name} is not an array of real numbers") from exc
     if shape is not None and a.shape != tuple(shape):
         raise InputError(f"{name} has shape {a.shape}, expected {tuple(shape)}")
-    if not np.all(np.isfinite(a)):
+    if finite and not np.all(np.isfinite(a)):
         raise InputError(f"{name} contains non-finite entries")
     return a
+
+
+def as_real(x, name, positive=False) -> float:
+    """A finite real scalar, > 0 with ``positive``: the 0-d case of :func:`as_float_array`."""
+    try:
+        value = float(as_float_array(x, (), name))
+        if value > 0 or not positive:
+            return value
+    except InputError:
+        pass  # refused below, in a scalar's words
+    raise InputError(f"{name} must be a {'positive' if positive else 'finite'} real, got {x!r}")
+
+
+def as_count(x, name, low=None) -> int:
+    """A count or index: an int (not a bool) that an int64 holds, at least ``low`` if given."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not -2**63 <= int(x) < 2**63:
+        raise InputError(f"{name} must be an integer, got {x!r}")
+    if low is not None and x < low:
+        raise InputError(f"{name} must be >= {low}, got {x}")
+    return int(x)
+
+
+def as_list(x, name) -> list:
+    """The entries of a list argument, such as a list of vectors, as a list."""
+    try:
+        return list(x)
+    except TypeError:
+        raise InputError(f"{name} must be a list, got {x!r}") from None

@@ -37,13 +37,9 @@ from .diagnostics import (
     state_geometry,
 )
 from .errors import InputError, NumericalFailureError
-from .numerics import as_float_array, cumulative_integral
+from .numerics import as_count, as_float_array, as_real, cumulative_integral
 
 CFL_EPS = 1e-12
-
-
-def _is_positive_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 1
 
 
 @dataclass
@@ -57,16 +53,11 @@ class SolverConfig:
     diagnostics_cadence: int = 1
 
     def __post_init__(self):
-        if not (self.dt > 0 and np.isfinite(self.dt)):
-            raise InputError("dt must be a positive real")
-        if not (self.t_end > 0 and np.isfinite(self.t_end)):
-            raise InputError("t_end must be a positive real")
-        if not (self.cfl_guard > 0 and np.isfinite(self.cfl_guard)):
-            raise InputError("cfl_guard must be a positive real")
-        if self.snapshot_cadence is not None and not _is_positive_int(self.snapshot_cadence):
-            raise InputError("snapshot_cadence must be a positive integer or None")
-        if not _is_positive_int(self.diagnostics_cadence):
-            raise InputError("diagnostics_cadence must be a positive integer")
+        for name in ("dt", "t_end", "cfl_guard"):
+            setattr(self, name, as_real(getattr(self, name), name, positive=True))
+        if self.snapshot_cadence is not None:
+            self.snapshot_cadence = as_count(self.snapshot_cadence, "snapshot_cadence", 1)
+        self.diagnostics_cadence = as_count(self.diagnostics_cadence, "diagnostics_cadence", 1)
 
     def n_steps(self) -> int:
         steps = self.t_end / self.dt
@@ -102,18 +93,8 @@ class ReducedState:
         self.v = as_float_array(self.v, name="state coefficients v")
         if self.v.ndim == 0:
             raise InputError("state coefficients v must have shape (n, d) or (d,)")
-        self.t = _finite_real(self.t, "time t")
-        self.c = _finite_real(self.c, "horizontal amplitude c")
-
-
-def _finite_real(x, what: str) -> float:
-    """``x`` as a float; a string, a non-real or a non-finite value is an InputError."""
-    try:
-        if not isinstance(x, (str, bytes)) and math.isfinite(value := float(x)):
-            return value
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise InputError(f"a reduced state needs a finite {what}, got {x}")
+        self.t = as_real(self.t, "time t")
+        self.c = as_real(self.c, "horizontal amplitude c")
 
 
 @dataclass
@@ -325,8 +306,14 @@ def _cfl_check(disc, config, c, step, t):
         )
 
 
+def _require_solver_config(config):
+    if not isinstance(config, SolverConfig):
+        raise InputError(f"a solver config is a SolverConfig; got {type(config).__name__}")
+
+
 def step_rk4(state: ReducedState, geometry, config: SolverConfig) -> ReducedState:
     """One deterministic RK4 step of the appropriate reduced system."""
+    _require_solver_config(config)
     geom = state_geometry(state, geometry)
     disc = _make_disc(geom)
     _cfl_check(disc, config, state.c, 0, state.t)
@@ -347,6 +334,7 @@ def integrate(state: ReducedState, geometry, config: SolverConfig, sink=None):
     trajectory preserved and a failure record in the report; it never exits
     silently.
     """
+    _require_solver_config(config)
     n_steps = config.n_steps()
     dt = config.dt
     snap_every = config.snapshot_cadence

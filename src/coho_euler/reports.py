@@ -48,10 +48,6 @@ class ValidationReport:
         # For yes/no checks with no meaningful residual.
         self.checks.append(CheckResult(name, bool(passed), detail))
 
-    def add_error(self, name, message):
-        # A failed check on the input's shape: its message names its field.
-        self.checks.append(CheckResult(name, False, message))
-
     def attempt(self, name, field, build, *args):
         """``build(*args)``; if it raises a CohoEulerError, None, with the failed check
         ``name`` recorded as ``field: message`` (a ConfigError's messages name their
@@ -63,7 +59,7 @@ class ValidationReport:
                 return self.add_flag(name, False, str(exc))
             messages = exc.messages if isinstance(exc, ConfigError) else [f"{field}: {exc}"]
             for message in messages:
-                self.add_error(name, message)
+                self.add_flag(name, False, message)
 
     def extend(self, other: "ValidationReport", field: str = ""):
         """Append ``other``'s checks, each refused under the config ``field``."""

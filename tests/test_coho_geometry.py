@@ -460,7 +460,7 @@ def test_tabulated_non_finite_samples_rejected():
         ("gram", (r, poisoned(gram, np.inf), prime)),
         ("gram'", (r, gram, poisoned(prime, -np.inf))),
     ):
-        with pytest.raises(InputError, match=f"must be finite: {name} has"):
+        with pytest.raises(InputError, match=f"^tabulated {name} contains non-finite entries$"):
             TabulatedProfile(split, space, *args)
 
 

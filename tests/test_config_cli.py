@@ -488,7 +488,7 @@ def test_cli_non_finite_tabulated_samples_exit_2(tmp_path, capsys, command, cell
         args += ["--out", str(tmp_path / "out")]
     assert main(args) == 2
     captured = capsys.readouterr()
-    message = f"profile.csv: tabulated samples must be finite: {table} has a non-finite entry"
+    message = f"profile.csv: tabulated {table} contains non-finite entries"
     if command == "run":
         assert captured.err == f"validation error: {message}\n"
     else:

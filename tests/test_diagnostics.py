@@ -11,6 +11,7 @@ from coho_euler import (
     InvariantMetric,
     ReducedState,
     SolverConfig,
+    berger_circle,
     c1_monitor,
     conservation_report,
     divergence_residual,
@@ -639,9 +640,9 @@ def test_csv_writers_match_fstring_format(tmp_path, coupled_tabulated, rigid_bod
     assert (tmp_path / "orbit.csv").read_bytes() == want.encode()
 
 
-# malformed input to a public per-state function, each with a metric profile
-# or invariant metric and with the run's built geometry:
-# (example, what the InputError says, call)
+# malformed input to a public entry point, each with a metric profile or
+# invariant metric and with the run's built geometry, which a constructor
+# ignores: (example, what the InputError says, call)
 MALFORMED = {
     "v_width": ("berger_circle", "shape", lambda s, g: energy(replace(s, v=s.v[:, :2]), g)),
     "v_str": ("berger_circle", "state coefficients v is not an array of real numbers",
@@ -652,11 +653,11 @@ MALFORMED = {
                   lambda s, g: divergence_residual(s, g, h_samples=np.ones(5))),
     "h_samples_nan": ("berger_circle", "h_samples contains non-finite entries",
                       lambda s, g: divergence_residual(s, g, h_samples=np.full(len(s.v), np.nan))),
-    "c_none": ("berger_circle", "finite horizontal amplitude",
+    "c_none": ("berger_circle", "horizontal amplitude c must be a finite real, got None",
                lambda s, g: rhs(replace(s, c=None), g)),
-    "t_str": ("su2_rigid_body", "finite time t, got x",
+    "t_str": ("su2_rigid_body", "time t must be a finite real, got 'x'",
               lambda s, g: integrate(replace(s, t="x"), g, SolverConfig(dt=1e-3, t_end=1e-3))),
-    "t_inf": ("berger_circle", "finite time t, got inf",
+    "t_inf": ("berger_circle", "time t must be a finite real, got inf",
               lambda s, g: integrate(replace(s, t=np.inf), g, SolverConfig(dt=1e-3, t_end=1e-3))),
     "c_off_circle": ("s3_t2_interval", "finite horizontal amplitude",
                      lambda s, g: step_rk4(replace(s, c=0.5), g,
@@ -686,6 +687,43 @@ MALFORMED = {
                      lambda s, g: energy(s, "berger")),
     "geometry_int": ("berger_circle", "or a GridGeometry; got int",
                      lambda s, g: energy(s, 3)),
+    # a caller's number of the wrong type, and a list argument that is no list
+    "dt_str": ("su2_rigid_body", "dt must be a positive real, got '0.1'",
+               lambda s, g: SolverConfig(dt="0.1", t_end=1.0)),
+    "t_end_list": ("su2_rigid_body", r"t_end must be a positive real, got \[1.0\]",
+                   lambda s, g: SolverConfig(dt=0.1, t_end=[1.0])),
+    "cfl_guard_none": ("su2_rigid_body", "cfl_guard must be a positive real, got None",
+                       lambda s, g: SolverConfig(dt=0.1, t_end=1.0, cfl_guard=None)),
+    "length_str": ("su2_rigid_body", "orbit-space length must be a positive real, got '1'",
+                   lambda s, g: OrbitSpace(CIRCLE, "1")),
+    "length_list": ("su2_rigid_body", r"orbit-space length must be a positive real, got \[1.0\]",
+                    lambda s, g: OrbitSpace(CIRCLE, [1.0])),
+    "torus_length_str": ("su2_rigid_body", "orbit-space length must be a positive real, got '1'",
+                         lambda s, g: warped_torus("1", [[0.0]])),
+    "torus_coefficients_int": ("su2_rigid_body", "Fourier coefficients must be a list, got 5",
+                               lambda s, g: warped_torus(1.0, 5)),
+    "berger_coefficients_none": ("su2_rigid_body", "Fourier coefficients must be a list, got None",
+                                 lambda s, g: berger_circle(1.0, None)),
+    "berger_length_none": ("su2_rigid_body", "orbit-space length must be a positive real, got None",
+                           lambda s, g: berger_circle(None, [[0.0]] * 3)),
+    "abelian_str": ("su2_rigid_body", "algebra dimension must be an integer, got '2'",
+                    lambda s, g: abelian("2")),
+    "abelian_float": ("su2_rigid_body", "algebra dimension must be an integer, got 2.0",
+                      lambda s, g: abelian(2.0)),
+    "dim_str": ("su2_rigid_body", "algebra dimension must be an integer, got '3'",
+                lambda s, g: LieAlgebraSpec("3", su2().structure, np.eye(3))),
+    "h_basis_none": ("su2_rigid_body", "h_basis must be a list, got None",
+                     lambda s, g: reductive_split(su2(), None)),
+    "h_basis_float": ("su2_rigid_body", "h_basis must be a list, got 1.0",
+                      lambda s, g: reductive_split(su2(), 1.0)),
+    "n_float": ("berger_circle", "node count n must be an integer, got 16.0",
+                lambda s, g: GridGeometry(state_geometry(s, g).profile, 16.0)),
+    "n_str": ("berger_circle", "node count n must be an integer, got '16'",
+              lambda s, g: GridGeometry(state_geometry(s, g).profile, "16")),
+    "config_str": ("berger_circle", "a solver config is a SolverConfig; got str",
+                   lambda s, g: integrate(s, g, "cfg")),
+    "config_none": ("berger_circle", "a solver config is a SolverConfig; got NoneType",
+                    lambda s, g: step_rk4(s, g, None)),
 }
 
 

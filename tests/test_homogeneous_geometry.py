@@ -10,6 +10,7 @@ from coho_euler import (
     StructureError,
     UnsupportedConfigurationError,
     abelian,
+    berger_circle,
     bracket,
     catalog,
     check_metric_invariance,
@@ -21,6 +22,7 @@ from coho_euler import (
     reductive_split,
     rhs,
     su2,
+    warped_torus,
 )
 from coho_euler.coho_geometry import CIRCLE, OrbitSpace, TabulatedProfile
 from coho_euler.config import build_problem
@@ -151,6 +153,11 @@ NOT_NUMBERS = {
     "state_v": ("state coefficients v", lambda split: ReducedState(0.0, 0.0, ["a", "b", "c"])),
     "h_samples": ("h_samples", lambda split: divergence_residual(
         ReducedState(0.0, 0.0, np.ones(3)), InvariantMetric(split, np.eye(3)), h_samples=["a"])),
+    "radius": ("r", lambda split: berger_circle(1.0, [[0.0]] * 3).gram_at("a")),
+    "fourier_entry": ("Fourier entry", lambda split: warped_torus(1.0, [["a"]])),
+    "tabulated_r": ("tabulated r", lambda split: TabulatedProfile(
+        split, OrbitSpace(CIRCLE, 1.0), [str(r) for r in np.linspace(0.0, 1.0, 9)],
+        np.tile(np.eye(3), (9, 1, 1)), np.zeros((9, 3, 3)))),
 }
 
 
