@@ -17,6 +17,8 @@ a disagreeing derivative table cannot pass silently.
 from __future__ import annotations
 
 import io
+import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +28,7 @@ from .errors import (
     InputError,
     StructureError,
     UnsupportedConfigurationError,
+    require_instance,
 )
 from .homogeneous_geometry import check_grams
 from .lie_core import ReductiveSplit, abelian, reductive_split, su2
@@ -69,6 +72,8 @@ class MetricProfile:
     """Base class for one-parameter families of invariant orbit metrics."""
 
     def __init__(self, split: ReductiveSplit, orbit_space: OrbitSpace):
+        require_instance(split, ReductiveSplit, "a split")
+        require_instance(orbit_space, OrbitSpace, "an orbit space")
         self.split = split
         self.orbit_space = orbit_space
         split.require_fixed_complement()
@@ -125,13 +130,19 @@ class MetricProfile:
     def gram_prime_at(self, r) -> np.ndarray:
         return self._grams_at(r)[1]
 
-    def metric_at(self, rs: np.ndarray):
-        """(g, g', S, vol, chol) at a 1-d array of radii: the one place S = -1/2 g^-1 g'
-        and vol = sqrt(det g) are formed, after the one :func:`check_grams` test of g,
+    def _tested_grams_at(self, rs: np.ndarray):
+        """(g, g', vol, chol) at a 1-d array of radii: the one place vol = sqrt(det g)
+        is formed, from the determinant of the one :func:`check_grams` test of g,
         whose Cholesky factors ``chol`` it hands on."""
         g, gp = self._grams_at(rs)
         _, det, chol = check_grams(g, rs)
-        return g, gp, -0.5 * np.linalg.solve(g, gp), np.sqrt(det), chol
+        return g, gp, np.sqrt(det), chol
+
+    def metric_at(self, rs: np.ndarray):
+        """(g, g', S, vol, chol) at a 1-d array of radii: the one place S = -1/2 g^-1 g'
+        is formed."""
+        g, gp, vol, chol = self._tested_grams_at(rs)
+        return g, gp, -0.5 * np.linalg.solve(g, gp), vol, chol
 
     def shape_operator_at(self, r) -> np.ndarray:
         S = self.metric_at(np.atleast_1d(r))[2]
@@ -142,7 +153,7 @@ class MetricProfile:
         return H if np.ndim(r) else float(H)
 
     def volume_at(self, r):
-        vol = self.metric_at(np.atleast_1d(r))[3]
+        vol = self._tested_grams_at(np.atleast_1d(r))[2]  # forms no S
         return vol if np.ndim(r) else float(vol[0])
 
     def h0_at(self, r):
@@ -237,10 +248,11 @@ def berger_circle(length: float, coefficients) -> FourierDiagonalProfile:
 class TabulatedProfile(MetricProfile):
     """Gram matrices and derivatives sampled on a grid, cubic-spline interpolated.
 
-    Both tables are interpolated by :func:`numerics.cubic_spline`, a numpy
-    copy of ``scipy.interpolate.CubicSpline`` that equals it bit for bit:
-    not-a-knot on an interval, periodic on a circle, where the first and last
-    samples must agree. Derivative samples are supplied by the caller;
+    The two tables, stacked as one (n, 2, d, d) table, are interpolated by
+    one :func:`numerics.cubic_spline`, a numpy copy of
+    ``scipy.interpolate.CubicSpline`` that equals it bit for bit entry by
+    entry: not-a-knot on an interval, periodic on a circle, where the first
+    and last samples must agree. Derivative samples are supplied by the caller;
     differentiating user data numerically would silently degrade every
     conservation diagnostic, so it is never done here.
     """
@@ -264,13 +276,13 @@ class TabulatedProfile(MetricProfile):
                         f"tabulated profile is not periodic: the first and last {name} "
                         "samples differ"
                     )
-        self._g_spline = cubic_spline(r, g, periodic)
-        self._gp_spline = cubic_spline(r, gp, periodic)
+        self._spline = cubic_spline(r, np.stack((g, gp), axis=1), periodic)
         self.r_samples = r
 
     def _grams(self, r):
-        g, gp = self._g_spline(r), self._gp_spline(r)
-        return 0.5 * (g + g.swapaxes(1, 2)), 0.5 * (gp + gp.swapaxes(1, 2))
+        both = self._spline(r)
+        both = 0.5 * (both + both.swapaxes(2, 3))
+        return both[:, 0], both[:, 1]
 
 
 def load_tabulated_csv(path):
@@ -279,9 +291,23 @@ def load_tabulated_csv(path):
     Mandatory header row, then columns: r, the upper triangle of gram in
     row-major order, then the upper triangle of gram' in the same order.
     The file is read and decoded whole, in one place, before any parsing.
+    A path that names no regular file, or a file that cannot be read or
+    decoded, is one InputError that names the path.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = io.StringIO(fh.read())
+    reason = "not a regular file"  # a directory, or a device or pipe the read could hang on
+    try:
+        if stat.S_ISREG(os.stat(path).st_mode):
+            with open(path, "r", encoding="utf-8") as fh:
+                rows, reason = io.StringIO(fh.read()), None
+    except UnicodeDecodeError as exc:
+        reason = f"not UTF-8 text: {exc.reason} at byte offset {exc.start}"
+    # ValueError: a NUL or an unencodable character, which no file name holds
+    except (FileNotFoundError, NotADirectoryError, ValueError):
+        raise InputError(f"no such file {path}") from None
+    except OSError as exc:
+        reason = exc.strerror
+    if reason is not None:
+        raise InputError(f"cannot read {path}: {reason}")
     header = rows.readline().strip()
     if not header or header.split(",")[0].strip().lower() != "r":
         raise InputError(f"{path}: first CSV column must be named 'r'")
@@ -301,14 +327,10 @@ def load_tabulated_csv(path):
             f"{path}: {ncols} columns do not match 1 + 2 * d(d+1)/2 for any d"
         )
     iu = np.triu_indices(d)
-    n = data.shape[0]
-    gram = np.zeros((n, d, d))
-    prime = np.zeros((n, d, d))
-    gram[:, iu[0], iu[1]] = data[:, 1 : 1 + ntri]
-    prime[:, iu[0], iu[1]] = data[:, 1 + ntri :]
-    gram = gram + np.triu(gram, 1).transpose(0, 2, 1)
-    prime = prime + np.triu(prime, 1).transpose(0, 2, 1)
-    return data[:, 0], gram, prime
+    tables = np.zeros((data.shape[0], 2, d, d))  # gram and gram' at each sample
+    tables[:, :, iu[0], iu[1]] = data[:, 1:].reshape(-1, 2, ntri)
+    tables += np.triu(tables, 1).swapaxes(2, 3)
+    return data[:, 0], tables[:, 0], tables[:, 1]
 
 
 def write_tabulated_csv(path, r, gram, gram_prime):
@@ -406,7 +428,7 @@ def validate_profile(profile: MetricProfile) -> ValidationReport:
                 report.extend(gram_positivity(profile, rs, f"volume_positive_at_{tag}"))
 
     if isinstance(profile, TabulatedProfile):
-        dg = profile._g_spline.derivative()(probes)
+        dg = profile._spline.derivative()(probes)[:, 0]
         worst = np.max(np.abs(dg - profile.gram_prime_at(probes)))
         report.add("tabulated_derivative_consistency", worst, 1e-6)
     return report

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-import stat
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -411,35 +410,12 @@ def build_profile(cfg: RunConfig, split=None) -> cg.MetricProfile:
     csv_path = Path(p["csv"])
     if not csv_path.is_absolute() and cfg.source_path is not None:
         csv_path = cfg.source_path.parent / csv_path
-    r, gram, prime = _load_csv(csv_path)
+    r, gram, prime = cg.load_tabulated_csv(csv_path)
     if p["kind"] == INTERVAL:
         space = cg.OrbitSpace(INTERVAL, float(p["length"]), tuple(p["endpoints"]))
     else:
         space = cg.OrbitSpace(CIRCLE, float(p["length"]))
     return cg.TabulatedProfile(split, space, r, gram, prime)
-
-
-def _load_csv(path: Path):
-    """``load_tabulated_csv`` of a profile's file. A path that names no regular
-    file, or a file that cannot be read or decoded, is one ``profile.csv``
-    message that names the path."""
-    try:
-        regular = stat.S_ISREG(path.stat().st_mode)
-    # ValueError: a NUL or an unencodable character, which no file name holds
-    except (FileNotFoundError, NotADirectoryError, ValueError):
-        raise ConfigError([f"profile.csv: no such file {path}"]) from None
-    except OSError as exc:
-        reason = exc.strerror
-    else:  # a directory, or a device or pipe that the read could hang on
-        reason = None if regular else "not a regular file"
-    if reason is None:
-        try:
-            return cg.load_tabulated_csv(path)
-        except UnicodeDecodeError as exc:
-            reason = f"not UTF-8 text: {exc.reason} at byte offset {exc.start}"
-        except OSError as exc:
-            reason = exc.strerror
-    raise ConfigError([f"profile.csv: cannot read {path}: {reason}"])
 
 
 def _fourier_eval(coeffs, r, length):

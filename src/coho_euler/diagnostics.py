@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .coho_geometry import CIRCLE, INTERVAL, SINGULAR, MetricProfile
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, require_instance
 from .homogeneous_geometry import InvariantMetric, connection_tensors
 from .numerics import (
     Derivative4Interval,
@@ -112,6 +112,10 @@ class GridGeometry:
     """
 
     def __init__(self, geometry, n=None):
+        if not isinstance(geometry, (InvariantMetric, MetricProfile)):
+            raise InputError("a GridGeometry is built from a metric profile or an invariant metric, "
+                             "and a state's geometry is one of them or a GridGeometry; got "
+                             f"{type(geometry).__name__}")
         self.split = geometry.split
         self.d = self.split.dim_m
         bracket = self.split.bracket_on_m()
@@ -276,16 +280,15 @@ def state_geometry(state, geometry) -> GridGeometry:
     ``geometry`` is a metric profile, whose geometry is built on ``len(state.v)``
     nodes, an invariant metric (homogeneous states) or a built geometry, such
     as the one ``config.build_problem`` returns for a run, which is returned
-    as it is; anything else is an InputError. v must have shape (n, d), or
-    (d,) on the one-node geometry, and c is zero off the circle.
+    as it is; anything else, which :class:`GridGeometry` refuses, is an
+    InputError, as is a state that is no ReducedState. v must have shape
+    (n, d), or (d,) on the one-node geometry, and c is zero off the circle.
     """
-    if isinstance(geometry, GridGeometry):
-        geom = geometry
-    elif isinstance(geometry, (InvariantMetric, MetricProfile)):
-        geom = GridGeometry(geometry, len(state.v))  # the one-node geometry takes no n
-    else:
-        raise InputError("a geometry is a metric profile, an invariant metric or a "
-                         f"GridGeometry; got {type(geometry).__name__}")
+    from .reduced_euler import ReducedState  # that module imports this one
+
+    require_instance(state, ReducedState, "a state")
+    # the one-node geometry takes no n
+    geom = geometry if isinstance(geometry, GridGeometry) else GridGeometry(geometry, len(state.v))
     shape = (geom.d,) if geom.kind == "homogeneous" else (geom.n, geom.d)
     if np.shape(state.v) != shape:
         raise InputError(f"state v has shape {np.shape(state.v)}, the geometry needs {shape}")

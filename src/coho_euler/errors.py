@@ -22,6 +22,14 @@ class UnsupportedConfigurationError(CohoEulerError):
     """
 
 
+def require_instance(value, cls, name):
+    """Refuse a package object of the wrong type: an InputError naming the
+    argument, as ``name``, and the type it got."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise InputError(f"{name} is {article} {cls.__name__}; got {type(value).__name__}")
+
+
 class DomainError(CohoEulerError, ValueError):
     """A coordinate lies at or beyond the boundary of its orbit-space domain."""
 

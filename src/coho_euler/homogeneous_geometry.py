@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, StructureError
+from .errors import InputError, StructureError, require_instance
 from .lie_core import ReductiveSplit
 from .numerics import as_float_array
 from .reports import ValidationReport
@@ -98,6 +98,7 @@ class InvariantMetric:
     gram: np.ndarray
 
     def __post_init__(self):
+        require_instance(self.split, ReductiveSplit, "a split")
         m = self.split.dim_m
         self.gram = as_float_array(self.gram, (m, m), "gram")
         check_grams(self.gram[None])

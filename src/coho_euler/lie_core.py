@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, StructureError, UnsupportedConfigurationError
+from .errors import InputError, StructureError, UnsupportedConfigurationError, require_instance
 from .numerics import as_count, as_float_array, as_list
 from .reports import ValidationReport
 
@@ -208,6 +208,7 @@ def reductive_split(alg: LieAlgebraSpec, h_basis) -> ReductiveSplit:
     the isotropy fixes the complement is a separate question:
     :meth:`ReductiveSplit.require_fixed_complement` answers it.
     """
+    require_instance(alg, LieAlgebraSpec, "an algebra")
     n = alg.dim
     h_rows = [as_float_array(v, (n,), "h_basis vector") for v in as_list(h_basis, "h_basis")]
     rows = _q_orthonormalize(np.vstack([*h_rows, np.eye(n)]), alg.Q, len(h_rows))

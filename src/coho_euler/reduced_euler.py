@@ -36,7 +36,7 @@ from .diagnostics import (
     conservation_report,
     state_geometry,
 )
-from .errors import InputError, NumericalFailureError
+from .errors import InputError, NumericalFailureError, require_instance
 from .numerics import as_count, as_float_array, as_real, cumulative_integral
 
 CFL_EPS = 1e-12
@@ -306,14 +306,9 @@ def _cfl_check(disc, config, c, step, t):
         )
 
 
-def _require_solver_config(config):
-    if not isinstance(config, SolverConfig):
-        raise InputError(f"a solver config is a SolverConfig; got {type(config).__name__}")
-
-
 def step_rk4(state: ReducedState, geometry, config: SolverConfig) -> ReducedState:
     """One deterministic RK4 step of the appropriate reduced system."""
-    _require_solver_config(config)
+    require_instance(config, SolverConfig, "a solver config")
     geom = state_geometry(state, geometry)
     disc = _make_disc(geom)
     _cfl_check(disc, config, state.c, 0, state.t)
@@ -334,7 +329,7 @@ def integrate(state: ReducedState, geometry, config: SolverConfig, sink=None):
     trajectory preserved and a failure record in the report; it never exits
     silently.
     """
-    _require_solver_config(config)
+    require_instance(config, SolverConfig, "a solver config")
     n_steps = config.n_steps()
     dt = config.dt
     snap_every = config.snapshot_cadence

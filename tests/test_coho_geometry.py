@@ -35,6 +35,7 @@ from coho_euler.coho_geometry import (
 from coho_euler.diagnostics import GridGeometry
 from coho_euler.numerics import cubic_spline
 
+from bundled import initial_problem
 from oracles import coordinate_divergence_fd, h0_by_ode
 
 
@@ -398,11 +399,15 @@ def test_spline_matches_scipy_on_bundled_csv():
     prof = TabulatedProfile(reductive_split(su2(), []), space, r, gram, prime)
     rs = trace_identity_probes(prof)
     probes = np.concatenate([spline_probes(r), _probe_grid(prof), rs - FD_STEP, rs + FD_STEP])
-    for y in (gram, prime):
+    # the profile's one spline over the stacked tables: each half is scipy's
+    # spline of that table
+    values, slopes = prof._spline(probes), prof._spline.derivative()(probes)
+    for half, y in enumerate((gram, prime)):
         assert_spline_matches_scipy(r, y, False, probes)
-    ref = CubicSpline(r, gram, axis=0)
-    assert np.array_equal(prof._g_spline(probes), ref(probes))
-    assert np.array_equal(prof._g_spline.derivative()(probes), ref.derivative()(probes))
+        ref = CubicSpline(r, y, axis=0)
+        assert np.array_equal(prof._spline.c[:, :, half], ref.c)
+        assert np.array_equal(values[:, half], ref(probes))
+        assert np.array_equal(slopes[:, half], ref.derivative()(probes))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -435,12 +440,30 @@ def test_spline_matches_scipy_on_tabulated_circle(coupled_tabulated):
     r = prof.r_samples
     # periodic splines wrap: points outside [0, L] land on the same values
     probes = np.concatenate([spline_probes(r), [-0.25, 1.25, 3.0]])
-    for spline in (prof._g_spline, prof._gp_spline):
+    values = prof._spline(probes)
+    for half in range(2):
         # the constant terms are the samples but the last, which equals the first
-        y = np.concatenate([spline.c[-1], spline.c[-1][:1]])
+        c = prof._spline.c[:, :, half]
+        y = np.concatenate([c[-1], c[-1][:1]])
         assert_spline_matches_scipy(r, y, True, probes)
+        ref = CubicSpline(r, y, bc_type="periodic", axis=0)
+        assert np.array_equal(c, ref.c)
+        assert np.array_equal(values[:, half], ref(probes))
     ends = prof._grams(np.array([0.0, prof.length]))[0]
     assert np.array_equal(ends[0], ends[1])
+
+
+GRID_EXAMPLES = [n for n in catalog.example_names() if n != "su2_rigid_body"]
+
+
+@pytest.mark.parametrize("name", GRID_EXAMPLES)
+def test_volume_is_the_metric_volume(name):
+    # volume_at forms no S, yet reads the same bits as metric_at's volume at
+    # every radius validation samples a volume at
+    prof = initial_problem(name)[2]
+    rs = trace_identity_probes(prof)
+    for radii in (_probe_grid(prof), rs - FD_STEP, rs + FD_STEP):
+        assert np.array_equal(prof.volume_at(radii), prof.metric_at(radii)[3])
 
 
 def test_tabulated_non_finite_samples_rejected():

@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coho_euler import ConfigError, catalog, su2
+from coho_euler import ConfigError, InputError, catalog, su2
 from coho_euler.cli import main
-from coho_euler.coho_geometry import write_tabulated_csv
+from coho_euler.coho_geometry import load_tabulated_csv, write_tabulated_csv
 from coho_euler.config import build_problem, parse_config, parse_config_dict
 from coho_euler.diagnostics import grid_rule
 from coho_euler.numerics import cubic_spline
@@ -548,6 +548,21 @@ def test_cli_unreadable_csv_exit_2(tmp_path, capsys, command, case):
         assert all(line.startswith("PASS  ") for line in lines[:-2])
         assert captured.err == ""
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", UNREADABLE_CSV)
+def test_reader_refuses_unreadable_csv(tmp_path, case):
+    # the one reader refuses by itself, in the words the CLI prints after "profile.csv: "
+    name, content, message = UNREADABLE_CSV[case]
+    csv = tmp_path / name
+    if content == "dir":
+        csv.mkdir()
+    elif content is not None:
+        csv.write_bytes(content)
+    with pytest.raises(InputError) as info:
+        load_tabulated_csv(csv)
+    assert type(info.value) is InputError
+    assert str(info.value) == message.format(csv)
 
 
 def assert_run_gives_each_finding(validated, ran):

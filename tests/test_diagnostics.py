@@ -724,6 +724,30 @@ MALFORMED = {
                    lambda s, g: integrate(s, g, "cfg")),
     "config_none": ("berger_circle", "a solver config is a SolverConfig; got NoneType",
                     lambda s, g: step_rk4(s, g, None)),
+    # a package object of the wrong type
+    "algebra_none": ("su2_rigid_body", "an algebra is a LieAlgebraSpec; got NoneType",
+                     lambda s, g: reductive_split(None, [])),
+    "split_none": ("su2_rigid_body", "a split is a ReductiveSplit; got NoneType",
+                   lambda s, g: InvariantMetric(None, np.eye(3))),
+    "profile_split_none": ("berger_circle", "a split is a ReductiveSplit; got NoneType",
+                           lambda s, g: TabulatedProfile(None, OrbitSpace(CIRCLE, 1.0), [], [], [])),
+    "profile_space_str": ("berger_circle", "an orbit space is an OrbitSpace; got str",
+                          lambda s, g: TabulatedProfile(state_geometry(s, g).split, "circle",
+                                                        [], [], [])),
+    "grid_from_none": ("berger_circle", "or a GridGeometry; got NoneType",
+                       lambda s, g: GridGeometry(None, 16)),
+    "grid_from_grid": ("berger_circle", "or a GridGeometry; got GridGeometry",
+                       lambda s, g: GridGeometry(state_geometry(s, g), 16)),
+    "state_none": ("berger_circle", "a state is a ReducedState; got NoneType",
+                   lambda s, g: integrate(None, g, SolverConfig(dt=1e-3, t_end=1e-3))),
+    "state_str": ("s3_t2_interval", "a state is a ReducedState; got str",
+                  lambda s, g: step_rk4("x", g, SolverConfig(dt=1e-3, t_end=1e-3))),
+    "state_float": ("su2_rigid_body", "a state is a ReducedState; got float",
+                    lambda s, g: energy(1.5, g)),
+    "speed_state_none": ("t3_circle", "a state is a ReducedState; got NoneType",
+                         lambda s, g: pointwise_speed(None, g)),
+    "pressure_state_str": ("boundary_interval", "a state is a ReducedState; got str",
+                           lambda s, g: pressure_reconstruct("x", g)),
 }
 
 

@@ -1,15 +1,13 @@
 """Malformed caller input at every public entry point ends in a package error.
 
 Each argument that a caller fills with plain values (a real, a count, an
-array, a list of them, or a name), and each geometry and solver config, is
-replaced in turn by a malformed value. Only a ``CohoEulerError`` may escape;
-any other exception fails the test. The objects a caller builds with the
-package's own constructors (an algebra, a split, an orbit space, a state) and
-a run's row sink are passed as they are.
+array, a list of them, or a name), and each package object (an algebra, a
+split, an orbit space, a geometry, a state and a solver config), is replaced
+in turn by a malformed value. Only a ``CohoEulerError`` may escape; any other
+exception fails the test. A run's row sink is passed as it is.
 """
 
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -26,8 +24,10 @@ from coho_euler import (
     TabulatedProfile,
     abelian,
     berger_circle,
+    energy,
     integrate,
     pointwise_speed,
+    pressure_reconstruct,
     reductive_split,
     step_rk4,
     su2,
@@ -53,21 +53,24 @@ ENTRY_POINTS = {
                                     endpoint_kinds=(SINGULAR, BOUNDARY))),
     "LieAlgebraSpec": (LieAlgebraSpec, dict(dim=3, structure=su2().structure, Q=np.eye(3))),
     "abelian": (abelian, dict(dim=2)),
-    "reductive_split": (partial(reductive_split, su2()), dict(h_basis=[])),
+    "reductive_split": (reductive_split, dict(alg=su2(), h_basis=[])),
     "warped_torus": (warped_torus, dict(length=1.0, coefficients=[[0.0, 0.1, 0.0], [0.0]])),
     "berger_circle": (berger_circle, dict(length=1.0, coefficients=[[0.0], [0.0], [0.0]])),
-    "TabulatedProfile": (partial(TabulatedProfile, reductive_split(abelian(1), []),
-                                 OrbitSpace(CIRCLE, 1.0)),
-                         dict(r_samples=R, gram_samples=np.ones((9, 1, 1)),
+    "TabulatedProfile": (TabulatedProfile,
+                         dict(split=reductive_split(abelian(1), []),
+                              orbit_space=OrbitSpace(CIRCLE, 1.0), r_samples=R,
+                              gram_samples=np.ones((9, 1, 1)),
                               gram_prime_samples=np.zeros((9, 1, 1)))),
-    "InvariantMetric": (partial(InvariantMetric, reductive_split(su2(), [])), dict(gram=np.eye(3))),
-    "GridGeometry": (partial(GridGeometry, PROFILE), dict(n=16)),
+    "InvariantMetric": (InvariantMetric, dict(split=reductive_split(su2(), []), gram=np.eye(3))),
+    "GridGeometry": (GridGeometry, dict(geometry=PROFILE, n=16)),
     "gram_at": (PROFILE.gram_at, dict(r=0.3)),
     "volume_at": (PROFILE.volume_at, dict(r=0.3)),
     "h0_at": (PROFILE.h0_at, dict(r=0.3)),
-    "pointwise_speed": (partial(pointwise_speed, STATE), dict(geometry=PROFILE, j=3)),
-    "integrate": (partial(integrate, STATE), dict(geometry=PROFILE, config=CONFIG)),
-    "step_rk4": (partial(step_rk4, STATE), dict(geometry=PROFILE, config=CONFIG)),
+    "energy": (energy, dict(state=STATE, geometry=PROFILE)),
+    "pointwise_speed": (pointwise_speed, dict(state=STATE, geometry=PROFILE, j=3)),
+    "pressure_reconstruct": (pressure_reconstruct, dict(state=STATE, geometry=PROFILE)),
+    "integrate": (integrate, dict(state=STATE, geometry=PROFILE, config=CONFIG)),
+    "step_rk4": (step_rk4, dict(state=STATE, geometry=PROFILE, config=CONFIG)),
 }
 ARGUMENTS = [(name, arg) for name, (_, args) in ENTRY_POINTS.items() for arg in args]
 

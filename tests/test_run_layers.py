@@ -1,8 +1,10 @@
-"""How a run is put together: one geometry per run, and traceable layers.
+"""How a run is put together: one geometry per run, counted set-up work, and
+traceable layers.
 
 A run builds its initial state's geometry once and shares it between the
 step, the recorder and the pressures; a public per-state function given
-that geometry builds none. perfbench's tracer wraps the layers of a run by name,
+that geometry builds none. The check pass makes a counted number of solves
+and spline builds and evaluations, and a volume needs no solve. perfbench's tracer wraps the layers of a run by name,
 so a rename or a fused-away layer must fail here rather than turn that
 layer silently into "absent" in the trace.
 """
@@ -18,18 +20,20 @@ import pytest
 from coho_euler import (
     c1_monitor,
     catalog,
+    coho_geometry,
     diagnostics,
     divergence_residual,
     endpoint_taylor_monitor,
     energy,
     homogeneous_geometry,
+    numerics,
     pointwise_speed,
     pressure_reconstruct,
     rhs,
     step_rk4,
 )
 from coho_euler.cli import run_command
-from coho_euler.config import build_problem, build_solver_config
+from coho_euler.config import build_problem, build_solver_config, check_config
 from coho_euler.diagnostics import grid_layout
 
 from bundled import initial_problem, variant
@@ -65,6 +69,44 @@ def test_one_geometry_per_run(monkeypatch, tmp_path, name):
     # with a bracket (su2) and never on an abelian one
     assert calls["geometry"] == 1
     assert calls["gamma"] == (0 if name in ("t3_circle", "s3_t2_interval") else 1)
+
+
+# set-up work of check_config on each example: np.linalg.solve calls (S once
+# for the trace identity and once for the grid, then rho's two whitening
+# solves), and builds and evaluations of the tabulated profile's one spline
+SETUP_WORK = {
+    "su2_rigid_body": dict(solve=0, spline=0, spline_eval=0),
+    "s3_t2_interval": dict(solve=4, spline=0, spline_eval=0),
+    "t3_circle": dict(solve=4, spline=0, spline_eval=0),
+    "berger_circle": dict(solve=4, spline=0, spline_eval=0),
+    "boundary_interval": dict(solve=4, spline=1, spline_eval=9),
+}
+
+
+@pytest.mark.parametrize("name", catalog.example_names())
+def test_setup_work_is_done_once(monkeypatch, name):
+    cfg = catalog.load_example(name)
+    calls = dict.fromkeys(SETUP_WORK[name], 0)
+
+    def counted(owner, attr, key):
+        inner = getattr(owner, attr)
+
+        def call(*args, **kwargs):
+            calls[key] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, call)
+
+    counted(np.linalg, "solve", "solve")
+    counted(coho_geometry, "cubic_spline", "spline")
+    counted(numerics.PiecewisePolynomial, "__call__", "spline_eval")
+    report, _, geom = check_config(cfg)
+    assert report.passed
+    assert calls == SETUP_WORK[name]
+    if geom.profile is not None:  # a volume is read from the positivity test, without S
+        calls["solve"] = 0
+        geom.profile.volume_at(np.linspace(0.1, 0.4, 7))
+        assert calls["solve"] == 0
 
 
 @pytest.mark.parametrize("name", catalog.example_names())
