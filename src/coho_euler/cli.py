@@ -102,10 +102,7 @@ def validate_command(cfg: RunConfig) -> int:
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
 
-def examples_command(action: str) -> int:
-    if action != "list":
-        print(f"error: unknown examples action {action!r}", file=sys.stderr)
-        return EXIT_VALIDATION
+def examples_command() -> int:
     for line in catalog.listing_lines():
         print(line)
     return EXIT_OK
@@ -134,7 +131,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "examples":
-            return examples_command(args.action)
+            return examples_command()
 
         try:
             cfg = parse_config(args.config)
@@ -147,10 +144,8 @@ def main(argv=None) -> int:
 
         if args.out is not None:
             out_dir = Path(args.out)
-        elif cfg.output.get("directory"):
-            out_dir = Path(cfg.output["directory"])
-            if not out_dir.is_absolute() and cfg.source_path is not None:
-                out_dir = Path.cwd() / out_dir
+        elif cfg.raw.get("output", {}).get("directory"):
+            out_dir = Path.cwd() / cfg.raw["output"]["directory"]
         else:
             out_dir = Path.cwd() / f"coho_euler_run_{cfg.hash()[:8]}"
         return run_command(cfg, out_dir)

@@ -19,6 +19,7 @@ up to rounding, before any discretisation happens.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -29,10 +30,10 @@ import numpy as np
 
 from . import coho_geometry as cg
 from .coho_geometry import BOUNDARY, CIRCLE, INTERVAL, SINGULAR
-from .diagnostics import GRID_NODES, GridGeometry, grid_rule, row_width
+from .diagnostics import GRID_NODES, MAX_N, GridGeometry, grid_rule, row_width
 from .errors import ConfigError, ConfigParseError
 from .homogeneous_geometry import InvariantMetric, check_metric_invariance
-from .lie_core import LieAlgebraSpec, abelian, reductive_split, su2, validate_structure
+from .lie_core import MAX_DIM, LieAlgebraSpec, abelian, reductive_split, su2, validate_structure
 from .numerics import seeded_uniform
 from .reduced_euler import ReducedState, SolverConfig
 from .reports import ValidationReport
@@ -48,7 +49,6 @@ except ImportError:
         from hashlib import sha256
 
 KINDS = ("homogeneous", "interval", "circle")
-VKINDS = ("constant", "polynomial", "fourier", "random_fourier")
 
 # -- field specs: check(value, path, errors) appends "<path>: <what is wrong>" --
 
@@ -195,13 +195,11 @@ class Union:
 # -- the schema of each problem kind -------------------------------------------
 
 NUMBER, POSITIVE, COUNT = Num(), Num(positive=True), Int(1, "a positive integer")
-# caps on integers that size allocations: a bracketed fibre's Gamma holds N * dim**3 floats
-MAX_DIM, MAX_N, MAX_MODES = 16, 4096, 1024
+# caps on integers that size allocations, with MAX_DIM (lie_core) and MAX_N (diagnostics)
+MAX_MODES = 1024
 # recorded rows times the values of a row: bounds the size of a run's diagnostics.csv
 MAX_RECORDED_VALUES = 25_000_000
 TOP_REQUIRED = ("problem", "initial", "solver")
-TOP_OPTIONAL = ("algebra", "isotropy", "metric", "profile", "output", "seed")
-TOP = Obj(dict.fromkeys(TOP_REQUIRED + TOP_OPTIONAL), TOP_REQUIRED)
 PROBLEM = Obj({"kind": None})
 ISOTROPY = Obj({"basis": Numbers(2)})
 OUTPUT = Obj({"directory": Str("a path"), "snapshot_cadence": COUNT,
@@ -305,7 +303,7 @@ def _schema(kind):
     families["tabulated"] = Obj(TABULATED, ("family", "length", "kind", "csv"),
                                 _tabulated_rule(kind))
     v = Union("type", {tag: case(tag, {"type": None, **fields}) for tag, fields in VTYPES.items()},
-              f"expected one of {VKINDS}, got {{!r}}")
+              f"expected one of {tuple(VTYPES)}, got {{!r}}")
     low, even = GRID_NODES[kind]
     n = Int(low, even=even, bound=grid_rule(kind) + ", got {}", high=MAX_N)
     solver = {"dt": POSITIVE, "t_end": POSITIVE, "cfl_guard": POSITIVE, "N": n}
@@ -319,20 +317,20 @@ def _schema(kind):
 
 
 SCHEMAS = {kind: _schema(kind) for kind in KINDS}
+# the top-level keys of any kind: the walk checks these before it picks a schema
+TOP = Obj(dict.fromkeys(key for schema in SCHEMAS.values() for key in schema.fields), TOP_REQUIRED)
 
 
 @dataclass
 class RunConfig:
-    kind: str
-    algebra: dict | None
-    isotropy: list
-    metric_gram: list | None
-    profile: dict | None
-    initial: dict
-    solver: dict
-    output: dict
+    """A parsed config: the JSON that passed its schema, and the file it came from."""
+
     raw: dict
     source_path: Path | None = field(default=None, compare=False)
+
+    @property
+    def kind(self) -> str:
+        return self.raw["problem"]["kind"]
 
     def canonical_json(self) -> str:
         return json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
@@ -358,19 +356,7 @@ def parse_config_dict(data: dict, source_path: Path | None = None) -> RunConfig:
     SCHEMAS[kind].check(data, "", errors)
     if errors:
         raise ConfigError(errors)
-
-    return RunConfig(
-        kind=kind,
-        algebra=data.get("algebra"),
-        isotropy=data.get("isotropy", {}).get("basis", []),
-        metric_gram=data.get("metric", {}).get("gram"),
-        profile=data.get("profile"),
-        initial=data["initial"],
-        solver=dict(data["solver"]),
-        output=dict(data.get("output", {})),
-        raw=data,
-        source_path=source_path,
-    )
+    return RunConfig(data, source_path)
 
 
 def parse_config(path) -> RunConfig:
@@ -388,7 +374,7 @@ def parse_config(path) -> RunConfig:
 
 
 def build_algebra(cfg: RunConfig) -> LieAlgebraSpec:
-    given = cfg.algebra
+    given = cfg.raw["algebra"]
     if "name" in given:
         return su2() if given["name"] == "su2" else abelian(int(given["dim"]))
     return LieAlgebraSpec(
@@ -398,7 +384,7 @@ def build_algebra(cfg: RunConfig) -> LieAlgebraSpec:
 
 def build_profile(cfg: RunConfig, split=None) -> cg.MetricProfile:
     """The configured profile; a tabulated one takes its fibre from ``split``."""
-    p = cfg.profile
+    p = cfg.raw["profile"]
     family = p["family"]
     if family == "round_s3_t2":
         return cg.RoundS3T2Profile()
@@ -453,7 +439,7 @@ def _check_polynomial_parity(coeff_rows, profile: cg.MetricProfile):
 
 
 def build_initial_v(cfg: RunConfig, profile: cg.MetricProfile, grid: np.ndarray) -> np.ndarray:
-    vinit = cfg.initial["v"]
+    vinit = cfg.raw["initial"]["v"]
     d = profile.dim
     n = grid.size
     vtype = vinit["type"]
@@ -497,8 +483,8 @@ def check_config(cfg: RunConfig):
     failed algebra or split, no geometry on a profile that fails a check, and
     no state where ``check_grams`` refuses the geometry's g_r at a node.
     """
-    report = ValidationReport()
-    if cfg.kind == "homogeneous" or cfg.profile["family"] == "tabulated":
+    raw, report = cfg.raw, ValidationReport()
+    if cfg.kind == "homogeneous" or raw["profile"]["family"] == "tabulated":
         profile, algebra = None, report.attempt("algebra", "algebra", build_algebra, cfg)
     else:  # a built-in family fixes its fibre
         profile = report.attempt("profile_fourier", "profile.fourier", build_profile, cfg)
@@ -508,7 +494,8 @@ def check_config(cfg: RunConfig):
     if not report.passed:
         return report, None, None
     split = profile.split if profile is not None else report.attempt(
-        "isotropy_basis", "isotropy.basis", reductive_split, algebra, cfg.isotropy)
+        "isotropy_basis", "isotropy.basis", reductive_split, algebra,
+        raw.get("isotropy", {}).get("basis", []))
     if split is not None:
         report.attempt("isotropy_fixes_complement", "isotropy.basis",
                        split.require_fixed_complement)
@@ -519,11 +506,11 @@ def check_config(cfg: RunConfig):
     geom, d, n_singular = None, split.dim_m, 0
     if cfg.kind == "homogeneous":
         metric = report.attempt("metric_gram", "metric.gram", InvariantMetric, split,
-                                np.asarray(cfg.metric_gram, dtype=float))
+                                np.asarray(raw["metric"]["gram"], dtype=float))
         if metric is not None:
             report.extend(check_metric_invariance(metric), "metric.gram")
             geom = GridGeometry(metric)
-        initial = np.asarray(cfg.initial["x"], dtype=float)
+        initial = np.asarray(raw["initial"]["x"], dtype=float)
         if initial.shape != (d,):
             report.add_flag("initial_data", False, f"initial.x: expected {d} entries")
     else:
@@ -536,7 +523,7 @@ def check_config(cfg: RunConfig):
         if profile_report.passed:
             # the run factors g_r at every state node, not only at the probes
             geom = report.attempt("gram_positive_on_state_grid", "profile", GridGeometry,
-                                  profile, int(cfg.solver["N"]))
+                                  profile, int(raw["solver"]["N"]))
             if geom is not None:
                 report.add_flag("gram_positive_on_state_grid", True)
         if cfg.kind == INTERVAL:
@@ -558,7 +545,7 @@ def check_config(cfg: RunConfig):
         return report, None, None
     # only a circle config has an initial amplitude c
     state = report.attempt("initial_data", "initial", ReducedState, 0.0,
-                           float(cfg.initial.get("c", 0.0)), initial)
+                           float(raw["initial"].get("c", 0.0)), initial)
     return report, state, None if state is None else geom
 
 
@@ -574,10 +561,8 @@ def build_problem(cfg: RunConfig):
 
 
 def build_solver_config(cfg: RunConfig) -> SolverConfig:
-    return SolverConfig(
-        dt=float(cfg.solver["dt"]),
-        t_end=float(cfg.solver["t_end"]),
-        cfl_guard=float(cfg.solver.get("cfl_guard", 0.5)),
-        snapshot_cadence=cfg.output.get("snapshot_cadence"),
-        diagnostics_cadence=cfg.output.get("diagnostics_cadence", 1),
-    )
+    """The run's SolverConfig from the ``solver`` and ``output`` keys named after its
+    fields; a key the config leaves out takes SolverConfig's own default."""
+    given = {**cfg.raw["solver"], **cfg.raw.get("output", {})}
+    return SolverConfig(**{f.name: given[f.name] for f in dataclasses.fields(SolverConfig)
+                           if f.name in given})

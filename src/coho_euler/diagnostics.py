@@ -40,6 +40,8 @@ TAYLOR_WINDOW = 6
 # the node-count rule of a state grid on each orbit space: (fewest nodes, even only);
 # an interval grid holds at least one endpoint Taylor window
 GRID_NODES = {CIRCLE: (16, True), INTERVAL: (TAYLOR_WINDOW, False)}
+# the most nodes of a state grid: a bracketed fibre's Gamma holds n * d**3 floats
+MAX_N = 4096
 # the recorder evaluates up to this many buffered states per rows() call,
 # fewer when a state is large: its (n, d, T) buffer and each (n, d, T) work
 # array of rows() stay within 128 kB
@@ -76,11 +78,12 @@ def grid_layout(profile: MetricProfile, n: int):
     weights. An interval takes n >= 6 nodes (one endpoint Taylor window) of
     the uniform closed grid less its singular endpoints; integrands vanish
     there (volume collapse), so the closed grid's Simpson weights are cut to
-    the state nodes. Every state grid of the package is built here.
+    the state nodes. No grid has more than :data:`MAX_N` nodes. Every state
+    grid of the package is built here.
     """
     kind = profile.orbit_space.kind
     low, even = GRID_NODES[kind]
-    n = as_count(n, "node count n")
+    n = as_count(n, "node count n", high=MAX_N)
     if n < low or (even and n % 2):
         raise InputError(f"{grid_rule(kind)}, got {n}")
     L = profile.length

@@ -18,6 +18,8 @@ from .reports import ValidationReport
 
 STRUCTURE_TOL = 1e-12
 KERNEL_CUTOFF = 1e-10
+# the largest dimension of a built-in abelian algebra: its bracket holds dim**3 floats
+MAX_DIM = 16
 
 
 @dataclass
@@ -63,7 +65,7 @@ def su2() -> LieAlgebraSpec:
 
 def abelian(dim: int) -> LieAlgebraSpec:
     """R^dim with vanishing bracket."""
-    dim = as_count(dim, "algebra dimension", 1)
+    dim = as_count(dim, "algebra dimension", 1, MAX_DIM)
     return LieAlgebraSpec(dim, np.zeros((dim, dim, dim)), np.eye(dim))
 
 

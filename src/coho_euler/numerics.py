@@ -359,12 +359,15 @@ def as_real(x, name, positive=False) -> float:
     raise InputError(f"{name} must be a {'positive' if positive else 'finite'} real, got {x!r}")
 
 
-def as_count(x, name, low=None) -> int:
-    """A count or index: an int (not a bool) that an int64 holds, at least ``low`` if given."""
+def as_count(x, name, low=None, high=None) -> int:
+    """A count or index: an int (not a bool) that an int64 holds, within ``low`` and
+    ``high`` where given."""
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not -2**63 <= int(x) < 2**63:
         raise InputError(f"{name} must be an integer, got {x!r}")
     if low is not None and x < low:
         raise InputError(f"{name} must be >= {low}, got {x}")
+    if high is not None and x > high:
+        raise InputError(f"{name} must be at most {high}, got {x}")
     return int(x)
 
 

@@ -78,9 +78,6 @@ class ValidationReport:
     def lines(self) -> list[str]:
         return [c.line() for c in self.checks]
 
-    def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.passed]
-
     def errors(self) -> list[str]:
         """The refusals of the failed checks, each once, in order."""
-        return list(dict.fromkeys(c.refusal() for c in self.failures()))
+        return list(dict.fromkeys(c.refusal() for c in self.checks if not c.passed))

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import hashlib
 import json
@@ -11,10 +12,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coho_euler import ConfigError, InputError, catalog, su2
+from coho_euler import ConfigError, InputError, SolverConfig, catalog, su2
 from coho_euler.cli import main
 from coho_euler.coho_geometry import load_tabulated_csv, write_tabulated_csv
-from coho_euler.config import build_problem, parse_config, parse_config_dict
+from coho_euler.config import (
+    RunConfig,
+    build_problem,
+    build_solver_config,
+    parse_config,
+    parse_config_dict,
+)
 from coho_euler.diagnostics import grid_rule
 from coho_euler.numerics import cubic_spline
 
@@ -29,7 +36,26 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def test_parse_bundled_t3():
     cfg = catalog.load_example("t3_circle")
     assert cfg.kind == "circle"
-    assert cfg.solver["N"] == 256
+    assert cfg.raw["solver"]["N"] == 256
+
+
+def test_parsed_config_is_its_json():
+    raw = variant("t3_circle")
+    cfg = parse_config_dict(raw)
+    assert [f.name for f in dataclasses.fields(RunConfig)] == ["raw", "source_path"]
+    assert cfg.raw is raw
+    assert cfg.kind == raw["problem"]["kind"]
+
+
+def test_solver_config_reads_each_solver_and_output_key():
+    # t3_circle sets no optional key: SolverConfig's own defaults hold
+    assert build_solver_config(catalog.load_example("t3_circle")) == SolverConfig(0.001, 1.0)
+    given = {"solver.dt": 0.002, "solver.t_end": 0.5, "solver.cfl_guard": 0.25,
+             "output.snapshot_cadence": 7, "output.diagnostics_cadence": 3}
+    solver = build_solver_config(variant("t3_circle", given, parse=True))
+    # each value is off its default, and the two cadences differ, so no key reaches another field
+    assert solver == SolverConfig(dt=0.002, t_end=0.5, cfl_guard=0.25, snapshot_cadence=7,
+                                  diagnostics_cadence=3)
 
 
 def test_all_bundled_examples_build():

@@ -37,7 +37,7 @@ from coho_euler.coho_geometry import BOUNDARY, CIRCLE, INTERVAL, SINGULAR
 from coho_euler.diagnostics import GridGeometry
 
 MALFORMED_VALUES = [None, "x", "1", True, [1.0, 2.0], [[0.5]], {}, math.nan, math.inf,
-                    -math.inf, 2.0, 10**400, 1j]
+                    -math.inf, 2.0, 2**62, 10**400, 1j]
 
 PROFILE = berger_circle(1.0, [[0.0, 0.1, 0.0], [0.0], [0.0]])
 STATE = ReducedState(0.0, 0.1, np.ones((16, 3)))

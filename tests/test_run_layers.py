@@ -118,7 +118,7 @@ def test_snapshot_nodes_are_the_layout_nodes(tmp_path, name):
     if cfg.kind == "homogeneous":
         want = np.zeros(1)
     else:
-        want = grid_layout(build_problem(cfg)[1].profile, cfg.solver["N"])[0]
+        want = grid_layout(build_problem(cfg)[1].profile, cfg.raw["solver"]["N"])[0]
     files = sorted((tmp_path / "snapshots").glob("*.csv"))
     assert len(files) == 2
     for path in files:
