@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from importlib import resources
 from pathlib import Path
 
 from .config import RunConfig, parse_config
@@ -26,7 +25,7 @@ def example_names() -> list[str]:
 def example_path(name: str) -> Path:
     if name not in EXAMPLES:
         raise InputError(f"unknown example {name!r}; known: {', '.join(example_names())}")
-    return Path(resources.files("coho_euler").joinpath("examples_data", f"{name}.json"))
+    return Path(__file__).with_name("examples_data") / f"{name}.json"
 
 
 def load_example(name: str) -> RunConfig:

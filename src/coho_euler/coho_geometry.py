@@ -31,8 +31,8 @@ from .errors import (
     require_instance,
 )
 from .homogeneous_geometry import check_grams
-from .lie_core import ReductiveSplit, abelian, reductive_split, su2
-from .numerics import as_float_array, as_list, as_real, cubic_spline
+from .lie_core import MAX_DIM, ReductiveSplit, abelian, reductive_split, su2
+from .numerics import as_float_array, as_list, as_real, cubic_spline, write_csv
 from .reports import ValidationReport
 
 INTERVAL = "interval"
@@ -234,6 +234,9 @@ class FourierDiagonalProfile(MetricProfile):
 def warped_torus(length: float, coefficients) -> FourierDiagonalProfile:
     """Flat-torus fibres: abelian algebra, one circle per diagonal entry."""
     coefficients = as_list(coefficients, "Fourier coefficients")
+    if not 1 <= len(coefficients) <= MAX_DIM:
+        raise InputError(f"flat-torus fibres need 1 to {MAX_DIM} diagonal entries, "
+                         f"got {len(coefficients)}")
     split = reductive_split(abelian(len(coefficients)), [])
     return FourierDiagonalProfile(split, length, coefficients)
 
@@ -339,11 +342,7 @@ def write_tabulated_csv(path, r, gram, gram_prime):
     names = ["r"]
     names += [f"g_{i + 1}{j + 1}" for i, j in zip(*iu)]
     names += [f"gp_{i + 1}{j + 1}" for i, j in zip(*iu)]
-    rows = np.column_stack([r, gram[:, iu[0], iu[1]], gram_prime[:, iu[0], iu[1]]])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(names) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+    write_csv(path, names, [r, gram[:, iu[0], iu[1]], gram_prime[:, iu[0], iu[1]]])
 
 
 def _probe_grid(profile: MetricProfile, n=PROBE_POINTS) -> np.ndarray:

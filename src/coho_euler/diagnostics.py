@@ -26,6 +26,8 @@ from .numerics import (
     as_float_array,
     simpson_weights_closed,
     simpson_weights_periodic,
+    write_csv,
+    write_csv_rows,
 )
 
 ENERGY_DRIFT_TOL = 1e-6
@@ -43,11 +45,10 @@ GRID_NODES = {CIRCLE: (16, True), INTERVAL: (TAYLOR_WINDOW, False)}
 # the most nodes of a state grid: a bracketed fibre's Gamma holds n * d**3 floats
 MAX_N = 4096
 # the recorder evaluates up to this many buffered states per rows() call,
-# fewer when a state is large: its (n, d, T) buffer and each (n, d, T) work
-# array of rows() stay within 128 kB
+# fewer when a state is large: its (n, d, T) buffer and each (n, d, T)
+# temporary of rows() stay within 128 kB
 CHUNK_ROWS = 512
 CHUNK_VALUES = 16384
-CSV_BLOCK_ROWS = 512
 # series that are not a field of a row: the recorder fills them itself
 RUN_SERIES = ("t", "p_periodicity", "speed_drift", "envelope_rate")
 # series whose largest value over a run the summary reads as it is
@@ -162,7 +163,6 @@ class GridGeometry:
         self.int_h02_vol = float(np.sum(self.weights * self.h0**2 * self.vol))
         self.envelope_rate_unit = float(np.max(self.h0 * self.rho))
         self.wvol = self.weights * self.vol
-        self._work_arrays = None
 
         self.singular_windows = []
         if self.kind == INTERVAL:
@@ -203,18 +203,6 @@ class GridGeometry:
         coef = np.stack(coefs, axis=1)
         return coef[:, :, 0], coef[:, :, 1], np.stack(misfits, axis=1)
 
-    def _work(self, T: int) -> np.ndarray:
-        """The two (n, d, T) work arrays of :meth:`rows`, kept between calls.
-
-        They hold G v (then g S v) and S v.
-
-        Allocated afresh for every chunk, arrays this large are returned to
-        the system when freed and cost a page fault per page the next time.
-        """
-        if self._work_arrays is None or self._work_arrays.shape[-1] != T:
-            self._work_arrays = np.empty((2, self.n, self.d, T))
-        return self._work_arrays
-
     def rows(self, cs: np.ndarray, vs: np.ndarray) -> dict:
         """Every per-state diagnostic of T states, as T recorded rows.
 
@@ -233,11 +221,9 @@ class GridGeometry:
             return {key: val[:1] for key, val in self.rows(np.repeat(cs, 2),
                                                            np.repeat(vs, 2, axis=0)).items()}
         T = len(cs)
-        gv, Sv = self._work(T)
         # t last: each einsum below runs its inner loop over the T states
         vt = np.ascontiguousarray(vs.transpose(1, 2, 0))
-        np.einsum("jab,jbt->jat", self.gram, vt, out=gv)
-        quad = np.einsum("jat,jat->jt", vt, gv).T
+        quad = np.einsum("jat,jat->jt", vt, np.einsum("jab,jbt->jat", self.gram, vt)).T
         density = cs[:, None] * self.h0  # h = c h0; h0 is zero on an interval
         density *= density
         density += quad
@@ -251,10 +237,10 @@ class GridGeometry:
         c1 = max_speed + _first_max(fd_max, np.abs(cs) * self.fd_h0_max)
         sv_raw = np.zeros(T)
         if self.has_S:
-            np.einsum("jab,jbt->jat", self.S, vt, out=Sv)
-            # g(S v, S v) = S v . (g S) v, with g S v written over the spent G v
-            np.einsum("jab,jbt->jat", self.gramS, vt, out=gv)
-            sv_quad = np.max(np.einsum("jat,jat->jt", Sv, gv), axis=0)
+            Sv = np.einsum("jab,jbt->jat", self.S, vt)
+            gSv = np.einsum("jab,jbt->jat", self.gramS, vt)
+            # g(S v, S v) = S v . (g S) v
+            sv_quad = np.max(np.einsum("jat,jat->jt", Sv, gSv), axis=0)
             c1 += np.sqrt(_first_max(sv_quad, 0.0))
             sv_raw = np.max(_abs(Sv), axis=(0, 1))
         div = np.einsum("a,jat->jt", self.div_form, vt)
@@ -570,27 +556,6 @@ def conservation_report(report: RunReport) -> dict:
 # -- artifact writers --------------------------------------------------------
 
 
-def _write_rows(fh, columns):
-    """One "%.17g" line per row of the columns, formatted in blocks.
-
-    ``columns`` are arrays of equal length, each (rows,) or (rows, k); a
-    block of at most CSV_BLOCK_ROWS rows is stacked and formatted at a time.
-    """
-    n = len(columns[0])
-    width = sum(1 if col.ndim == 1 else col.shape[1] for col in columns)
-    template = ",".join(["%.17g"] * width) + "\n"
-    for lo in range(0, n, CSV_BLOCK_ROWS):
-        block = np.column_stack([col[lo : lo + CSV_BLOCK_ROWS] for col in columns])
-        fh.write("".join([template % tuple(row) for row in block.tolist()]))
-
-
-def _write_csv(path, header, columns):
-    """A CSV file of a header line and the rows of the columns."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        _write_rows(fh, columns)
-
-
 def write_diagnostics_csv(fh, rows: dict):
     """Append recorded rows, as a run's sink hands them over, to an open diagnostics.csv.
 
@@ -606,11 +571,11 @@ def write_diagnostics_csv(fh, rows: dict):
         columns += [rows["alpha"][:, 0, :], rows["beta"][:, 0, :]]  # first singular endpoint
     if fh.tell() == 0:
         fh.write(",".join(header) + "\n")
-    _write_rows(fh, columns)
+    write_csv_rows(fh, columns)
 
 
 def write_snapshot_csv(path, state, geometry, pressure_samples):
     """One row (r, v, p) per node of the state's geometry; r = 0 on a homogeneous one."""
     geom = state_geometry(state, geometry)
     header = ["r", *(f"v_{i + 1}" for i in range(geom.d)), "p"]
-    _write_csv(path, header, [geom.r, state.v.reshape(geom.n, geom.d), pressure_samples])
+    write_csv(path, header, [geom.r, state.v.reshape(geom.n, geom.d), pressure_samples])

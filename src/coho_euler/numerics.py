@@ -1,4 +1,5 @@
-"""Quadrature, stencils, the cubic spline, seeded draws and the one reading of caller numbers.
+"""Quadrature, stencils, the cubic spline, seeded draws, the one reading of caller
+numbers and the one CSV number format.
 
 Everything here is deterministic: weight vectors are built once, and all
 reductions go through numpy's fixed-order pairwise summation, so identical
@@ -19,6 +20,7 @@ _EDGE0 = [w / 12.0 for w in (-25.0, 48.0, -36.0, 16.0, -3.0)]
 _EDGE1 = [w / 12.0 for w in (-3.0, -10.0, 18.0, -6.0, 1.0)]
 _TAIL0 = [-w for w in _EDGE0]
 _TAIL1 = [-w for w in _EDGE1]
+CSV_BLOCK_ROWS = 512
 
 
 def _simpson_even(n_nodes: int, dr: float) -> np.ndarray:
@@ -377,3 +379,22 @@ def as_list(x, name) -> list:
         return list(x)
     except TypeError:
         raise InputError(f"{name} must be a list, got {x!r}") from None
+
+
+def write_csv_rows(fh, columns):
+    """One "%.17g" line per row of the columns, formatted in blocks.
+
+    ``columns`` have equal lengths, each (rows,) or (rows, k); a block of at
+    most CSV_BLOCK_ROWS rows is stacked and formatted at a time.
+    """
+    for lo in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+        block = np.column_stack([col[lo : lo + CSV_BLOCK_ROWS] for col in columns]).tolist()
+        template = ",".join(["%.17g"] * len(block[0])) + "\n"
+        fh.write("".join([template % tuple(row) for row in block]))
+
+
+def write_csv(path, header, columns):
+    """A CSV file of a header line and the rows of the columns."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        write_csv_rows(fh, columns)

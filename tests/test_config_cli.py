@@ -620,8 +620,9 @@ NAMED_REFUSALS = {
         "profile.fourier: su(2) fibres need exactly three diagonal entries"),
     "warped-torus-no-entry": (
         lambda tmp: variant("t3_circle", {"profile.fourier": []}, write_to=tmp),
-        "FAIL  profile_fourier: profile.fourier: algebra dimension must be >= 1, got 0",
-        "profile.fourier: algebra dimension must be >= 1, got 0"),
+        "FAIL  profile_fourier: profile.fourier: flat-torus fibres need 1 to 16 diagonal entries, "
+        "got 0",
+        "profile.fourier: flat-torus fibres need 1 to 16 diagonal entries, got 0"),
     "csv-d-not-algebra": (
         lambda tmp: tabulated_cfg(tmp, **{"algebra": {"name": "abelian", "dim": 2},
                                           "initial.v.values": [1.0, 0.0]}),

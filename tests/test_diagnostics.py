@@ -24,9 +24,16 @@ from coho_euler import (
     step_rk4,
     warped_torus,
 )
-from coho_euler import LieAlgebraSpec, abelian, catalog, diagnostics, reductive_split, su2
+from coho_euler import LieAlgebraSpec, abelian, catalog, diagnostics, numerics, reductive_split, su2
 from coho_euler.config import build_problem, build_solver_config
-from coho_euler.coho_geometry import BOUNDARY, CIRCLE, INTERVAL, OrbitSpace, TabulatedProfile
+from coho_euler.coho_geometry import (
+    BOUNDARY,
+    CIRCLE,
+    INTERVAL,
+    OrbitSpace,
+    TabulatedProfile,
+    write_tabulated_csv,
+)
 from coho_euler.diagnostics import (
     GRID_NODES,
     PERIODICITY_TOL,
@@ -305,6 +312,31 @@ def test_rows_bits_do_not_depend_on_stack_size(name):
         for key, val in stacked.items():
             for t in range(T):
                 assert np.array_equal(val[t], alone[t][key][0]), (T, key, t)
+
+
+def _geometry_arrays(geom):
+    """Copies of every array a built geometry holds, its Taylor windows' included."""
+    arrays = {key: val.copy() for key, val in vars(geom).items() if isinstance(val, np.ndarray)}
+    for i, window in enumerate(geom.singular_windows):
+        arrays.update((f"window {i} {key}", val.copy()) for key, val in window.items()
+                      if isinstance(val, np.ndarray))
+    return arrays
+
+
+@pytest.mark.parametrize("name", catalog.example_names())
+def test_built_geometry_is_read_only(name):
+    # the step, the recorder, the public per-state functions and the pressure
+    # pass share one geometry: evaluating rows leaves it as it was built
+    state, geom = build_problem(catalog.load_example(name))
+    keys, arrays = set(vars(geom)), _geometry_arrays(geom)
+    v = state.v.reshape(geom.n, geom.d)
+    for T in (1, 2, chunk_rows(geom.n * geom.d)):
+        geom.rows(np.full(T, state.c), np.broadcast_to(v, (T, geom.n, geom.d)))
+    assert set(vars(geom)) == keys
+    after = _geometry_arrays(geom)
+    assert after.keys() == arrays.keys()
+    for key, val in arrays.items():
+        assert np.array_equal(after[key], val), key
 
 
 @pytest.mark.parametrize("kind", ["cfl", "pressure_periodicity"])
@@ -609,11 +641,11 @@ def _fstring_csv(header, columns):
 
 def test_csv_writers_match_fstring_format(tmp_path, coupled_tabulated, rigid_body_metric):
     rng = np.random.default_rng(0)
-    n = diagnostics.CSV_BLOCK_ROWS + 37  # a full block and a partial one
+    n = numerics.CSV_BLOCK_ROWS + 37  # a full block and a partial one
     cols = ["t", "E", "c", "max_speed", "c1_monitor", "div_residual", "p_periodicity"]
     series = {k: rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n) for k in cols}
     series["E"][: len(SPECIAL)] = SPECIAL
-    edge = diagnostics.CSV_BLOCK_ROWS - len(SPECIAL) // 2  # straddles the block edge
+    edge = numerics.CSV_BLOCK_ROWS - len(SPECIAL) // 2  # straddles the block edge
     series["c"][edge : edge + len(SPECIAL)] = SPECIAL
     series["alpha"] = rng.standard_normal((n, 2, 2))
     series["beta"] = rng.standard_normal((n, 2, 2))
@@ -638,6 +670,16 @@ def test_csv_writers_match_fstring_format(tmp_path, coupled_tabulated, rigid_bod
     write_snapshot_csv(tmp_path / "orbit.csv", orbit, rigid_body_metric, np.zeros(1))
     want = _fstring_csv(["r", "v_1", "v_2", "v_3", "p"], [np.zeros(1), orbit.v[None], np.zeros(1)])
     assert (tmp_path / "orbit.csv").read_bytes() == want.encode()
+
+    # a tabulated profile's table: r, then the upper triangles of g and g'
+    r = np.linspace(0.0, 1.0, n)
+    g11, g12, g22 = (rng.standard_normal(n) for _ in range(3))
+    g12[edge : edge + len(finite)] = finite
+    gram = np.stack([np.column_stack([g11, g12]), np.column_stack([g12, g22])], axis=1)
+    write_tabulated_csv(tmp_path / "prof.csv", r, gram, -gram)
+    want = _fstring_csv(["r", "g_11", "g_12", "g_22", "gp_11", "gp_12", "gp_22"],
+                        [r, g11, g12, g22, -g11, -g12, -g22])
+    assert (tmp_path / "prof.csv").read_bytes() == want.encode()
 
 
 # malformed input to a public entry point, each with a metric profile or
@@ -702,6 +744,11 @@ MALFORMED = {
                          lambda s, g: warped_torus("1", [[0.0]])),
     "torus_coefficients_int": ("su2_rigid_body", "Fourier coefficients must be a list, got 5",
                                lambda s, g: warped_torus(1.0, 5)),
+    "torus_no_entry": ("su2_rigid_body", "flat-torus fibres need 1 to 16 diagonal entries, got 0",
+                       lambda s, g: warped_torus(1.0, [])),
+    "torus_17_entries": ("su2_rigid_body",
+                         "flat-torus fibres need 1 to 16 diagonal entries, got 17",
+                         lambda s, g: warped_torus(1.0, [[0.0]] * 17)),
     "berger_coefficients_none": ("su2_rigid_body", "Fourier coefficients must be a list, got None",
                                  lambda s, g: berger_circle(1.0, None)),
     "berger_length_none": ("su2_rigid_body", "orbit-space length must be a positive real, got None",
