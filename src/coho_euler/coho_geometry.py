@@ -42,6 +42,8 @@ BOUNDARY = "boundary"
 
 PROBE_POINTS = 512
 FD_STEP = 1e-5
+# the most Fourier modes of a series: an entry holds at most 2 * MAX_MODES + 1 coefficients
+MAX_MODES = 1024
 
 
 @dataclass(frozen=True)
@@ -208,6 +210,10 @@ class FourierDiagonalProfile(MetricProfile):
         if any(arr.ndim != 1 or arr.size % 2 == 0 for arr in self.coefficients):
             raise InputError("each Fourier entry must be a finite odd-length list "
                              "[a0, a1, b1, a2, b2, ...]")
+        for i, arr in enumerate(self.coefficients):
+            if arr.size > 2 * MAX_MODES + 1:
+                raise InputError(f"Fourier entry {i} has {arr.size} coefficients, "
+                                 f"more than {2 * MAX_MODES + 1} ({MAX_MODES} modes)")
 
     def _phases(self, r):
         """cos and sin of every mode's phase 2 pi k r / L at each radius, as (n, k) arrays."""

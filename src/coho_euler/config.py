@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import coho_geometry as cg
-from .coho_geometry import BOUNDARY, CIRCLE, INTERVAL, SINGULAR
+from .coho_geometry import BOUNDARY, CIRCLE, INTERVAL, MAX_MODES, SINGULAR
 from .diagnostics import GRID_NODES, MAX_N, GridGeometry, grid_rule, row_width
 from .errors import ConfigError, ConfigParseError
 from .homogeneous_geometry import InvariantMetric, check_metric_invariance
@@ -195,8 +195,8 @@ class Union:
 # -- the schema of each problem kind -------------------------------------------
 
 NUMBER, POSITIVE, COUNT = Num(), Num(positive=True), Int(1, "a positive integer")
-# caps on integers that size allocations, with MAX_DIM (lie_core) and MAX_N (diagnostics)
-MAX_MODES = 1024
+# integers that size allocations are capped by MAX_DIM (lie_core), MAX_N (diagnostics)
+# and MAX_MODES (coho_geometry)
 # recorded rows times the values of a row: bounds the size of a run's diagnostics.csv
 MAX_RECORDED_VALUES = 25_000_000
 TOP_REQUIRED = ("problem", "initial", "solver")

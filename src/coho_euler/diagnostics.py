@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .coho_geometry import CIRCLE, INTERVAL, SINGULAR, MetricProfile
 from .errors import ConfigError, InputError, require_instance
-from .homogeneous_geometry import InvariantMetric, connection_tensors
+from .homogeneous_geometry import InvariantMetric
 from .numerics import (
     Derivative4Interval,
     Derivative4Periodic,
@@ -111,8 +110,8 @@ class GridGeometry:
 
     The fibre's bracket B fixes what needs no metric: the divergence form
     d_b = -tr(ad_{e_b}), one d-vector for every node, and whether the
-    connection stack :attr:`gamma` is nonzero at all. That stack is built
-    on its first read, and only a right-hand side reads it.
+    connection Gamma is nonzero at all. Only a right-hand side builds Gamma:
+    a built geometry is read-only.
     """
 
     def __init__(self, geometry, n=None):
@@ -173,11 +172,6 @@ class GridGeometry:
                 self.singular_windows.append(
                     self._taylor_window(self.profile.length, slice(self.n - TAYLOR_WINDOW, self.n))
                 )
-
-    @cached_property
-    def gamma(self) -> np.ndarray:
-        """Gamma[j,a,b,c] of the Levi-Civita connection at each node, built once."""
-        return connection_tensors(self.split, self.gram)
 
     def _taylor_window(self, side, sl):
         rho = np.abs(self.r[sl] - side)

@@ -37,6 +37,7 @@ from .diagnostics import (
     state_geometry,
 )
 from .errors import InputError, NumericalFailureError, require_instance
+from .homogeneous_geometry import connection_tensors
 from .numerics import as_count, as_float_array, as_real, cumulative_integral
 
 CFL_EPS = 1e-12
@@ -109,23 +110,25 @@ class PressureField:
 
 
 class _Disc:
-    """The right-hand side on a geometry, whose Gamma only a step reads; one subclass per kind."""
+    """The right-hand side on a geometry and its nodes' Gamma, None on an abelian fibre."""
 
     def __init__(self, geom: GridGeometry):
         self.geom = geom
+        self.gamma = connection_tensors(geom.split, geom.gram) if geom.has_gamma else None
 
     def _gamma_vv(self, v):
-        if not self.geom.has_gamma:
+        if self.gamma is None:
             return np.zeros_like(v)
-        return np.einsum("jabc,ja,jb->jc", self.geom.gamma, v, v)
+        return np.einsum("jabc,ja,jb->jc", self.gamma, v, v)
 
 
 class _HomogeneousDisc(_Disc):
     def __init__(self, geom: GridGeometry):
         super().__init__(geom)
-        self.d = geom.d
+        d = self.d = geom.d
         # x @ G2, then x @ m: the contraction order of the su2 reference run
-        self._g2 = np.ascontiguousarray(geom.gamma[0].reshape(self.d, self.d * self.d))
+        gamma = np.zeros((1, d, d, d)) if self.gamma is None else self.gamma
+        self._g2 = np.ascontiguousarray(gamma[0].reshape(d, d * d))
 
     def rhs(self, c, x):
         m = (x @ self._g2).reshape(self.d, self.d)
@@ -148,7 +151,7 @@ class _CircleDisc(_Disc):
         dv = -hcol * geom.deriv(v)
         if geom.has_S:
             dv += (2.0 * hcol) * np.einsum("jab,jb->ja", geom.S, v)
-        if geom.has_gamma:
+        if self.gamma is not None:
             dv -= self._gamma_vv(v)
         return self.dcdt(v), dv
 

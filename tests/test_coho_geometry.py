@@ -23,6 +23,7 @@ from coho_euler.coho_geometry import (
     INTERVAL,
     SINGULAR,
     FD_STEP,
+    MAX_MODES,
     FourierDiagonalProfile,
     OrbitSpace,
     RoundS3T2Profile,
@@ -81,6 +82,19 @@ def test_warped_torus_chain_rule_at_zero():
     g, gp = wt.gram_at(0.0), wt.gram_prime_at(0.0)
     assert abs(g[0, 0] - 1.0) < 1e-15
     assert abs(gp[0, 0] - 2.0 * np.pi) < 1e-12
+
+
+def test_fourier_entry_past_the_mode_cap_is_refused():
+    # the library caps an entry as the config schema does: at most MAX_MODES
+    # modes, so no gram_at call builds phase arrays past them
+    most = 2 * MAX_MODES + 1
+    assert most == 2049
+    assert warped_torus(1.0, [[0.0] * most]).gram_at(0.3).shape == (1, 1)
+    with pytest.raises(InputError, match="^Fourier entry 0 has 100001 coefficients, "
+                                         "more than 2049 \\(1024 modes\\)$"):
+        warped_torus(1.0, [[0.0] * 100001])
+    with pytest.raises(InputError, match="^Fourier entry 2 has 2051 coefficients"):
+        berger_circle(1.0, [[0.0], [0.0], [0.0] * (most + 2)])
 
 
 def test_circle_coordinates_wrap(flat_torus):

@@ -47,6 +47,7 @@ from coho_euler.diagnostics import (
     write_snapshot_csv,
 )
 from coho_euler.errors import ConfigError
+from coho_euler.homogeneous_geometry import connection_tensors
 
 from bundled import initial_problem, variant
 from oracles import conservation_summary
@@ -326,12 +327,17 @@ def _geometry_arrays(geom):
 @pytest.mark.parametrize("name", catalog.example_names())
 def test_built_geometry_is_read_only(name):
     # the step, the recorder, the public per-state functions and the pressure
-    # pass share one geometry: evaluating rows leaves it as it was built
+    # pass share one geometry: evaluating rows, right-hand sides, steps and a
+    # short run leaves it as it was built
     state, geom = build_problem(catalog.load_example(name))
     keys, arrays = set(vars(geom)), _geometry_arrays(geom)
     v = state.v.reshape(geom.n, geom.d)
     for T in (1, 2, chunk_rows(geom.n * geom.d)):
         geom.rows(np.full(T, state.c), np.broadcast_to(v, (T, geom.n, geom.d)))
+    config = SolverConfig(dt=1e-3, t_end=3e-3)  # every bundled dt is 1e-3
+    rhs(state, geom)
+    step_rk4(state, geom, config)
+    integrate(state, geom, config)
     assert set(vars(geom)) == keys
     after = _geometry_arrays(geom)
     assert after.keys() == arrays.keys()
@@ -513,7 +519,7 @@ def test_recorder_working_set(name):
 
 def gamma_trace(geom):
     """Gamma[j,a,b,a] at each node: the divergence form read off the connection."""
-    return np.einsum("jaba->jb", geom.gamma)
+    return np.einsum("jaba->jb", connection_tensors(geom.split, geom.gram))
 
 
 def test_div_form_is_minus_trace_ad_at_every_node(su2_split):

@@ -42,9 +42,16 @@ CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
 FIVE_STEPS = {"solver.t_end": 0.005}  # every bundled dt is 1e-3
 
 
-@pytest.mark.parametrize("name", catalog.example_names())
+# a homogeneous run on an abelian fibre, whose right-hand side is zero
+ABELIAN_HOMOGENEOUS = ("su2_rigid_body", {"algebra": {"name": "abelian", "dim": 3}})
+# the runs whose fibre has a bracket, so whose right-hand side reads a Gamma
+BRACKETED = ("su2_rigid_body", "berger_circle", "boundary_interval")
+
+
+@pytest.mark.parametrize("name", [*catalog.example_names(), "abelian_homogeneous"])
 def test_one_geometry_per_run(monkeypatch, tmp_path, name):
-    cfg = variant(name, FIVE_STEPS, parse=True)
+    source, updates = ABELIAN_HOMOGENEOUS if name == "abelian_homogeneous" else (name, {})
+    cfg = variant(source, {**updates, **FIVE_STEPS}, parse=True)
 
     calls = {"geometry": 0, "gamma": 0}
     init = diagnostics.GridGeometry.__init__
@@ -65,10 +72,10 @@ def test_one_geometry_per_run(monkeypatch, tmp_path, name):
             monkeypatch.setattr(module, "connection_tensors", counted_tensors)
 
     assert run_command(cfg, tmp_path / "out") == 0
-    # the step reads the run's one geometry's Gamma, built once on a fibre
-    # with a bracket (su2) and never on an abelian one
+    # the run's one right-hand side builds Gamma once on a fibre with a
+    # bracket (su2) and never on an abelian one, the one-node geometry's included
     assert calls["geometry"] == 1
-    assert calls["gamma"] == (0 if name in ("t3_circle", "s3_t2_interval") else 1)
+    assert calls["gamma"] == (1 if name in BRACKETED else 0)
 
 
 # set-up work of check_config on each example: np.linalg.solve calls (S once
