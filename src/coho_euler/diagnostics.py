@@ -108,10 +108,10 @@ class GridGeometry:
     downstream is plain numpy on the precomputed arrays, so repeated
     evaluation is cheap and bit-stable.
 
-    The fibre's bracket B fixes what needs no metric: the divergence form
-    d_b = -tr(ad_{e_b}), one d-vector for every node, and whether the
-    connection Gamma is nonzero at all. Only a right-hand side builds Gamma:
-    a built geometry is read-only.
+    The fibre's bracket B fixes whether the connection Gamma is nonzero at
+    all. Its trace, the vertical divergence -tr_m(P_m ad_{e_b}), is zero: the
+    split refuses a complement that is not unimodular. Only a right-hand side
+    builds Gamma: a built geometry is read-only.
     """
 
     def __init__(self, geometry, n=None):
@@ -121,9 +121,7 @@ class GridGeometry:
                              f"{type(geometry).__name__}")
         self.split = geometry.split
         self.d = self.split.dim_m
-        bracket = self.split.bracket_on_m()
-        self.has_gamma = bool(np.any(bracket))
-        self.div_form = -np.einsum("baa->b", bracket)
+        self.has_gamma = bool(np.any(self.split.bracket_on_m()))
         if isinstance(geometry, InvariantMetric):
             self.profile, self.kind, self.r, self.n = None, "homogeneous", np.zeros(1), 1
             self.weights = self.vol = np.ones(1)
@@ -237,7 +235,6 @@ class GridGeometry:
             sv_quad = np.max(np.einsum("jat,jat->jt", Sv, gSv), axis=0)
             c1 += np.sqrt(_first_max(sv_quad, 0.0))
             sv_raw = np.max(_abs(Sv), axis=(0, 1))
-        div = np.einsum("a,jat->jt", self.div_form, vt)
         density *= self.wvol
         rows = {
             "E": 0.5 * np.sum(density, axis=1),
@@ -245,9 +242,7 @@ class GridGeometry:
             "max_speed": max_speed,
             "c1_monitor": c1,
             "c1_sv_raw": sv_raw,
-            "div_residual": _first_max(
-                np.abs(cs) * self.fd_div_floor, np.max(_abs(div), axis=0)
-            ),
+            "div_residual": np.abs(cs) * self.fd_div_floor,
             "max_vertical": np.max(quad, axis=1),
             "speeds": speeds,
             "envelope_rate": np.abs(cs) * self.envelope_rate_unit,
@@ -284,11 +279,10 @@ def state_geometry(state, geometry) -> GridGeometry:
 # -- public operations -------------------------------------------------------
 
 
-def _row(state, geometry, c=None):
-    """(row, GridGeometry) of one state; ``c`` replaces its horizontal amplitude."""
+def _row(state, geometry):
+    """(row, GridGeometry) of one state."""
     geom = state_geometry(state, geometry)
-    c = state.c if c is None else c
-    rows = geom.rows(np.array([c]), state.v.reshape(1, geom.n, geom.d))
+    rows = geom.rows(np.array([state.c]), state.v.reshape(1, geom.n, geom.d))
     return {key: val[0] for key, val in rows.items()}, geom
 
 
@@ -315,15 +309,14 @@ def divergence_residual(state, geometry, h_samples=None) -> float:
     """Largest divergence defect of a state.
 
     ``h_samples`` replaces the horizontal amplitude c h0 of a grid state by
-    arbitrary samples, whose defect is then evaluated on the stencil.
+    arbitrary samples, whose defect max|h' - tr S h| is then evaluated on the
+    stencil. The vertical part is zero: the split's complement is unimodular.
     """
-    # at c = 0 the row's residual is the vertical part alone
-    row, geom = _row(state, geometry, c=None if h_samples is None else 0.0)
     if h_samples is None:
-        return float(row["div_residual"])
+        return float(_row(state, geometry)[0]["div_residual"])
+    geom = state_geometry(state, geometry)
     h = as_float_array(h_samples, (geom.n,), "h_samples")
-    res_h = float(np.max(np.abs(geom.deriv(h) - geom.trace_S * h)))
-    return max(res_h, float(row["div_residual"]))
+    return float(np.max(np.abs(geom.deriv(h) - geom.trace_S * h)))
 
 
 def _growth_ratios(alpha, beta, alpha0, beta0):

@@ -2,8 +2,12 @@
 
 The algebra is stored densely: bracket coefficients C[i][j][k] with
 [e_i, e_j] = sum_k C[i][j][k] e_k, together with an ad-invariant inner
-product Q used to split off the isotropy subalgebra. Dimensions stay in
-the single digits here, so clarity wins over sparsity throughout.
+product Q used to split off the isotropy subalgebra. A compact algebra is
+unimodular, tr ad(X) = 0 for every X, so its invariant vertical fields are
+divergence-free: the structure checks read tr ad on C alone, where Q's scale
+cannot hide it, and a split is never built whose complement carries a trace
+tr_m(P_m ad_X). Dimensions stay in the single digits here, so clarity wins
+over sparsity throughout.
 """
 
 from __future__ import annotations
@@ -82,7 +86,7 @@ def direct_sum(a: LieAlgebraSpec, b: LieAlgebraSpec) -> LieAlgebraSpec:
 
 
 def validate_structure(alg: LieAlgebraSpec) -> ValidationReport:
-    """Check antisymmetry, Jacobi, positivity of Q, and ad-invariance of Q."""
+    """Check antisymmetry, Jacobi, positivity of Q, ad-invariance of Q and unimodularity."""
     C = alg.structure
     report = ValidationReport()
 
@@ -105,6 +109,8 @@ def validate_structure(alg: LieAlgebraSpec) -> ValidationReport:
         "jk,ikl->ijl", alg.Q, ad_all
     )
     report.add("ad_invariance", np.max(np.abs(inv)), STRUCTURE_TOL)
+    # the largest |tr ad(e_j)| = |sum_i C[j,i,i]|: zero on a compact algebra, whatever Q
+    report.add("unimodular", np.max(np.abs(np.einsum("jii->j", C))), STRUCTURE_TOL)
     return report
 
 
@@ -179,7 +185,7 @@ def _q_orthonormalize(vectors: np.ndarray, Q: np.ndarray, required: int) -> np.n
             for u in out:
                 w = w - (u @ Q @ w) * u
         norm = float(np.sqrt(max(w @ Q @ w, 0.0)))
-        if norm > 1e-10 * max(norm0, 1.0):
+        if norm > 1e-10 * norm0:
             out.append(w / norm)
         elif k < required:
             raise InputError(f"isotropy basis vectors are linearly dependent (vector {k})")
@@ -206,8 +212,11 @@ def reductive_split(alg: LieAlgebraSpec, h_basis) -> ReductiveSplit:
 
     One Gram-Schmidt pass in Q over the isotropy basis, then e_1..e_n, gives
     both bases. An isotropy basis that is dependent, does not close under the
-    bracket, or spans the whole algebra (leaving m empty) is refused. Whether
-    the isotropy fixes the complement is a separate question:
+    bracket, or spans the whole algebra (leaving m empty) is refused, and so
+    is a complement that is not unimodular: tr_m(P_m ad_X) != 0 for some X in
+    m, the vertical divergence of an invariant field, which no compact group
+    has. tr ad = 0 on g does not imply it when [h, m] leaves m. Whether the
+    isotropy fixes the complement is a separate question:
     :meth:`ReductiveSplit.require_fixed_complement` answers it.
     """
     require_instance(alg, LieAlgebraSpec, "an algebra")
@@ -225,4 +234,10 @@ def reductive_split(alg: LieAlgebraSpec, h_basis) -> ReductiveSplit:
         raise StructureError("isotropy basis spans the whole algebra: the complement m is empty")
     if len(rows) != n:
         raise StructureError(f"complement has dimension {len(m_basis)}, expected {n - len(h_on)}")
-    return ReductiveSplit(alg, h_on, m_basis)
+    split = ReductiveSplit(alg, h_on, m_basis)
+    # tr_m(P_m ad_X) on unit-length X = each m row, so Q's scale does not enter
+    trace = np.max(np.abs(np.einsum("baa->b", split.bracket_on_m()))
+                   / np.linalg.norm(m_basis, axis=1))
+    if trace >= STRUCTURE_TOL:
+        raise StructureError(f"the complement is not unimodular (largest |tr_m ad| {trace:.3e})")
+    return split

@@ -354,11 +354,13 @@ def test_cli_validate_bundled_interval(capsys):
 
 
 def test_every_bundled_example_validates(capsys):
-    # one line per check, a yes/no check with no residual, then the verdict
+    # one line per check, a yes/no check with no residual, then the verdict; every
+    # bundled fibre, su2 or abelian, is exactly unimodular
     for name in catalog.example_names():
         assert main(["validate", "--config", str(catalog.example_path(name))]) == 0, name
         *checks, verdict = capsys.readouterr().out.splitlines()
         assert verdict == "validation passed"
+        assert "PASS  unimodular: residual=0.000e+00 (tol=1.0e-12)" in checks, name
         for line in checks:
             assert re.fullmatch(r"(PASS|FAIL)  \S+(: .+)?", line), line
             assert "(tol=1.0e+00)" not in line, line
@@ -381,23 +383,25 @@ def final_snapshot(out):
 
 
 def test_cli_custom_q_runs_the_same_flow(tmp_path, capsys):
-    # su(2) given by its structure constants under Q = 2I: its complement rows
-    # are e_i / sqrt(2), so the gram is G / 2 and the state sqrt(2) x
+    # su(2) given by its structure constants under Q = qI: its complement rows
+    # are e_i / sqrt(q), so the gram is G / q and the state sqrt(q) x; Q's scale,
+    # however small, does not decide the split
     shipped = variant("su2_rigid_body")
     gram, x = np.array(shipped["metric"]["gram"]), np.array(shipped["initial"]["x"])
     named = variant("su2_rigid_body", {"solver.t_end": 1.0}, write_to=tmp_path / "named")
-    custom = variant("su2_rigid_body", {"solver.t_end": 1.0,
-                                        "algebra": {"structure": SU2_C, "Q": (2.0 * np.eye(3)).tolist()},
-                                        "metric.gram": (gram / 2.0).tolist(),
-                                        "initial.x": (np.sqrt(2.0) * x).tolist()},
-                     write_to=tmp_path / "custom")
-    assert main(["validate", "--config", str(custom)]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "validation passed"
-    for path in (named, custom):
-        assert main(["run", "--config", str(path), "--out", str(path.parent / "out")]) == 0
-    want = final_snapshot(named.parent / "out")[1:4]
-    got = final_snapshot(custom.parent / "out")[1:4] / np.sqrt(2.0)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert main(["run", "--config", str(named), "--out", str(tmp_path / "named" / "out")]) == 0
+    want = final_snapshot(tmp_path / "named" / "out")[1:4]
+    for q in (2.0, 1e-21):
+        custom = variant("su2_rigid_body", {"solver.t_end": 1.0,
+                                            "algebra": {"structure": SU2_C, "Q": (q * np.eye(3)).tolist()},
+                                            "metric.gram": (gram / q).tolist(),
+                                            "initial.x": (np.sqrt(q) * x).tolist()},
+                         write_to=tmp_path / f"custom-{q}")
+        assert main(["validate", "--config", str(custom)]) == 0, q
+        assert capsys.readouterr().out.splitlines()[-1] == "validation passed"
+        assert main(["run", "--config", str(custom), "--out", str(custom.parent / "out")]) == 0, q
+        got = final_snapshot(custom.parent / "out")[1:4] / np.sqrt(q)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), q
 
 
 def test_cli_validate_non_spd_tabulated_names_r(tmp_path, capsys):
@@ -693,6 +697,24 @@ def _not_antisymmetric():
     return structure.tolist()
 
 
+def _non_unimodular():
+    # [e1, e2] = e2, [e1, e3] = e3: tr ad(e1) = 2, so no compact group has it; under
+    # Q = 1e-13 I its absolute ad_invariance residual, 2e-13, passes
+    structure = np.zeros((3, 3, 3))
+    structure[0, 1, 1] = structure[0, 2, 2] = 1.0
+    structure[1, 0, 1] = structure[2, 0, 2] = -1.0
+    return structure.tolist()
+
+
+def _sol():
+    # [e1, e2] = e2, [e1, e3] = -e3: unimodular on g, but with isotropy e2 the
+    # complement span(e1, e3) carries tr_m(P_m ad_e1) = -1
+    structure = np.zeros((3, 3, 3))
+    structure[0, 1, 1] = structure[2, 0, 2] = 1.0
+    structure[1, 0, 1] = structure[0, 2, 2] = -1.0
+    return structure.tolist()
+
+
 def abelian_profile_cfg(tmp_path, singular, gap=0.0, **updates):
     """An abelian d = 2 interval on a 201-row table with one singular end:
     diag(r^2, 1 + r^2) on [0, 1] (``singular`` "left", profile A) or
@@ -784,6 +806,9 @@ FAIL_LINES = {
                           "expected (3,)",
     "isotropy-not-closed": "FAIL  isotropy_basis: isotropy.basis: isotropy basis does not span "
                            "a subalgebra (off-span residual ",
+    "non-unimodular-tiny-Q": "FAIL  unimodular: residual=2.000e+00 (tol=1.0e-12)",
+    "complement-trace-tiny-Q": "FAIL  isotropy_basis: isotropy.basis: the complement is not "
+                               "unimodular (largest |tr_m ad| 1.000e+00)",
 }
 
 
@@ -836,6 +861,11 @@ FAIL_LINES = {
         ("boundary_interval", {"isotropy": {"basis": [[1.0, 0.0]]}, "solver.t_end": 0.01}, 2),
         ("boundary_interval", {"isotropy": {"basis": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]},
                                "solver.t_end": 0.01}, 2),
+        ("su2_rigid_body", {"algebra": {"structure": _non_unimodular(), "Q": (1e-13 * np.eye(3)).tolist()},
+                            "metric.gram": np.diag([1.0, 2.0, 3.0]).tolist(), "solver.t_end": 0.01}, 2),
+        ("su2_rigid_body", {"algebra": {"structure": _sol(), "Q": (1e-13 * np.eye(3)).tolist()},
+                            "isotropy": {"basis": [[0.0, 1.0, 0.0]]}, "metric.gram": np.diag([1.0, 2.0]).tolist(),
+                            "initial.x": [1.0, 0.5], "solver.t_end": 0.01}, 2),
     ],
     ids=["structure-not-antisymmetric", "Q-not-ad-invariant", "t_end-not-multiple-of-dt", "short-initial-x",
          "step-count-overflows", "isotropy-moves-complement", "even-1000r4-at-0", "even-expanded-at-L",
@@ -846,7 +876,8 @@ FAIL_LINES = {
          "fourier-row-even-length", "tabulated-without-algebra", "polynomial-row-past-2049-entries",
          "fourier-row-past-2049-entries", "berger-in-other-units", "log-entry-overflows",
          "volume-overflows", "polynomial-overflows", "gram-lu-singular", "gram-without-cholesky",
-         "gram-not-symmetric", "isotropy-dependent", "isotropy-row-short", "isotropy-not-closed"],
+         "gram-not-symmetric", "isotropy-dependent", "isotropy-row-short", "isotropy-not-closed",
+         "non-unimodular-tiny-Q", "complement-trace-tiny-Q"],
 )
 def test_validate_and_run_agree(request, tmp_path, capsys, name, updates, code):
     if name in ("left", "right"):

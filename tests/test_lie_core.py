@@ -33,6 +33,7 @@ def test_su2_passes_all_structure_checks():
         "Q_symmetric",
         "Q_positive_definite",
         "ad_invariance",
+        "unimodular",
     ]
     assert report["antisymmetry"].residual == 0.0
     assert report["jacobi_identity"].residual == 0.0
@@ -61,6 +62,37 @@ def test_broken_jacobi_fails():
 def test_indefinite_Q_fails():
     report = validate_structure(LieAlgebraSpec(3, su2().structure, np.diag([1.0, 1.0, -1.0])))
     assert not report["Q_positive_definite"].passed
+
+
+def test_non_unimodular_algebra_is_refused_whatever_q():
+    # [e1, e2] = e2, [e1, e3] = e3 has tr ad(e1) = 2: no compact group has it. Under
+    # Q = 1e-13 I the absolute ad_invariance residual (2e-13) passes; unimodular
+    # reads C alone, and the split refuses the algebra
+    C = np.zeros((3, 3, 3))
+    C[0, 1, 1] = C[0, 2, 2] = 1.0
+    C[1, 0, 1] = C[2, 0, 2] = -1.0
+    for scale in (1.0, 1e-13):
+        alg = LieAlgebraSpec(3, C, scale * np.eye(3))
+        report = validate_structure(alg)
+        assert report["ad_invariance"].passed == (scale < 1.0)
+        assert not report["unimodular"].passed and report["unimodular"].residual == 2.0
+        with pytest.raises(StructureError, match=r"not unimodular \(largest \|tr_m ad\| 2.000e\+00\)"):
+            reductive_split(alg, [])
+
+
+def test_complement_with_a_trace_is_refused_whatever_q():
+    # sol, [e1, e2] = e2, [e1, e3] = -e3, is unimodular on g, and the isotropy e2
+    # closes and fixes m = span(e1, e3); but [e2, e1] = -e2 leaves m, and
+    # tr_m(P_m ad_e1) = -1 is the vertical divergence of the invariant field e1
+    C = np.zeros((3, 3, 3))
+    C[0, 1, 1] = C[2, 0, 2] = 1.0
+    C[1, 0, 1] = C[0, 2, 2] = -1.0
+    for scale in (1.0, 1e-13, 1e30):
+        alg = LieAlgebraSpec(3, C, scale * np.eye(3))
+        assert validate_structure(alg)["unimodular"].residual == 0.0
+        reductive_split(alg, [])
+        with pytest.raises(StructureError, match=r"not unimodular \(largest \|tr_m ad\| 1.000e\+00\)"):
+            reductive_split(alg, [[0.0, 1.0, 0.0]])
 
 
 def test_shape_mismatch_is_structural():
